@@ -58,6 +58,7 @@ from .scattering import (
     DeltaShell,
     SquareWell,
     delay_curve,
+    delay_function,
     phase_shift_bar,
     phase_shift_sweep,
     s_matrix,
@@ -88,6 +89,7 @@ __all__ = [
     "time_delay",
     "time_delay_square_well_analytic",
     "time_delay_delta_shell_analytic",
+    "delay_function",
     "delay_curve",
     "Pole",
     "SearchRegion",

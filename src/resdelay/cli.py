@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,9 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import count_resonances, reconstruction_report
+from .counting import (
+    CountReport,
+    count_resonances,
+    lorentzian_sum,
+    reconstruction_report,
+)
 from .errors import ParseError, ResdelayError
-from .numerics import Curve, find_extrema
+from .numerics import Curve, _parabolic_refine, find_extrema
 from .phasedata import (
     delay_from_table,
     extract_resonance,
@@ -36,15 +40,7 @@ from .reflect import (
     reflectivity_curve,
     theta_curve,
 )
-from .scattering import (
-    DeltaShell,
-    SquareWell,
-    delay_curve,
-    time_delay_delta_shell_analytic,
-    time_delay_square_well_analytic,
-    time_delay,
-)
-from .counting import lorentzian_sum
+from .scattering import DeltaShell, SquareWell, delay_curve, delay_function
 
 ENV_OUT = "RESDELAY_OUT"
 
@@ -104,23 +100,52 @@ def _base_report(args, subcommand: str) -> dict:
     }
 
 
-def _classified_poles(model, region, curve, tol):
-    poles = find_poles(model, region, tol=tol)
-    return [classify_pole(p, curve) for p in poles]
-
-
 def _refine_extremum(fn, x0, step, kind="min", n=64):
     """Fine parabolic pass around a coarse extremum."""
     grid = np.linspace(x0 - 2 * step, x0 + 2 * step, n)
     vals = np.array([fn(x) for x in grid])
     i = int(np.argmin(vals) if kind == "min" else np.argmax(vals))
     i = min(max(i, 1), n - 2)
-    y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
-    den = y0 - 2 * y1 + y2
-    if den == 0:
-        return float(grid[i])
-    h = grid[1] - grid[0]
-    return float(grid[i] + 0.5 * (y0 - y2) / den * h)
+    x, _ = _parabolic_refine(*grid[i - 1:i + 2], *vals[i - 1:i + 2])
+    return float(x)
+
+
+def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
+                    max_resonances=None):
+    """Delay curves, classified poles, n_R and the Lorentzian reconstruction
+    of a scattering model.
+
+    Returns the report, its curves and the resonances used (at most
+    ``max_resonances``).
+    """
+    display = delay_curve(model, args.emin, args.emax, args.grid, label=label)
+    # classification needs coverage out to the last pole of interest
+    cls_curve = delay_curve(
+        model, args.emin, region.re_range[1], max(args.grid, min_cls_grid),
+        label="classification",
+    )
+    poles = [
+        classify_pole(p, cls_curve) for p in find_poles(model, region, tol=args.tol)
+    ]
+    resonances = [p for p in poles if p.classification == RESONANCE][:max_resonances]
+
+    report = _base_report(args, args.subcommand)
+    report["poles"] = [p.to_dict() for p in poles]
+    count = count_resonances(
+        delay_function(model), args.emin, args.emax, tol=args.tol
+    )
+    report["count"] = count.to_dict()
+    curves = [(stem, display)]
+    if resonances:
+        recon = Curve(
+            display.energies,
+            np.array([lorentzian_sum(resonances, E) for E in display.energies]),
+            label="lorentzian_sum",
+        )
+        report["reconstruction"] = reconstruction_report(display, resonances).to_dict()
+        curves.append((f"{stem}_lorentzian", recon))
+    report["peak_count"] = sum(1 for p in find_extrema(display) if p.kind == "max")
+    return report, curves, resonances
 
 
 # ---------------------------------------------------------------------------
@@ -129,40 +154,15 @@ def _refine_extremum(fn, x0, step, kind="min", n=64):
 
 def run_sqwell(args) -> dict:
     model = SquareWell(V0=args.V0, a=args.a, l=args.l)
-    analytic = model.l == 0
-    display = delay_curve(
-        model, args.emin, args.emax, args.grid, analytic=analytic,
-        label=f"time_delay_l{model.l}",
-    )
-    # classification needs coverage out to the last pole of interest
-    pole_re_hi = max(args.pole_emax, args.emax)
-    cls_curve = delay_curve(
-        model, args.emin, pole_re_hi, max(args.grid, 900), analytic=analytic,
-        label="classification",
-    )
     region = SearchRegion(
-        (0.0, pole_re_hi), (-args.pole_gmax / 2.0, 0.0), n_re=120, n_im=10
+        (0.0, max(args.pole_emax, args.emax)), (-args.pole_gmax / 2.0, 0.0),
+        n_re=120, n_im=10,
     )
-    poles = _classified_poles(model, region, cls_curve, args.tol)
-    resonances = [p for p in poles if p.classification == RESONANCE][:15]
-
-    report = _base_report(args, "sqwell")
-    report["poles"] = [p.to_dict() for p in poles]
-    if analytic:
-        delay_fn = lambda E: time_delay_square_well_analytic(model, E)
-    else:
-        delay_fn = lambda E: time_delay(model, E)
-    count = count_resonances(delay_fn, args.emin, args.emax, tol=args.tol)
-    report["count"] = count.to_dict()
-    curves = [(f"fig1a_l{model.l}", display)]
+    report, curves, resonances = _model_pipeline(
+        args, model, region, min_cls_grid=900, stem=f"fig1a_l{model.l}",
+        label=f"time_delay_l{model.l}", max_resonances=15,
+    )
     if resonances:
-        recon = Curve(
-            display.energies,
-            np.array([lorentzian_sum(resonances, E) for E in display.energies]),
-            label="lorentzian_sum",
-        )
-        report["reconstruction"] = reconstruction_report(display, resonances).to_dict()
-        curves.append((f"fig1a_l{model.l}_lorentzian", recon))
         # first peak separated out for clarity
         first = resonances[0]
         lo = max(args.emin, first.position - 3 * first.gamma)
@@ -170,45 +170,20 @@ def run_sqwell(args) -> dict:
         if hi > lo:
             curves.append(
                 (f"fig1b_l{model.l}", delay_curve(model, lo, hi, 200,
-                                                  analytic=analytic,
                                                   label="first_peak"))
             )
-    report["peak_count"] = sum(
-        1 for p in find_extrema(display) if p.kind == "max"
-    )
     _emit(report, curves, args)
     return report
 
 
 def run_deltashell(args) -> dict:
     model = DeltaShell(V0=args.V0, a=args.a)
-    display = delay_curve(model, args.emin, args.emax, args.grid,
-                          label="time_delay")
-    cls_curve = delay_curve(model, args.emin, args.emax, max(args.grid, 1200),
-                            label="classification")
     region = SearchRegion(
         (0.0, args.emax), (-args.pole_gmax / 2.0, 0.0), n_re=50, n_im=8
     )
-    poles = _classified_poles(model, region, cls_curve, args.tol)
-    resonances = [p for p in poles if p.classification == RESONANCE]
-
-    report = _base_report(args, "deltashell")
-    report["poles"] = [p.to_dict() for p in poles]
-    count = count_resonances(
-        lambda E: time_delay_delta_shell_analytic(model, E),
-        args.emin, args.emax, tol=args.tol,
+    report, curves, _ = _model_pipeline(
+        args, model, region, min_cls_grid=1200, stem="fig2", label="time_delay"
     )
-    report["count"] = count.to_dict()
-    curves = [("fig2", display)]
-    if resonances:
-        recon = Curve(
-            display.energies,
-            np.array([lorentzian_sum(resonances, E) for E in display.energies]),
-            label="lorentzian_sum",
-        )
-        report["reconstruction"] = reconstruction_report(display, resonances).to_dict()
-        curves.append(("fig2_lorentzian", recon))
-    report["peak_count"] = sum(1 for p in find_extrema(display) if p.kind == "max")
     _emit(report, curves, args)
     return report
 
@@ -263,15 +238,9 @@ def run_data(args) -> dict:
     res = extract_resonance(curve, w_lo, w_hi)
     report = _base_report(args, "data")
     report["resonance"] = res.to_dict()
-    report["count"] = {
-        "n_R": res.n_R,
-        "N": math.floor(res.n_R),
-        "Delta": res.n_R - math.floor(res.n_R),
-        "E_range": [w_lo, w_hi],
-        "quadrature_tol": 0.0,
-        "evaluations": len(curve),
-        "near_integer": False,
-    }
+    report["count"] = CountReport.from_n_R(
+        res.n_R, (w_lo, w_hi), 0.0, len(curve)
+    ).to_dict()
     _emit(report, [("fig4", curve)], args)
     return report
 

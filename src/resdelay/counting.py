@@ -3,7 +3,7 @@ integral n_R = (1/pi) * integral of T(E) dE = N + Delta."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -11,6 +11,7 @@ import numpy as np
 from .errors import SpuriousIncluded
 from .numerics import Curve, integrate
 from .poles import Pole, RESONANCE
+from .scattering import E_MIN
 
 __all__ = [
     "CountReport",
@@ -21,7 +22,6 @@ __all__ = [
     "reconstruction_report",
 ]
 
-_E_GUARD = 1e-6
 _INTEGER_SNAP = 1e-9
 
 
@@ -37,16 +37,17 @@ class CountReport:
     evaluations: int
     near_integer: bool = False
 
+    @classmethod
+    def from_n_R(cls, n_R: float, E_range: tuple[float, float],
+                 quadrature_tol: float, evaluations: int) -> CountReport:
+        """Split n_R into its integer part N and the remainder Delta."""
+        N = math.floor(n_R)
+        Delta = n_R - N
+        near_integer = min(Delta, 1.0 - Delta) < _INTEGER_SNAP
+        return cls(n_R, N, Delta, E_range, quadrature_tol, evaluations, near_integer)
+
     def to_dict(self) -> dict:
-        return {
-            "n_R": self.n_R,
-            "N": self.N,
-            "Delta": self.Delta,
-            "E_range": list(self.E_range),
-            "quadrature_tol": self.quadrature_tol,
-            "evaluations": self.evaluations,
-            "near_integer": self.near_integer,
-        }
+        return {**asdict(self), "E_range": list(self.E_range)}
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,7 @@ class ReconstructionReport:
     poles_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_rel_error": self.max_rel_error,
-            "l2_rel_error": self.l2_rel_error,
-            "E_range": list(self.E_range),
-            "poles_used": self.poles_used,
-        }
+        return {**asdict(self), "E_range": list(self.E_range)}
 
 
 def lorentzian_sum(poles: Sequence[Pole], E: float) -> float:
@@ -86,24 +82,16 @@ def count_resonances(
     E_hi: float,
     tol: float = 1e-8,
 ) -> CountReport:
-    """Resonance-counting integral n_R = (1/pi) * integral of the delay."""
-    if not (0 <= E_lo < E_hi):
-        raise ValueError("require 0 <= E_lo < E_hi")
-    lo = max(E_lo, _E_GUARD)
+    """Resonance-counting integral n_R = (1/pi) * integral of the delay.
+
+    The lower limit is raised to the threshold guard ``E_MIN`` (k = 0 is a
+    branch point); the reported ``E_range`` is the range integrated.
+    """
+    if not (0 <= E_lo < E_hi) or E_hi <= E_MIN:
+        raise ValueError(f"require 0 <= E_lo < E_hi and E_hi > {E_MIN}")
+    lo = max(E_lo, E_MIN)
     quad = integrate(delay, lo, E_hi, tol)
-    n_r = quad.value / math.pi
-    n_floor = math.floor(n_r)
-    delta = n_r - n_floor
-    near_int = min(delta, 1.0 - delta) < _INTEGER_SNAP
-    return CountReport(
-        n_R=n_r,
-        N=int(n_floor),
-        Delta=delta,
-        E_range=(E_lo, E_hi),
-        quadrature_tol=tol,
-        evaluations=quad.evaluations,
-        near_integer=near_int,
-    )
+    return CountReport.from_n_R(quad.value / math.pi, (lo, E_hi), tol, quad.evaluations)
 
 
 def gamma_from_peak(peak_height: float) -> float:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -210,12 +210,9 @@ def sph_bessel(l: int, z: complex):
     n0 = -cos_z / z
 
     # Neumann: upward recurrence f_{k+1} = (2k+1)/z f_k - f_{k-1}
-    nvals = [n0]
-    if l >= 1 or True:
-        n1 = -cos_z / (z * z) - sin_z / z
-        nvals.append(n1)
-        for k in range(1, l + 1):
-            nvals.append((2 * k + 1) / z * nvals[k] - nvals[k - 1])
+    nvals = [n0, -cos_z / (z * z) - sin_z / z]
+    for k in range(1, l + 1):
+        nvals.append((2 * k + 1) / z * nvals[k] - nvals[k - 1])
 
     # Bessel
     if abs(z) >= l or l == 0:
@@ -388,31 +385,27 @@ def find_extrema(curve: Curve) -> list[Peak]:
         raise ValueError("curve must have at least 3 samples")
     peaks: list[Peak] = []
     for i in range(1, len(e) - 1):
+        if v[i] > v[i - 1] and v[i] >= v[i + 1]:
+            kind, exit_step = "max", -1
+        elif v[i] < v[i - 1] and v[i] <= v[i + 1]:
+            kind, exit_step = "min", 1
+        else:
+            continue
         # ties on the right (a sampled plateau straddling the true extremum)
         # count once, at the left edge of the plateau
-        if v[i] > v[i - 1] and v[i] >= v[i + 1]:
-            if v[i] == v[i + 1] and not _plateau_drops(v, i):
-                continue
-            x, y = _parabolic_refine(e[i - 1], e[i], e[i + 1], v[i - 1], v[i], v[i + 1])
-            peaks.append(Peak(x, y, "max"))
-        elif v[i] < v[i - 1] and v[i] <= v[i + 1]:
-            if v[i] == v[i + 1] and not _plateau_rises(v, i):
-                continue
-            x, y = _parabolic_refine(e[i - 1], e[i], e[i + 1], v[i - 1], v[i], v[i + 1])
-            peaks.append(Peak(x, y, "min"))
+        if v[i] == v[i + 1] and _plateau_exit_step(v, i) != exit_step:
+            continue
+        x, y = _parabolic_refine(e[i - 1], e[i], e[i + 1], v[i - 1], v[i], v[i + 1])
+        peaks.append(Peak(x, y, kind))
     return peaks
 
 
-def _plateau_drops(v, i) -> bool:
-    """True if the constant run starting at i eventually steps down."""
+def _plateau_exit_step(v, i) -> int:
+    """Sign of the step that ends the constant run starting at i: -1 if the
+    run steps down, +1 if it steps up, 0 if it runs to the end."""
     j = i + 1
     while j < len(v) and v[j] == v[i]:
         j += 1
-    return j < len(v) and v[j] < v[i]
-
-
-def _plateau_rises(v, i) -> bool:
-    j = i + 1
-    while j < len(v) and v[j] == v[i]:
-        j += 1
-    return j < len(v) and v[j] > v[i]
+    if j == len(v):
+        return 0
+    return 1 if v[j] > v[i] else -1

@@ -123,22 +123,6 @@ def load_bundled_p33() -> PhaseTable:
     return parse_phase_table(text, source="bundled p33_pip_p.csv")
 
 
-def _unwrap_half_turns(delta_rad: np.ndarray) -> np.ndarray:
-    """Continuity-unwrap across +-180 degree jumps (phase defined mod pi)."""
-    out = delta_rad.copy()
-    offset = 0.0
-    for i in range(1, len(out)):
-        d = delta_rad[i] + offset - out[i - 1]
-        while d > math.pi / 2:
-            offset -= math.pi
-            d -= math.pi
-        while d < -math.pi / 2:
-            offset += math.pi
-            d += math.pi
-        out[i] = delta_rad[i] + offset
-    return out
-
-
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
     if window == 1:
         return y
@@ -157,7 +141,7 @@ def delay_from_table(table: PhaseTable, smooth_window: int = 1) -> Curve:
     """
     if smooth_window < 1 or smooth_window % 2 == 0:
         raise ValueError("smooth_window must be an odd integer >= 1")
-    delta = _unwrap_half_turns(np.radians(table.delta_deg))
+    delta = np.unwrap(np.radians(table.delta_deg), period=math.pi)
     delta = _moving_average(delta, smooth_window)
     d = np.gradient(delta, table.W)
     return Curve(table.W, d, label="time_delay_per_MeV")

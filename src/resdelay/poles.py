@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CurveTooCoarse, InteriorNode, NoConvergence
-from .numerics import Curve, find_extrema, integrate, newton_complex, sph_bessel
+from .numerics import Curve, find_extrema, newton_complex, sph_bessel
 from .scattering import DeltaShell, ScatteringModel, SquareWell
 
 __all__ = [
@@ -207,10 +207,6 @@ def classify_pole(pole: Pole, delay_curve: Curve) -> Pole:
     )
 
 
-def _interval_mean_density(u_sq_integral: float, width: float) -> float:
-    return u_sq_integral / width
-
-
 def localization_ratio(model: ScatteringModel, E: float) -> float:
     """Interior (0, a) vs exterior (a, 2a) mean probability density of the
     regular real-energy radial solution.
@@ -252,4 +248,5 @@ def localization_ratio(model: ScatteringModel, E: float) -> float:
     i_out = c_sq * (a / 2.0 - (math.sin(phi2) - math.sin(phi1)) / (4.0 * k))
     if i_out <= 0:
         return math.inf
-    return _interval_mean_density(i_in, a) / _interval_mean_density(i_out, a)
+    # ratio of the mean densities over the two intervals of width a
+    return (i_in / a) / (i_out / a)

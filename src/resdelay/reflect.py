@@ -18,7 +18,6 @@ from .numerics import Curve, bessel_j
 
 __all__ = [
     "ExpStep",
-    "ReflectionSample",
     "reflection_amplitude",
     "reflectivity_curve",
     "theta_curve",
@@ -41,20 +40,6 @@ class ExpStep:
     @property
     def threshold(self) -> float:
         return self.V1 + self.V2
-
-
-@dataclass(frozen=True)
-class ReflectionSample:
-    E: float
-    r: complex
-
-    @property
-    def R(self) -> float:
-        return abs(self.r) ** 2
-
-    @property
-    def theta(self) -> float:
-        return cmath.phase(self.r)
 
 
 def reflection_amplitude(step: ExpStep, E: float) -> complex:

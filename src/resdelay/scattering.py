@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "time_delay",
     "time_delay_square_well_analytic",
     "time_delay_delta_shell_analytic",
+    "delay_function",
     "delay_curve",
 ]
 
@@ -124,17 +125,7 @@ def phase_shift_sweep(model: ScatteringModel, energies: np.ndarray) -> Curve:
     """
     energies = np.asarray(energies, dtype=float)
     raw = np.array([phase_shift_bar(model, E) for E in energies])
-    out = raw.copy()
-    offset = 0.0
-    for i in range(1, len(out)):
-        cand = raw[i] + offset
-        while cand - out[i - 1] > math.pi / 2:
-            cand -= math.pi
-            offset -= math.pi
-        while cand - out[i - 1] < -math.pi / 2:
-            cand += math.pi
-            offset += math.pi
-        out[i] = cand
+    out = np.unwrap(raw, period=math.pi)
     return Curve(energies, out, label="phase_shift_bar")
 
 
@@ -196,6 +187,21 @@ def time_delay_delta_shell_analytic(model: DeltaShell, E: float) -> float:
     return num / den
 
 
+def delay_function(
+    model: ScatteringModel, analytic: bool = True
+) -> Callable[[float], float]:
+    """The time delay of ``model`` as a function of real E.
+
+    Uses the closed forms where available (s-wave square well, delta shell)
+    unless ``analytic=False``, otherwise the numeric :func:`time_delay`.
+    """
+    if analytic and isinstance(model, DeltaShell):
+        return lambda E: time_delay_delta_shell_analytic(model, E)
+    if analytic and isinstance(model, SquareWell) and model.l == 0:
+        return lambda E: time_delay_square_well_analytic(model, E)
+    return lambda E: time_delay(model, E)
+
+
 def delay_curve(
     model: ScatteringModel,
     e_min: float,
@@ -204,17 +210,8 @@ def delay_curve(
     analytic: bool = True,
     label: str = "time_delay",
 ) -> Curve:
-    """Sample the time delay on a uniform grid.
-
-    Uses the closed forms where available (s-wave square well, delta shell)
-    unless ``analytic=False``.
-    """
+    """Sample :func:`delay_function` on a uniform grid."""
     e_min = max(e_min, E_MIN)
     grid = np.linspace(e_min, e_max, n)
-    if analytic and isinstance(model, DeltaShell):
-        vals = [time_delay_delta_shell_analytic(model, E) for E in grid]
-    elif analytic and isinstance(model, SquareWell) and model.l == 0:
-        vals = [time_delay_square_well_analytic(model, E) for E in grid]
-    else:
-        vals = [time_delay(model, E) for E in grid]
-    return Curve(grid, np.array(vals), label=label)
+    delay = delay_function(model, analytic)
+    return Curve(grid, np.array([delay(E) for E in grid]), label=label)

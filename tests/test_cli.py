@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line front-end."""
+import dataclasses
 import json
 from importlib import resources
 
@@ -6,6 +7,7 @@ import jsonschema
 import pytest
 
 from resdelay.cli import main
+from resdelay.counting import CountReport
 
 
 def load_schema():
@@ -43,6 +45,9 @@ class TestOutputs:
         assert report["provenance"]["subcommand"] == "data"
         assert (tmp_path / "fig4.csv").exists()
         jsonschema.validate(report, load_schema())
+        count = report["count"]
+        assert set(count) == {f.name for f in dataclasses.fields(CountReport)}
+        assert count["N"] + count["Delta"] == pytest.approx(count["n_R"], abs=1e-12)
 
     def test_step_report(self, tmp_path):
         assert run(["step"], tmp_path) == 0
@@ -60,6 +65,14 @@ class TestOutputs:
         assert (tmp_path / "fig1a_l0.csv").exists()
         assert (tmp_path / "fig1b_l0.csv").exists()
 
+    def test_sqwell_higher_l_curves(self, tmp_path):
+        assert run(["sqwell", "--l", "1", "--grid", "300"], tmp_path) == 0
+        report = json.loads((tmp_path / "sqwell_report.json").read_text())
+        jsonschema.validate(report, load_schema())
+        for stem in ("fig1a_l1", "fig1a_l1_lorentzian", "fig1b_l1"):
+            assert (tmp_path / f"{stem}.csv").exists()
+        assert 1 <= report["reconstruction"]["poles_used"] <= 15
+
     def test_deltashell_report(self, tmp_path):
         assert run(["deltashell"], tmp_path) == 0
         report = json.loads((tmp_path / "deltashell_report.json").read_text())
@@ -70,6 +83,8 @@ class TestOutputs:
         assert len(resonances) == 4
         assert report["count"]["n_R"] == pytest.approx(4.0114, abs=0.2)
         assert (tmp_path / "fig2.csv").exists()
+        assert (tmp_path / "fig2_lorentzian.csv").exists()
+        assert report["reconstruction"]["poles_used"] == len(resonances)
 
     def test_csv_format(self, tmp_path):
         assert run(["data"], tmp_path) == 0

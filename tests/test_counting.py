@@ -109,6 +109,18 @@ class TestCountResonances:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             count_resonances(lambda e: 0.0, 5.0, 1.0, tol=1e-8)
+        # entirely below the threshold guard: nothing to integrate
+        with pytest.raises(ValueError):
+            count_resonances(lambda e: 0.0, 0.0, 1e-7, tol=1e-8)
+
+    def test_reported_range_is_the_integrated_range(self):
+        # the lower limit is raised to the threshold guard, and reported so
+        m = DeltaShell(V0=10, a=1)
+        rep = count_resonances(
+            lambda e: time_delay_delta_shell_analytic(m, e), 0.0, 10.0
+        )
+        assert rep.E_range[0] == 1e-6
+        assert rep.E_range[1] == 10.0
 
     def test_delta_shell_against_closed_form_phase(self):
         # criterion 4 (V0=10, a=1, E up to 170): the delay integrates to the

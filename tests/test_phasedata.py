@@ -125,14 +125,17 @@ class TestDelayFromTable:
         assert np.allclose(as_deg, direct, rtol=1e-12)
 
     def test_unwrap_idempotence(self):
-        from resdelay.phasedata import _unwrap_half_turns
-
+        # phases wrapped into [-90, 90) degrees unwrap back to the original
+        # table, so both give the same delay curve
         rng = np.random.default_rng(7)
-        raw = np.cumsum(rng.normal(0, 0.3, 100))
-        wrapped = (raw + math.pi / 2) % math.pi - math.pi / 2
-        once = _unwrap_half_turns(wrapped)
-        twice = _unwrap_half_turns(once)
-        assert np.allclose(once, twice, atol=1e-12)
+        w = np.linspace(1000.0, 1200.0, 100)
+        raw = np.degrees(np.cumsum(rng.normal(0, 0.3, 100)))
+        assert np.max(np.abs(raw)) <= 360.0
+        wrapped = (raw + 90.0) % 180.0 - 90.0
+        for win in (1, 3):
+            a = delay_from_table(PhaseTable(W=w, delta_deg=raw), win)
+            b = delay_from_table(PhaseTable(W=w, delta_deg=wrapped), win)
+            assert np.allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
 class TestExtractResonance:

@@ -91,6 +91,18 @@ class TestPhaseShift:
         jumps = np.abs(np.diff(curve.values))
         assert np.max(jumps) < math.pi / 2
 
+    def test_sweep_matches_reference_unwrap_loop(self):
+        # reference: add the multiple of pi that keeps each step within pi/2
+        m = SquareWell(V0=5, a=10, l=0)
+        grid = np.linspace(0.1, 10.0, 400)
+        raw = [phase_shift_bar(m, E) for E in grid]
+        ref = [raw[0]]
+        for r in raw[1:]:
+            ref.append(r + math.pi * round((ref[-1] - r) / math.pi))
+        values = phase_shift_sweep(m, grid).values
+        assert np.max(np.abs(values - raw)) > 3.0  # several branch crossings
+        assert np.allclose(values, ref, rtol=0, atol=1e-12)
+
     def test_l1_two_resolution_consistency(self):
         m = SquareWell(V0=5, a=10, l=1)
         coarse = phase_shift_sweep(m, np.linspace(0.1, 5.0, 200))
