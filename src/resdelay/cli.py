@@ -45,18 +45,6 @@ from .scattering import DeltaShell, SquareWell, delay_curve, delay_function
 ENV_OUT = "RESDELAY_OUT"
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_curve_csv(curve: Curve, path: Path) -> None:
     lines = ["E,value"]
     for e, v in zip(curve.energies, curve.values):
@@ -77,7 +65,7 @@ def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> None:
         curve_entries.append(entry)
     report["curves"] = curve_entries
     (out / f"{report['provenance']['subcommand']}_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n",
+        json.dumps(report, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
         newline="\n",
     )

@@ -39,10 +39,6 @@ class MaxDepthExceeded(ResdelayError):
     """Adaptive quadrature hit the bisection depth cap (non-integrable feature?)."""
 
 
-class InteriorNode(ResdelayError):
-    """Interior logarithmic derivative singular: j_l(pa) vanishes at this energy."""
-
-
 class NonRealDelay(ResdelayError):
     """Imaginary residue of the time delay exceeded tolerance."""
 

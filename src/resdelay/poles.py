@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CurveTooCoarse, InteriorNode, NoConvergence
+from .errors import CurveTooCoarse, NoConvergence
 from .numerics import Curve, find_extrema, newton_complex, sph_bessel
 from .scattering import DeltaShell, ScatteringModel, SquareWell
 
@@ -135,13 +135,7 @@ def find_poles(
         for si in seeds_im:
             try:
                 z = newton_complex(f, complex(sr, si), tol=tol, max_iter=60)
-            except (
-                NoConvergence,
-                InteriorNode,
-                ValueError,
-                OverflowError,
-                ZeroDivisionError,
-            ):
+            except (NoConvergence, ValueError, OverflowError, ZeroDivisionError):
                 failed += 1
                 continue
             if not (re_lo <= z.real <= re_hi and im_lo <= z.imag < 0):
@@ -191,14 +185,14 @@ def classify_pole(pole: Pole, delay_curve: Curve) -> Pole:
     if gamma < e_j and e[0] <= e_j <= e[-1]:
         i = int(np.argmin(np.abs(e - e_j)))
         i = min(max(i, 1), len(e) - 2)
-        concave = (v[i - 1] - 2.0 * v[i] + v[i + 1]) < 0
+        concave = bool(v[i - 1] - 2.0 * v[i] + v[i + 1] < 0)
 
     is_resonance = peak_found or (gamma < e_j and concave)
     diag = dict(pole.diagnostics)
     diag.update(
         peak_found=peak_found,
         concave_at_pole=concave,
-        peak_height_ratio=None if math.isinf(height_ratio) else height_ratio,
+        peak_height_ratio=None if math.isinf(height_ratio) else float(height_ratio),
     )
     return replace(
         pole,

@@ -61,7 +61,7 @@ def reflection_amplitude(step: ExpStep, E: float) -> complex:
     return (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
 
 
-def _sample_grid(step: ExpStep, e_lo: float, e_hi: float, n: int) -> np.ndarray:
+def _sample_grid(e_lo: float, e_hi: float, n: int) -> np.ndarray:
     if not (e_hi > e_lo > 0):
         raise ValueError("require e_hi > e_lo > 0")
     return np.linspace(e_lo, e_hi, n)
@@ -69,22 +69,21 @@ def _sample_grid(step: ExpStep, e_lo: float, e_hi: float, n: int) -> np.ndarray:
 
 def reflectivity_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
     """|r(E)|^2 sampled on a uniform grid."""
-    grid = _sample_grid(step, e_lo, e_hi, n)
+    grid = _sample_grid(e_lo, e_hi, n)
     vals = [abs(reflection_amplitude(step, E)) ** 2 for E in grid]
     return Curve(grid, np.array(vals), label="reflectivity")
 
 
-def theta_curve(
-    step: ExpStep, e_lo: float, e_hi: float, n: int, max_refine: int = 12
-) -> Curve:
+def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
     """Continuity-unwrapped reflection phase theta(E).
 
     The grid is refined adaptively wherever adjacent principal-value samples
-    differ by pi or more, so the unwrapping is unambiguous.
+    differ by pi or more (at most 12 passes), so the unwrapping is
+    unambiguous.
     """
-    grid = list(_sample_grid(step, e_lo, e_hi, n))
+    grid = list(_sample_grid(e_lo, e_hi, n))
     raw = [cmath.phase(reflection_amplitude(step, E)) for E in grid]
-    for _ in range(max_refine):
+    for _ in range(12):
         inserted = False
         i = 0
         while i < len(grid) - 1:
@@ -102,13 +101,12 @@ def theta_curve(
     return Curve(np.array(grid), unwrapped, label="theta")
 
 
-def reflection_time_delay(step: ExpStep, E: float, h: float | None = None) -> float:
+def reflection_time_delay(step: ExpStep, E: float) -> float:
     """Reflection time delay hbar * d(theta)/dE, computed algebraically from
     r and dr/dE (no unwrapping needed)."""
     if E <= step.threshold + 1e-6:
         raise ValueError("E must exceed the barrier top by more than 1e-6")
-    if h is None:
-        h = min(1e-6 * max(1.0, E), 0.49 * (E - step.threshold))
+    h = min(1e-6 * max(1.0, E), 0.49 * (E - step.threshold))
     r0 = reflection_amplitude(step, E)
     if abs(r0) < 1e-8:
         raise VanishingAmplitude(f"|r| = {abs(r0):.2e} at E = {E}")

@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InteriorNode, NonRealDelay
+from .errors import NonRealDelay
 from .numerics import Curve, sph_bessel
 
 __all__ = [
@@ -67,46 +67,44 @@ class DeltaShell:
 ScatteringModel = Union[SquareWell, DeltaShell]
 
 
-def _wavenumbers(model: SquareWell, E: complex) -> tuple[complex, complex]:
-    k = cmath.sqrt(E)
-    p = cmath.sqrt(E + model.V0)
-    return k, p
-
-
 def s_matrix(model: ScatteringModel, E: complex) -> complex:
     """Hard-sphere-subtracted partial-wave S-matrix at (possibly complex) E.
 
     Unitary on the real axis; its lower-half-plane poles are the Gamow
-    resonances of the model.
+    resonances of the model.  Written as an incoming-over-outgoing ratio
+    whose denominator is the entire form of :func:`poles.outgoing_condition`,
+    so it is regular wherever S is.
     """
     E = complex(E)
     if E == 0:
         raise ValueError("E = 0 is a branch point")
+    k = cmath.sqrt(E)
 
     if isinstance(model, DeltaShell):
-        k = cmath.sqrt(E)
         lam = model.a * model.V0
-        ka = k * model.a
-        t = k * cmath.tan(ka) / (k + lam * cmath.tan(ka))
-        return (1.0 + 1j * t) / (1.0 - 1j * t)
+        c, s = cmath.cos(k * model.a), cmath.sin(k * model.a)
+        return (k * c + (lam + 1j * k) * s) / (k * c + (lam - 1j * k) * s)
 
-    k, p = _wavenumbers(model, E)
+    p = cmath.sqrt(E + model.V0)
     a = model.a
     if model.l == 0:
-        tpa = cmath.tan(p * a)
-        return (1j * k * tpa + p) / (1j * k * tpa - p)
+        # divided through by p: sin(pa)/p -> a at p = 0
+        sinc = cmath.sin(p * a) / p if p else a
+        c = cmath.cos(p * a)
+        return (1j * k * sinc + c) / (1j * k * sinc - c)
 
-    # l > 0: match the interior logarithmic derivative to exterior
-    # spherical Hankel functions, then divide out the hard-sphere part.
-    j_in, jp_in, *_ = sph_bessel(model.l, p * a)
-    if abs(j_in) < 1e-14:
-        raise InteriorNode(f"j_l(pa) ~ 0 at E = {E}")
-    gamma_l = p * jp_in / j_in
+    # interior p j_l'(pa) and j_l(pa); at p = 0 only their ratio l/a survives
+    if p:
+        j_in, jp_in, *_ = sph_bessel(model.l, p * a)
+        pjp_in = p * jp_in
+    else:
+        j_in, pjp_in = 1.0, model.l / a
     j, jp, n, npr, h1, h1p = sph_bessel(model.l, k * a)
     h2, h2p = j - 1j * n, jp - 1j * npr
-    s_full = (k * h2p - gamma_l * h2) / (k * h1p - gamma_l * h1)
-    # e^{-2i delta_H} = -h1/h2 (delta_H from tan(delta_H) = j_l/n_l)
-    return -s_full * h1 / h2
+    # full S = (p j' h2 - k h2' j) / (p j' h1 - k h1' j); multiplying by
+    # e^{-2i delta_H} = -h1/h2 (tan(delta_H) = j_l/n_l) removes the hard sphere
+    out = pjp_in * h1 - k * h1p * j_in
+    return -(pjp_in * h2 - k * h2p * j_in) * h1 / (out * h2)
 
 
 def phase_shift_bar(model: ScatteringModel, E: float) -> float:
@@ -129,16 +127,15 @@ def phase_shift_sweep(model: ScatteringModel, energies: np.ndarray) -> Curve:
     return Curve(energies, out, label="phase_shift_bar")
 
 
-def time_delay(model: ScatteringModel, E: float, step: float | None = None) -> float:
+def time_delay(model: ScatteringModel, E: float) -> float:
     """Time delay T = hbar d(delta_bar)/dE, computed as
     -(i/2) conj(S) dS/dE with a central difference.
 
     Raises :class:`NonRealDelay` if the imaginary residue exceeds 1e-6.
     """
-    if step is None:
-        step = min(1e-6 * max(1.0, abs(E)), 0.5 * E)
-    if not E > step > 0:
-        raise ValueError("require E > step > 0")
+    if not E > 0:
+        raise ValueError("E must be positive")
+    step = min(1e-6 * max(1.0, E), 0.5 * E)
     # the exact S is unimodular on the real axis; renormalizing each sample
     # strips modulus round-off that would otherwise leak into the residue
     def s_unit(e: float) -> complex:
@@ -168,6 +165,8 @@ def time_delay_square_well_analytic(model: SquareWell, E: float) -> float:
     k = math.sqrt(E)
     p = cmath.sqrt(complex(E + model.V0))
     a = model.a
+    if p == 0:  # numerator and denominator both vanish like p^3
+        return (a - 2.0 * model.V0 * a**3 / 3.0) / (2.0 * k * (1.0 + E * a * a))
     sin_pa, cos_pa = cmath.sin(p * a), cmath.cos(p * a)
     num = model.V0 * sin_pa * cos_pa + a * p * k * k
     den = 2.0 * p * k * ((p * cos_pa) ** 2 + (k * sin_pa) ** 2)

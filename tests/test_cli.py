@@ -32,6 +32,12 @@ class TestExitCodes:
         bad.write_text("W_MeV,delta_deg\n1,1\n2,oops\n3,3\n4,4\n5,5\n")
         assert run(["data", "--input", str(bad)], tmp_path) == 2
 
+    @pytest.mark.parametrize("l", ["0", "1"])
+    def test_grid_at_interior_threshold(self, tmp_path, l):
+        # --emin 1 puts the first grid point at E = -V0, where p = 0
+        args = ["sqwell", "--V0", "-1", "--a", "1", "--emin", "1", "--emax", "10"]
+        assert run(args + ["--l", l], tmp_path) == 0
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["quux"])

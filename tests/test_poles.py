@@ -186,6 +186,9 @@ class TestClassifyPole:
         out = classify_pole(pole, curve)
         assert "peak_found" in out.diagnostics
         assert "concave_at_pole" in out.diagnostics
+        # reports are written with plain json.dumps: no numpy scalars
+        for value in out.diagnostics.values():
+            assert type(value) in (bool, int, float, type(None))
 
     def test_too_coarse_curve_raises(self):
         from resdelay.errors import CurveTooCoarse

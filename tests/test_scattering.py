@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resdelay.counting import count_resonances
-from resdelay.errors import InteriorNode
 from resdelay.numerics import find_extrema
 from resdelay.scattering import (
     DeltaShell,
@@ -60,12 +59,75 @@ class TestSMatrix:
         e=st.floats(0.05, 60.0),
     )
     @settings(max_examples=300, deadline=None)
+    # p = 0 (E = -V0), for l = 0 and l >= 1
+    @example(v0=-1.0, a=1.0, l=0, e=1.0)
+    @example(v0=-1.0, a=1.0, l=3, e=1.0)
+    # |j_9(pa)| < 1e-14 at a regular point of S
+    @example(v0=-7.239560965455908, a=1.3938459207619869, l=9, e=7.267540667158215)
     def test_unitarity_property(self, v0, a, l, e):
-        try:
-            s = s_matrix(SquareWell(V0=v0, a=a, l=l), e)
-        except InteriorNode:
-            return  # logarithmic derivative singular; caller perturbs E
+        s = s_matrix(SquareWell(V0=v0, a=a, l=l), e)
         assert abs(abs(s) - 1) < 1e-10
+
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_continuous_at_interior_threshold(self, l):
+        # p = 0 at E = -V0 is a removable 0/0 of the entire form
+        m = SquareWell(V0=-1, a=1, l=l)
+        s = s_matrix(m, 1.0)
+        assert abs(abs(s) - 1) < 1e-10
+        assert abs(s - s_matrix(m, 1.0 + 1e-9)) < 1e-8
+
+    @staticmethod
+    def s_bar_mpmath(mpmath, V0, a, l, E):
+        """40-digit S-bar from besselj/bessely through the interior
+        logarithmic derivative, the textbook matching form."""
+        with mpmath.workdps(40):
+            E = mpmath.mpc(E)
+            k, p = mpmath.sqrt(E), mpmath.sqrt(E + V0)
+
+            def sph(f, n, z):
+                return mpmath.sqrt(mpmath.pi / (2 * z)) * f(n + 0.5, z)
+
+            def with_deriv(f, z):  # (f_l, f_l') by f_l' = f_{l-1} - (l+1) f_l / z
+                v = sph(f, l, z)
+                return v, sph(f, l - 1, z) - (l + 1) * v / z
+
+            j_in, jp_in = with_deriv(mpmath.besselj, p * a)
+            g = p * jp_in / j_in
+            j, jp = with_deriv(mpmath.besselj, k * a)
+            y, yp = with_deriv(mpmath.bessely, k * a)
+            h1, h1p, h2, h2p = j + 1j * y, jp + 1j * yp, j - 1j * y, jp - 1j * yp
+            s_full = (k * h2p - g * h2) / (k * h1p - g * h1)
+            return complex(-s_full * h1 / h2)
+
+    @pytest.mark.parametrize("l", [1, 3, 9, 10])
+    @pytest.mark.parametrize(
+        "V0, a, E",
+        [
+            (5.0, 10.0, 0.05),
+            (5.0, 10.0, 1.0),
+            (5.0, 10.0, 7.3),
+            (-1.0, 1.0, 1.0 + 1e-6),  # pa = 1e-3
+            # the point where |j_9(pa)| < 1e-14
+            (-7.239560965455908, 1.3938459207619869, 7.267540667158215),
+        ],
+    )
+    def test_real_axis_against_mpmath(self, l, V0, a, E):
+        mpmath = pytest.importorskip("mpmath")
+        ref = self.s_bar_mpmath(mpmath, V0, a, l, E)
+        s = s_matrix(SquareWell(V0=V0, a=a, l=l), E)
+        assert abs(s - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "l, pole", [(9, 0.38499 - 0.479894j), (10, 0.541725 - 0.574161j)]
+    )
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3, 1e-3j, -1e-3j, 7e-4 + 7e-4j])
+    def test_near_poles_against_mpmath(self, l, pole, offset):
+        # criterion-2 poles of the V0 = 5, a = 10 well
+        mpmath = pytest.importorskip("mpmath")
+        E = pole + offset
+        ref = self.s_bar_mpmath(mpmath, 5.0, 10.0, l, E)
+        s = s_matrix(SquareWell(V0=5, a=10, l=l), E)
+        assert abs(s - ref) <= 1e-9 * abs(ref)
 
     def test_rigid_wall_limit_of_delta_shell(self):
         # an impenetrable shell decouples the interior: delta_bar -> 0 mod pi
@@ -215,6 +277,17 @@ class TestAnalyticDelays:
     def test_square_well_rejects_higher_l(self):
         with pytest.raises(ValueError):
             time_delay_square_well_analytic(SquareWell(V0=5, a=10, l=1), 1.0)
+
+    @pytest.mark.parametrize("V0, a", [(-1, 1), (-3, 2), (-7.5, 0.7)])
+    def test_square_well_at_interior_threshold(self, V0, a):
+        # p = 0 at E = -V0: numerator and denominator both vanish like p^3
+        m, E = SquareWell(V0=V0, a=a, l=0), float(-V0)
+        t = time_delay_square_well_analytic(m, E)
+        for e in (E - 1e-7, E + 1e-7):
+            assert time_delay_square_well_analytic(m, e) == pytest.approx(
+                t, abs=1e-6
+            )
+        assert time_delay(m, E) == pytest.approx(t, abs=1e-6)
 
     def test_removable_singularity_is_finite(self):
         # cos(pa) = 0 at p a = pi/2: E = (pi/(2a))^2 - V0
