@@ -252,13 +252,14 @@ def sph_bessel(l: int, z: complex):
 # ---------------------------------------------------------------------------
 
 def newton_complex(
-    f: Callable[[complex], complex],
+    f: Callable[[complex], tuple[complex, complex]],
     seed: complex,
     tol: float = 1e-11,
     max_iter: int = 100,
 ) -> complex:
-    """Newton's method in the complex plane with a numerically differenced
-    derivative (central difference, step 1e-7 * max(1, |z|)).
+    """Newton's method in the complex plane with an analytic derivative:
+    ``f(z)`` returns the pair ``(f(z), f'(z))`` and is called once per
+    iterate.
 
     Returns a point with |f(z)| <= tol or raises :class:`NoConvergence` —
     never a silent bad root.
@@ -266,18 +267,17 @@ def newton_complex(
     if tol <= 0:
         raise ValueError("tol must be positive")
     z = complex(seed)
-    fz = f(z)
+    fz, df = f(z)
     for _ in range(max_iter):
         if abs(fz) <= tol:
             return z
-        h = 1e-7 * max(1.0, abs(z))
-        df = (f(z + h) - f(z - h)) / (2.0 * h)
         if df == 0 or not (cmath.isfinite(df) and cmath.isfinite(fz)):
             raise NoConvergence(z, abs(fz) if cmath.isfinite(fz) else math.inf)
         z_new = z - fz / df
         if not cmath.isfinite(z_new):
             raise NoConvergence(z, abs(fz))
-        z, fz = z_new, f(z_new)
+        z = z_new
+        fz, df = f(z)
     if abs(fz) <= tol:
         return z
     raise NoConvergence(z, abs(fz))

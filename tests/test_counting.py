@@ -201,9 +201,11 @@ class TestReconstructionReport:
         # poles beyond |k| = 45 add a near-constant tail for k <= sqrt(10)
         m = SquareWell(V0=5, a=10, l=0)
 
-        def cond(k):
+        def cond(k):  # (residual, d/dk) with dp/dk = k/p
             p = cmath.sqrt(k * k + m.V0)
-            return 1j * k * cmath.sin(p * m.a) - p * cmath.cos(p * m.a)
+            c, s = cmath.cos(p * m.a), cmath.sin(p * m.a)
+            f_p = 1j * k * m.a * c - c + p * m.a * s
+            return 1j * k * s - p * c, 1j * s + f_p * k / p
 
         seeds = [complex(x, y) for x in np.linspace(0.05, 45.0, 300)
                  for y in (-0.1, -0.3)]

@@ -186,19 +186,36 @@ class TestSphBessel:
 
 class TestNewtonComplex:
     def test_square_root_of_minus_one(self):
-        z = newton_complex(lambda z: z * z + 1, 0.5 + 0.8j, 1e-12, 50)
+        z = newton_complex(lambda z: (z * z + 1, 2 * z), 0.5 + 0.8j, 1e-12, 50)
         assert z == pytest.approx(1j, abs=1e-10)
 
     def test_cube_root_of_unity(self):
-        z = newton_complex(lambda z: z**3 - 1, 1.2, 1e-12, 50)
+        z = newton_complex(lambda z: (z**3 - 1, 3 * z * z), 1.2, 1e-12, 50)
         assert z == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_evaluation_per_iterate(self):
+        # f returns (f, f'): each call is at a new Newton iterate, none is
+        # spent on differencing the slope
+        visited = []
+
+        def f(z):
+            visited.append(z)
+            return z**3 - 1, 3 * z * z
+
+        z = newton_complex(f, 1.2, 1e-12, 50)
+        assert visited[0] == 1.2 and visited[-1] == z
+        for a, b in zip(visited, visited[1:]):
+            assert b == a - (a**3 - 1) / (3 * a * a)
 
     def test_pole_condition_seed(self):
         # s-wave outgoing-wave condition of a depth-5, range-2 well
         def f(E):
             k = cmath.sqrt(E)
             p = cmath.sqrt(E + 5)
-            return 1j * k * cmath.tan(p * 2) - p
+            t = cmath.tan(p * 2)
+            f_k = 1j * t
+            f_p = 2j * k * (1 + t * t) - 1
+            return 1j * k * t - p, f_k / (2 * k) + f_p / (2 * p)
 
         z = newton_complex(f, 9 - 4j, 1e-10, 60)
         assert z.real == pytest.approx(9.38265, abs=1e-4)
@@ -206,13 +223,13 @@ class TestNewtonComplex:
 
     def test_no_convergence_carries_state(self):
         with pytest.raises(NoConvergence) as err:
-            newton_complex(lambda z: z * z + 1, 10.0 + 0j, 1e-14, 3)
+            newton_complex(lambda z: (z * z + 1, 2 * z), 10.0 + 0j, 1e-14, 3)
         assert err.value.last_iterate is not None
         assert err.value.residual > 0
 
     def test_residual_guarantee(self):
         tol = 1e-9
-        z = newton_complex(lambda z: cmath.exp(z) - 2, 0.5, tol, 50)
+        z = newton_complex(lambda z: (cmath.exp(z) - 2, cmath.exp(z)), 0.5, tol, 50)
         assert abs(cmath.exp(z) - 2) <= tol
 
 

@@ -1,16 +1,20 @@
 """Unit tests for Gamow-Siegert pole location and classification."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from resdelay import poles as poles_module
 from resdelay.counting import lorentzian_sum
-from resdelay.numerics import Curve
+from resdelay.errors import ZeroArgument
+from resdelay.numerics import Curve, newton_complex, sph_bessel
 from resdelay.poles import (
     RESONANCE,
     SPURIOUS,
     Pole,
     SearchRegion,
+    _outgoing_with_slope,
     classify_pole,
     find_poles,
     localization_ratio,
@@ -39,10 +43,8 @@ class TestOutgoingCondition:
         reg = SearchRegion((1.0, 20.0), (-2.0, 0.0), n_re=30, n_im=6)
         first = find_poles(m, reg, tol=1e-10)[0]
         # re-find from a perturbed seed
-        from resdelay.numerics import newton_complex
-
         z = newton_complex(
-            lambda E: outgoing_condition(m, E),
+            lambda E: _outgoing_with_slope(m, E),
             first.energy + 0.01 - 0.01j,
             1e-10,
             60,
@@ -52,6 +54,14 @@ class TestOutgoingCondition:
     def test_zero_energy_rejected(self):
         with pytest.raises(ValueError):
             outgoing_condition(SquareWell(V0=5, a=2, l=0), 0.0)
+
+    def test_value_defined_at_interior_threshold(self):
+        # E = -V0 (p = 0): the value stays defined, only the slope is not
+        m = SquareWell(V0=-1, a=1, l=0)
+        assert outgoing_condition(m, 1.0) == 0
+        assert cmath.isnan(_outgoing_with_slope(m, 1.0)[1])
+        with pytest.raises(ZeroArgument):
+            outgoing_condition(SquareWell(V0=-1, a=1, l=1), 1.0)
 
     def test_square_well_poles_match_s_matrix_denominator(self):
         # zeros of the outgoing condition are poles of the S-matrix
@@ -64,7 +74,81 @@ class TestOutgoingCondition:
             assert near > 10 * far
 
 
+def outgoing_mpmath(mpmath, model, E):
+    """30-digit residual of the same entire form, the l >= 1 case from
+    besselj/bessely with half-integer orders."""
+    k, a = mpmath.sqrt(E), model.a
+    if isinstance(model, DeltaShell):
+        lam = a * model.V0
+        return k * mpmath.cos(k * a) + (lam - 1j * k) * mpmath.sin(k * a)
+    p, l = mpmath.sqrt(E + model.V0), model.l
+    if l == 0:
+        return 1j * k * mpmath.sin(p * a) - p * mpmath.cos(p * a)
+
+    def sph(f, n, z):
+        return mpmath.sqrt(mpmath.pi / (2 * z)) * f(n + 0.5, z)
+
+    def with_deriv(f, z):  # (f_l, f_l') by f_l' = f_{l-1} - (l+1) f_l / z
+        v = sph(f, l, z)
+        return v, sph(f, l - 1, z) - (l + 1) * v / z
+
+    j, jp = with_deriv(mpmath.besselj, p * a)
+    jk, jkp = with_deriv(mpmath.besselj, k * a)
+    yk, ykp = with_deriv(mpmath.bessely, k * a)
+    return p * jp * (jk + 1j * yk) - k * (jkp + 1j * ykp) * j
+
+
+# criterion-2 poles of the V0 = 5, a = 10 well
+POLE_L9, POLE_L10 = 0.38499 - 0.479894j, 0.541725 - 0.574161j
+NEAR = (1e-3, -1e-3j, 7e-4 - 7e-4j)
+
+
+class TestOutgoingSlope:
+    """The analytic dE-derivative against mpmath.diff of a 30-digit
+    residual, at complex E in the CLI search regions."""
+
+    @pytest.mark.parametrize(
+        "model, E",
+        [(DeltaShell(V0=10, a=1), E) for E in (1 - 0.5j, 40 - 7j, 150 - 14j)]
+        + [(SquareWell(V0=5, a=2, l=0), E)
+           for E in (0.023387 - 0.542466j + 1e-3, 9.38 - 4.43j, 30 - 5j)]
+        + [(SquareWell(V0=5, a=10, l=l), E)
+           for l in (1, 3, 9, 10) for E in (0.5 - 0.5j, 12 - 3j, 45 - 6j)]
+        # |pa| < l: j_l(pa) from the Miller branch
+        + [(SquareWell(V0=2, a=1, l=l), E)
+           for l in (3, 9, 10) for E in (1 - 0.5j, 5 - 2j)]
+        + [(SquareWell(V0=5, a=10, l=9), POLE_L9 + d) for d in NEAR]
+        + [(SquareWell(V0=5, a=10, l=10), POLE_L10 + d) for d in NEAR],
+    )
+    def test_against_mpmath(self, model, E):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(
+                mpmath.diff(lambda z: outgoing_mpmath(mpmath, model, z), mpmath.mpc(E))
+            )
+        f, df = _outgoing_with_slope(model, E)
+        assert f == outgoing_condition(model, E)
+        assert abs(df - ref) <= 1e-10 * abs(ref)
+
+
 class TestFindPoles:
+    def test_bessel_call_budget(self, monkeypatch):
+        # one residual (two sph_bessel calls) per Newton step; a
+        # central-difference slope made 183,814 calls here
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return sph_bessel(*args)
+
+        monkeypatch.setattr(poles_module, "sph_bessel", counted)
+        m = SquareWell(V0=5, a=10, l=1)
+        found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
+        assert calls[0] <= 40_000
+        assert len(found) == 16
+        for pole in found:
+            assert pole.residual <= 1e-8
+
     def test_depth5_range2_exactly_two_roots(self):
         m = SquareWell(V0=5, a=2, l=0)
         reg = SearchRegion((0.0, 15.0), (-6.0, 0.0), n_re=60, n_im=12)
@@ -131,13 +215,16 @@ class TestFindPoles:
 
     def test_conjugate_reflection(self):
         # real-analyticity: the mirrored condition has the conjugate root
-        from resdelay.numerics import newton_complex
-
         m = SquareWell(V0=5, a=2, l=0)
         reg = SearchRegion((0.0, 15.0), (-6.0, 0.0), n_re=40, n_im=10)
         root = find_poles(m, reg, tol=1e-10)[0].energy
+
+        def mirrored_condition(E):
+            f, df = _outgoing_with_slope(m, E.conjugate())
+            return f.conjugate(), df.conjugate()
+
         mirrored = newton_complex(
-            lambda E: outgoing_condition(m, E.conjugate()).conjugate(),
+            mirrored_condition,
             root.conjugate(),
             1e-10,
             60,
