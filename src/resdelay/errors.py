@@ -39,10 +39,6 @@ class MaxDepthExceeded(ResdelayError):
     """Adaptive quadrature hit the bisection depth cap (non-integrable feature?)."""
 
 
-class NonRealDelay(ResdelayError):
-    """Imaginary residue of the time delay exceeded tolerance."""
-
-
 class ThresholdBranchPoint(ResdelayError):
     """Energy coincides with the asymptotic barrier top (branch point of p)."""
 

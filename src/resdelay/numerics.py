@@ -362,19 +362,16 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 def _parabolic_refine(x0, x1, x2, y0, y1, y2):
-    """Vertex of the parabola through three points; falls back to the middle
-    point when the triple is degenerate."""
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0:
+    """Vertex of the parabola through three points, on any (possibly
+    nonuniform) spacing; falls back to the middle point when the triple is
+    degenerate."""
+    d01 = (y1 - y0) / (x1 - x0)
+    c = ((y2 - y1) / (x2 - x1) - d01) / (x2 - x0)  # half the curvature
+    if c == 0:
         return x1, y1
-    # uniform-step form is adequate: refinement is only used within a triple
-    h = 0.5 * (x2 - x0)
-    dx = 0.5 * (y0 - y2) / denom * h
-    # clamp inside the bracket
-    dx = max(min(dx, h), -h)
-    xv = x1 + dx
-    yv = y1 - 0.25 * (y0 - y2) * (dx / h)
-    return xv, yv
+    m = d01 + c * (x1 - x0)  # slope at x1
+    dx = max(min(-0.5 * m / c, x2 - x1), x0 - x1)  # clamp inside the bracket
+    return x1 + dx, y1 + (m + c * dx) * dx
 
 
 def find_extrema(curve: Curve) -> list[Peak]:

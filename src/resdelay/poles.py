@@ -6,15 +6,14 @@ fancier is needed.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CurveTooCoarse, NoConvergence
-from .numerics import Curve, find_extrema, newton_complex, sph_bessel
-from .scattering import DeltaShell, ScatteringModel, SquareWell
+from .numerics import Curve, find_extrema, newton_complex
+from .scattering import DeltaShell, ScatteringModel, _outgoing_with_slope
 
 __all__ = [
     "Pole",
@@ -86,51 +85,6 @@ def outgoing_condition(model: ScatteringModel, E: complex) -> complex:
     """Residual whose zeros are the S-matrix poles (purely outgoing wave at
     r = a), principal branch of all square roots."""
     return _outgoing_with_slope(model, E)[0]
-
-
-def _outgoing_with_slope(model: ScatteringModel, E: complex) -> tuple[complex, complex]:
-    """:func:`outgoing_condition` and its E-derivative, via dk/dE = 1/(2k)
-    and dp/dE = 1/(2p).  At p = 0 the slope is NaN (Newton gives up there)
-    while the value stays defined."""
-    E = complex(E)
-    if E == 0:
-        raise ValueError("E = 0 is a branch point")
-    k = cmath.sqrt(E)
-    dk = 0.5 / k
-
-    if isinstance(model, DeltaShell):
-        lam = model.a * model.V0
-        ka = k * model.a
-        c, s = cmath.cos(ka), cmath.sin(ka)
-        # entire form of k cot(ka) + aV0 - ik = 0 (multiplied by sin ka):
-        # same zero set, but no poles to derail Newton at sin ka = 0 --
-        # essential in the rigid-wall limit where the roots hug those poles
-        f = k * c + (lam - 1j * k) * s
-        f_k = c - ka * s - 1j * s + (lam - 1j * k) * model.a * c
-        return f, f_k * dk
-
-    p = cmath.sqrt(E + model.V0)
-    dp = 0.5 / p if p else complex("nan")
-    a = model.a
-    if model.l == 0:
-        pa = p * a
-        c, s = cmath.cos(pa), cmath.sin(pa)
-        # entire form of ik tan(pa) - p = 0 (multiplied by cos pa)
-        f = 1j * k * s - p * c
-        f_p = 1j * k * a * c - c + pa * s
-        return f, 1j * s * dk + f_p * dp
-
-    # entire form of p j_l'(pa)/j_l(pa) - k h1_l'(ka)/h1_l(ka) = 0; the
-    # second derivatives come from the spherical Bessel equation,
-    # x y''(x) = -2 y'(x) - (x - l(l+1)/x) y(x)
-    x, y = p * a, k * a
-    j, jp, *_ = sph_bessel(model.l, x)
-    _, _, _, _, h, hp = sph_bessel(model.l, y)
-    ll = model.l * (model.l + 1)
-    f = p * jp * h - k * hp * j
-    f_p = -jp * h - (x - ll / x) * j * h - y * hp * jp
-    f_k = x * jp * hp + hp * j + (y - ll / y) * j * h
-    return f, f_p * dp + f_k * dk
 
 
 def find_poles(

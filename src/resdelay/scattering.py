@@ -14,7 +14,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonRealDelay
 from .numerics import Curve, sph_bessel
 
 __all__ = [
@@ -127,29 +126,84 @@ def phase_shift_sweep(model: ScatteringModel, energies: np.ndarray) -> Curve:
     return Curve(energies, out, label="phase_shift_bar")
 
 
-def time_delay(model: ScatteringModel, E: float) -> float:
-    """Time delay T = hbar d(delta_bar)/dE, computed as
-    -(i/2) conj(S) dS/dE with a central difference.
+def _outgoing_with_slope(model: ScatteringModel, E: complex) -> tuple[complex, complex]:
+    """The entire outgoing condition f (whose zeros are the S-matrix poles)
+    and its E-derivative, via dk/dE = 1/(2k) and dp/dE = 1/(2p).  At p = 0
+    the slope is NaN (Newton gives up there) while the value stays defined."""
+    E = complex(E)
+    if E == 0:
+        raise ValueError("E = 0 is a branch point")
+    k = cmath.sqrt(E)
+    dk = 0.5 / k
 
-    Raises :class:`NonRealDelay` if the imaginary residue exceeds 1e-6.
+    if isinstance(model, DeltaShell):
+        lam = model.a * model.V0
+        ka = k * model.a
+        c, s = cmath.cos(ka), cmath.sin(ka)
+        # entire form of k cot(ka) + aV0 - ik = 0 (multiplied by sin ka):
+        # same zero set, but no poles to derail Newton at sin ka = 0 --
+        # essential in the rigid-wall limit where the roots hug those poles
+        f = k * c + (lam - 1j * k) * s
+        f_k = c - ka * s - 1j * s + (lam - 1j * k) * model.a * c
+        return f, f_k * dk
+
+    p = cmath.sqrt(E + model.V0)
+    dp = 0.5 / p if p else complex("nan")
+    a = model.a
+    if model.l == 0:
+        pa = p * a
+        c, s = cmath.cos(pa), cmath.sin(pa)
+        # entire form of ik tan(pa) - p = 0 (multiplied by cos pa)
+        f = 1j * k * s - p * c
+        f_p = 1j * k * a * c - c + pa * s
+        return f, 1j * s * dk + f_p * dp
+
+    # entire form of p j_l'(pa)/j_l(pa) - k h1_l'(ka)/h1_l(ka) = 0; the
+    # second derivatives come from the spherical Bessel equation,
+    # x y''(x) = -2 y'(x) - (x - l(l+1)/x) y(x)
+    x, y = p * a, k * a
+    j, jp, *_ = sph_bessel(model.l, x)
+    _, _, _, _, h, hp = sph_bessel(model.l, y)
+    ll = model.l * (model.l + 1)
+    f = p * jp * h - k * hp * j
+    f_p = -jp * h - (x - ll / x) * j * h - y * hp * jp
+    f_k = x * jp * hp + hp * j + (y - ll / y) * j * h
+    return f, f_p * dp + f_k * dk
+
+
+def time_delay(model: ScatteringModel, E: float) -> float:
+    """Time delay T = hbar d(delta_bar)/dE, exact for every model.
+
+    On the real axis S_bar is conj(f)/f up to sign, f being the outgoing
+    condition of :func:`_outgoing_with_slope`, times the hard-sphere factor
+    h1_l(ka)/conj(h1_l(ka)) for l >= 1 (the delta shell's and the s-wave's f
+    carry it already).  Hence T = -Im(f'/f) + Im(h1_l'(ka)/h1_l(ka)) a/(2k).
     """
     if not E > 0:
         raise ValueError("E must be positive")
-    step = min(1e-6 * max(1.0, E), 0.5 * E)
-    # the exact S is unimodular on the real axis; renormalizing each sample
-    # strips modulus round-off that would otherwise leak into the residue
-    def s_unit(e: float) -> complex:
-        s = s_matrix(model, e)
-        return s / abs(s)
-
-    s0 = s_unit(E)
-    ds = (s_unit(E + step) - s_unit(E - step)) / (2.0 * step)
-    t = -0.5j * s0.conjugate() * ds
-    # the truncation residue of the central difference grows like
-    # delta' * delta'' * step^2, so the guard scales with the delay squared
-    if abs(t.imag) > 1e-6 * (1.0 + t.real * t.real):
-        raise NonRealDelay(f"imaginary residue {t.imag:.3e} at E = {E}")
-    return t.real
+    k = math.sqrt(E)
+    # q = (pa)^2; the delta shell has no interior wavenumber
+    q = math.inf if isinstance(model, DeltaShell) else (E + model.V0) * model.a**2
+    if abs(q) >= 1e-3:
+        f, df = _outgoing_with_slope(model, E)
+        if isinstance(model, DeltaShell) or model.l == 0:
+            return -(df / f).imag
+    l, a, y = model.l, model.a, k * model.a
+    *_, h, hp = sph_bessel(l, y)
+    if abs(q) < 1e-3:
+        # near p = 0 (any l) f vanishes with j_l(pa), and a chain rule through
+        # dp/dE = 1/(2p) loses ~eps/q; use f/j_l(pa) = L h - k h' with
+        #   aL = pa j_l'/j_l = l - c q - c^2 q^2/(2l+5)
+        #        - 2 c^3 q^3/((2l+5)(2l+7)) + O(q^4),  c = 1/(2l+3),
+        # the series solution of x g' = l(l+1) - g - g^2 - x^2 (Riccati);
+        # h'' comes from the spherical Bessel equation
+        c = 1.0 / (2 * l + 3)
+        t2, t3 = c * q / (2 * l + 5), 2.0 * c * q / (2 * l + 7)
+        aL = l - c * q * (1.0 + t2 * (1.0 + t3))
+        f = aL / a * h - k * hp
+        f_k = (aL + 1) * hp + (y - l * (l + 1) / y) * h
+        df = -a * c * (1.0 + t2 * (2.0 + 3.0 * t3)) * h + f_k * 0.5 / k
+    return -(df / f).imag + (hp / h).imag * a / (2.0 * k)
 
 
 def time_delay_square_well_analytic(model: SquareWell, E: float) -> float:
@@ -186,17 +240,15 @@ def time_delay_delta_shell_analytic(model: DeltaShell, E: float) -> float:
     return num / den
 
 
-def delay_function(
-    model: ScatteringModel, analytic: bool = True
-) -> Callable[[float], float]:
+def delay_function(model: ScatteringModel) -> Callable[[float], float]:
     """The time delay of ``model`` as a function of real E.
 
-    Uses the closed forms where available (s-wave square well, delta shell)
-    unless ``analytic=False``, otherwise the numeric :func:`time_delay`.
+    Uses the real-arithmetic closed forms where available (s-wave square
+    well, delta shell), otherwise :func:`time_delay`.
     """
-    if analytic and isinstance(model, DeltaShell):
+    if isinstance(model, DeltaShell):
         return lambda E: time_delay_delta_shell_analytic(model, E)
-    if analytic and isinstance(model, SquareWell) and model.l == 0:
+    if isinstance(model, SquareWell) and model.l == 0:
         return lambda E: time_delay_square_well_analytic(model, E)
     return lambda E: time_delay(model, E)
 
@@ -206,11 +258,10 @@ def delay_curve(
     e_min: float,
     e_max: float,
     n: int,
-    analytic: bool = True,
     label: str = "time_delay",
 ) -> Curve:
     """Sample :func:`delay_function` on a uniform grid."""
     e_min = max(e_min, E_MIN)
     grid = np.linspace(e_min, e_max, n)
-    delay = delay_function(model, analytic)
+    delay = delay_function(model)
     return Curve(grid, np.array([delay(E) for E in grid]), label=label)

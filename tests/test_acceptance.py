@@ -86,7 +86,7 @@ def test_criterion_2_square_well_poles():
             abs(best.energy.real - target.real) < 1e-4
             and abs(best.energy.imag - target.imag) < 1e-4
         )
-        curve = rd.delay_curve(m, 1e-6, 10.0, 1500, analytic=False)
+        curve = rd.delay_curve(m, 1e-6, 10.0, 1500)
         cls = rd.classify_pole(best, curve).classification
         clauses.append(
             (f"l={l} pole recovered", ok_pos, f"found {best.energy:.6f}")
@@ -97,7 +97,7 @@ def test_criterion_2_square_well_poles():
     m = rd.SquareWell(V0=5, a=2, l=0)
     reg = rd.SearchRegion((0.0, 15.0), (-6.0, 0.0), n_re=60, n_im=12)
     poles = rd.find_poles(m, reg, tol=1e-8)
-    curve = rd.delay_curve(m, 1e-6, 20.0, 1500, analytic=True)
+    curve = rd.delay_curve(m, 1e-6, 20.0, 1500)
     classified = [rd.classify_pole(p, curve) for p in poles]
     e1 = classified[0] if classified else None
     e2 = classified[-1] if len(classified) == 2 else None
@@ -130,19 +130,19 @@ def test_criterion_3_lorentzian_reconstruction():
     m = rd.SquareWell(V0=5, a=10, l=0)
     reg = rd.SearchRegion((0.0, 50.0), (-6.0, 0.0), n_re=120, n_im=10)
     poles = rd.find_poles(m, reg, tol=1e-8)
-    cls_curve = rd.delay_curve(m, 1e-6, 50.0, 2000, analytic=True)
+    cls_curve = rd.delay_curve(m, 1e-6, 50.0, 2000)
     res = [
         p for p in (rd.classify_pole(q, cls_curve) for q in poles)
         if p.classification == RESONANCE
     ][:15]
-    curve = rd.delay_curve(m, 0.5, 10.0, 500, analytic=True)
+    curve = rd.delay_curve(m, 0.5, 10.0, 500)
     rep = rd.reconstruction_report(curve, res)
 
     # l=9: forcing the spurious root into the sum must worsen the fit
     m9 = rd.SquareWell(V0=5, a=10, l=9)
     reg9 = rd.SearchRegion((0.0, 2.0), (-1.0, 0.0), n_re=40, n_im=10)
     poles9 = rd.find_poles(m9, reg9, tol=1e-8)
-    curve9 = rd.delay_curve(m9, 0.2, 2.0, 3000, analytic=False)
+    curve9 = rd.delay_curve(m9, 0.2, 2.0, 3000)
     cls9 = [rd.classify_pole(p, curve9) for p in poles9]
     res9 = [p for p in cls9 if p.classification == RESONANCE]
     ea = min(cls9, key=lambda p: abs(p.energy - (0.38499 - 0.479894j)))
@@ -214,7 +214,7 @@ def test_criterion_5_peak_count_theorem():
         else:
             fn = lambda e: rd.time_delay(m, e)
         count = rd.count_resonances(fn, 0.0, 10.0, tol=1e-7)
-        curve = rd.delay_curve(m, 1e-6, 10.0, 2000, analytic=analytic)
+        curve = rd.delay_curve(m, 1e-6, 10.0, 2000)
         peaks = sum(1 for p in rd.find_extrema(curve) if p.kind == "max")
         clauses.append((
             f"l={l}: N == peak count",

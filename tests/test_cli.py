@@ -38,6 +38,12 @@ class TestExitCodes:
         args = ["sqwell", "--V0", "-1", "--a", "1", "--emin", "1", "--emax", "10"]
         assert run(args + ["--l", l], tmp_path) == 0
 
+    def test_narrow_l5_resonance_is_integrable(self, tmp_path):
+        # the S-matrix central difference left noise that drove the
+        # counting quadrature to MaxDepthExceeded (exit 3) here
+        args = ["sqwell", "--l", "5", "--V0", "2.5836", "--a", "6.9964"]
+        assert run(args, tmp_path) == 0
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["quux"])

@@ -304,6 +304,15 @@ class TestFindExtrema:
         assert abs(peaks[0].position - e0) <= step
         assert peaks[0].height == pytest.approx(2 / gamma, rel=0.01)
 
+    def test_parabola_on_nonuniform_grid(self):
+        # tables may be nonuniform: a uniform-step vertex formula put this
+        # maximum at 0.7065, with a height of 3.048 above the true 3
+        e = np.array([-1.0, 0.0, 1.0, 3.0, 3.5])
+        (peak,) = find_extrema(Curve(e, 3.0 - (e - 1.2) ** 2))
+        assert peak.kind == "max"
+        assert peak.position == pytest.approx(1.2, abs=1e-12)
+        assert peak.height == pytest.approx(3.0, abs=1e-12)
+
     def test_monotone_curve_is_empty(self):
         e = np.linspace(0, 1, 50)
         assert find_extrema(Curve(e, e**2)) == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from resdelay import poles as poles_module
+from resdelay import scattering
 from resdelay.counting import lorentzian_sum
 from resdelay.errors import ZeroArgument
 from resdelay.numerics import Curve, newton_complex, sph_bessel
@@ -141,7 +141,7 @@ class TestFindPoles:
             calls[0] += 1
             return sph_bessel(*args)
 
-        monkeypatch.setattr(poles_module, "sph_bessel", counted)
+        monkeypatch.setattr(scattering, "sph_bessel", counted)
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert calls[0] <= 40_000
@@ -257,13 +257,13 @@ class TestClassifyPole:
 
     def test_ea_is_spurious_against_l9_curve(self):
         m = SquareWell(V0=5, a=10, l=9)
-        curve = delay_curve(m, 1e-6, 10.0, 1500, analytic=False)
+        curve = delay_curve(m, 1e-6, 10.0, 1500)
         pole = Pole(0.38499 - 0.479894j, residual=0.0)
         assert classify_pole(pole, curve).classification == SPURIOUS
 
     def test_broad_pole_is_resonance_by_concavity(self):
         m = SquareWell(V0=5, a=2, l=0)
-        curve = delay_curve(m, 1e-6, 20.0, 1200, analytic=True)
+        curve = delay_curve(m, 1e-6, 20.0, 1200)
         pole = Pole(9.382649 - 4.430074j, residual=0.0)
         assert classify_pole(pole, curve).classification == RESONANCE
 

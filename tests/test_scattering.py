@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from resdelay import scattering
 from resdelay.counting import count_resonances
 from resdelay.numerics import find_extrema
 from resdelay.scattering import (
@@ -20,6 +21,28 @@ from resdelay.scattering import (
     time_delay_delta_shell_analytic,
     time_delay_square_well_analytic,
 )
+
+
+def s_bar_mp(mpmath, V0, a, l, E):
+    """S-bar at the working precision from besselj/bessely through the
+    interior logarithmic derivative, the textbook matching form."""
+    E = mpmath.mpc(E)
+    k, p = mpmath.sqrt(E), mpmath.sqrt(E + V0)
+
+    def sph(f, n, z):
+        return mpmath.sqrt(mpmath.pi / (2 * z)) * f(n + 0.5, z)
+
+    def with_deriv(f, z):  # (f_l, f_l') by f_l' = f_{l-1} - (l+1) f_l / z
+        v = sph(f, l, z)
+        return v, sph(f, l - 1, z) - (l + 1) * v / z
+
+    j_in, jp_in = with_deriv(mpmath.besselj, p * a)
+    g = p * jp_in / j_in
+    j, jp = with_deriv(mpmath.besselj, k * a)
+    y, yp = with_deriv(mpmath.bessely, k * a)
+    h1, h1p, h2, h2p = j + 1j * y, jp + 1j * yp, j - 1j * y, jp - 1j * yp
+    s_full = (k * h2p - g * h2) / (k * h1p - g * h1)
+    return -s_full * h1 / h2
 
 
 class TestModelInvariants:
@@ -78,26 +101,9 @@ class TestSMatrix:
 
     @staticmethod
     def s_bar_mpmath(mpmath, V0, a, l, E):
-        """40-digit S-bar from besselj/bessely through the interior
-        logarithmic derivative, the textbook matching form."""
+        """40-digit S-bar, see :func:`s_bar_mp`."""
         with mpmath.workdps(40):
-            E = mpmath.mpc(E)
-            k, p = mpmath.sqrt(E), mpmath.sqrt(E + V0)
-
-            def sph(f, n, z):
-                return mpmath.sqrt(mpmath.pi / (2 * z)) * f(n + 0.5, z)
-
-            def with_deriv(f, z):  # (f_l, f_l') by f_l' = f_{l-1} - (l+1) f_l / z
-                v = sph(f, l, z)
-                return v, sph(f, l - 1, z) - (l + 1) * v / z
-
-            j_in, jp_in = with_deriv(mpmath.besselj, p * a)
-            g = p * jp_in / j_in
-            j, jp = with_deriv(mpmath.besselj, k * a)
-            y, yp = with_deriv(mpmath.bessely, k * a)
-            h1, h1p, h2, h2p = j + 1j * y, jp + 1j * yp, j - 1j * y, jp - 1j * yp
-            s_full = (k * h2p - g * h2) / (k * h1p - g * h1)
-            return complex(-s_full * h1 / h2)
+            return complex(s_bar_mp(mpmath, V0, a, l, E))
 
     @pytest.mark.parametrize("l", [1, 3, 9, 10])
     @pytest.mark.parametrize(
@@ -257,6 +263,68 @@ class TestTimeDelay:
             exact = time_delay_square_well_analytic(m, float(E))
             assert time_delay(m, float(E)) == pytest.approx(exact, rel=1e-6)
 
+    @staticmethod
+    def delay_mpmath(V0, a, l, E):
+        """d(delta_bar)/dE of a 30-digit delta_bar = arg(S_bar)/2."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            return float(mpmath.diff(
+                lambda e: mpmath.arg(s_bar_mp(mpmath, V0, a, l, e)) / 2, E
+            ))
+
+    @pytest.mark.parametrize(
+        "l, E",
+        [(l, E) for l in (1, 3, 9, 10) for E in (0.3, 1.7, 4.4, 9.1)]
+        + [(1, 1e-6)],  # the first sample of `sqwell --l 1`
+    )
+    def test_higher_l_against_mpmath(self, l, E):
+        # a central difference of the S-matrix was 1.1% off at E = 1e-6
+        ref = self.delay_mpmath(5, 10, l, E)
+        t = time_delay(SquareWell(V0=5, a=10, l=l), E)
+        assert t == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("l", [0, 1, 9])
+    @pytest.mark.parametrize("q", [1.8e-15, -1.8e-15, 1e-6, -1e-6, 9.9e-4, 1.01e-3])
+    def test_near_interior_threshold_against_mpmath(self, l, q):
+        # (pa)^2 = q around E = -V0 = 3: a chain rule through dp/dE = 1/(2p)
+        # loses ~eps/q there (O(1) one ulp away), the series branch does not
+        V0, a = -3.0, 2.0
+        E = -V0 + q / a**2
+        t = time_delay(SquareWell(V0=V0, a=a, l=l), E)
+        assert t == pytest.approx(self.delay_mpmath(V0, a, l, E), rel=1e-10)
+
+    def test_evaluation_counts(self, monkeypatch):
+        # the outgoing condition and its slope (2 calls) plus h_l(ka)
+        calls = {"sph_bessel": 0, "s_matrix": 0}
+
+        def counted(name):
+            fn = getattr(scattering, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(scattering, name, wrapper)
+
+        counted("sph_bessel")
+        counted("s_matrix")
+        time_delay(SquareWell(V0=5, a=10, l=3), 2.0)
+        assert calls == {"sph_bessel": 3, "s_matrix": 0}
+
+    def test_integrable_across_the_narrow_l5_resonance(self):
+        # the quadrature used to chase central-difference noise down to a
+        # 6e-14-wide panel near E = 0.16604 and raise MaxDepthExceeded
+        m = SquareWell(V0=2.5836, a=6.9964, l=5)
+        rep = count_resonances(lambda e: time_delay(m, e), 1e-6, 10.0, tol=1e-8)
+        # oracle: the phase change on a grid refined around the resonance
+        grid = np.union1d(
+            np.linspace(1e-6, 10.0, 1001), np.linspace(0.14604, 0.18604, 1001)
+        )
+        sweep = phase_shift_sweep(m, grid)
+        ref = (sweep.values[-1] - sweep.values[0]) / math.pi
+        assert rep.n_R == pytest.approx(ref, abs=1e-8)
+        assert rep.N == 4
+
 
 class TestAnalyticDelays:
     def test_square_well_free_limit(self):
@@ -287,7 +355,14 @@ class TestAnalyticDelays:
             assert time_delay_square_well_analytic(m, e) == pytest.approx(
                 t, abs=1e-6
             )
-        assert time_delay(m, E) == pytest.approx(t, abs=1e-6)
+        assert time_delay(m, E) == pytest.approx(t, abs=1e-12)
+        # l >= 1: the outgoing condition vanishes with j_l(pa) there
+        for l in (1, 3, 9):
+            m = SquareWell(V0=V0, a=a, l=l)
+            t = time_delay(m, E)
+            assert math.isfinite(t)
+            for e in (E - 1e-7, E + 1e-7):
+                assert time_delay(m, e) == pytest.approx(t, abs=1e-6)
 
     def test_removable_singularity_is_finite(self):
         # cos(pa) = 0 at p a = pi/2: E = (pi/(2a))^2 - V0
@@ -315,7 +390,7 @@ class TestAnalyticDelays:
 class TestInflexionInvariant:
     def test_phase_has_inflexion_at_each_delay_peak(self):
         m = SquareWell(V0=5, a=10, l=0)
-        curve = delay_curve(m, 0.05, 10.0, 2000, analytic=True)
+        curve = delay_curve(m, 0.05, 10.0, 2000)
         peaks = [p for p in find_extrema(curve) if p.kind == "max"]
         assert peaks
         sweep = phase_shift_sweep(m, curve.energies)
