@@ -191,6 +191,16 @@ def bessel_j(nu: complex, z: complex) -> tuple[complex, complex]:
 # spherical Bessel / Neumann / Hankel functions
 # ---------------------------------------------------------------------------
 
+def _upward(l: int, z: complex, f0: complex, f1: complex):
+    """(f_l, f_l') from f_0, f_1 by f_{k+1} = (2k+1)/z f_k - f_{k-1}, with
+    f_0' = -f_1 and f_l' = f_{l-1} - (l+1)/z f_l."""
+    if l == 0:
+        return f0, -f1
+    for k in range(1, l):
+        f0, f1 = f1, (2 * k + 1) / z * f1 - f0
+    return f1, f0 - (l + 1) / z * f1
+
+
 def sph_bessel(l: int, z: complex):
     """Spherical Bessel j_l, Neumann n_l, outgoing Hankel h_l^(1) and their
     derivatives at complex z.
@@ -207,42 +217,27 @@ def sph_bessel(l: int, z: complex):
 
     sin_z, cos_z = cmath.sin(z), cmath.cos(z)
     j0 = sin_z / z
-    n0 = -cos_z / z
-
-    # Neumann: upward recurrence f_{k+1} = (2k+1)/z f_k - f_{k-1}
-    nvals = [n0, -cos_z / (z * z) - sin_z / z]
-    for k in range(1, l + 1):
-        nvals.append((2 * k + 1) / z * nvals[k] - nvals[k - 1])
-
-    # Bessel
+    n, npr = _upward(l, z, -cos_z / z, -cos_z / (z * z) - sin_z / z)
     if abs(z) >= l or l == 0:
-        jvals = [j0, sin_z / (z * z) - cos_z / z]
-        for k in range(1, l + 1):
-            jvals.append((2 * k + 1) / z * jvals[k] - jvals[k - 1])
+        j, jp = _upward(l, z, j0, sin_z / (z * z) - cos_z / z)
     else:
-        # Miller: start well above l, recur down, normalize at order 0
+        # Miller: start well above l, recur down keeping f_l and f_{l-1},
+        # normalize at order 0
         start = l + 20 + int(abs(z))
         fk1, fk = 0.0j, 1e-30 + 0.0j
-        down = [0.0j] * (start + 1)
+        f_l = f_lm1 = 0.0j
         for k in range(start, -1, -1):
             fk1, fk = fk, (2 * k + 3) / z * fk - fk1
-            down[k] = fk
             if abs(fk) > 1e250:  # rescale to avoid overflow
-                scale = 1e-250
-                fk1 *= scale
-                fk *= scale
-                for i in range(k, start + 1):
-                    down[i] *= scale
-        scale = j0 / down[0]
-        jvals = [down[k] * scale for k in range(min(l + 2, start + 1))]
-
-    def deriv(vals, k):
-        if k == 0:
-            return -vals[1]
-        return vals[k - 1] - (k + 1) / z * vals[k]
-
-    j, jp = jvals[l], deriv(jvals, l)
-    n, npr = nvals[l], deriv(nvals, l)
+                fk1, fk = fk1 * 1e-250, fk * 1e-250
+                f_l, f_lm1 = f_l * 1e-250, f_lm1 * 1e-250
+            if k == l:
+                f_l = fk
+            elif k == l - 1:
+                f_lm1 = fk
+        scale = j0 / fk
+        j = f_l * scale
+        jp = f_lm1 * scale - (l + 1) / z * j
     h1, h1p = j + 1j * n, jp + 1j * npr
     return j, jp, n, npr, h1, h1p
 

@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 E_MIN = 1e-6  # threshold guard: k = 0 is a branch point
+# |(pa)^2| below which _outgoing divides by j_l(pa); the s-wave closed form
+# loses accuracy inside this band
+_THRESHOLD_BAND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -69,41 +72,16 @@ ScatteringModel = Union[SquareWell, DeltaShell]
 def s_matrix(model: ScatteringModel, E: complex) -> complex:
     """Hard-sphere-subtracted partial-wave S-matrix at (possibly complex) E.
 
-    Unitary on the real axis; its lower-half-plane poles are the Gamow
-    resonances of the model.  Written as an incoming-over-outgoing ratio
-    whose denominator is the entire form of :func:`poles.outgoing_condition`,
-    so it is regular wherever S is.
+    S = -F(-k)/F(k) h1_l(ka)/h1_l(-ka) (the last factor only where F, the
+    outgoing condition of :func:`_outgoing`, lacks it): unitary on the real
+    axis, with the pole search's zeros as its lower-half-plane poles.
     """
-    E = complex(E)
-    if E == 0:
-        raise ValueError("E = 0 is a branch point")
-    k = cmath.sqrt(E)
-
-    if isinstance(model, DeltaShell):
-        lam = model.a * model.V0
-        c, s = cmath.cos(k * model.a), cmath.sin(k * model.a)
-        return (k * c + (lam + 1j * k) * s) / (k * c + (lam - 1j * k) * s)
-
-    p = cmath.sqrt(E + model.V0)
-    a = model.a
-    if model.l == 0:
-        # divided through by p: sin(pa)/p -> a at p = 0
-        sinc = cmath.sin(p * a) / p if p else a
-        c = cmath.cos(p * a)
-        return (1j * k * sinc + c) / (1j * k * sinc - c)
-
-    # interior p j_l'(pa) and j_l(pa); at p = 0 only their ratio l/a survives
-    if p:
-        j_in, jp_in, *_ = sph_bessel(model.l, p * a)
-        pjp_in = p * jp_in
-    else:
-        j_in, pjp_in = 1.0, model.l / a
-    j, jp, n, npr, h1, h1p = sph_bessel(model.l, k * a)
-    h2, h2p = j - 1j * n, jp - 1j * npr
-    # full S = (p j' h2 - k h2' j) / (p j' h1 - k h1' j); multiplying by
-    # e^{-2i delta_H} = -h1/h2 (tan(delta_H) = j_l/n_l) removes the hard sphere
-    out = pjp_in * h1 - k * h1p * j_in
-    return -(pjp_in * h2 - k * h2p * j_in) * h1 / (out * h2)
+    f_in, _, hh_in = _outgoing(model, E, lower=True)
+    f_out, _, hh = _outgoing(model, E)
+    s = -f_in / f_out
+    if hh is not None:
+        s *= hh[0] / hh_in[0]
+    return s
 
 
 def phase_shift_bar(model: ScatteringModel, E: float) -> float:
@@ -126,14 +104,26 @@ def phase_shift_sweep(model: ScatteringModel, energies: np.ndarray) -> Curve:
     return Curve(energies, out, label="phase_shift_bar")
 
 
-def _outgoing_with_slope(model: ScatteringModel, E: complex) -> tuple[complex, complex]:
-    """The entire outgoing condition f (whose zeros are the S-matrix poles)
-    and its E-derivative, via dk/dE = 1/(2k) and dp/dE = 1/(2p).  At p = 0
-    the slope is NaN (Newton gives up there) while the value stays defined."""
+def _outgoing(
+    model: ScatteringModel, E: complex, lower: bool = False, series: bool = True
+) -> tuple[complex, complex, tuple[complex, complex] | None]:
+    """The outgoing (Jost) condition F of ``model`` at k = sqrt(E), or
+    k = -sqrt(E) with ``lower``: ``(F, dF/dE, hh)``.
+
+    F is the entire form whose zeros are the S-matrix poles; dF/dE chains
+    dk/dE = 1/(2k) and dp/dE = 1/(2p).  ``hh`` is (h1_l(ka), h1_l'(ka)) where
+    F lacks the hard-sphere factor (l >= 1, and the band below), else None.
+    With ``series``, F is f/j_l(pa) in the band |(pa)^2| < _THRESHOLD_BAND,
+    where f vanishes with j_l(pa) and the chain rule through dp/dE loses
+    ~eps/(pa)^2; without it (Newton's residual) the slope is NaN at p = 0
+    and the value defined.
+    """
     E = complex(E)
     if E == 0:
         raise ValueError("E = 0 is a branch point")
     k = cmath.sqrt(E)
+    if lower:
+        k = -k
     dk = 0.5 / k
 
     if isinstance(model, DeltaShell):
@@ -145,72 +135,76 @@ def _outgoing_with_slope(model: ScatteringModel, E: complex) -> tuple[complex, c
         # essential in the rigid-wall limit where the roots hug those poles
         f = k * c + (lam - 1j * k) * s
         f_k = c - ka * s - 1j * s + (lam - 1j * k) * model.a * c
-        return f, f_k * dk
+        return f, f_k * dk, None
+
+    l, a = model.l, model.a
+    if series and abs(q := (E + model.V0) * a**2) < _THRESHOLD_BAND:
+        # f/j_l(pa) = L h - k h' with, for q = (pa)^2 and c = 1/(2l+3),
+        #   aL = pa j_l'/j_l = l - c q - c^2 q^2/(2l+5)
+        #        - 2 c^3 q^3/((2l+5)(2l+7)) + O(q^4),
+        # the series solution of x g' = l(l+1) - g - g^2 - x^2 (Riccati);
+        # h'' comes from the spherical Bessel equation
+        y, c = k * a, 1.0 / (2 * l + 3)
+        t2, t3 = c * q / (2 * l + 5), 2.0 * c * q / (2 * l + 7)
+        aL = l - c * q * (1.0 + t2 * (1.0 + t3))
+        *_, h, hp = sph_bessel(l, y)
+        f_k = (aL + 1) * hp + (y - l * (l + 1) / y) * h
+        df = -a * c * (1.0 + t2 * (2.0 + 3.0 * t3)) * h + f_k * dk
+        return aL / a * h - k * hp, df, (h, hp)
 
     p = cmath.sqrt(E + model.V0)
     dp = 0.5 / p if p else complex("nan")
-    a = model.a
-    if model.l == 0:
+    if l == 0:
         pa = p * a
         c, s = cmath.cos(pa), cmath.sin(pa)
         # entire form of ik tan(pa) - p = 0 (multiplied by cos pa)
         f = 1j * k * s - p * c
         f_p = 1j * k * a * c - c + pa * s
-        return f, 1j * s * dk + f_p * dp
+        return f, 1j * s * dk + f_p * dp, None
 
     # entire form of p j_l'(pa)/j_l(pa) - k h1_l'(ka)/h1_l(ka) = 0; the
     # second derivatives come from the spherical Bessel equation,
     # x y''(x) = -2 y'(x) - (x - l(l+1)/x) y(x)
     x, y = p * a, k * a
-    j, jp, *_ = sph_bessel(model.l, x)
-    _, _, _, _, h, hp = sph_bessel(model.l, y)
-    ll = model.l * (model.l + 1)
+    j, jp, *_ = sph_bessel(l, x)
+    _, _, _, _, h, hp = sph_bessel(l, y)
+    ll = l * (l + 1)
     f = p * jp * h - k * hp * j
     f_p = -jp * h - (x - ll / x) * j * h - y * hp * jp
     f_k = x * jp * hp + hp * j + (y - ll / y) * j * h
-    return f, f_p * dp + f_k * dk
+    return f, f_p * dp + f_k * dk, (h, hp)
+
+
+def _outgoing_with_slope(model: ScatteringModel, E: complex) -> tuple[complex, complex]:
+    """Newton's residual: the bare entire form of :func:`_outgoing` and its
+    E-derivative."""
+    f, df, _ = _outgoing(model, E, series=False)
+    return f, df
 
 
 def time_delay(model: ScatteringModel, E: float) -> float:
     """Time delay T = hbar d(delta_bar)/dE, exact for every model.
 
-    On the real axis S_bar is conj(f)/f up to sign, f being the outgoing
-    condition of :func:`_outgoing_with_slope`, times the hard-sphere factor
-    h1_l(ka)/conj(h1_l(ka)) for l >= 1 (the delta shell's and the s-wave's f
-    carry it already).  Hence T = -Im(f'/f) + Im(h1_l'(ka)/h1_l(ka)) a/(2k).
+    On the real axis S_bar = +-conj(F)/F, times h1_l(ka)/conj(h1_l(ka)) where
+    F lacks it (see :func:`s_matrix`), so
+    T = -Im(F'/F) + Im(h1_l'(ka)/h1_l(ka)) a/(2k).
     """
     if not E > 0:
         raise ValueError("E must be positive")
-    k = math.sqrt(E)
-    # q = (pa)^2; the delta shell has no interior wavenumber
-    q = math.inf if isinstance(model, DeltaShell) else (E + model.V0) * model.a**2
-    if abs(q) >= 1e-3:
-        f, df = _outgoing_with_slope(model, E)
-        if isinstance(model, DeltaShell) or model.l == 0:
-            return -(df / f).imag
-    l, a, y = model.l, model.a, k * model.a
-    *_, h, hp = sph_bessel(l, y)
-    if abs(q) < 1e-3:
-        # near p = 0 (any l) f vanishes with j_l(pa), and a chain rule through
-        # dp/dE = 1/(2p) loses ~eps/q; use f/j_l(pa) = L h - k h' with
-        #   aL = pa j_l'/j_l = l - c q - c^2 q^2/(2l+5)
-        #        - 2 c^3 q^3/((2l+5)(2l+7)) + O(q^4),  c = 1/(2l+3),
-        # the series solution of x g' = l(l+1) - g - g^2 - x^2 (Riccati);
-        # h'' comes from the spherical Bessel equation
-        c = 1.0 / (2 * l + 3)
-        t2, t3 = c * q / (2 * l + 5), 2.0 * c * q / (2 * l + 7)
-        aL = l - c * q * (1.0 + t2 * (1.0 + t3))
-        f = aL / a * h - k * hp
-        f_k = (aL + 1) * hp + (y - l * (l + 1) / y) * h
-        df = -a * c * (1.0 + t2 * (2.0 + 3.0 * t3)) * h + f_k * 0.5 / k
-    return -(df / f).imag + (hp / h).imag * a / (2.0 * k)
+    f, df, hh = _outgoing(model, E)
+    t = -(df / f).imag
+    if hh is not None:
+        h, hp = hh
+        t += (hp / h).imag * model.a / (2.0 * math.sqrt(E))
+    return t
 
 
 def time_delay_square_well_analytic(model: SquareWell, E: float) -> float:
     """Closed-form s-wave time delay of the square well.
 
     Evaluated in the cos^2-multiplied rearrangement, which is regular at the
-    removable singularities of the tan/sec representation.
+    removable singularities of the tan/sec representation.  Inaccurate for
+    0 < |(pa)^2| < _THRESHOLD_BAND, which :func:`delay_function` avoids.
     """
     if model.l != 0:
         raise ValueError("closed form is s-wave only")
@@ -243,12 +237,13 @@ def time_delay_delta_shell_analytic(model: DeltaShell, E: float) -> float:
 def delay_function(model: ScatteringModel) -> Callable[[float], float]:
     """The time delay of ``model`` as a function of real E.
 
-    Uses the real-arithmetic closed forms where available (s-wave square
-    well, delta shell), otherwise :func:`time_delay`.
+    Uses the real-arithmetic closed forms where they hold (delta shell, and
+    an s-wave well with V0 a^2 >= _THRESHOLD_BAND, so that no E > 0 enters
+    the threshold band), otherwise :func:`time_delay`.
     """
     if isinstance(model, DeltaShell):
         return lambda E: time_delay_delta_shell_analytic(model, E)
-    if isinstance(model, SquareWell) and model.l == 0:
+    if model.l == 0 and model.V0 * model.a**2 >= _THRESHOLD_BAND:
         return lambda E: time_delay_square_well_analytic(model, E)
     return lambda E: time_delay(model, E)
 

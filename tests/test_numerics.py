@@ -149,14 +149,44 @@ class TestSphBessel:
         with pytest.raises(ZeroArgument):
             sph_bessel(3, 0.0)
 
-    @pytest.mark.parametrize("l, z", [(5, 3.7), (9, 1.2), (10, 22.0), (2, 0.3)])
+    @pytest.mark.parametrize(
+        "l, z",
+        [
+            (5, 3.7), (9, 1.2), (10, 22.0), (2, 0.3),
+            # complex z, upward and Miller branches
+            (4, 2.5 + 0.5j), (6, -8.0 + 3.0j), (10, 0.5 - 4.0j), (3, 1.5j),
+            # negative real z: the -k sheet of the S-matrix
+            (0, -2.5), (3, -2.5), (7, -12.0), (12, -3.0),
+            # Miller without and with an overflow rescale of the recurrence
+            (30, 0.5), (30, 0.5j), (30, 1e-4), (20, -1e-6),
+        ],
+    )
     def test_against_mpmath(self, l, z):
         j, jp, n, np_, h1, h1p = sph_bessel(l, z)
-        ref_j = complex(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(l + 0.5, z))
-        ref_n = complex(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.bessely(l + 0.5, z))
-        assert j == pytest.approx(ref_j, rel=1e-9, abs=1e-12)
-        assert n == pytest.approx(ref_n, rel=1e-9, abs=1e-12)
-        assert h1 == pytest.approx(ref_j + 1j * ref_n, rel=1e-9, abs=1e-12)
+
+        def sph(nu):
+            # j_nu(t) = sqrt(pi)/2 (t/2)^nu / Gamma(nu + 3/2) 0F1(; nu + 3/2;
+            # -t^2/4): an integer power, so no branch cut on the negative axis
+            def f(t):
+                b = nu + mpmath.mpf(1.5)
+                return (mpmath.sqrt(mpmath.pi) / 2 * (t / 2) ** nu
+                        / mpmath.gamma(b) * mpmath.hyp0f1(b, -t * t / 4))
+            return f
+
+        # n_l = (-1)^(l+1) j_(-l-1)
+        sph_j, sph_n = sph(l), lambda t: (-1) ** (l + 1) * sph(-l - 1)(t)
+        zm = mpmath.mpc(z)
+        ref = {
+            "j": (j, sph_j(zm)),
+            "jp": (jp, mpmath.diff(sph_j, zm)),
+            "n": (n, sph_n(zm)),
+            "np_": (np_, mpmath.diff(sph_n, zm)),
+        }
+        for name, (got, want) in ref.items():
+            want = complex(want)
+            assert abs(got - want) <= 1e-12 * abs(want), name
+        assert h1 == pytest.approx(complex(ref["j"][1] + 1j * ref["n"][1]), rel=1e-12)
+        assert h1p == pytest.approx(jp + 1j * np_, rel=1e-15)
 
     @given(
         l=st.integers(0, 10),

@@ -105,7 +105,7 @@ class TestSMatrix:
         with mpmath.workdps(40):
             return complex(s_bar_mp(mpmath, V0, a, l, E))
 
-    @pytest.mark.parametrize("l", [1, 3, 9, 10])
+    @pytest.mark.parametrize("l", [0, 1, 3, 9, 10])
     @pytest.mark.parametrize(
         "V0, a, E",
         [
@@ -115,6 +115,10 @@ class TestSMatrix:
             (-1.0, 1.0, 1.0 + 1e-6),  # pa = 1e-3
             # the point where |j_9(pa)| < 1e-14
             (-7.239560965455908, 1.3938459207619869, 7.267540667158215),
+            # (pa)^2 = q inside the interior-threshold series band |q| < 1e-3
+            (-3.0, 2.0, 3.0 + 1e-6 / 4),
+            (-3.0, 2.0, 3.0 - 1e-6 / 4),
+            (-3.0, 2.0, 3.0 + 9.9e-4 / 4),
         ],
     )
     def test_real_axis_against_mpmath(self, l, V0, a, E):
@@ -293,23 +297,36 @@ class TestTimeDelay:
         t = time_delay(SquareWell(V0=V0, a=a, l=l), E)
         assert t == pytest.approx(self.delay_mpmath(V0, a, l, E), rel=1e-10)
 
-    def test_evaluation_counts(self, monkeypatch):
-        # the outgoing condition and its slope (2 calls) plus h_l(ka)
+    @staticmethod
+    def count_calls(monkeypatch, evaluate):
         calls = {"sph_bessel": 0, "s_matrix": 0}
 
         def counted(name):
             fn = getattr(scattering, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             monkeypatch.setattr(scattering, name, wrapper)
 
         counted("sph_bessel")
         counted("s_matrix")
-        time_delay(SquareWell(V0=5, a=10, l=3), 2.0)
-        assert calls == {"sph_bessel": 3, "s_matrix": 0}
+        evaluate()
+        return calls
+
+    def test_evaluation_counts(self, monkeypatch):
+        # the outgoing condition and its slope: j_l(pa) and h_l(ka), which
+        # also gives the hard-sphere term
+        m = SquareWell(V0=5, a=10, l=3)
+        calls = self.count_calls(monkeypatch, lambda: time_delay(m, 2.0))
+        assert calls == {"sph_bessel": 2, "s_matrix": 0}
+
+    def test_s_matrix_evaluation_counts(self, monkeypatch):
+        # the outgoing condition on each sheet: j_l(pa) and h_l(+-ka)
+        m = SquareWell(V0=5, a=10, l=3)
+        calls = self.count_calls(monkeypatch, lambda: s_matrix(m, 2.0))
+        assert calls["sph_bessel"] == 4
 
     def test_integrable_across_the_narrow_l5_resonance(self):
         # the quadrature used to chase central-difference noise down to a
@@ -363,6 +380,12 @@ class TestAnalyticDelays:
             assert math.isfinite(t)
             for e in (E - 1e-7, E + 1e-7):
                 assert time_delay(m, e) == pytest.approx(t, abs=1e-6)
+
+    def test_delay_function_avoids_the_threshold_band(self):
+        # the closed form loses accuracy just above p = 0 (0.4165788 here)
+        m = SquareWell(V0=-1, a=1, l=0)
+        t = delay_curve(m, 1 + 1e-12, 2, 5).values[0]
+        assert t == pytest.approx(time_delay(m, 1 + 1e-12), rel=1e-12)
 
     def test_removable_singularity_is_finite(self):
         # cos(pa) = 0 at p a = pi/2: E = (pi/(2a))^2 - V0
