@@ -43,6 +43,7 @@ from .reflect import (
 from .scattering import DeltaShell, SquareWell, delay_curve, delay_function
 
 ENV_OUT = "RESDELAY_OUT"
+_REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
 
 
 def _write_curve_csv(curve: Curve, path: Path) -> None:
@@ -88,12 +89,11 @@ def _base_report(args, subcommand: str) -> dict:
     }
 
 
-def _refine_extremum(fn, x0, step, kind="min", n=64):
-    """Fine parabolic pass around a coarse extremum."""
-    grid = np.linspace(x0 - 2 * step, x0 + 2 * step, n)
+def _refine_minimum(fn, x0, step):
+    """Fine parabolic pass around a coarse minimum."""
+    grid = np.linspace(x0 - 2 * step, x0 + 2 * step, _REFINE_POINTS)
     vals = np.array([fn(x) for x in grid])
-    i = int(np.argmin(vals) if kind == "min" else np.argmax(vals))
-    i = min(max(i, 1), n - 2)
+    i = min(max(int(np.argmin(vals)), 1), _REFINE_POINTS - 2)
     x, _ = _parabolic_refine(*grid[i - 1:i + 2], *vals[i - 1:i + 2])
     return float(x)
 
@@ -126,8 +126,7 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
     curves = [(stem, display)]
     if resonances:
         recon = Curve(
-            display.energies,
-            np.array([lorentzian_sum(resonances, E) for E in display.energies]),
+            display.energies, lorentzian_sum(resonances, display.energies),
             label="lorentzian_sum",
         )
         report["reconstruction"] = reconstruction_report(display, resonances).to_dict()
@@ -195,13 +194,12 @@ def run_step(args) -> dict:
     if dips:
         coarse = min(dips, key=lambda p: p.height)
         grid_step = refl.grid_step
-        dip_e = _refine_extremum(
+        dip_e = _refine_minimum(
             lambda E: abs(reflection_amplitude(step, E)) ** 2,
-            coarse.position, grid_step, kind="min",
+            coarse.position, grid_step,
         )
-        delay_ext = _refine_extremum(
-            lambda E: reflection_time_delay(step, E),
-            coarse.position, grid_step, kind="min",
+        delay_ext = _refine_minimum(
+            lambda E: reflection_time_delay(step, E), coarse.position, grid_step
         )
         report["dip"] = {"E": dip_e, "delay_extremum_E": delay_ext}
     count = count_resonances(

@@ -61,19 +61,23 @@ class ReconstructionReport:
         return {**asdict(self), "E_range": list(self.E_range)}
 
 
-def lorentzian_sum(poles: Sequence[Pole], E: float) -> float:
-    """Sum of Breit-Wigner profiles (hbar = 1) over resonance poles.
+def lorentzian_sum(
+    poles: Sequence[Pole], E: float | np.ndarray
+) -> float | np.ndarray:
+    """Sum of Breit-Wigner profiles (hbar = 1) over resonance poles at a
+    float or an array of energies ``E``; the result is of the same kind.
 
     Raises :class:`SpuriousIncluded` for poles not classified Resonance:
     spurious roots spoil the reconstruction and must be filtered upstream.
     """
-    total = 0.0
+    E = np.asarray(E, dtype=float)
+    total = np.zeros_like(E)
     for p in poles:
         if p.classification != RESONANCE:
             raise SpuriousIncluded(f"pole at {p.energy} is {p.classification}")
         g = p.gamma
         total += (g / 2.0) / ((E - p.position) ** 2 + g * g / 4.0)
-    return total
+    return total if total.ndim else float(total)
 
 
 def count_resonances(
@@ -109,7 +113,7 @@ def reconstruction_report(exact: Curve, poles: Sequence[Pole]) -> Reconstruction
     """
     if len(exact) == 0:
         raise ValueError("curve must be nonempty")
-    approx = np.array([lorentzian_sum(poles, E) for E in exact.energies])
+    approx = lorentzian_sum(poles, exact.energies)
     cutoff = 0.01 * float(np.max(exact.values))
     mask = exact.values > cutoff
     if not np.any(mask):

@@ -7,6 +7,7 @@ parallel without coordination.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -296,6 +297,24 @@ _MAX_DEPTH = 40
 # narrow features are easy to miss on a single coarse panel, so the range is
 # pre-partitioned before bisection starts
 _INITIAL_PANELS = 32
+# the error sum of a noisy integrand (a finite-difference delay) or of a
+# tol below round-off levels off above tol, so the panel count is capped too
+_MAX_PANELS = 1 << 16
+
+
+def _panel(f, depth, x0, x4, f0, f2, f4):
+    """Heap entry of the panel [x0, x4] from its ends and midpoint plus two
+    new samples at the quarter points: Simpson on the whole panel against
+    its two halves gives the Richardson-corrected value and the error
+    estimate, largest error first (a non-finite one counts as infinite)."""
+    x2 = 0.5 * (x0 + x4)
+    f1, f3 = f(0.5 * (x0 + x2)), f(0.5 * (x2 + x4))
+    h = (x4 - x0) / 12.0
+    halves = h * (f0 + 4.0 * (f1 + f3) + 2.0 * f2 + f4)
+    delta = halves - 2.0 * h * (f0 + 4.0 * f2 + f4)
+    err = abs(delta) / 15.0
+    key = -err if math.isfinite(err) else -math.inf
+    return key, x0, x4, depth, halves + delta / 15.0, (f0, f1, f2, f3, f4)
 
 
 def integrate(
@@ -303,8 +322,10 @@ def integrate(
 ) -> QuadratureResult:
     """Adaptive Simpson quadrature with absolute tolerance ``tol``.
 
-    Raises :class:`MaxDepthExceeded` (depth 40) on a non-integrable feature.
-    Reversed limits flip the sign of the result.
+    One error budget: the panel with the largest error estimate is bisected
+    until the estimates sum to at most ``tol``.  Raises
+    :class:`MaxDepthExceeded` when that panel is already 40 levels deep or
+    the panels reach ``_MAX_PANELS``.  Reversed limits flip the sign.
     """
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
@@ -312,44 +333,33 @@ def integrate(
         r = integrate(f, b, a, tol)
         return QuadratureResult(-r.value, r.error_bound, r.evaluations)
 
-    state = {"evals": 0}
-
-    def ev(x):
-        state["evals"] += 1
-        return f(x)
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = ev(xl), ev(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        if depth >= _MAX_DEPTH:
+    xs = [float(x) for x in np.linspace(a, b, _INITIAL_PANELS + 1)]
+    fx = [f(x) for x in xs]
+    heap = [
+        _panel(f, 0, x0, x4, f0, f(0.5 * (x0 + x4)), f4)
+        for x0, x4, f0, f4 in zip(xs, xs[1:], fx, fx[1:])
+    ]
+    heapq.heapify(heap)
+    err = math.fsum(-p[0] for p in heap)
+    while not err <= tol:
+        neg_err, x0, x4, depth, _, (f0, f1, f2, f3, f4) = heap[0]
+        if depth >= _MAX_DEPTH or len(heap) == _MAX_PANELS:
             raise MaxDepthExceeded(
-                f"quadrature depth {_MAX_DEPTH} exceeded on [{x0}, {x2}]"
+                f"quadrature error {err:.3g} > tol = {tol:g} at depth {depth} "
+                f"of {_MAX_DEPTH} on [{x0}, {x4}], {len(heap)} panels"
             )
-        vl, el = recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1)
-        vr, er = recurse(xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1)
-        return vl + vr, el + er
-
-    npan = _INITIAL_PANELS
-    edges = np.linspace(a, b, npan + 1)
-    total, err = 0.0, 0.0
-    for i in range(npan):
-        x0, x2 = float(edges[i]), float(edges[i + 1])
-        xm = 0.5 * (x0 + x2)
-        f0, f1, f2 = ev(x0), ev(xm), ev(x2)
-        whole = simpson(x0, x2, f0, f1, f2)
-        v, e = recurse(x0, x2, f0, f1, f2, whole, tol / npan, 0)
-        total += v
-        err += e
-    return QuadratureResult(total, err, state["evals"])
+        x2 = 0.5 * (x0 + x4)
+        left = _panel(f, depth + 1, x0, x2, f0, f1, f2)
+        right = _panel(f, depth + 1, x2, x4, f2, f3, f4)
+        heapq.heapreplace(heap, left)
+        heapq.heappush(heap, right)
+        err += neg_err - left[0] - right[0]
+        if err <= tol or math.isnan(err):
+            # re-sum exactly: drops the running sum's drift, and the NaN that
+            # inf - inf leaves once a non-finite panel has been bisected
+            err = math.fsum(-p[0] for p in heap)
+    # 4 evaluations per panel beyond the shared left end of the range
+    return QuadratureResult(math.fsum(p[4] for p in heap), err, 4 * len(heap) + 1)
 
 
 # ---------------------------------------------------------------------------

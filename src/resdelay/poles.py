@@ -18,6 +18,9 @@ from .scattering import DeltaShell, ScatteringModel, _outgoing_with_slope
 __all__ = [
     "Pole",
     "SearchRegion",
+    "RESONANCE",
+    "SPURIOUS",
+    "UNCLASSIFIED",
     "outgoing_condition",
     "find_poles",
     "classify_pole",

@@ -44,6 +44,12 @@ class TestExitCodes:
         args = ["sqwell", "--l", "5", "--V0", "2.5836", "--a", "6.9964"]
         assert run(args, tmp_path) == 0
 
+    def test_step_dip_is_integrable(self, tmp_path):
+        # the finite-difference noise of this delay at its dip must not
+        # exhaust the counting quadrature's depth (exit 3)
+        args = ["step", "--V1", "1.2205", "--V2", "1.4612", "--a", "2.3290"]
+        assert run(args, tmp_path) == 0
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["quux"])

@@ -16,6 +16,7 @@ from resdelay.counting import (
 from resdelay.errors import NoConvergence, SpuriousIncluded
 from resdelay.numerics import Curve, find_extrema, newton_complex
 from resdelay.poles import RESONANCE, SPURIOUS, Pole
+from resdelay.reflect import ExpStep, reflection_time_delay
 from resdelay.scattering import (
     DeltaShell,
     SquareWell,
@@ -41,6 +42,21 @@ class TestLorentzianSum:
         bad = Pole(1.0 - 2.0j, residual=0.0, classification=SPURIOUS)
         with pytest.raises(SpuriousIncluded):
             lorentzian_sum([bad], 1.0)
+
+    def test_array_matches_scalar_sum(self):
+        poles = [res_pole(2.0, 0.3), res_pole(5.0, 0.2), res_pole(7.5, 1.1)]
+        e = np.linspace(0.5, 10.0, 97)
+        ref = [sum((p.gamma / 2) / ((float(x) - p.position) ** 2 + p.gamma**2 / 4)
+                   for p in poles) for x in e]
+        got = lorentzian_sum(poles, e)
+        assert isinstance(got, np.ndarray) and got.shape == e.shape
+        np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
+        assert isinstance(lorentzian_sum(poles, 5.0), float)
+
+    def test_no_poles_gives_zeros_shaped_like_E(self):
+        e = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(lorentzian_sum([], e), np.zeros(5))
+        assert lorentzian_sum([], 1.0) == 0.0
 
     @given(
         e0=st.floats(1.0, 50.0),
@@ -90,6 +106,21 @@ class TestCountResonances:
         bc = count_resonances(f, 5.0, 9.0, tol).n_R
         ac = count_resonances(f, 1.0, 9.0, tol).n_R
         assert ab + bc == pytest.approx(ac, abs=2 * tol + 1e-9)
+
+    def test_finite_difference_delay_over_a_wide_range(self):
+        # the reflection delay is a central difference: its noise at the
+        # dip (E = 2.04, inside the first initial panel [2, 8.2]) must not
+        # exhaust the quadrature's depth
+        step = ExpStep(1.0, 1.0, 1.31)
+
+        def delay(e):
+            return reflection_time_delay(step, e)
+
+        tol = 1e-7
+        whole = count_resonances(delay, 2.000002, 200.0, tol).n_R
+        split = (count_resonances(delay, 2.000002, 10.0, tol).n_R
+                 + count_resonances(delay, 10.0, 200.0, tol).n_R)
+        assert whole == pytest.approx(split, abs=tol / math.pi)
 
     def test_lorentzian_comb(self):
         # isolated narrow resonances each contribute ~1

@@ -23,6 +23,7 @@ from resdelay.numerics import (
     newton_complex,
     sph_bessel,
 )
+from resdelay.scattering import DeltaShell, delay_function
 
 mpmath.mp.dps = 30
 
@@ -272,6 +273,18 @@ class TestIntegrate:
         q = integrate(lambda x: x * x, 0.0, 1.0, 1e-12)
         assert q.value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
+    def test_cubic_needs_no_bisection(self):
+        # Simpson is exact on cubics: the 32 initial panels share their
+        # edges, so 33 edges + 32 midpoints + 64 quarter points
+        q = integrate(lambda x: x**3, 0.0, 1.0, 1e-8)
+        assert q.value == pytest.approx(0.25, abs=1e-15)
+        assert q.evaluations == 129
+
+    def test_delta_shell_delay_evaluations(self):
+        # one error budget spends its evaluations where the delay peaks
+        q = integrate(delay_function(DeltaShell(10.0, 1.0)), 1e-6, 170.0, 1e-8)
+        assert q.evaluations <= 4000
+
     def test_sine(self):
         q = integrate(math.sin, 0.0, math.pi, 1e-12)
         assert q.value == pytest.approx(2.0, abs=1e-10)
@@ -299,10 +312,21 @@ class TestIntegrate:
         with pytest.raises(MaxDepthExceeded):
             integrate(lambda x: 1.0 / (x - 1.0 / 3.0), 0.0, 1.0, 1e-12)
 
+    def test_nan_at_a_node_raises(self):
+        # 0.5 is an initial panel edge; a NaN estimate must never be accepted
+        with pytest.raises(MaxDepthExceeded):
+            integrate(lambda x: math.nan if x == 0.5 else x, 0.0, 1.0, 1e-8)
+
+    def test_unreachable_tolerance_raises(self):
+        # round-off keeps the error sum above tol = 0 at every depth; the
+        # panel cap ends the bisection instead of exhausting memory
+        with pytest.raises(MaxDepthExceeded):
+            integrate(math.sin, 0.0, math.pi, 0.0)
+
     def test_reports_evaluations(self):
         q = integrate(math.cos, 0.0, 1.0, 1e-8)
         assert q.evaluations > 0
-        assert q.error_bound >= 0
+        assert 0 <= q.error_bound <= 1e-8
 
 
 # ---------------------------------------------------------------------------
