@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,9 +21,9 @@ import numpy as np
 from . import __version__
 from .counting import (
     CountReport,
+    _reconstruction_errors,
     count_resonances,
     lorentzian_sum,
-    reconstruction_report,
 )
 from .errors import ParseError, ResdelayError
 from .numerics import Curve, _parabolic_refine, find_extrema
@@ -89,10 +90,13 @@ def _base_report(args, subcommand: str) -> dict:
     }
 
 
-def _refine_minimum(fn, x0, step):
-    """Fine parabolic pass around a coarse minimum."""
-    grid = np.linspace(x0 - 2 * step, x0 + 2 * step, _REFINE_POINTS)
-    vals = np.array([fn(x) for x in grid])
+def _refine_minimum(fn, x0, step, lo, hi):
+    """Fine parabolic pass around a coarse minimum: ``fn`` maps an array of
+    energies to an array of values on the window [x0 - 2*step, x0 + 2*step],
+    clipped to the curve's range [lo, hi]."""
+    grid = np.linspace(max(x0 - 2 * step, lo), min(x0 + 2 * step, hi),
+                       _REFINE_POINTS)
+    vals = fn(grid)
     i = min(max(int(np.argmin(vals)), 1), _REFINE_POINTS - 2)
     x, _ = _parabolic_refine(*grid[i - 1:i + 2], *vals[i - 1:i + 2])
     return float(x)
@@ -129,7 +133,9 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
             display.energies, lorentzian_sum(resonances, display.energies),
             label="lorentzian_sum",
         )
-        report["reconstruction"] = reconstruction_report(display, resonances).to_dict()
+        report["reconstruction"] = _reconstruction_errors(
+            display, recon.values, len(resonances)
+        ).to_dict()
         curves.append((f"{stem}_lorentzian", recon))
     report["peak_count"] = sum(1 for p in find_extrema(display) if p.kind == "max")
     return report, curves, resonances
@@ -183,28 +189,20 @@ def run_step(args) -> dict:
         raise ValueError("emax must exceed the barrier top")
     refl = reflectivity_curve(step, lo, args.emax, max(args.grid, 2000))
     theta = theta_curve(step, lo, args.emax, args.grid)
-    dly = Curve(
-        refl.energies,
-        np.array([reflection_time_delay(step, E) for E in refl.energies]),
-        label="reflection_time_delay",
-    )
+    delay = functools.partial(reflection_time_delay, step)
+    dly = Curve(refl.energies, delay(refl.energies), label="reflection_time_delay")
     # dip in R(E): coarse minimum, then a fine parabolic pass
     dips = [p for p in find_extrema(refl) if p.kind == "min"]
     report = _base_report(args, "step")
     if dips:
         coarse = min(dips, key=lambda p: p.height)
-        grid_step = refl.grid_step
+        window = (coarse.position, refl.grid_step, lo, args.emax)
         dip_e = _refine_minimum(
-            lambda E: abs(reflection_amplitude(step, E)) ** 2,
-            coarse.position, grid_step,
+            lambda E: np.abs(reflection_amplitude(step, E)) ** 2, *window
         )
-        delay_ext = _refine_minimum(
-            lambda E: reflection_time_delay(step, E), coarse.position, grid_step
-        )
+        delay_ext = _refine_minimum(delay, *window)
         report["dip"] = {"E": dip_e, "delay_extremum_E": delay_ext}
-    count = count_resonances(
-        lambda E: reflection_time_delay(step, E), lo, args.emax, tol=args.tol
-    )
+    count = count_resonances(delay, lo, args.emax, tol=args.tol)
     report["count"] = count.to_dict()
     _emit(report, [("fig3_reflectivity", refl), ("fig3_theta", theta),
                    ("fig3_delay", dly)], args)

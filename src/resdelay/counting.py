@@ -113,7 +113,16 @@ def reconstruction_report(exact: Curve, poles: Sequence[Pole]) -> Reconstruction
     """
     if len(exact) == 0:
         raise ValueError("curve must be nonempty")
-    approx = lorentzian_sum(poles, exact.energies)
+    return _reconstruction_errors(
+        exact, lorentzian_sum(poles, exact.energies), len(poles)
+    )
+
+
+def _reconstruction_errors(
+    exact: Curve, approx: np.ndarray, poles_used: int
+) -> ReconstructionReport:
+    """:func:`reconstruction_report` from the Lorentzian sum ``approx``
+    already evaluated on ``exact.energies`` by ``poles_used`` poles."""
     cutoff = 0.01 * float(np.max(exact.values))
     mask = exact.values > cutoff
     if not np.any(mask):
@@ -123,5 +132,5 @@ def reconstruction_report(exact: Curve, poles: Sequence[Pole]) -> Reconstruction
         max_rel_error=float(np.max(np.abs(rel))),
         l2_rel_error=float(np.sqrt(np.mean(rel**2))),
         E_range=(float(exact.energies[0]), float(exact.energies[-1])),
-        poles_used=len(poles),
+        poles_used=poles_used,
     )

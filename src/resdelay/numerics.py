@@ -114,28 +114,57 @@ def _near_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     return n <= 0 and abs(z.real - n) <= tol
 
 
-def complex_gamma(z: complex) -> complex:
+def _near_nonpositive_integers(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Elementwise :func:`_near_nonpositive_integer`."""
+    n = np.round(z.real)
+    return (np.abs(z.imag) <= tol) & (n <= 0) & (np.abs(z.real - n) <= tol)
+
+
+def _lanczos(z, exp):
+    """Lanczos sum for Re(z) >= 0.5, on a complex scalar (``exp`` is
+    ``cmath.exp``) or elementwise on an array (``np.exp``)."""
+    w = z - 1.0
+    s = _LANCZOS_C[0]
+    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+        s += c / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * exp(-t) * s
+
+
+def complex_gamma(z):
     """Gamma function for complex argument.
 
     Uses the reflection formula for Re(z) < 0.5, Lanczos otherwise.
     Raises :class:`PoleOfGamma` within 1e-12 of a non-positive integer.
+    A numpy array ``z`` is evaluated elementwise and gives an array; it
+    raises when any element is near a pole.
     """
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex)
+        poles = _near_nonpositive_integers(z)
+        if poles.any():
+            raise PoleOfGamma(f"gamma pole at {z[poles].flat[0]}")
+        flat = z.ravel()
+        refl = flat.real < 0.5
+        g = _lanczos(np.where(refl, 1.0 - flat, flat), np.exp)
+        g[refl] = math.pi / (np.sin(math.pi * flat[refl]) * g[refl])
+        return g.reshape(z.shape)
     z = complex(z)
     if _near_nonpositive_integer(z):
         raise PoleOfGamma(f"gamma pole at {z}")
     if z.real < 0.5:
         # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
         return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    w = z - 1.0
-    s = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        s += c / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * s
+    return _lanczos(z, cmath.exp)
 
 
-def _reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z); zero at the poles of Gamma."""
+def _reciprocal_gamma(z):
+    """1/Gamma(z); zero at the poles of Gamma (elementwise on an array)."""
+    if isinstance(z, np.ndarray):
+        finite = ~_near_nonpositive_integers(z)
+        out = np.zeros_like(z)
+        out[finite] = 1.0 / complex_gamma(z[finite])
+        return out
     try:
         return 1.0 / complex_gamma(z)
     except PoleOfGamma:
@@ -150,16 +179,23 @@ _BESSEL_MAX_TERMS = 200
 _BESSEL_MAX_ABS_Z = 50.0
 
 
-def bessel_j(nu: complex, z: complex) -> tuple[complex, complex]:
+def bessel_j(nu, z: complex):
     """Bessel function J_nu(z) of complex order and its z-derivative.
 
     Ascending power series with principal branch of z**nu; valid (and
     rapidly convergent) for |z| <= 50.  Returns ``(J, dJ/dz)``.
+
+    A numpy array ``nu`` with a scalar ``z`` gives arrays of the same
+    shape: the same series runs on every order at once, each order
+    stopping by the scalar rule, and any order that would make the scalar
+    call raise makes the array call raise the same error.
     """
-    nu = complex(nu)
     z = complex(z)
     if abs(z) > _BESSEL_MAX_ABS_Z:
         raise ValueError(f"|z| = {abs(z):.3g} outside the series regime (<= 50)")
+    if isinstance(nu, np.ndarray):
+        return _bessel_j_orders(nu.astype(complex), z)
+    nu = complex(nu)
     if z == 0:
         if nu.real < 0:
             raise BranchAmbiguity("z**nu undefined at z = 0 for Re(nu) < 0")
@@ -186,6 +222,52 @@ def bessel_j(nu: complex, z: complex) -> tuple[complex, complex]:
     raise SeriesNonConvergence(
         f"J_nu series exceeded {_BESSEL_MAX_TERMS} terms at nu={nu}, z={z}"
     )
+
+
+def _bessel_j_orders(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The series of :func:`bessel_j` on an array of orders at one z.
+
+    The orders still summing are kept packed: one that meets the stopping
+    rule has its sums stored and leaves the running arrays.
+    """
+    shape, nu = nu.shape, nu.ravel()
+    if z == 0:
+        if (nu.real < 0).any():
+            raise BranchAmbiguity("z**nu undefined at z = 0 for Re(nu) < 0")
+        J = np.where(nu == 0, 1.0, 0.0).astype(complex)
+        dJ = np.where(nu == 1, 0.5, 0.0).astype(complex)
+        return J.reshape(shape), dJ.reshape(shape)
+
+    half = z / 2.0
+    term = np.exp(nu * cmath.log(half)) * _reciprocal_gamma(nu + 1.0)
+    total = term
+    dtotal = (nu / z) * term
+    acc = np.abs(term)
+    ratio_base = -half * half
+    J, dJ = np.empty_like(term), np.empty_like(term)
+    left = np.arange(nu.size)  # positions of the orders still summing
+    k = 0
+    while left.size:
+        k += 1
+        if k > _BESSEL_MAX_TERMS:
+            raise SeriesNonConvergence(
+                f"J_nu series exceeded {_BESSEL_MAX_TERMS} terms at nu={nu[0]}, z={z}"
+            )
+        den = k * (nu + k)
+        if not den.all():
+            raise ZeroDivisionError("complex division by zero")
+        term = term * ratio_base / den
+        total = total + term
+        dtotal = dtotal + ((nu + 2 * k) / z) * term
+        acc = acc + np.abs(term)
+        done = np.abs(term) < 1e-16 * acc
+        if done.any():
+            J[left[done]], dJ[left[done]] = total[done], dtotal[done]
+            run = ~done
+            left, nu, term, total, dtotal, acc = (
+                x[run] for x in (left, nu, term, total, dtotal, acc)
+            )
+    return J.reshape(shape), dJ.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -42,22 +42,34 @@ class ExpStep:
         return self.V1 + self.V2
 
 
-def reflection_amplitude(step: ExpStep, E: float) -> complex:
-    """Complex reflection amplitude r(E) of the exponential step.
+def reflection_amplitude(step: ExpStep, E: float | np.ndarray) -> complex | np.ndarray:
+    """Complex reflection amplitude r(E) of the exponential step at a float
+    or a numpy array of energies; the result is of the same kind.
 
     Principal branch: p = sqrt(E - V1 - V2) acquires a positive imaginary
-    part below threshold, making |r| = 1 there.
+    part below threshold, making |r| = 1 there.  An array takes one array
+    call of :func:`bessel_j` (its argument 2*sqrt(V2)*a does not depend on
+    E) and raises when any of its energies would.
     """
-    if E <= 0:
-        raise ValueError("E must be positive")
-    if abs(E - step.threshold) < 1e-9:
-        raise ThresholdBranchPoint(f"E = {E} at the branch point {step.threshold}")
-    k = math.sqrt(E)
-    p = cmath.sqrt(complex(E - step.threshold))
+    if isinstance(E, np.ndarray):
+        E = E.astype(float)
+        bad = E <= 0
+        if bad.any():
+            raise ValueError(f"E must be positive (E = {E[bad].flat[0]})")
+        at = np.abs(E - step.threshold) < 1e-9
+        if at.any():
+            raise ThresholdBranchPoint(
+                f"E = {E[at].flat[0]} at the branch point {step.threshold}"
+            )
+        k, p = np.sqrt(E), np.sqrt((E - step.threshold).astype(complex))
+    else:
+        if E <= 0:
+            raise ValueError("E must be positive")
+        if abs(E - step.threshold) < 1e-9:
+            raise ThresholdBranchPoint(f"E = {E} at the branch point {step.threshold}")
+        k, p = math.sqrt(E), cmath.sqrt(complex(E - step.threshold))
     q = math.sqrt(step.V2)
-    nu = -2j * p * step.a
-    z = 2.0 * q * step.a
-    J, Jp = bessel_j(nu, z)
+    J, Jp = bessel_j(-2j * p * step.a, 2.0 * q * step.a)
     return (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
 
 
@@ -70,8 +82,9 @@ def _sample_grid(e_lo: float, e_hi: float, n: int) -> np.ndarray:
 def reflectivity_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
     """|r(E)|^2 sampled on a uniform grid."""
     grid = _sample_grid(e_lo, e_hi, n)
-    vals = [abs(reflection_amplitude(step, E)) ** 2 for E in grid]
-    return Curve(grid, np.array(vals), label="reflectivity")
+    return Curve(
+        grid, np.abs(reflection_amplitude(step, grid)) ** 2, label="reflectivity"
+    )
 
 
 def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
@@ -79,10 +92,12 @@ def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
 
     The grid is refined adaptively wherever adjacent principal-value samples
     differ by pi or more (at most 12 passes), so the unwrapping is
-    unambiguous.
+    unambiguous.  The initial grid is one array evaluation; the midpoints
+    are inserted one at a time.
     """
-    grid = list(_sample_grid(e_lo, e_hi, n))
-    raw = [cmath.phase(reflection_amplitude(step, E)) for E in grid]
+    grid = _sample_grid(e_lo, e_hi, n)
+    raw = list(np.angle(reflection_amplitude(step, grid)))
+    grid = list(grid)
     for _ in range(12):
         inserted = False
         i = 0
@@ -101,15 +116,28 @@ def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
     return Curve(np.array(grid), unwrapped, label="theta")
 
 
-def reflection_time_delay(step: ExpStep, E: float) -> float:
+def reflection_time_delay(step: ExpStep, E: float | np.ndarray) -> float | np.ndarray:
     """Reflection time delay hbar * d(theta)/dE, computed algebraically from
-    r and dr/dE (no unwrapping needed)."""
-    if E <= step.threshold + 1e-6:
-        raise ValueError("E must exceed the barrier top by more than 1e-6")
-    h = min(1e-6 * max(1.0, E), 0.49 * (E - step.threshold))
-    r0 = reflection_amplitude(step, E)
-    if abs(r0) < 1e-8:
-        raise VanishingAmplitude(f"|r| = {abs(r0):.2e} at E = {E}")
+    r and a central difference dr/dE (no unwrapping needed), at a float or a
+    numpy array of energies; the result is of the same kind."""
+    if isinstance(E, np.ndarray):
+        E = E.astype(float)
+        if (E <= step.threshold + 1e-6).any():
+            raise ValueError("E must exceed the barrier top by more than 1e-6")
+        h = np.minimum(1e-6 * np.maximum(1.0, E), 0.49 * (E - step.threshold))
+        r0 = reflection_amplitude(step, E)
+        vanishing = np.abs(r0) < 1e-8
+        if vanishing.any():
+            raise VanishingAmplitude(
+                f"|r| = {abs(r0[vanishing].flat[0]):.2e} at E = {E[vanishing].flat[0]}"
+            )
+    else:
+        if E <= step.threshold + 1e-6:
+            raise ValueError("E must exceed the barrier top by more than 1e-6")
+        h = min(1e-6 * max(1.0, E), 0.49 * (E - step.threshold))
+        r0 = reflection_amplitude(step, E)
+        if abs(r0) < 1e-8:
+            raise VanishingAmplitude(f"|r| = {abs(r0):.2e} at E = {E}")
     dr = (
         reflection_amplitude(step, E + h) - reflection_amplitude(step, E - h)
     ) / (2.0 * h)

@@ -6,6 +6,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import numpy as np
+
+from resdelay import cli, counting, reflect
 from resdelay.cli import main
 from resdelay.counting import CountReport
 
@@ -49,6 +52,18 @@ class TestExitCodes:
         # exhaust the counting quadrature's depth (exit 3)
         args = ["step", "--V1", "1.2205", "--V2", "1.4612", "--a", "2.3290"]
         assert run(args, tmp_path) == 0
+
+    @pytest.mark.parametrize(
+        "step", [("2.4226", "1.3894", "3.7552"), ("2.0467", "0.5730", "3.4704")]
+    )
+    def test_step_dip_next_to_the_barrier_top(self, tmp_path, step):
+        # the coarse dip lies within two grid steps of the lowest energy;
+        # an unclipped refine window reached below the barrier top (exit 2)
+        v1, v2, a = step
+        assert run(["step", "--V1", v1, "--V2", v2, "--a", a], tmp_path) == 0
+        report = json.loads((tmp_path / "step_report.json").read_text())
+        lo = float(v1) + float(v2) + 2e-6
+        assert report["dip"]["E"] >= lo and report["dip"]["delay_extremum_E"] >= lo
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -138,3 +153,39 @@ class TestEnvironmentDefault:
         monkeypatch.setenv("RESDELAY_OUT", str(tmp_path))
         assert main(["data"]) == 0
         assert (tmp_path / "data_report.json").exists()
+
+
+class TestEvaluationCounts:
+    def test_step_bessel_calls(self, tmp_path, monkeypatch):
+        # the counting quadrature evaluates the delay one energy at a time
+        # (3 scalar r(E), so 3 bessel_j calls, per evaluation); every fixed
+        # grid is one array call.  A per-point loop over the grids made
+        # 12,627 scalar calls here
+        calls = {"scalar": 0, "array": 0}
+        original = reflect.bessel_j
+
+        def counted(nu, z):
+            calls["array" if isinstance(nu, np.ndarray) else "scalar"] += 1
+            return original(nu, z)
+
+        monkeypatch.setattr(reflect, "bessel_j", counted)
+        assert run(["step"], tmp_path) == 0
+        report = json.loads((tmp_path / "step_report.json").read_text())
+        assert calls["scalar"] == 3 * report["count"]["evaluations"]
+        assert calls["array"] <= 10
+
+    def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
+        # the reconstruction curve and its error report share one evaluation
+        calls = [0]
+        original = counting.lorentzian_sum
+
+        def counted(poles, E):
+            calls[0] += 1
+            return original(poles, E)
+
+        for module in (cli, counting):
+            monkeypatch.setattr(module, "lorentzian_sum", counted)
+        assert run(["deltashell"], tmp_path) == 0
+        report = json.loads((tmp_path / "deltashell_report.json").read_text())
+        assert report["reconstruction"] is not None
+        assert calls[0] == 1

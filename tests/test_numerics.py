@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resdelay.errors import (
+    BranchAmbiguity,
     MaxDepthExceeded,
     NoConvergence,
     PoleOfGamma,
+    SeriesNonConvergence,
     ZeroArgument,
 )
 from resdelay.numerics import (
@@ -120,14 +122,118 @@ class TestBesselJ:
         assert abs(lhs - rhs) <= 1e-8 * max(1e-30, abs(rhs))
 
     def test_branch_ambiguity_at_origin(self):
-        from resdelay.errors import BranchAmbiguity
-
         with pytest.raises(BranchAmbiguity):
             bessel_j(-0.5, 0.0)
 
     def test_argument_cap(self):
         with pytest.raises(ValueError):
             bessel_j(0.0, 60.0)
+
+
+# ---------------------------------------------------------------------------
+# complex_gamma and bessel_j on arrays: the scalar loop is the reference
+# ---------------------------------------------------------------------------
+
+def assert_rel_close(got, ref, rel=1e-12):
+    ref = np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
+
+
+def scalar_loop(fn, xs, *args):
+    return [fn(complex(x), *args) for x in xs]
+
+
+# orders of the reflectometry regime: -2i p a above the barrier top (p
+# real) and real positive below it (p imaginary)
+_P = np.sqrt(np.linspace(-2.0, 8.0, 41) + 0j)
+REFLECT_ORDERS = -2j * _P * 1.31
+
+
+def random_complex(seed, n, scale):
+    re, im = np.random.default_rng(seed).normal(scale=scale, size=(2, n))
+    return re + 1j * im
+
+
+RNG_ORDERS = random_complex(7, 60, 3.0)
+
+
+class TestComplexGammaArray:
+    def test_matches_scalar_loop(self):
+        # half the draws have Re(z) < 0.5: the reflection branch
+        z = random_complex(3, 200, 4.0)
+        assert np.mean(z.real < 0.5) > 0.3
+        assert_rel_close(complex_gamma(z), scalar_loop(complex_gamma, z))
+
+    def test_shape_and_real_input(self):
+        z = np.array([[1.0, 5.0], [0.5, -0.5]])
+        got = complex_gamma(z)
+        assert got.shape == (2, 2) and got.dtype == complex
+        assert_rel_close(got.ravel(), scalar_loop(complex_gamma, z.ravel()))
+        assert complex_gamma(np.array(0.3 + 1j)).shape == ()
+
+    @pytest.mark.parametrize("pole", [0.0, -7.0, -3.0 + 1e-13j])
+    def test_pole_parity(self, pole):
+        with pytest.raises(PoleOfGamma):
+            complex_gamma(pole)
+        with pytest.raises(PoleOfGamma):
+            complex_gamma(np.array([2.5 + 1j, pole, 0.3]))
+
+
+class TestBesselJArray:
+    @pytest.mark.parametrize("z", [2.62, 0.3, 7.0 + 1.0j])
+    @pytest.mark.parametrize(
+        "nu", [REFLECT_ORDERS, RNG_ORDERS], ids=["reflect", "random"]
+    )
+    def test_matches_scalar_loop(self, nu, z):
+        J, dJ = bessel_j(nu, z)
+        ref = scalar_loop(bessel_j, nu, z)
+        assert_rel_close(J, [r[0] for r in ref])
+        assert_rel_close(dJ, [r[1] for r in ref])
+
+    def test_negative_real_part_orders(self):
+        nu = np.array([-0.5, -1.3 + 0.4j, -2.7 - 1.1j, -9.5, -0.2j])
+        J, dJ = bessel_j(nu, 1.7)
+        ref = scalar_loop(bessel_j, nu, 1.7)
+        assert_rel_close(J, [r[0] for r in ref])
+        assert_rel_close(dJ, [r[1] for r in ref])
+
+    def test_row_against_mpmath(self):
+        nu = REFLECT_ORDERS[::4]
+        J, dJ = bessel_j(nu, 2.62)
+        ref_v = [complex(mpmath.besselj(n, 2.62)) for n in nu]
+        ref_d = [complex(mpmath.besselj(n, 2.62, derivative=1)) for n in nu]
+        assert_rel_close(J, ref_v, rel=1e-10)
+        assert_rel_close(dJ, ref_d, rel=1e-9)
+
+    def test_shape_and_empty(self):
+        J, dJ = bessel_j(REFLECT_ORDERS[:6].reshape(2, 3), 2.62)
+        assert J.shape == dJ.shape == (2, 3)
+        J, dJ = bessel_j(np.array([], dtype=complex), 2.62)
+        assert J.shape == dJ.shape == (0,)
+        J, dJ = bessel_j(np.array(REFLECT_ORDERS[3]), 2.62)
+        assert J.shape == dJ.shape == ()
+        assert J == pytest.approx(bessel_j(REFLECT_ORDERS[3], 2.62)[0], rel=1e-12)
+
+    def test_origin(self):
+        J, dJ = bessel_j(np.array([0.0, 1.0, 2.5 + 1j]), 0.0)
+        assert np.array_equal(J, [1, 0, 0]) and np.array_equal(dJ, [0, 0.5, 0])
+
+    @pytest.mark.parametrize(
+        "bad, z, exc",
+        [
+            (-0.5, 0.0, BranchAmbiguity),
+            (1.0, 60.0, ValueError),
+            # 1/Gamma(nu + 1) counts as zero, so the series never starts
+            (-1.0 + 1e-13, 1.0, SeriesNonConvergence),
+            (-1.0, 1.0, ZeroDivisionError),
+        ],
+    )
+    def test_error_parity(self, bad, z, exc):
+        with pytest.raises(exc):
+            bessel_j(bad, z)
+        with pytest.raises(exc):
+            bessel_j(np.array([0.5, bad, 2.0 + 1j]), z)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from resdelay.counting import count_resonances
-from resdelay.errors import ThresholdBranchPoint
+from resdelay.errors import ThresholdBranchPoint, VanishingAmplitude
 from resdelay.numerics import find_extrema
 from resdelay.reflect import (
     ExpStep,
@@ -169,3 +169,80 @@ class TestReflectionTimeDelay:
         assert 0 < raw < math.pi
         assert rep.n_R == pytest.approx(raw / math.pi - 2.0, abs=1e-6)
         assert rep.n_R == pytest.approx(-1.1210, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# arrays of energies: the scalar loop is the reference
+# ---------------------------------------------------------------------------
+
+def random_steps(n, seed=11):
+    rng = np.random.default_rng(seed)
+    return [
+        ExpStep(V1=v1, V2=v2, a=a)
+        for v1, v2, a in zip(
+            rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.5, n)
+        )
+    ]
+
+
+# a zero of r: a 2-D Newton solve of r(E; a) = 0 at V1 = V2 = 1
+ZERO_STEP, ZERO_E = ExpStep(V1=1.0, V2=1.0, a=1.3159672603073558), 2.0442305153429157
+
+
+class TestArrays:
+    @pytest.mark.parametrize("step", random_steps(8))
+    def test_amplitude_matches_scalar_loop(self, step):
+        # below and above the barrier top, skipping the branch point
+        e = np.linspace(0.05, step.threshold + 8.0, 400)
+        e = e[np.abs(e - step.threshold) >= 1e-9]
+        got = reflection_amplitude(step, e)
+        ref = np.array([reflection_amplitude(step, float(x)) for x in e])
+        assert got.shape == e.shape and got.dtype == complex
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("step", random_steps(8))
+    def test_delay_matches_scalar_loop(self, step):
+        e = np.linspace(step.threshold + 2e-6, 10.0, 400)
+        got = reflection_time_delay(step, e)
+        ref = np.array([reflection_time_delay(step, float(x)) for x in e])
+        assert got.shape == e.shape and got.dtype == float
+        assert np.all(np.abs(got - ref) <= 1e-8 * (1.0 + np.abs(ref)))
+
+    def test_amplitude_row_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        e = np.array([0.3, 1.9, 2.01, 2.0445, 4.0, 10.0])
+        with mpmath.workdps(30):
+            ref = np.array([complex(mp_reflection_amplitude(mpmath, x)) for x in e])
+        assert np.all(np.abs(reflection_amplitude(STEP, e) - ref) < 1e-12)
+
+    def test_kind_follows_input(self):
+        assert isinstance(reflection_amplitude(STEP, 3.0), complex)
+        assert isinstance(reflection_time_delay(STEP, 3.0), float)
+        e = np.linspace(3.0, 4.0, 6).reshape(2, 3)
+        assert reflection_amplitude(STEP, e).shape == (2, 3)
+        assert reflection_time_delay(STEP, e).shape == (2, 3)
+
+    def test_reflectivity_curve_matches_scalar_loop(self):
+        curve = reflectivity_curve(STEP, 2.000002, 10.0, 300)
+        ref = [abs(reflection_amplitude(STEP, float(x))) ** 2 for x in curve.energies]
+        assert np.allclose(curve.values, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "fn, step, bad, exc",
+        [
+            (reflection_amplitude, STEP, 0.0, ValueError),
+            (reflection_amplitude, STEP, -1.0, ValueError),
+            (reflection_amplitude, STEP, 2.0 + 5e-10, ThresholdBranchPoint),
+            # |z| = 2*sqrt(V2)*a = 60 leaves the series regime
+            (reflection_amplitude, ExpStep(1.0, 100.0, 3.0), 150.0, ValueError),
+            (reflection_time_delay, STEP, 2.0 + 5e-7, ValueError),
+            (reflection_time_delay, STEP, 1.5, ValueError),
+            (reflection_time_delay, ZERO_STEP, ZERO_E, VanishingAmplitude),
+        ],
+    )
+    def test_error_parity(self, fn, step, bad, exc):
+        with pytest.raises(exc):
+            fn(step, bad)
+        e = np.array([step.threshold + 1.0, bad, step.threshold + 3.0])
+        with pytest.raises(exc):
+            fn(step, e)
