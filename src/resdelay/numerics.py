@@ -131,7 +131,7 @@ def _lanczos(z, exp):
     return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * exp(-t) * s
 
 
-def complex_gamma(z):
+def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     """Gamma function for complex argument.
 
     Uses the reflection formula for Re(z) < 0.5, Lanczos otherwise.
@@ -158,7 +158,7 @@ def complex_gamma(z):
     return _lanczos(z, cmath.exp)
 
 
-def _reciprocal_gamma(z):
+def _reciprocal_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     """1/Gamma(z); zero at the poles of Gamma (elementwise on an array)."""
     if isinstance(z, np.ndarray):
         finite = ~_near_nonpositive_integers(z)
@@ -179,7 +179,7 @@ _BESSEL_MAX_TERMS = 200
 _BESSEL_MAX_ABS_Z = 50.0
 
 
-def bessel_j(nu, z: complex):
+def bessel_j(nu: complex | np.ndarray, z: complex):
     """Bessel function J_nu(z) of complex order and its z-derivative.
 
     Ascending power series with principal branch of z**nu; valid (and

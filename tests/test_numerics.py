@@ -156,6 +156,7 @@ def random_complex(seed, n, scale):
 
 
 RNG_ORDERS = random_complex(7, 60, 3.0)
+NEGATIVE_ORDERS = np.array([-0.5, -1.3 + 0.4j, -2.7 - 1.1j, -9.5, -0.2j])
 
 
 class TestComplexGammaArray:
@@ -183,18 +184,12 @@ class TestComplexGammaArray:
 class TestBesselJArray:
     @pytest.mark.parametrize("z", [2.62, 0.3, 7.0 + 1.0j])
     @pytest.mark.parametrize(
-        "nu", [REFLECT_ORDERS, RNG_ORDERS], ids=["reflect", "random"]
+        "nu", [REFLECT_ORDERS, RNG_ORDERS, NEGATIVE_ORDERS],
+        ids=["reflect", "random", "negative"],
     )
     def test_matches_scalar_loop(self, nu, z):
         J, dJ = bessel_j(nu, z)
         ref = scalar_loop(bessel_j, nu, z)
-        assert_rel_close(J, [r[0] for r in ref])
-        assert_rel_close(dJ, [r[1] for r in ref])
-
-    def test_negative_real_part_orders(self):
-        nu = np.array([-0.5, -1.3 + 0.4j, -2.7 - 1.1j, -9.5, -0.2j])
-        J, dJ = bessel_j(nu, 1.7)
-        ref = scalar_loop(bessel_j, nu, 1.7)
         assert_rel_close(J, [r[0] for r in ref])
         assert_rel_close(dJ, [r[1] for r in ref])
 
