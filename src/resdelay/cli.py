@@ -75,7 +75,7 @@ def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> None:
 
 def _base_report(args, subcommand: str) -> dict:
     config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
+        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")
     }
     return {
         "provenance": {

@@ -81,12 +81,14 @@ def lorentzian_sum(
 
 
 def count_resonances(
-    delay: Callable[[float], float],
+    delay: Callable[[np.ndarray], np.ndarray],
     E_lo: float,
     E_hi: float,
     tol: float = 1e-8,
 ) -> CountReport:
-    """Resonance-counting integral n_R = (1/pi) * integral of the delay.
+    """Resonance-counting integral n_R = (1/pi) * integral of the delay,
+    which maps an array of energies to an array of delays (see
+    :func:`~resdelay.numerics.integrate`).
 
     The lower limit is raised to the threshold guard ``E_MIN`` (k = 0 is a
     branch point); the reported ``E_range`` is the range integrated.

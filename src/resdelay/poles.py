@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CurveTooCoarse, NoConvergence
 from .numerics import Curve, find_extrema, newton_complex
-from .scattering import DeltaShell, ScatteringModel, _outgoing_with_slope
+from .scattering import ScatteringModel, _outgoing_with_slope
 
 __all__ = [
     "Pole",
@@ -24,7 +24,6 @@ __all__ = [
     "outgoing_condition",
     "find_poles",
     "classify_pole",
-    "localization_ratio",
 ]
 
 RESONANCE = "Resonance"
@@ -184,47 +183,3 @@ def classify_pole(pole: Pole, delay_curve: Curve) -> Pole:
         diagnostics=diag,
     )
 
-
-def localization_ratio(model: ScatteringModel, E: float) -> float:
-    """Interior (0, a) vs exterior (a, 2a) mean probability density of the
-    regular real-energy radial solution.
-
-    Values well above 1 indicate a localized (resonance-like) state; values
-    near or below 1 scattering-like behaviour.
-    """
-    if E <= 0:
-        raise ValueError("E must be positive")
-    k = math.sqrt(E)
-    a = model.a
-
-    if isinstance(model, DeltaShell):
-        # interior sin(kr); exterior C sin(kr + delta) fixed by the
-        # continuity + derivative-jump conditions at the shell
-        lam = model.a * model.V0
-        ua = math.sin(k * a)
-        upa = k * math.cos(k * a) + lam * math.sin(k * a)
-        i_in = a / 2.0 - math.sin(2.0 * k * a) / (4.0 * k)
-        c_sq = ua * ua + (upa / k) ** 2
-    else:
-        p_sq = E + model.V0
-        if p_sq > 0:
-            p = math.sqrt(p_sq)
-            ua = math.sin(p * a)
-            upa = p * math.cos(p * a)
-            i_in = a / 2.0 - math.sin(2.0 * p * a) / (4.0 * p)
-        else:
-            kap = math.sqrt(-p_sq)
-            ua = math.sinh(kap * a)
-            upa = kap * math.cosh(kap * a)
-            i_in = math.sinh(2.0 * kap * a) / (4.0 * kap) - a / 2.0
-        c_sq = ua * ua + (upa / k) ** 2
-
-    # exterior: C sin(kr + delta) with C^2 = u(a)^2 + (u'(a)/k)^2
-    delta = math.atan2(ua, upa / k) - k * a
-    phi1 = 2.0 * k * a + 2.0 * delta
-    phi2 = 4.0 * k * a + 2.0 * delta
-    i_out = c_sq * (a / 2.0 - (math.sin(phi2) - math.sin(phi1)) / (4.0 * k))
-    if i_out <= 0:
-        return math.inf
-    # ratio of the mean densities over the two intervals of width a
-    return (i_in / a) / (i_out / a)

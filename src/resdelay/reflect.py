@@ -7,7 +7,6 @@ barrier top E = V1 + V2 the amplitude is unimodular (total reflection).
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,30 +46,24 @@ def reflection_amplitude(step: ExpStep, E: float | np.ndarray) -> complex | np.n
     or a numpy array of energies; the result is of the same kind.
 
     Principal branch: p = sqrt(E - V1 - V2) acquires a positive imaginary
-    part below threshold, making |r| = 1 there.  An array takes one array
-    call of :func:`bessel_j` (its argument 2*sqrt(V2)*a does not depend on
-    E) and raises when any of its energies would.
+    part below threshold, making |r| = 1 there.  The energies take one
+    array call of :func:`bessel_j` (its argument 2*sqrt(V2)*a does not
+    depend on E), and the call raises when any of them would.
     """
-    if isinstance(E, np.ndarray):
-        E = E.astype(float)
-        bad = E <= 0
-        if bad.any():
-            raise ValueError(f"E must be positive (E = {E[bad].flat[0]})")
-        at = np.abs(E - step.threshold) < 1e-9
-        if at.any():
-            raise ThresholdBranchPoint(
-                f"E = {E[at].flat[0]} at the branch point {step.threshold}"
-            )
-        k, p = np.sqrt(E), np.sqrt((E - step.threshold).astype(complex))
-    else:
-        if E <= 0:
-            raise ValueError("E must be positive")
-        if abs(E - step.threshold) < 1e-9:
-            raise ThresholdBranchPoint(f"E = {E} at the branch point {step.threshold}")
-        k, p = math.sqrt(E), cmath.sqrt(complex(E - step.threshold))
+    e = np.asarray(E, dtype=float)
+    bad = e <= 0
+    if bad.any():
+        raise ValueError(f"E must be positive (E = {e[bad].flat[0]})")
+    at = np.abs(e - step.threshold) < 1e-9
+    if at.any():
+        raise ThresholdBranchPoint(
+            f"E = {e[at].flat[0]} at the branch point {step.threshold}"
+        )
+    k, p = np.sqrt(e), np.sqrt((e - step.threshold).astype(complex))
     q = math.sqrt(step.V2)
-    J, Jp = bessel_j(-2j * p * step.a, 2.0 * q * step.a)
-    return (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
+    J, Jp = bessel_j(np.asarray(-2j * p * step.a), 2.0 * q * step.a)
+    r = (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
+    return r if isinstance(E, np.ndarray) else complex(r)
 
 
 def _sample_grid(e_lo: float, e_hi: float, n: int) -> np.ndarray:
@@ -92,53 +85,39 @@ def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
 
     The grid is refined adaptively wherever adjacent principal-value samples
     differ by pi or more (at most 12 passes), so the unwrapping is
-    unambiguous.  The initial grid is one array evaluation; the midpoints
-    are inserted one at a time.
+    unambiguous.  The initial grid is one array evaluation, and so are the
+    midpoints each pass inserts.
     """
     grid = _sample_grid(e_lo, e_hi, n)
-    raw = list(np.angle(reflection_amplitude(step, grid)))
-    grid = list(grid)
+    raw = np.angle(reflection_amplitude(step, grid))
     for _ in range(12):
-        inserted = False
-        i = 0
-        while i < len(grid) - 1:
-            d = abs(raw[i + 1] - raw[i])
-            d = min(d, 2.0 * math.pi - d)
-            if d >= math.pi * 0.9 and grid[i + 1] - grid[i] > 1e-12:
-                mid = 0.5 * (grid[i] + grid[i + 1])
-                grid.insert(i + 1, mid)
-                raw.insert(i + 1, cmath.phase(reflection_amplitude(step, mid)))
-                inserted = True
-            i += 1
-        if not inserted:
+        d = np.abs(np.diff(raw))
+        d = np.minimum(d, 2.0 * math.pi - d)
+        split = np.flatnonzero((d >= math.pi * 0.9) & (np.diff(grid) > 1e-12))
+        if not split.size:
             break
-    unwrapped = np.unwrap(np.array(raw))
-    return Curve(np.array(grid), unwrapped, label="theta")
+        mid = 0.5 * (grid[split] + grid[split + 1])
+        grid = np.insert(grid, split + 1, mid)
+        raw = np.insert(raw, split + 1, np.angle(reflection_amplitude(step, mid)))
+    return Curve(grid, np.unwrap(raw), label="theta")
 
 
 def reflection_time_delay(step: ExpStep, E: float | np.ndarray) -> float | np.ndarray:
     """Reflection time delay hbar * d(theta)/dE, computed algebraically from
     r and a central difference dr/dE (no unwrapping needed), at a float or a
     numpy array of energies; the result is of the same kind."""
-    if isinstance(E, np.ndarray):
-        E = E.astype(float)
-        if (E <= step.threshold + 1e-6).any():
-            raise ValueError("E must exceed the barrier top by more than 1e-6")
-        h = np.minimum(1e-6 * np.maximum(1.0, E), 0.49 * (E - step.threshold))
-        r0 = reflection_amplitude(step, E)
-        vanishing = np.abs(r0) < 1e-8
-        if vanishing.any():
-            raise VanishingAmplitude(
-                f"|r| = {abs(r0[vanishing].flat[0]):.2e} at E = {E[vanishing].flat[0]}"
-            )
-    else:
-        if E <= step.threshold + 1e-6:
-            raise ValueError("E must exceed the barrier top by more than 1e-6")
-        h = min(1e-6 * max(1.0, E), 0.49 * (E - step.threshold))
-        r0 = reflection_amplitude(step, E)
-        if abs(r0) < 1e-8:
-            raise VanishingAmplitude(f"|r| = {abs(r0):.2e} at E = {E}")
+    e = np.asarray(E, dtype=float)
+    if (e <= step.threshold + 1e-6).any():
+        raise ValueError("E must exceed the barrier top by more than 1e-6")
+    h = np.minimum(1e-6 * np.maximum(1.0, e), 0.49 * (e - step.threshold))
+    r0 = reflection_amplitude(step, e)
+    vanishing = np.abs(r0) < 1e-8
+    if vanishing.any():
+        raise VanishingAmplitude(
+            f"|r| = {abs(r0[vanishing].flat[0]):.2e} at E = {e[vanishing].flat[0]}"
+        )
     dr = (
-        reflection_amplitude(step, E + h) - reflection_amplitude(step, E - h)
+        reflection_amplitude(step, e + h) - reflection_amplitude(step, e - h)
     ) / (2.0 * h)
-    return (r0.conjugate() * dr).imag / abs(r0) ** 2
+    t = (r0.conjugate() * dr).imag / np.abs(r0) ** 2
+    return t if isinstance(E, np.ndarray) else float(t)

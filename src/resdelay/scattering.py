@@ -182,13 +182,18 @@ def _outgoing_with_slope(model: ScatteringModel, E: complex) -> tuple[complex, c
     return f, df
 
 
-def time_delay(model: ScatteringModel, E: float) -> float:
-    """Time delay T = hbar d(delta_bar)/dE, exact for every model.
+def time_delay(model: ScatteringModel, E: float | np.ndarray) -> float | np.ndarray:
+    """Time delay T = hbar d(delta_bar)/dE, exact for every model, at a
+    float or a numpy array of energies; the result is of the same kind (an
+    array is evaluated one energy at a time).
 
     On the real axis S_bar = +-conj(F)/F, times h1_l(ka)/conj(h1_l(ka)) where
     F lacks it (see :func:`s_matrix`), so
     T = -Im(F'/F) + Im(h1_l'(ka)/h1_l(ka)) a/(2k).
     """
+    if isinstance(E, np.ndarray):
+        t = [time_delay(model, e) for e in E.ravel().tolist()]
+        return np.array(t).reshape(E.shape)
     if not E > 0:
         raise ValueError("E must be positive")
     f, df, hh = _outgoing(model, E)
@@ -199,8 +204,11 @@ def time_delay(model: ScatteringModel, E: float) -> float:
     return t
 
 
-def time_delay_square_well_analytic(model: SquareWell, E: float) -> float:
-    """Closed-form s-wave time delay of the square well.
+def time_delay_square_well_analytic(
+    model: SquareWell, E: float | np.ndarray
+) -> float | np.ndarray:
+    """Closed-form s-wave time delay of the square well, at a float or a
+    numpy array of energies; the result is of the same kind.
 
     Evaluated in the cos^2-multiplied rearrangement, which is regular at the
     removable singularities of the tan/sec representation.  Inaccurate for
@@ -208,34 +216,45 @@ def time_delay_square_well_analytic(model: SquareWell, E: float) -> float:
     """
     if model.l != 0:
         raise ValueError("closed form is s-wave only")
-    if E <= 0:
+    e = np.asarray(E, dtype=float)
+    if (e <= 0).any():
         raise ValueError("E must be positive")
-    k = math.sqrt(E)
-    p = cmath.sqrt(complex(E + model.V0))
+    k = np.sqrt(e)
+    p = np.sqrt((e + model.V0).astype(complex))
     a = model.a
-    if p == 0:  # numerator and denominator both vanish like p^3
-        return (a - 2.0 * model.V0 * a**3 / 3.0) / (2.0 * k * (1.0 + E * a * a))
-    sin_pa, cos_pa = cmath.sin(p * a), cmath.cos(p * a)
+    sin_pa, cos_pa = np.sin(p * a), np.cos(p * a)
     num = model.V0 * sin_pa * cos_pa + a * p * k * k
     den = 2.0 * p * k * ((p * cos_pa) ** 2 + (k * sin_pa) ** 2)
-    return (num / den).real
+    with np.errstate(invalid="ignore"):
+        t = np.where(
+            p == 0,  # numerator and denominator both vanish like p^3
+            (a - 2.0 * model.V0 * a**3 / 3.0) / (2.0 * k * (1.0 + e * a * a)),
+            (num / den).real,
+        )
+    return t if isinstance(E, np.ndarray) else float(t)
 
 
-def time_delay_delta_shell_analytic(model: DeltaShell, E: float) -> float:
+def time_delay_delta_shell_analytic(
+    model: DeltaShell, E: float | np.ndarray
+) -> float | np.ndarray:
     """Closed-form s-wave time delay of the repulsive delta shell, in the
-    regular cos^2-multiplied rearrangement."""
-    if E <= 0:
+    regular cos^2-multiplied rearrangement, at a float or a numpy array of
+    energies; the result is of the same kind."""
+    e = np.asarray(E, dtype=float)
+    if (e <= 0).any():
         raise ValueError("E must be positive")
-    k = math.sqrt(E)
+    k = np.sqrt(e)
     a, lam = model.a, model.a * model.V0
-    s, c = math.sin(k * a), math.cos(k * a)
+    s, c = np.sin(k * a), np.cos(k * a)
     num = lam * s * s + a * k * k
     den = 2.0 * k * ((k * s) ** 2 + (k * c + lam * s) ** 2)
-    return num / den
+    t = num / den
+    return t if isinstance(E, np.ndarray) else float(t)
 
 
-def delay_function(model: ScatteringModel) -> Callable[[float], float]:
-    """The time delay of ``model`` as a function of real E.
+def delay_function(model: ScatteringModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The time delay of ``model`` as a function of real E, a float or a
+    numpy array.
 
     Uses the real-arithmetic closed forms where they hold (delta shell, and
     an s-wave well with V0 a^2 >= _THRESHOLD_BAND, so that no E > 0 enters
@@ -256,7 +275,5 @@ def delay_curve(
     label: str = "time_delay",
 ) -> Curve:
     """Sample :func:`delay_function` on a uniform grid."""
-    e_min = max(e_min, E_MIN)
-    grid = np.linspace(e_min, e_max, n)
-    delay = delay_function(model)
-    return Curve(grid, np.array([delay(E) for E in grid]), label=label)
+    grid = np.linspace(max(e_min, E_MIN), e_max, n)
+    return Curve(grid, delay_function(model)(grid), label=label)

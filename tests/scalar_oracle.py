@@ -1,0 +1,71 @@
+"""Scalar reference implementations for the array code of ``resdelay``.
+
+One complex number at a time in ``cmath`` arithmetic: the Lanczos gamma
+function, the ascending series of J_nu(z), and the exponential step's
+reflection amplitude and central-difference delay.  The package evaluates
+the same formulas on numpy arrays; these loops are what the array tests
+compare against where mpmath would be too slow for hundreds of energies.
+"""
+import cmath
+import math
+
+_LANCZOS_G = 7.0
+_LANCZOS_C = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def complex_gamma(z: complex) -> complex:
+    """Gamma(z) for z off the poles: reflection for Re(z) < 0.5, Lanczos
+    otherwise."""
+    if z.real < 0.5:
+        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
+    w = z - 1.0
+    s = _LANCZOS_C[0]
+    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+        s += c / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * s
+
+
+def bessel_j(nu: complex, z: complex) -> tuple[complex, complex]:
+    """(J_nu(z), dJ/dz) by the ascending series, for z != 0 and nu + 1 off
+    the poles of Gamma; stops once a term falls below 1e-16 of the summed
+    magnitudes."""
+    half = z / 2.0
+    term = cmath.exp(nu * cmath.log(half)) / complex_gamma(nu + 1.0)
+    total, dtotal, acc = term, (nu / z) * term, abs(term)
+    for k in range(1, 201):
+        term = term * (-half * half) / (k * (nu + k))
+        total += term
+        dtotal += ((nu + 2 * k) / z) * term
+        acc += abs(term)
+        if abs(term) < 1e-16 * acc:
+            return total, dtotal
+    raise AssertionError(f"series did not converge at nu={nu}, z={z}")
+
+
+def reflection_amplitude(step, E: float) -> complex:
+    """r(E) of the exponential step from the plane-wave / Bessel matching."""
+    k, p = math.sqrt(E), cmath.sqrt(complex(E - step.threshold))
+    q = math.sqrt(step.V2)
+    J, Jp = bessel_j(-2j * p * step.a, complex(2.0 * q * step.a))
+    return (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
+
+
+def reflection_time_delay(step, E: float) -> float:
+    """Im(conj(r) dr/dE)/|r|^2 with the package's central difference."""
+    h = min(1e-6 * max(1.0, E), 0.49 * (E - step.threshold))
+    r0 = reflection_amplitude(step, E)
+    dr = (reflection_amplitude(step, E + h) - reflection_amplitude(step, E - h)) / (
+        2.0 * h
+    )
+    return (r0.conjugate() * dr).imag / abs(r0) ** 2

@@ -65,6 +65,14 @@ class TestExitCodes:
         lo = float(v1) + float(v2) + 2e-6
         assert report["dip"]["E"] >= lo and report["dip"]["delay_extremum_E"] >= lo
 
+    def test_step_cancelled_series_exits_3(self, tmp_path, capsys):
+        # 2 sqrt(V2) a = 40: r(E) would come from a cancelled J_nu series,
+        # and the first grid raises instead of the quadrature filling its
+        # panel cap
+        args = ["step", "--V2", "100", "--a", "2", "--emin", "102", "--emax", "110"]
+        assert run(args, tmp_path) == 3
+        assert "(SeriesNonConvergence)" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["quux"])
@@ -137,15 +145,11 @@ class TestDeterminism:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert run(["step", "--grid", "200"], out) == 0
-        # the JSON report echoes the output path in provenance, so the
-        # byte-identity guarantee applies to the emitted curves
+        # the report leaves the output directory out of its provenance, so
+        # runs into different directories write the same bytes
         for name in ("fig3_reflectivity.csv", "fig3_theta.csv",
-                     "fig3_delay.csv"):
+                     "fig3_delay.csv", "step_report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        ra = json.loads((a / "step_report.json").read_text())
-        rb = json.loads((b / "step_report.json").read_text())
-        del ra["provenance"]["config"]["out"], rb["provenance"]["config"]["out"]
-        assert ra == rb
 
 
 class TestEnvironmentDefault:
@@ -157,10 +161,11 @@ class TestEnvironmentDefault:
 
 class TestEvaluationCounts:
     def test_step_bessel_calls(self, tmp_path, monkeypatch):
-        # the counting quadrature evaluates the delay one energy at a time
-        # (3 scalar r(E), so 3 bessel_j calls, per evaluation); every fixed
-        # grid is one array call.  A per-point loop over the grids made
-        # 12,627 scalar calls here
+        # every bessel_j call takes an array of orders: the counting
+        # quadrature samples each round's energies in one call of the delay
+        # (3 array r(E) calls, for E and E +- h), and every fixed grid is
+        # one call.  Sampling the quadrature one energy at a time made
+        # 3,771 scalar calls here
         calls = {"scalar": 0, "array": 0}
         original = reflect.bessel_j
 
@@ -171,8 +176,8 @@ class TestEvaluationCounts:
         monkeypatch.setattr(reflect, "bessel_j", counted)
         assert run(["step"], tmp_path) == 0
         report = json.loads((tmp_path / "step_report.json").read_text())
-        assert calls["scalar"] == 3 * report["count"]["evaluations"]
-        assert calls["array"] <= 10
+        assert report["count"]["evaluations"] == 1257
+        assert calls == {"scalar": 0, "array": 51}
 
     def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
         # the reconstruction curve and its error report share one evaluation

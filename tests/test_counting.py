@@ -89,17 +89,17 @@ class TestCountResonances:
         assert rep.N == 0 or rep.near_integer
 
     def test_zero_function(self):
-        rep = count_resonances(lambda e: 0.0, 0.0, 10.0, tol=1e-10)
+        rep = count_resonances(np.zeros_like, 0.0, 10.0, tol=1e-10)
         assert rep.n_R == 0.0
 
     def test_split_fields_consistent(self):
-        rep = count_resonances(lambda e: 0.5, 1.0, 10.0, tol=1e-10)
+        rep = count_resonances(lambda e: np.full_like(e, 0.5), 1.0, 10.0, tol=1e-10)
         assert rep.n_R == pytest.approx(rep.N + rep.Delta, abs=1e-12)
         assert 0.0 <= rep.Delta < 1.0
 
     def test_additivity(self):
         def f(e):
-            return math.sin(e) ** 2 / (1 + e)
+            return np.sin(e) ** 2 / (1 + e)
 
         tol = 1e-9
         ab = count_resonances(f, 1.0, 5.0, tol).n_R

@@ -121,6 +121,16 @@ class TestBesselJ:
         rhs = -2.0 * cmath.sin(nu * cmath.pi) / (cmath.pi * z)
         assert abs(lhs - rhs) <= 1e-8 * max(1e-30, abs(rhs))
 
+    @pytest.mark.parametrize("z", [7.0, 15.0, 25.0])
+    def test_accepted_sums_are_within_the_roundoff_bound(self, z):
+        # the step's order at E - V1 - V2 = 4, a = 1.31: the series cancels
+        # more as z grows, and whatever it returns is good to 1e-8
+        nu = -5.24j
+        v, d = bessel_j(nu, z)
+        ref_v = complex(mpmath.besselj(nu, z))
+        ref_d = complex(mpmath.besselj(nu, z, derivative=1))
+        assert abs(v - ref_v) + abs(d - ref_d) <= 1e-8 * (abs(ref_v) + abs(ref_d))
+
     def test_branch_ambiguity_at_origin(self):
         with pytest.raises(BranchAmbiguity):
             bessel_j(-0.5, 0.0)
@@ -131,13 +141,21 @@ class TestBesselJ:
 
 
 # ---------------------------------------------------------------------------
-# complex_gamma and bessel_j on arrays: the scalar loop is the reference
+# complex_gamma and bessel_j on arrays: a scalar mpmath loop is the reference
 # ---------------------------------------------------------------------------
 
 def assert_rel_close(got, ref, rel=1e-12):
     ref = np.asarray(ref)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
+
+
+def mp_gamma(z):
+    return complex(mpmath.gamma(z))
+
+
+def mp_bessel_j(nu, z):
+    return complex(mpmath.besselj(nu, z)), complex(mpmath.besselj(nu, z, derivative=1))
 
 
 def scalar_loop(fn, xs, *args):
@@ -164,13 +182,13 @@ class TestComplexGammaArray:
         # half the draws have Re(z) < 0.5: the reflection branch
         z = random_complex(3, 200, 4.0)
         assert np.mean(z.real < 0.5) > 0.3
-        assert_rel_close(complex_gamma(z), scalar_loop(complex_gamma, z))
+        assert_rel_close(complex_gamma(z), scalar_loop(mp_gamma, z))
 
     def test_shape_and_real_input(self):
         z = np.array([[1.0, 5.0], [0.5, -0.5]])
         got = complex_gamma(z)
         assert got.shape == (2, 2) and got.dtype == complex
-        assert_rel_close(got.ravel(), scalar_loop(complex_gamma, z.ravel()))
+        assert_rel_close(got.ravel(), scalar_loop(mp_gamma, z.ravel()))
         assert complex_gamma(np.array(0.3 + 1j)).shape == ()
 
     @pytest.mark.parametrize("pole", [0.0, -7.0, -3.0 + 1e-13j])
@@ -189,7 +207,7 @@ class TestBesselJArray:
     )
     def test_matches_scalar_loop(self, nu, z):
         J, dJ = bessel_j(nu, z)
-        ref = scalar_loop(bessel_j, nu, z)
+        ref = scalar_loop(mp_bessel_j, nu, z)
         assert_rel_close(J, [r[0] for r in ref])
         assert_rel_close(dJ, [r[1] for r in ref])
 
@@ -222,6 +240,8 @@ class TestBesselJArray:
             # 1/Gamma(nu + 1) counts as zero, so the series never starts
             (-1.0 + 1e-13, 1.0, SeriesNonConvergence),
             (-1.0, 1.0, ZeroDivisionError),
+            # the terms reach 1e7 and cancel to J ~ 0.1
+            (-5.24j, 40.0, SeriesNonConvergence),
         ],
     )
     def test_error_parity(self, bad, z, exc):
@@ -374,20 +394,36 @@ class TestIntegrate:
         q = integrate(lambda x: x * x, 0.0, 1.0, 1e-12)
         assert q.value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(len(x))
+            return f(x)
+
+        return g, calls
+
     def test_cubic_needs_no_bisection(self):
         # Simpson is exact on cubics: the 32 initial panels share their
-        # edges, so 33 edges + 32 midpoints + 64 quarter points
-        q = integrate(lambda x: x**3, 0.0, 1.0, 1e-8)
+        # edges, so 33 edges + 32 midpoints + 64 quarter points, in one call
+        f, calls = self.counted(lambda x: x**3)
+        q = integrate(f, 0.0, 1.0, 1e-8)
         assert q.value == pytest.approx(0.25, abs=1e-15)
         assert q.evaluations == 129
+        assert calls == [129]
 
     def test_delta_shell_delay_evaluations(self):
-        # one error budget spends its evaluations where the delay peaks
-        q = integrate(delay_function(DeltaShell(10.0, 1.0)), 1e-6, 170.0, 1e-8)
+        # one error budget spends its evaluations where the delay peaks;
+        # each round samples all the quarter points it adds in one call
+        f, calls = self.counted(delay_function(DeltaShell(10.0, 1.0)))
+        q = integrate(f, 1e-6, 170.0, 1e-8)
         assert q.evaluations <= 4000
+        assert (q.evaluations, len(calls)) == (3221, 25)
+        assert sum(calls) == q.evaluations
 
     def test_sine(self):
-        q = integrate(math.sin, 0.0, math.pi, 1e-12)
+        q = integrate(np.sin, 0.0, math.pi, 1e-12)
         assert q.value == pytest.approx(2.0, abs=1e-10)
 
     def test_lorentzian_truncation_matches_arctan(self):
@@ -404,8 +440,8 @@ class TestIntegrate:
         assert q.value == pytest.approx(exact, abs=1e-6)
 
     def test_reversal_antisymmetry(self):
-        fwd = integrate(math.exp, 0.0, 2.0, 1e-10).value
-        bwd = integrate(math.exp, 2.0, 0.0, 1e-10).value
+        fwd = integrate(np.exp, 0.0, 2.0, 1e-10).value
+        bwd = integrate(np.exp, 2.0, 0.0, 1e-10).value
         assert fwd == pytest.approx(-bwd, abs=1e-12)
 
     def test_non_integrable_feature(self):
@@ -416,16 +452,20 @@ class TestIntegrate:
     def test_nan_at_a_node_raises(self):
         # 0.5 is an initial panel edge; a NaN estimate must never be accepted
         with pytest.raises(MaxDepthExceeded):
-            integrate(lambda x: math.nan if x == 0.5 else x, 0.0, 1.0, 1e-8)
+            integrate(lambda x: np.where(x == 0.5, np.nan, x), 0.0, 1.0, 1e-8)
 
     def test_unreachable_tolerance_raises(self):
         # round-off keeps the error sum above tol = 0 at every depth; the
         # panel cap ends the bisection instead of exhausting memory
         with pytest.raises(MaxDepthExceeded):
-            integrate(math.sin, 0.0, math.pi, 0.0)
+            integrate(np.sin, 0.0, math.pi, 0.0)
+
+    def test_integrand_must_return_an_array_of_its_shape(self):
+        with pytest.raises(ValueError):
+            integrate(lambda x: 1.0, 0.0, 1.0, 1e-8)
 
     def test_reports_evaluations(self):
-        q = integrate(math.cos, 0.0, 1.0, 1e-8)
+        q = integrate(np.cos, 0.0, 1.0, 1e-8)
         assert q.evaluations > 0
         assert 0 <= q.error_bound <= 1e-8
 

@@ -17,7 +17,6 @@ from resdelay.poles import (
     _outgoing_with_slope,
     classify_pole,
     find_poles,
-    localization_ratio,
     outgoing_condition,
 )
 from resdelay.scattering import DeltaShell, SquareWell, delay_curve, s_matrix
@@ -286,27 +285,3 @@ class TestClassifyPole:
         with pytest.raises(CurveTooCoarse):
             classify_pole(pole, curve)
 
-
-class TestLocalizationRatio:
-    def test_no_localization_at_spurious_energy(self):
-        m = SquareWell(V0=5, a=2, l=0)
-        assert localization_ratio(m, 0.023387) <= 1.0
-
-    def test_rigid_wall_shell_localizes(self):
-        m = DeltaShell(V0=1e6, a=1)
-        # evaluate at the real part of the first located pole (just below
-        # pi^2, where the interior mode actually sits)
-        reg = SearchRegion((5.0, 15.0), (-0.5, 0.0), n_re=40, n_im=6)
-        e = find_poles(m, reg, tol=1e-8)[0].position
-        assert localization_ratio(m, e) > 10.0
-
-    def test_free_wave_is_uniform(self):
-        # sin^2 oscillations make the pointwise ratio swing around 1;
-        # uniformity shows up in the energy average
-        m = SquareWell(V0=0, a=5, l=0)
-        ratios = [
-            localization_ratio(m, float(e)) for e in np.linspace(0.5, 20.0, 60)
-        ]
-        assert np.mean(ratios) == pytest.approx(1.0, rel=0.05)
-        for r in ratios:
-            assert 0.5 < r < 2.0
