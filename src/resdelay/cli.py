@@ -41,7 +41,7 @@ from .reflect import (
     reflectivity_curve,
     theta_curve,
 )
-from .scattering import DeltaShell, SquareWell, delay_curve, delay_function
+from .scattering import DeltaShell, SquareWell, delay_curve, time_delay
 
 ENV_OUT = "RESDELAY_OUT"
 _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
@@ -124,7 +124,7 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
     report = _base_report(args, args.subcommand)
     report["poles"] = [p.to_dict() for p in poles]
     count = count_resonances(
-        delay_function(model), args.emin, args.emax, tol=args.tol
+        functools.partial(time_delay, model), args.emin, args.emax, tol=args.tol
     )
     report["count"] = count.to_dict()
     curves = [(stem, display)]

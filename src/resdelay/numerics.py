@@ -196,9 +196,11 @@ def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     The orders still summing are kept packed: one that meets the stopping
     rule has its sums checked and stored, and leaves the running arrays.
     """
-    if ((nu.imag == 0) & (nu.real < 0) & (nu.real == np.round(nu.real))).any():
-        # k (nu + k) vanishes at k = -nu
-        raise ZeroDivisionError("complex division by zero")
+    # at an order -n the series divides by k (nu + k) = 0 at k = n; there
+    # J_{-n} = (-1)^n J_n, and the same for the derivative
+    n = np.round(nu.real)
+    negative_int = (nu.imag == 0) & (n < 0) & (nu.real == n)
+    sign, nu = np.where(negative_int, (-1.0) ** n, 1.0), np.where(negative_int, -nu, nu)
     half = z / 2.0
     # k = 0 term; reciprocal gamma absorbs potential poles harmlessly
     term = np.exp(nu * cmath.log(half)) * _reciprocal_gamma(nu + 1.0)
@@ -237,7 +239,7 @@ def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
             left, nu, term, total, dtotal, acc, dacc = (
                 x[run] for x in (left, nu, term, total, dtotal, acc, dacc)
             )
-    return J, dJ
+    return sign * J, sign * dJ
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +256,22 @@ def _upward(l: int, z: complex, f0: complex, f1: complex):
     return f1, f0 - (l + 1) / z * f1
 
 
-def sph_bessel(l: int, z: complex):
+def sph_bessel(l: int, z: complex | np.ndarray):
     """Spherical Bessel j_l, Neumann n_l, outgoing Hankel h_l^(1) and their
     derivatives at complex z.
 
     Returns ``(j, jp, n, np_, h1, h1p)``.  n_l is computed by upward
     recurrence (always stable); j_l by downward Miller recurrence normalized
-    to j_0 = sin z / z when |z| < l, upward otherwise.
+    to j_0 = sin z / z when |z| < l, upward otherwise.  A numpy array ``z``
+    maps the scalar path over its elements and gives arrays of its shape: on
+    the pole search's single points a numpy recurrence is over 10x slower.
     """
     if l < 0 or l > 30:
         raise ValueError("l must be in [0, 30]")
+    if isinstance(z, np.ndarray):
+        rows = [sph_bessel(l, x) for x in z.ravel().tolist()]
+        cols = np.array(rows, dtype=complex).reshape(z.size, 6).T
+        return tuple(c.reshape(z.shape) for c in cols)
     z = complex(z)
     if abs(z) < 1e-300:
         raise ZeroArgument("spherical Bessel functions singular at z = 0")
@@ -306,8 +314,8 @@ def newton_complex(
     max_iter: int = 100,
 ) -> complex:
     """Newton's method in the complex plane with an analytic derivative:
-    ``f(z)`` returns the pair ``(f(z), f'(z))`` and is called once per
-    iterate.
+    ``f(z)`` returns ``(f(z), f'(z))``, possibly followed by further items
+    that are ignored, and is called once per iterate.
 
     Returns a point with |f(z)| <= tol or raises :class:`NoConvergence` —
     never a silent bad root.
@@ -315,7 +323,7 @@ def newton_complex(
     if tol <= 0:
         raise ValueError("tol must be positive")
     z = complex(seed)
-    fz, df = f(z)
+    fz, df, *_ = f(z)
     for _ in range(max_iter):
         if abs(fz) <= tol:
             return z
@@ -325,7 +333,7 @@ def newton_complex(
         if not cmath.isfinite(z_new):
             raise NoConvergence(z, abs(fz))
         z = z_new
-        fz, df = f(z)
+        fz, df, *_ = f(z)
     if abs(fz) <= tol:
         return z
     raise NoConvergence(z, abs(fz))
@@ -470,34 +478,22 @@ def _parabolic_refine(x0, x1, x2, y0, y1, y2):
 
 
 def find_extrema(curve: Curve) -> list[Peak]:
-    """Interior local maxima/minima by three-point comparison, refined by
-    parabolic interpolation.  Endpoints are never reported."""
+    """Interior local maxima/minima, refined by parabolic interpolation.
+    Endpoints are never reported.
+
+    A run of equal samples (a sampled plateau straddling the true extremum,
+    or a single sample) is an extremum when the steps into and out of it
+    go opposite ways, and counts once, at its left edge; a run that reaches
+    the end of the curve is not one.
+    """
     e, v = curve.energies, curve.values
     if len(e) < 3:
         raise ValueError("curve must have at least 3 samples")
+    step = (v[1:] > v[:-1]).astype(int) - (v[1:] < v[:-1])
+    moves = np.flatnonzero(step)  # step i goes from sample i to i + 1
+    into = moves[:-1][step[moves[:-1]] != step[moves[1:]]]
     peaks: list[Peak] = []
-    for i in range(1, len(e) - 1):
-        if v[i] > v[i - 1] and v[i] >= v[i + 1]:
-            kind, exit_step = "max", -1
-        elif v[i] < v[i - 1] and v[i] <= v[i + 1]:
-            kind, exit_step = "min", 1
-        else:
-            continue
-        # ties on the right (a sampled plateau straddling the true extremum)
-        # count once, at the left edge of the plateau
-        if v[i] == v[i + 1] and _plateau_exit_step(v, i) != exit_step:
-            continue
+    for i in (into + 1).tolist():
         x, y = _parabolic_refine(e[i - 1], e[i], e[i + 1], v[i - 1], v[i], v[i + 1])
-        peaks.append(Peak(x, y, kind))
+        peaks.append(Peak(x, y, "max" if step[i - 1] > 0 else "min"))
     return peaks
-
-
-def _plateau_exit_step(v, i) -> int:
-    """Sign of the step that ends the constant run starting at i: -1 if the
-    run steps down, +1 if it steps up, 0 if it runs to the end."""
-    j = i + 1
-    while j < len(v) and v[j] == v[i]:
-        j += 1
-    if j == len(v):
-        return 0
-    return 1 if v[j] > v[i] else -1

@@ -6,6 +6,7 @@ fancier is needed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import CurveTooCoarse, NoConvergence
 from .numerics import Curve, find_extrema, newton_complex
-from .scattering import ScatteringModel, _outgoing_with_slope
+from .scattering import ScatteringModel, _outgoing
 
 __all__ = [
     "Pole",
@@ -86,7 +87,7 @@ class SearchRegion:
 def outgoing_condition(model: ScatteringModel, E: complex) -> complex:
     """Residual whose zeros are the S-matrix poles (purely outgoing wave at
     r = a), principal branch of all square roots."""
-    return _outgoing_with_slope(model, E)[0]
+    return _outgoing(model, E, series=False)[0]
 
 
 def find_poles(
@@ -105,9 +106,9 @@ def find_poles(
     frac = np.linspace(1.0 / region.n_im, 1.0, region.n_im)
     seeds_im = ihi + (im_lo - ihi) * frac**2
 
-    def f(z):
-        return _outgoing_with_slope(model, z)
-
+    # Newton's residual and slope: the bare entire form, by the defaults
+    # lower=False, series=False (a bound keyword makes each call slower)
+    f = functools.partial(_outgoing, model)
     roots: list[complex] = []
     failed = 0
     for sr in seeds_re:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "time_delay",
     "time_delay_square_well_analytic",
     "time_delay_delta_shell_analytic",
-    "delay_function",
     "delay_curve",
 ]
 
@@ -76,8 +75,9 @@ def s_matrix(model: ScatteringModel, E: complex) -> complex:
     outgoing condition of :func:`_outgoing`, lacks it): unitary on the real
     axis, with the pole search's zeros as its lower-half-plane poles.
     """
-    f_in, _, hh_in = _outgoing(model, E, lower=True)
-    f_out, _, hh = _outgoing(model, E)
+    series = _in_band(model, E)
+    f_in, _, hh_in = _outgoing(model, E, lower=True, series=series)
+    f_out, _, hh = _outgoing(model, E, series=series)
     s = -f_in / f_out
     if hh is not None:
         s *= hh[0] / hh_in[0]
@@ -104,24 +104,32 @@ def phase_shift_sweep(model: ScatteringModel, energies: np.ndarray) -> Curve:
     return Curve(energies, out, label="phase_shift_bar")
 
 
-def _outgoing(
-    model: ScatteringModel, E: complex, lower: bool = False, series: bool = True
-) -> tuple[complex, complex, tuple[complex, complex] | None]:
+def _in_band(model: ScatteringModel, E: complex | np.ndarray):
+    """Whether E (elementwise for an array) lies in the band |(pa)^2| <
+    _THRESHOLD_BAND, where :func:`_outgoing` needs its series form."""
+    if isinstance(model, DeltaShell):
+        return False
+    return abs((E + model.V0) * model.a**2) < _THRESHOLD_BAND
+
+
+def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = False):
     """The outgoing (Jost) condition F of ``model`` at k = sqrt(E), or
     k = -sqrt(E) with ``lower``: ``(F, dF/dE, hh)``.
 
     F is the entire form whose zeros are the S-matrix poles; dF/dE chains
-    dk/dE = 1/(2k) and dp/dE = 1/(2p).  ``hh`` is (h1_l(ka), h1_l'(ka)) where
-    F lacks the hard-sphere factor (l >= 1, and the band below), else None.
-    With ``series``, F is f/j_l(pa) in the band |(pa)^2| < _THRESHOLD_BAND,
-    where f vanishes with j_l(pa) and the chain rule through dp/dE loses
-    ~eps/(pa)^2; without it (Newton's residual) the slope is NaN at p = 0
-    and the value defined.
+    dk/dE = 1/(2k) and dp/dE = 1/(2p).  ``hh`` is (h1_l(ka), dh1_l(ka)/dE)
+    where F lacks the hard-sphere factor (l >= 1, and the series form), else
+    None.  With ``series`` (for E in the band of :func:`_in_band`), F is
+    f/j_l(pa), since f vanishes with j_l(pa) and the chain rule through
+    dp/dE loses ~eps/(pa)^2 there; without it (Newton's residual) the slope
+    is NaN at p = 0 and the value defined.  E is a number, evaluated in
+    ``cmath``, or a numpy array free of E = 0, evaluated in numpy.
     """
-    E = complex(E)
-    if E == 0:
+    xp = np if isinstance(E, np.ndarray) else cmath
+    E = E.astype(complex) if xp is np else complex(E)
+    if xp is cmath and E == 0:
         raise ValueError("E = 0 is a branch point")
-    k = cmath.sqrt(E)
+    k = xp.sqrt(E)
     if lower:
         k = -k
     dk = 0.5 / k
@@ -129,7 +137,7 @@ def _outgoing(
     if isinstance(model, DeltaShell):
         lam = model.a * model.V0
         ka = k * model.a
-        c, s = cmath.cos(ka), cmath.sin(ka)
+        c, s = xp.cos(ka), xp.sin(ka)
         # entire form of k cot(ka) + aV0 - ik = 0 (multiplied by sin ka):
         # same zero set, but no poles to derail Newton at sin ka = 0 --
         # essential in the rigid-wall limit where the roots hug those poles
@@ -138,25 +146,27 @@ def _outgoing(
         return f, f_k * dk, None
 
     l, a = model.l, model.a
-    if series and abs(q := (E + model.V0) * a**2) < _THRESHOLD_BAND:
+    if series:
         # f/j_l(pa) = L h - k h' with, for q = (pa)^2 and c = 1/(2l+3),
         #   aL = pa j_l'/j_l = l - c q - c^2 q^2/(2l+5)
         #        - 2 c^3 q^3/((2l+5)(2l+7)) + O(q^4),
         # the series solution of x g' = l(l+1) - g - g^2 - x^2 (Riccati);
         # h'' comes from the spherical Bessel equation
+        q = (E + model.V0) * a**2
         y, c = k * a, 1.0 / (2 * l + 3)
         t2, t3 = c * q / (2 * l + 5), 2.0 * c * q / (2 * l + 7)
         aL = l - c * q * (1.0 + t2 * (1.0 + t3))
         *_, h, hp = sph_bessel(l, y)
         f_k = (aL + 1) * hp + (y - l * (l + 1) / y) * h
         df = -a * c * (1.0 + t2 * (2.0 + 3.0 * t3)) * h + f_k * dk
-        return aL / a * h - k * hp, df, (h, hp)
+        return aL / a * h - k * hp, df, (h, hp * a * dk)
 
-    p = cmath.sqrt(E + model.V0)
-    dp = 0.5 / p if p else complex("nan")
+    p = xp.sqrt(E + model.V0)
+    # p = 0 (E = -V0) lies in the band, so only a number reaches it here
+    dp = 0.5 / p if xp is np or p else complex("nan")
     if l == 0:
         pa = p * a
-        c, s = cmath.cos(pa), cmath.sin(pa)
+        c, s = xp.cos(pa), xp.sin(pa)
         # entire form of ik tan(pa) - p = 0 (multiplied by cos pa)
         f = 1j * k * s - p * c
         f_p = 1j * k * a * c - c + pa * s
@@ -172,35 +182,31 @@ def _outgoing(
     f = p * jp * h - k * hp * j
     f_p = -jp * h - (x - ll / x) * j * h - y * hp * jp
     f_k = x * jp * hp + hp * j + (y - ll / y) * j * h
-    return f, f_p * dp + f_k * dk, (h, hp)
-
-
-def _outgoing_with_slope(model: ScatteringModel, E: complex) -> tuple[complex, complex]:
-    """Newton's residual: the bare entire form of :func:`_outgoing` and its
-    E-derivative."""
-    f, df, _ = _outgoing(model, E, series=False)
-    return f, df
+    return f, f_p * dp + f_k * dk, (h, hp * a * dk)
 
 
 def time_delay(model: ScatteringModel, E: float | np.ndarray) -> float | np.ndarray:
     """Time delay T = hbar d(delta_bar)/dE, exact for every model, at a
-    float or a numpy array of energies; the result is of the same kind (an
-    array is evaluated one energy at a time).
+    float or a numpy array of energies; the result is of the same kind.
 
     On the real axis S_bar = +-conj(F)/F, times h1_l(ka)/conj(h1_l(ka)) where
-    F lacks it (see :func:`s_matrix`), so
-    T = -Im(F'/F) + Im(h1_l'(ka)/h1_l(ka)) a/(2k).
+    F lacks it (see :func:`s_matrix`), so T = -Im(F'/F) + Im(h1_l'/h1_l),
+    both derivatives in E.  An array is one :func:`_outgoing` call, or one
+    on each side of the interior-threshold band when it reaches into it.
     """
-    if isinstance(E, np.ndarray):
-        t = [time_delay(model, e) for e in E.ravel().tolist()]
-        return np.array(t).reshape(E.shape)
-    if not E > 0:
+    if not np.all(E > 0):
         raise ValueError("E must be positive")
-    f, df, hh = _outgoing(model, E)
+    band = _in_band(model, E)
+    if np.any(band) and not np.all(band):  # an array reaching into the band
+        t = np.empty(E.shape)
+        for part in (band, ~band):
+            t[part] = time_delay(model, E[part])
+        return t
+    f, df, hh = _outgoing(model, E, series=bool(np.any(band)))
     t = -(df / f).imag
     if hh is not None:
-        h, hp = hh
-        t += (hp / h).imag * model.a / (2.0 * math.sqrt(E))
+        h, dh = hh
+        t = t + (dh / h).imag
     return t
 
 
@@ -212,7 +218,7 @@ def time_delay_square_well_analytic(
 
     Evaluated in the cos^2-multiplied rearrangement, which is regular at the
     removable singularities of the tan/sec representation.  Inaccurate for
-    0 < |(pa)^2| < _THRESHOLD_BAND, which :func:`delay_function` avoids.
+    0 < |(pa)^2| < _THRESHOLD_BAND; a reference for :func:`time_delay`.
     """
     if model.l != 0:
         raise ValueError("closed form is s-wave only")
@@ -252,21 +258,6 @@ def time_delay_delta_shell_analytic(
     return t if isinstance(E, np.ndarray) else float(t)
 
 
-def delay_function(model: ScatteringModel) -> Callable[[np.ndarray], np.ndarray]:
-    """The time delay of ``model`` as a function of real E, a float or a
-    numpy array.
-
-    Uses the real-arithmetic closed forms where they hold (delta shell, and
-    an s-wave well with V0 a^2 >= _THRESHOLD_BAND, so that no E > 0 enters
-    the threshold band), otherwise :func:`time_delay`.
-    """
-    if isinstance(model, DeltaShell):
-        return lambda E: time_delay_delta_shell_analytic(model, E)
-    if model.l == 0 and model.V0 * model.a**2 >= _THRESHOLD_BAND:
-        return lambda E: time_delay_square_well_analytic(model, E)
-    return lambda E: time_delay(model, E)
-
-
 def delay_curve(
     model: ScatteringModel,
     e_min: float,
@@ -274,6 +265,6 @@ def delay_curve(
     n: int,
     label: str = "time_delay",
 ) -> Curve:
-    """Sample :func:`delay_function` on a uniform grid."""
+    """Sample :func:`time_delay` on a uniform grid."""
     grid = np.linspace(max(e_min, E_MIN), e_max, n)
-    return Curve(grid, delay_function(model)(grid), label=label)
+    return Curve(grid, time_delay(model, grid), label=label)

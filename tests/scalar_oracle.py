@@ -5,9 +5,13 @@ function, the ascending series of J_nu(z), and the exponential step's
 reflection amplitude and central-difference delay.  The package evaluates
 the same formulas on numpy arrays; these loops are what the array tests
 compare against where mpmath would be too slow for hundreds of energies.
+The sample-by-sample extremum scan is the reference for the package's
+array one.
 """
 import cmath
 import math
+
+from resdelay.numerics import Peak, _parabolic_refine
 
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
@@ -69,3 +73,34 @@ def reflection_time_delay(step, E: float) -> float:
         2.0 * h
     )
     return (r0.conjugate() * dr).imag / abs(r0) ** 2
+
+
+def find_extrema(curve) -> list:
+    """Interior extrema by three-point comparison, one sample at a time; a
+    plateau counts once, at its left edge, when the step that ends it goes
+    the other way than the step into it."""
+    e, v = curve.energies, curve.values
+    peaks = []
+    for i in range(1, len(e) - 1):
+        if v[i] > v[i - 1] and v[i] >= v[i + 1]:
+            kind, exit_step = "max", -1
+        elif v[i] < v[i - 1] and v[i] <= v[i + 1]:
+            kind, exit_step = "min", 1
+        else:
+            continue
+        if v[i] == v[i + 1] and _plateau_exit_step(v, i) != exit_step:
+            continue
+        x, y = _parabolic_refine(e[i - 1], e[i], e[i + 1], v[i - 1], v[i], v[i + 1])
+        peaks.append(Peak(x, y, kind))
+    return peaks
+
+
+def _plateau_exit_step(v, i) -> int:
+    """Sign of the step that ends the constant run starting at i: -1 if the
+    run steps down, +1 if it steps up, 0 if it runs to the end."""
+    j = i + 1
+    while j < len(v) and v[j] == v[i]:
+        j += 1
+    if j == len(v):
+        return 0
+    return 1 if v[j] > v[i] else -1

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from resdelay import cli, counting, reflect
+from resdelay import cli, counting, reflect, scattering
 from resdelay.cli import main
 from resdelay.counting import CountReport
 
@@ -194,3 +194,15 @@ class TestEvaluationCounts:
         report = json.loads((tmp_path / "deltashell_report.json").read_text())
         assert report["reconstruction"] is not None
         assert calls[0] == 1
+
+    @pytest.mark.parametrize("argv", [["sqwell", "--l", "0"], ["deltashell"]])
+    def test_pipelines_use_no_closed_form(self, tmp_path, monkeypatch, argv):
+        # the closed-form delays are test references: every curve and count
+        # comes from time_delay, the delay of the outgoing condition whose
+        # zeros the pole search finds
+        def forbidden(model, E):
+            raise AssertionError("closed-form delay called")
+
+        for model in ("square_well", "delta_shell"):
+            monkeypatch.setattr(scattering, f"time_delay_{model}_analytic", forbidden)
+        assert run(argv, tmp_path) == 0

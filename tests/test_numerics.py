@@ -1,10 +1,12 @@
 """Unit tests for the special-function / root-finding / quadrature substrate."""
 import cmath
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import scalar_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,7 @@ from resdelay.numerics import (
     newton_complex,
     sph_bessel,
 )
-from resdelay.scattering import DeltaShell, delay_function
+from resdelay.scattering import DeltaShell, time_delay
 
 mpmath.mp.dps = 30
 
@@ -239,7 +241,6 @@ class TestBesselJArray:
             (1.0, 60.0, ValueError),
             # 1/Gamma(nu + 1) counts as zero, so the series never starts
             (-1.0 + 1e-13, 1.0, SeriesNonConvergence),
-            (-1.0, 1.0, ZeroDivisionError),
             # the terms reach 1e7 and cancel to J ~ 0.1
             (-5.24j, 40.0, SeriesNonConvergence),
         ],
@@ -249,6 +250,18 @@ class TestBesselJArray:
             bessel_j(bad, z)
         with pytest.raises(exc):
             bessel_j(np.array([0.5, bad, 2.0 + 1j]), z)
+
+    @pytest.mark.parametrize("z", [1.0, 2.62, 7.0 + 1.0j])
+    def test_negative_integer_orders(self, z):
+        # the series divides by zero at an order -n; J_{-n} = (-1)^n J_n
+        nu = np.array([-1.0, -2.0, -3.0, -7.0, -1.0 + 0.5j])
+        J, dJ = bessel_j(nu, z)
+        ref = scalar_loop(mp_bessel_j, nu, z)
+        assert_rel_close(J, [r[0] for r in ref])
+        assert_rel_close(dJ, [r[1] for r in ref])
+        for i, n in enumerate(nu):
+            assert bessel_j(n, z) == (J[i], dJ[i])
+        assert bessel_j(-1.0, 1.0)[0] == pytest.approx(-0.440050585744933, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +343,29 @@ class TestSphBessel:
         for l, z in ((0, 1.0), (4, 2.5 + 0.5j), (10, 8.0)):
             j, jp, n, np_, h1, h1p = sph_bessel(l, z)
             assert h1p == pytest.approx(jp + 1j * np_, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("l", [0, 1, 3, 10])
+    def test_array_is_the_scalar_path(self, l):
+        # upward and Miller branches, both sheets of k
+        z = np.concatenate((random_complex(5, 40, 6.0), [-2.5, 0.3, 12.0 + 1.0j]))
+        got = sph_bessel(l, z.reshape(43, 1))
+        for i, x in enumerate(z):
+            for col, want in zip(got, sph_bessel(l, complex(x))):
+                assert col.shape == (43, 1)
+                assert col[i, 0] == want  # bit for bit
+
+    def test_array_shapes(self):
+        for out in sph_bessel(2, np.array(1.5 - 0.5j)):
+            assert out.shape == () and out.dtype == complex
+        assert sph_bessel(2, np.array(1.5 - 0.5j))[0] == sph_bessel(2, 1.5 - 0.5j)[0]
+        for out in sph_bessel(2, np.array([], dtype=complex)):
+            assert out.shape == (0,)
+        j, *_ = sph_bessel(1, np.array([1.0, 2.0]))
+        assert j.dtype == complex
+
+    def test_array_zero_argument_rejected(self):
+        with pytest.raises(ZeroArgument):
+            sph_bessel(3, np.array([1.0, 0.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +452,7 @@ class TestIntegrate:
     def test_delta_shell_delay_evaluations(self):
         # one error budget spends its evaluations where the delay peaks;
         # each round samples all the quarter points it adds in one call
-        f, calls = self.counted(delay_function(DeltaShell(10.0, 1.0)))
+        f, calls = self.counted(functools.partial(time_delay, DeltaShell(10.0, 1.0)))
         q = integrate(f, 1e-6, 170.0, 1e-8)
         assert q.evaluations <= 4000
         assert (q.evaluations, len(calls)) == (3221, 25)
@@ -528,3 +564,34 @@ class TestFindExtrema:
         peaks = find_extrema(Curve(e, np.cos(e)))
         for p in peaks:
             assert e[0] < p.position < e[-1]
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # a plateau extremum counts once, refined from its left edge
+            ([0, 1, 1, 1, 0], [(1.5, "max")]),
+            ([3, 2, 2, 4], [(1.5, "min")]),
+            # a plateau that keeps rising, or that runs to the end, is none
+            ([0, 1, 1, 2, 3], []),
+            ([0, 1, 1, 1], []),
+            ([2, 1, 1], []),
+            # a plateau at the start has no step into it
+            ([1, 1, 0, 1], [(2.0, "min")]),
+        ],
+    )
+    def test_plateaus(self, values, expected):
+        curve = Curve(np.arange(len(values), dtype=float), np.array(values, float))
+        peaks = find_extrema(curve)
+        assert [(p.position, p.kind) for p in peaks] == expected
+        assert peaks == scalar_oracle.find_extrema(curve)
+
+    @given(
+        values=st.lists(st.integers(-2, 2), min_size=3, max_size=40),
+        spacing=st.lists(st.floats(0.1, 2.0), min_size=40, max_size=40),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_sample_scan(self, values, spacing):
+        # small integers make plateaus of every kind
+        e = np.cumsum(spacing[: len(values)])
+        curve = Curve(e, np.array(values, dtype=float))
+        assert find_extrema(curve) == scalar_oracle.find_extrema(curve)

@@ -14,12 +14,17 @@ from resdelay.poles import (
     SPURIOUS,
     Pole,
     SearchRegion,
-    _outgoing_with_slope,
     classify_pole,
     find_poles,
     outgoing_condition,
 )
-from resdelay.scattering import DeltaShell, SquareWell, delay_curve, s_matrix
+from resdelay.scattering import (
+    DeltaShell,
+    SquareWell,
+    _outgoing,
+    delay_curve,
+    s_matrix,
+)
 
 
 def lorentzian_curve(e0, gamma, lo, hi, n=2000):
@@ -43,7 +48,7 @@ class TestOutgoingCondition:
         first = find_poles(m, reg, tol=1e-10)[0]
         # re-find from a perturbed seed
         z = newton_complex(
-            lambda E: _outgoing_with_slope(m, E),
+            lambda E: _outgoing(m, E),
             first.energy + 0.01 - 0.01j,
             1e-10,
             60,
@@ -58,7 +63,7 @@ class TestOutgoingCondition:
         # E = -V0 (p = 0): the value stays defined, only the slope is not
         m = SquareWell(V0=-1, a=1, l=0)
         assert outgoing_condition(m, 1.0) == 0
-        assert cmath.isnan(_outgoing_with_slope(m, 1.0)[1])
+        assert cmath.isnan(_outgoing(m, 1.0)[1])
         with pytest.raises(ZeroArgument):
             outgoing_condition(SquareWell(V0=-1, a=1, l=1), 1.0)
 
@@ -125,7 +130,7 @@ class TestOutgoingSlope:
             ref = complex(
                 mpmath.diff(lambda z: outgoing_mpmath(mpmath, model, z), mpmath.mpc(E))
             )
-        f, df = _outgoing_with_slope(model, E)
+        f, df, _ = _outgoing(model, E)
         assert f == outgoing_condition(model, E)
         assert abs(df - ref) <= 1e-10 * abs(ref)
 
@@ -219,7 +224,7 @@ class TestFindPoles:
         root = find_poles(m, reg, tol=1e-10)[0].energy
 
         def mirrored_condition(E):
-            f, df = _outgoing_with_slope(m, E.conjugate())
+            f, df, _ = _outgoing(m, E.conjugate())
             return f.conjugate(), df.conjugate()
 
         mirrored = newton_complex(

@@ -322,11 +322,46 @@ class TestTimeDelay:
         calls = self.count_calls(monkeypatch, lambda: time_delay(m, 2.0))
         assert calls == {"sph_bessel": 2, "s_matrix": 0}
 
+    def test_array_evaluation_counts(self, monkeypatch):
+        # an array outside the band is one outgoing-condition call: one
+        # sph_bessel call each for j_l(pa) and h_l(ka), and none for the
+        # s-wave and the delta shell
+        E = np.linspace(0.5, 10.0, 200)
+        for m, n in ((SquareWell(V0=5, a=10, l=3), 2),
+                     (SquareWell(V0=5, a=10, l=0), 0), (DeltaShell(V0=10, a=1), 0)):
+            calls = self.count_calls(monkeypatch, lambda: time_delay(m, E))
+            assert calls == {"sph_bessel": n, "s_matrix": 0}
+
     def test_s_matrix_evaluation_counts(self, monkeypatch):
         # the outgoing condition on each sheet: j_l(pa) and h_l(+-ka)
         m = SquareWell(V0=5, a=10, l=3)
         calls = self.count_calls(monkeypatch, lambda: s_matrix(m, 2.0))
         assert calls["sph_bessel"] == 4
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_array_through_the_interior_threshold(self, l):
+        # the grid holds E = -V0 = 5 and reaches into the band on both
+        # sides: the array splits there, warns of nothing, and agrees with
+        # one energy at a time
+        m = SquareWell(V0=-5, a=1, l=l)
+        E = np.union1d(np.linspace(4.9, 5.1, 2001), [5.0, 5.0 + 1e-3])
+        q = np.abs(E - 5.0)  # (pa)^2
+        assert np.count_nonzero(q < 1e-3) > 1
+        t = time_delay(m, E)
+        ref = np.array([time_delay(m, float(e)) for e in E])
+        # numpy rounds complex products and quotients differently from
+        # Python; just outside the band either path loses ~l eps/q (the
+        # chain rule through dp/dE), so the two differ by that much there
+        tol = 1e-13 + 8 * l * np.finfo(float).eps / np.maximum(q, 1e-3)
+        assert np.all(np.abs(t - ref) <= tol * np.abs(ref))
+        t2 = time_delay(m, E[:6].reshape(2, 3))
+        assert t2.shape == (2, 3)
+        assert np.all(np.abs(t2.ravel() - ref[:6]) <= 1e-13 * np.abs(ref[:6]))
+
+    def test_array_of_non_positive_energies_rejected(self):
+        with pytest.raises(ValueError):
+            time_delay(SquareWell(V0=5, a=10, l=1), np.array([1.0, 0.0]))
 
     def test_integrable_across_the_narrow_l5_resonance(self):
         # the quadrature used to chase central-difference noise down to a
@@ -381,11 +416,13 @@ class TestAnalyticDelays:
             for e in (E - 1e-7, E + 1e-7):
                 assert time_delay(m, e) == pytest.approx(t, abs=1e-6)
 
-    def test_delay_function_avoids_the_threshold_band(self):
-        # the closed form loses accuracy just above p = 0 (0.4165788 here)
+    def test_delay_curve_in_the_threshold_band(self):
+        # the closed form loses accuracy just above p = 0 (0.4165788 here);
+        # the curve's array call takes the series form there
         m = SquareWell(V0=-1, a=1, l=0)
         t = delay_curve(m, 1 + 1e-12, 2, 5).values[0]
         assert t == pytest.approx(time_delay(m, 1 + 1e-12), rel=1e-12)
+        assert abs(time_delay_square_well_analytic(m, 1 + 1e-12) - t) > 1e-6
 
     def test_removable_singularity_is_finite(self):
         # cos(pa) = 0 at p a = pi/2: E = (pi/(2a))^2 - V0
