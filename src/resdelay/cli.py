@@ -48,10 +48,68 @@ _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
 
 
 def _write_curve_csv(curve: Curve, path: Path) -> None:
-    lines = ["E,value"]
-    for e, v in zip(curve.energies, curve.values):
-        lines.append(f"{e:.17g},{v:.17g}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = np.column_stack([curve.energies, curve.values]).ravel().tolist()
+    text = ("E,value\n" + "%.17g,%.17g\n" * len(curve)) % tuple(rows)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
+def _json_block(open_: str, close: str, items: list[list[str]], pad: str) -> list[str]:
+    """The pieces of a JSON array or object laid out as ``json.dumps(indent=2)``
+    lays it out on a line that starts with ``pad`` (a newline and its
+    indentation), from the pieces of its items."""
+    if not items:
+        return [open_ + close]
+    inner = pad + "  "
+    pieces = [open_, inner, *items[0]]
+    for item in items[1:]:
+        pieces += ["," + inner, *item]
+    pieces.append(pad + close)
+    return pieces
+
+
+def _json_object(members: dict[str, list[str]], pad: str) -> list[str]:
+    items = [[json.dumps(k), ": ", *members[k]] for k in sorted(members)]
+    return _json_block("{", "}", items, pad)
+
+
+def _json_value(value, pad: str) -> list[str]:
+    # json.dumps escapes a newline inside a string, so each newline is layout
+    return [json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)]
+
+
+def _report_json(report: dict, curves: list[Curve]) -> str:
+    """The report file: ``json.dumps(report, indent=2, sort_keys=True)`` and
+    a newline, where ``report["curves"]`` holds the entries of ``curves``, in
+    order.
+
+    Each curve's samples are written by ``float.__repr__``, the encoder's
+    own format for the finite floats a :class:`Curve` holds, and an array
+    shared by two curves is written once.  Everything else goes through
+    ``json.dumps``.  The text is one join of its pieces: the curve text is
+    placed by structure, not by search, and copied once.
+    """
+    pad_entry, pad_field = "\n    ", "\n      "
+    samples: dict[int, list[str]] = {}  # id of the sample array -> its pieces
+
+    def floats(array: np.ndarray, values: list[float]) -> list[str]:
+        if id(array) not in samples:
+            text = ("," + pad_field + "  ").join(map(float.__repr__, values))
+            items = [[text]] if values else []
+            samples[id(array)] = _json_block("[", "]", items, pad_field)
+        return samples[id(array)]
+
+    entries = []
+    for curve, entry in zip(curves, report["curves"], strict=True):
+        members = {
+            k: _json_value(v, pad_field)
+            for k, v in entry.items() if k not in ("energies", "values")
+        }
+        members["energies"] = floats(curve.energies, entry["energies"])
+        members["values"] = floats(curve.values, entry["values"])
+        entries.append(_json_object(members, pad_entry))
+    members = {k: _json_value(v, "\n  ") for k, v in report.items() if k != "curves"}
+    members["curves"] = _json_block("[", "]", entries, "\n  ")
+    return "".join(_json_object(members, "\n") + ["\n"])
 
 
 def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> None:
@@ -67,7 +125,7 @@ def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> None:
         curve_entries.append(entry)
     report["curves"] = curve_entries
     (out / f"{report['provenance']['subcommand']}_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
+        _report_json(report, [curve for _, curve in curves]),
         encoding="utf-8",
         newline="\n",
     )

@@ -105,19 +105,21 @@ def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
 def reflection_time_delay(step: ExpStep, E: float | np.ndarray) -> float | np.ndarray:
     """Reflection time delay hbar * d(theta)/dE, computed algebraically from
     r and a central difference dr/dE (no unwrapping needed), at a float or a
-    numpy array of energies; the result is of the same kind."""
+    numpy array of energies; the result is of the same kind.
+
+    r at E, E + h and E - h is one stacked :func:`reflection_amplitude`
+    call, so one :func:`bessel_j` call, whatever the shape of E.
+    """
     e = np.asarray(E, dtype=float)
     if (e <= step.threshold + 1e-6).any():
         raise ValueError("E must exceed the barrier top by more than 1e-6")
     h = np.minimum(1e-6 * np.maximum(1.0, e), 0.49 * (e - step.threshold))
-    r0 = reflection_amplitude(step, e)
+    r0, r_up, r_down = reflection_amplitude(step, np.stack([e, e + h, e - h]))
     vanishing = np.abs(r0) < 1e-8
     if vanishing.any():
         raise VanishingAmplitude(
             f"|r| = {abs(r0[vanishing].flat[0]):.2e} at E = {e[vanishing].flat[0]}"
         )
-    dr = (
-        reflection_amplitude(step, e + h) - reflection_amplitude(step, e - h)
-    ) / (2.0 * h)
+    dr = (r_up - r_down) / (2.0 * h)
     t = (r0.conjugate() * dr).imag / np.abs(r0) ** 2
     return t if isinstance(E, np.ndarray) else float(t)

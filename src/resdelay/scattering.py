@@ -33,6 +33,9 @@ E_MIN = 1e-6  # threshold guard: k = 0 is a branch point
 # |(pa)^2| below which _outgoing divides by j_l(pa); the s-wave closed form
 # loses accuracy inside this band
 _THRESHOLD_BAND = 1e-3
+# |Im(pa)| beyond which the s-wave condition is rescaled: e^300 leaves F and
+# dF/dE far from overflow, and e^-600 is far below a rounding error
+_MAX_IM_PA = 300.0
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,18 @@ def _in_band(model: ScatteringModel, E: complex | np.ndarray):
     return abs((E + model.V0) * model.a**2) < _THRESHOLD_BAND
 
 
+def _clip_imag(z):
+    """z with its imaginary part clipped to [-_MAX_IM_PA, _MAX_IM_PA]; every
+    other bit of z is kept."""
+    if isinstance(z, np.ndarray):
+        z = z.copy()
+        z.imag = np.clip(z.imag, -_MAX_IM_PA, _MAX_IM_PA)
+        return z
+    if -_MAX_IM_PA <= z.imag <= _MAX_IM_PA:  # z itself, cheaply: Newton calls this
+        return z
+    return complex(z.real, math.copysign(_MAX_IM_PA, z.imag))
+
+
 def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = False):
     """The outgoing (Jost) condition F of ``model`` at k = sqrt(E), or
     k = -sqrt(E) with ``lower``: ``(F, dF/dE, hh)``.
@@ -166,8 +181,14 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     dp = 0.5 / p if xp is np or p else complex("nan")
     if l == 0:
         pa = p * a
-        c, s = xp.cos(pa), xp.sin(pa)
-        # entire form of ik tan(pa) - p = 0 (multiplied by cos pa)
+        # entire form of ik tan(pa) - p = 0 (multiplied by cos pa).  Under a
+        # thick barrier cos and sin grow like e^|Im pa| and would overflow:
+        # beyond |Im pa| = _MAX_IM_PA they are taken at Im pa clipped to that
+        # bound, which scales F and dF/dE by the same real factor (to within
+        # e^(-2 _MAX_IM_PA)).  p is the same on both sheets of k, so the
+        # factor cancels in s_matrix, in Im(F'/F) and in Newton's F/F'
+        clipped = _clip_imag(pa)
+        c, s = xp.cos(clipped), xp.sin(clipped)
         f = 1j * k * s - p * c
         f_p = 1j * k * a * c - c + pa * s
         return f, 1j * s * dk + f_p * dp, None

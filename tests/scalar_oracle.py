@@ -6,9 +6,11 @@ reflection amplitude and central-difference delay.  The package evaluates
 the same formulas on numpy arrays; these loops are what the array tests
 compare against where mpmath would be too slow for hundreds of energies.
 The sample-by-sample extremum scan is the reference for the package's
-array one.
+array one, and the row-by-row CSV writer and the plain ``json.dumps`` report
+are the references for the CLI's writers.
 """
 import cmath
+import json
 import math
 
 from resdelay.numerics import Peak, _parabolic_refine
@@ -104,3 +106,16 @@ def _plateau_exit_step(v, i) -> int:
     if j == len(v):
         return 0
     return 1 if v[j] > v[i] else -1
+
+
+def curve_csv(curve) -> str:
+    """The text of a curve's CSV file, one f-string per row."""
+    lines = ["E,value"]
+    for e, v in zip(curve.energies, curve.values):
+        lines.append(f"{e:.17g},{v:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def report_json(report: dict) -> str:
+    """The text of a report file: the encoder over every curve sample."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,16 +1,22 @@
 """End-to-end tests of the command-line front-end."""
 import dataclasses
 import json
+import math
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
+
+import scalar_oracle
 
 from resdelay import cli, counting, reflect, scattering
 from resdelay.cli import main
 from resdelay.counting import CountReport
+from resdelay.numerics import Curve
 
 
 def load_schema():
@@ -40,6 +46,31 @@ class TestExitCodes:
         # --emin 1 puts the first grid point at E = -V0, where p = 0
         args = ["sqwell", "--V0", "-1", "--a", "1", "--emin", "1", "--emax", "10"]
         assert run(args + ["--l", l], tmp_path) == 0
+
+    def test_thick_s_wave_barrier(self, tmp_path):
+        # |Im pa| reaches 949 under this barrier, where cos(pa) and sin(pa)
+        # overflow (exit 2 after overflow warnings); the rescaled outgoing
+        # condition gives mpmath's delay
+        mpmath = pytest.importorskip("mpmath")
+        args = ["sqwell", "--V0", "-1000", "--a", "30", "--l", "0"]
+        assert run(args + ["--format", "json"], tmp_path) == 0
+        report = json.loads((tmp_path / "sqwell_report.json").read_text())
+        curve = report["curves"][0]
+
+        def jost(E):
+            k, p = mpmath.sqrt(E), mpmath.sqrt(E - 1000)
+            return 1j * k * mpmath.sin(30 * p) - p * mpmath.cos(30 * p)
+
+        for i in (0, 1, 299, 599):
+            E = curve["energies"][i]
+            with mpmath.workdps(40):
+                ref = -mpmath.im(mpmath.diff(jost, E) / jost(E))
+            assert curve["values"][i] == pytest.approx(float(ref), rel=1e-9)
+        # the barrier is opaque: the phase is arctan(k/kappa) of a hard
+        # sphere with exponential penetration
+        phase = lambda E: math.atan(math.sqrt(E / (1000 - E)))
+        n_R = (phase(10.0) - phase(1e-6)) / math.pi
+        assert report["count"]["n_R"] == pytest.approx(n_R, abs=1e-7)
 
     def test_narrow_l5_resonance_is_integrable(self, tmp_path):
         # the S-matrix central difference left noise that drove the
@@ -140,6 +171,96 @@ class TestOutputs:
         assert report["curves"][0]["energies"]
 
 
+# floats whose repr the fast writers must reproduce: signed zero, the
+# smallest subnormal, exponent forms and integral values
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, 1.0, -3.0,
+                  2.0**53, 0.1, 1e-7, 123456789.0]
+finite_floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# energies stay within 1e300 so that their differences are finite
+energy_lists = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_FLOATS),
+              st.floats(min_value=-1e300, max_value=1e300)),
+    max_size=12,
+).map(lambda xs: sorted(set(xs)))
+json_scalars = st.one_of(
+    st.text(), finite_floats, st.integers(), st.booleans(), st.none()
+)
+
+
+@st.composite
+def curve_sets(draw):
+    """Two curves sharing one energy array and a third with its own (any
+    of them may be empty)."""
+    shared = np.array(draw(energy_lists), dtype=float)
+    own = draw(energy_lists)
+    values = lambda n: draw(st.lists(finite_floats, min_size=n, max_size=n))
+    first = Curve(shared, values(len(shared)), label=draw(st.text()))
+    second = Curve(first.energies, values(len(shared)), label=draw(st.text()))
+    third = Curve(own, values(len(own)), label=draw(st.text()))
+    assert second.energies is first.energies
+    return [first, second, third]
+
+
+class TestWriters:
+    @given(
+        curves=curve_sets(),
+        files=st.lists(st.one_of(st.none(), st.text()), min_size=3, max_size=3),
+        config=st.dictionaries(st.text(), json_scalars),
+        extra=st.dictionaries(st.text(max_size=8), json_scalars),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_report_matches_the_encoder(self, curves, files, config, extra):
+        # strings from argv or config may hold quotes, newlines, brackets or
+        # the keys themselves: the curve text is placed by structure
+        report = {k: v for k, v in extra.items() if k != "curves"}
+        report["provenance"] = {"subcommand": "step", "config": config}
+        report["count"] = {"n_R": -1.25, "evaluations": 1257}
+        entries = []
+        for curve, name in zip(curves, files):
+            entry = curve.to_dict()
+            if name is not None:
+                entry["file"] = name
+            entries.append(entry)
+        report["curves"] = entries
+        got = cli._report_json(report, curves)
+        assert got == scalar_oracle.report_json(report)
+
+    @given(curves=curve_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_csv_matches_the_row_loop(self, tmp_path_factory, curves):
+        path = tmp_path_factory.getbasetemp() / "curve.csv"
+        for curve in curves:
+            cli._write_curve_csv(curve, path)
+            assert path.read_bytes() == scalar_oracle.curve_csv(curve).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [["step", "--grid", "200"], ["data"]])
+    def test_files_match_the_oracle_writers(self, tmp_path, fmt, argv):
+        args = cli.build_parser().parse_args(
+            argv + ["--format", fmt, "--out", str(tmp_path)]
+        )
+        report = args.func(args)
+        # the returned report still holds each curve's samples as lists
+        for entry in report["curves"]:
+            assert type(entry["energies"]) is list and type(entry["values"]) is list
+            assert len(entry["energies"]) == len(entry["values"]) > 0
+        written = (tmp_path / f"{argv[0]}_report.json").read_bytes()
+        assert written == scalar_oracle.report_json(report).encode()
+        csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
+        if fmt == "json":
+            assert csvs == [] and all("file" not in e for e in report["curves"])
+            return
+        assert csvs == sorted(e["file"] for e in report["curves"])
+        for entry in report["curves"]:
+            curve = Curve(entry["energies"], entry["values"])
+            text = scalar_oracle.curve_csv(curve).encode()
+            assert (tmp_path / entry["file"]).read_bytes() == text
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -161,11 +282,12 @@ class TestEnvironmentDefault:
 
 class TestEvaluationCounts:
     def test_step_bessel_calls(self, tmp_path, monkeypatch):
-        # every bessel_j call takes an array of orders: the counting
-        # quadrature samples each round's energies in one call of the delay
-        # (3 array r(E) calls, for E and E +- h), and every fixed grid is
-        # one call.  Sampling the quadrature one energy at a time made
-        # 3,771 scalar calls here
+        # every bessel_j call takes an array of orders, and every delay call
+        # is one of them (r at E and E +- h, stacked): 14 quadrature rounds,
+        # the delay curve and its dip refinement, plus the reflectivity
+        # grid, the theta grid and the reflectivity refinement.  Sampling
+        # the quadrature one energy at a time made 3,771 scalar calls here,
+        # and three r(E) calls per delay call made 51
         calls = {"scalar": 0, "array": 0}
         original = reflect.bessel_j
 
@@ -177,7 +299,7 @@ class TestEvaluationCounts:
         assert run(["step"], tmp_path) == 0
         report = json.loads((tmp_path / "step_report.json").read_text())
         assert report["count"]["evaluations"] == 1257
-        assert calls == {"scalar": 0, "array": 51}
+        assert calls == {"scalar": 0, "array": 19}
 
     def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
         # the reconstruction curve and its error report share one evaluation

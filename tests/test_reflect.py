@@ -7,6 +7,7 @@ import pytest
 
 import scalar_oracle
 
+from resdelay import reflect
 from resdelay.counting import count_resonances
 from resdelay.errors import (
     SeriesNonConvergence,
@@ -228,6 +229,35 @@ class TestArrays:
         e = np.linspace(3.0, 4.0, 6).reshape(2, 3)
         assert reflection_amplitude(STEP, e).shape == (2, 3)
         assert reflection_time_delay(STEP, e).shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "E", [3.0, np.linspace(2.5, 9.0, 40), np.linspace(2.5, 9.0, 40).reshape(5, 8)]
+    )
+    def test_delay_is_one_bessel_call(self, monkeypatch, E):
+        # r at E, E + h and E - h is one stacked amplitude call, for a float
+        # as for an array
+        calls = []
+        original = reflect.bessel_j
+
+        def counted(nu, z):
+            calls.append(np.shape(nu))
+            return original(nu, z)
+
+        monkeypatch.setattr(reflect, "bessel_j", counted)
+        reflection_time_delay(STEP, E)
+        assert calls == [(3,) + np.shape(E)]
+
+    def test_stacked_amplitude_is_bit_identical(self):
+        # bessel_j stops each order by its own rule, so r of a batch is r of
+        # each part, bit for bit: stacking the delay's energies changes no
+        # digit
+        e = np.linspace(2.01, 10.0, 57)
+        parts = [e, e + 1e-6 * e, e - 1e-6 * e]
+        whole = reflection_amplitude(STEP, np.concatenate(parts))
+        apart = np.concatenate([reflection_amplitude(STEP, p) for p in parts])
+        assert np.array_equal(whole, apart)
+        one_by_one = np.array([reflection_amplitude(STEP, float(x)) for x in e])
+        assert np.array_equal(whole[:e.size], one_by_one)
 
     def test_reflectivity_curve_matches_scalar_loop(self):
         curve = reflectivity_curve(STEP, 2.000002, 10.0, 300)
