@@ -246,9 +246,9 @@ def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
 # spherical Bessel / Neumann / Hankel functions
 # ---------------------------------------------------------------------------
 
-def _upward(l: int, z: complex, f0: complex, f1: complex):
+def _upward(l: int, z, f0, f1):
     """(f_l, f_l') from f_0, f_1 by f_{k+1} = (2k+1)/z f_k - f_{k-1}, with
-    f_0' = -f_1 and f_l' = f_{l-1} - (l+1)/z f_l."""
+    f_0' = -f_1 and f_l' = f_{l-1} - (l+1)/z f_l; elementwise on arrays."""
     if l == 0:
         return f0, -f1
     for k in range(1, l):
@@ -256,87 +256,154 @@ def _upward(l: int, z: complex, f0: complex, f1: complex):
     return f1, f0 - (l + 1) / z * f1
 
 
+def _miller(l: int, z: np.ndarray, j0: np.ndarray):
+    """(j_l, j_l') on a 1-D array by downward Miller recurrence normalized to
+    j_0 = sin z / z.  Each element starts at its own order l + 20 + int(|z|)
+    (held at (0, 1e-30) until the loop reaches it) and is rescaled on its
+    own, so it gets the bits it would get alone."""
+    r = np.abs(z)
+    start = l + 20 + r.astype(int)
+    low = int(start.min())
+    fk1, fk = np.zeros_like(z), np.full_like(z, 1e-30)
+    f_l = f_lm1 = fk1
+    # b and b1 bound max |fk| and max |fk1| (with a factor 2 for rounding):
+    # no element is looked at for rescaling while b stays below 1e250
+    g, b1, b = 2.0 / float(r.min()), 0.0, 1e-30
+    for k in range(int(start.max()), -1, -1):
+        new = (2 * k + 3) / z * fk - fk1
+        if k > low:
+            run = start >= k
+            fk1, fk = np.where(run, fk, fk1), np.where(run, new, fk)
+        else:
+            fk1, fk = fk, new
+        b1, b = b, (2 * k + 3) * g * b + 2.0 * b1
+        if b > 1e250:
+            size = np.abs(fk)
+            big = size > 1e250  # rescale to avoid overflow
+            if big.any():
+                fk1, fk, f_l, f_lm1 = (
+                    np.where(big, f * 1e-250, f) for f in (fk1, fk, f_l, f_lm1)
+                )
+                b = 1e250
+            else:
+                b = 2.0 * float(size.max())
+        if k == l:
+            f_l = fk
+        elif k == l - 1:
+            f_lm1 = fk
+    scale = j0 / fk
+    j = f_l * scale
+    return j, f_lm1 * scale - (l + 1) / z * j
+
+
 def sph_bessel(l: int, z: complex | np.ndarray):
     """Spherical Bessel j_l, Neumann n_l, outgoing Hankel h_l^(1) and their
     derivatives at complex z.
 
-    Returns ``(j, jp, n, np_, h1, h1p)``.  n_l is computed by upward
-    recurrence (always stable); j_l by downward Miller recurrence normalized
-    to j_0 = sin z / z when |z| < l, upward otherwise.  A numpy array ``z``
-    maps the scalar path over its elements and gives arrays of its shape: on
-    the pole search's single points a numpy recurrence is over 10x slower.
+    Returns ``(j, jp, n, np_, h1, h1p)``: arrays of the shape of a numpy
+    array ``z``, complex numbers for a number (its one-element case).  n_l
+    is computed by upward recurrence (stable on the real axis; it loses
+    accuracy where |z| < l and |Im z| is large); j_l by upward recurrence
+    where |z| >= l, and elsewhere by downward Miller recurrence normalized
+    to j_0 = sin z / z.  Every element gets the bits it would get
+    alone.  Raises :class:`ZeroArgument` when any |z| < 1e-300.
     """
     if l < 0 or l > 30:
         raise ValueError("l must be in [0, 30]")
-    if isinstance(z, np.ndarray):
-        rows = [sph_bessel(l, x) for x in z.ravel().tolist()]
-        cols = np.array(rows, dtype=complex).reshape(z.size, 6).T
-        return tuple(c.reshape(z.shape) for c in cols)
-    z = complex(z)
-    if abs(z) < 1e-300:
+    if not isinstance(z, np.ndarray):
+        return tuple(c.item() for c in sph_bessel(l, np.array([z], dtype=complex)))
+    shape = z.shape
+    z = z.astype(complex).ravel()
+    r = np.abs(z)
+    if (r < 1e-300).any():
         raise ZeroArgument("spherical Bessel functions singular at z = 0")
 
-    sin_z, cos_z = cmath.sin(z), cmath.cos(z)
-    j0 = sin_z / z
-    n, npr = _upward(l, z, -cos_z / z, -cos_z / (z * z) - sin_z / z)
-    if abs(z) >= l or l == 0:
-        j, jp = _upward(l, z, j0, sin_z / (z * z) - cos_z / z)
-    else:
-        # Miller: start well above l, recur down keeping f_l and f_{l-1},
-        # normalize at order 0
-        start = l + 20 + int(abs(z))
-        fk1, fk = 0.0j, 1e-30 + 0.0j
-        f_l = f_lm1 = 0.0j
-        for k in range(start, -1, -1):
-            fk1, fk = fk, (2 * k + 3) / z * fk - fk1
-            if abs(fk) > 1e250:  # rescale to avoid overflow
-                fk1, fk = fk1 * 1e-250, fk * 1e-250
-                f_l, f_lm1 = f_l * 1e-250, f_lm1 * 1e-250
-            if k == l:
-                f_l = fk
-            elif k == l - 1:
-                f_lm1 = fk
-        scale = j0 / fk
-        j = f_l * scale
-        jp = f_lm1 * scale - (l + 1) / z * j
+    sin_z, cos_z = np.sin(z), np.cos(z)
+    j0, z2 = sin_z / z, z * z
+    # n_l and j_l recur upward together, two rows of one array; the j_l of
+    # the elements with |z| < l is then replaced by Miller's
+    (n, j), (npr, jp) = _upward(
+        l, z,
+        np.array((-cos_z / z, j0)),
+        np.array((-cos_z / z2 - sin_z / z, sin_z / z2 - cos_z / z)),
+    )
+    miller = r < l
+    if miller.any():
+        j[miller], jp[miller] = _miller(l, z[miller], j0[miller])
     h1, h1p = j + 1j * n, jp + 1j * npr
-    return j, jp, n, npr, h1, h1p
+    return tuple(c.reshape(shape) for c in (j, jp, n, npr, h1, h1p))
 
 
 # ---------------------------------------------------------------------------
 # complex Newton iteration
 # ---------------------------------------------------------------------------
 
+# per-seed outcomes of newton_complex on an array of seeds
+CONVERGED = "converged"
+NO_CONVERGENCE = "no_convergence"  # max_iter reached
+NON_FINITE = "non_finite"  # a non-finite value, slope or step
+ZERO_SLOPE = "zero_slope"
+
+
 def newton_complex(
-    f: Callable[[complex], tuple[complex, complex]],
-    seed: complex,
+    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    seed: complex | np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 100,
-) -> complex:
-    """Newton's method in the complex plane with an analytic derivative:
-    ``f(z)`` returns ``(f(z), f'(z))``, possibly followed by further items
-    that are ignored, and is called once per iterate.
+):
+    """Newton's method in the complex plane with an analytic derivative,
+    run on every seed at once: ``f(z)`` maps a 1-D array of iterates to
+    ``(f(z), f'(z))`` arrays, possibly followed by further items that are
+    ignored, and is called once per round on the iterates still running.
 
-    Returns a point with |f(z)| <= tol or raises :class:`NoConvergence` —
-    never a silent bad root.
+    Each seed stops on its own: it converges once |f(z)| <= tol, and fails
+    at a zero slope, at a non-finite value, slope or step, or after
+    ``max_iter`` steps.  A numpy array of seeds returns
+    ``(roots, residuals, outcomes)``, 1-D arrays in seed order: the last
+    iterate, its |f| (inf where f is not finite) and one of ``CONVERGED``,
+    ``NO_CONVERGENCE``, ``NON_FINITE`` and ``ZERO_SLOPE``.  A number seed
+    returns a complex with |f(z)| <= tol or raises :class:`NoConvergence`
+    with the last iterate and its residual -- never a silent bad root.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    z = complex(seed)
-    fz, df, *_ = f(z)
-    for _ in range(max_iter):
-        if abs(fz) <= tol:
-            return z
-        if df == 0 or not (cmath.isfinite(df) and cmath.isfinite(fz)):
-            raise NoConvergence(z, abs(fz) if cmath.isfinite(fz) else math.inf)
-        z_new = z - fz / df
-        if not cmath.isfinite(z_new):
-            raise NoConvergence(z, abs(fz))
-        z = z_new
+    z = np.array(seed, dtype=complex).ravel()
+    roots, residuals = np.empty_like(z), np.empty(z.size)
+    outcomes = np.full(z.size, NO_CONVERGENCE)
+    left = np.arange(z.size)  # positions of the seeds still running
+    with np.errstate(all="ignore"):  # non-finite values end their seeds
         fz, df, *_ = f(z)
-    if abs(fz) <= tol:
-        return z
-    raise NoConvergence(z, abs(fz))
+        for i in range(max_iter + 1):
+            # |f| rounded as Python's abs(complex) rounds it (np.abs differs
+            # in the last bit), so abs(f(root)) <= tol holds for every root
+            r = np.hypot(fz.real, fz.imag)
+            conv = r <= tol
+            z_new = z - fz / df
+            if i < max_iter:
+                zero = ~conv & (df == 0)
+                finite = np.isfinite(fz) & np.isfinite(df) & np.isfinite(z_new)
+                bad = ~(conv | zero | finite)
+                stop = conv | zero | bad
+            else:  # out of steps: every seed still running stops here
+                zero = bad = np.zeros(z.size, dtype=bool)
+                stop = np.ones(z.size, dtype=bool)
+            if stop.any():
+                at = left[stop]
+                roots[at] = z[stop]
+                residuals[at] = np.where(np.isfinite(fz[stop]), r[stop], math.inf)
+                outcomes[left[conv]] = CONVERGED
+                outcomes[left[zero]] = ZERO_SLOPE
+                outcomes[left[bad]] = NON_FINITE
+                left, z_new = left[~stop], z_new[~stop]
+            if not left.size:
+                break
+            z = z_new
+            fz, df, *_ = f(z)
+    if isinstance(seed, np.ndarray):
+        return roots, residuals, outcomes
+    if outcomes[0] != CONVERGED:
+        raise NoConvergence(roots.item(), float(residuals[0]))
+    return roots.item()
 
 
 # ---------------------------------------------------------------------------

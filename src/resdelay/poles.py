@@ -1,8 +1,8 @@
 """Gamow-Siegert pole location and resonance/spurious classification.
 
-Pole search is a dense seed grid plus Newton iteration plus deduplication;
-the regions at stake are small and the residual functions cheap, so nothing
-fancier is needed.
+Pole search is a dense seed grid plus Newton iteration, run on all seeds as
+one array computation, plus deduplication; the regions at stake are small
+and the residual functions cheap, so nothing fancier is needed.
 """
 from __future__ import annotations
 
@@ -12,9 +12,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CurveTooCoarse, NoConvergence
-from .numerics import Curve, find_extrema, newton_complex
-from .scattering import ScatteringModel, _outgoing
+from .errors import CurveTooCoarse
+from .numerics import (
+    CONVERGED,
+    NO_CONVERGENCE,
+    NON_FINITE,
+    ZERO_SLOPE,
+    Curve,
+    find_extrema,
+    newton_complex,
+)
+from .scattering import ScatteringModel, SquareWell, _outgoing
 
 __all__ = [
     "Pole",
@@ -30,6 +38,11 @@ __all__ = [
 RESONANCE = "Resonance"
 SPURIOUS = "Spurious"
 UNCLASSIFIED = "Unclassified"
+
+# the reasons a seed of the pole search fails: Newton's, and an iterate at a
+# branch point of the outgoing condition
+BRANCH_POINT = "branch_point"
+SEED_FAILURES = (NO_CONVERGENCE, NON_FINITE, ZERO_SLOPE, BRANCH_POINT)
 
 
 @dataclass(frozen=True)
@@ -86,18 +99,45 @@ class SearchRegion:
 
 def outgoing_condition(model: ScatteringModel, E: complex) -> complex:
     """Residual whose zeros are the S-matrix poles (purely outgoing wave at
-    r = a), principal branch of all square roots."""
+    r = a), principal branch of all square roots.  A number is evaluated as
+    a one-element array, so it gets the bits the pole search's batch gave
+    it."""
     return _outgoing(model, E, series=False)[0]
+
+
+def _branch_point(model: ScatteringModel, E: np.ndarray) -> np.ndarray:
+    """Elementwise: the outgoing condition cannot be evaluated at E (E = 0,
+    and E = -V0 at l >= 1, where :func:`sph_bessel` raises)."""
+    at = E == 0
+    if isinstance(model, SquareWell) and model.l >= 1:
+        at |= E + model.V0 == 0
+    return at
+
+
+def _newton_residual(model: ScatteringModel, E: np.ndarray):
+    """Newton's residual and slope on an array of iterates: the bare entire
+    form of the outgoing condition, NaN at branch points."""
+    at = _branch_point(model, E)
+    if not at.any():
+        return _outgoing(model, E)[:2]
+    f = np.full(E.shape, np.nan, dtype=complex)
+    df = f.copy()
+    f[~at], df[~at], _ = _outgoing(model, E[~at])
+    return f, df
 
 
 def find_poles(
     model: ScatteringModel, region: SearchRegion, tol: float = 1e-9
 ) -> list[Pole]:
-    """Launch Newton from every grid seed; keep deduplicated lower-half-plane
-    roots inside the region, sorted by Re(E).
+    """Launch Newton from every grid seed, all seeds as one batch; keep
+    deduplicated lower-half-plane roots inside the region (in seed order),
+    sorted by Re(E).
 
-    Non-converged seeds are dropped (their count is recorded on each pole's
-    diagnostics under ``seeds_failed``).
+    Failed seeds are dropped.  Each pole's diagnostics record their count
+    under ``seeds_failed`` and, under ``seeds_failed_by_reason``, their
+    count per reason of :data:`SEED_FAILURES`: ``no_convergence`` (60
+    steps), ``non_finite`` (a value, slope or step), ``zero_slope`` and
+    ``branch_point`` (an iterate where the condition is undefined).
     """
     (re_lo, re_hi), (im_lo, im_hi) = region.re_range, region.im_range
     seeds_re = np.linspace(max(re_lo, 1e-6), re_hi, region.n_re)
@@ -105,32 +145,41 @@ def find_poles(
     ihi = min(im_hi, -1e-6)
     frac = np.linspace(1.0 / region.n_im, 1.0, region.n_im)
     seeds_im = ihi + (im_lo - ihi) * frac**2
+    seeds = np.empty((region.n_re, region.n_im), dtype=complex)
+    seeds.real, seeds.imag = seeds_re[:, None], seeds_im
 
-    # Newton's residual and slope: the bare entire form, by the defaults
-    # lower=False, series=False (a bound keyword makes each call slower)
-    f = functools.partial(_outgoing, model)
-    roots: list[complex] = []
-    failed = 0
-    for sr in seeds_re:
-        for si in seeds_im:
-            try:
-                z = newton_complex(f, complex(sr, si), tol=tol, max_iter=60)
-            except (NoConvergence, ValueError, OverflowError, ZeroDivisionError):
-                failed += 1
-                continue
-            if not (re_lo <= z.real <= re_hi and im_lo <= z.imag < 0):
-                continue
-            if any(abs(z - q) < 1e-6 * (1.0 + abs(z)) for q in roots):
-                continue
-            roots.append(z)
-    roots.sort(key=lambda z: z.real)
+    roots, residuals, outcomes = newton_complex(
+        functools.partial(_newton_residual, model), seeds.ravel(), tol=tol, max_iter=60
+    )
+    outcomes[(outcomes == NON_FINITE) & _branch_point(model, roots)] = BRANCH_POINT
+    failed = {why: int(np.count_nonzero(outcomes == why)) for why in SEED_FAILURES}
+    inside = (
+        (outcomes == CONVERGED)
+        & (re_lo <= roots.real) & (roots.real <= re_hi)
+        & (im_lo <= roots.imag) & (roots.imag < 0)
+    )
+    # dedup in seed order: a root is kept unless it lies within 1e-6 (1 + |z|)
+    # of a root kept before it.  The first root left is kept, and drops
+    # every later one that close (np.hypot rounds as Python's abs(complex))
+    z, r = roots[inside], residuals[inside]
+    size = np.hypot(z.real, z.imag)
+    found: list[tuple[complex, float]] = []
+    while z.size:
+        found.append((z[0].item(), r[0].item()))
+        d = z - z[0]
+        far = ~(np.hypot(d.real, d.imag) < 1e-6 * (1.0 + size))
+        z, r, size = z[far], r[far], size[far]
+    found.sort(key=lambda zr: zr[0].real)
     return [
         Pole(
             z,
-            residual=abs(outgoing_condition(model, z)),
-            diagnostics={"seeds_failed": failed},
+            residual=r,
+            diagnostics={
+                "seeds_failed": sum(failed.values()),
+                "seeds_failed_by_reason": dict(failed),
+            },
         )
-        for z in roots
+        for z, r in found
     ]
 
 

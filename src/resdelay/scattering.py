@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import Curve, sph_bessel
+from .numerics import Curve, _upward, sph_bessel
 
 __all__ = [
     "SquareWell",
@@ -33,7 +33,7 @@ E_MIN = 1e-6  # threshold guard: k = 0 is a branch point
 # |(pa)^2| below which _outgoing divides by j_l(pa); the s-wave closed form
 # loses accuracy inside this band
 _THRESHOLD_BAND = 1e-3
-# |Im(pa)| beyond which the s-wave condition is rescaled: e^300 leaves F and
+# |Im(pa)| beyond which the outgoing condition is rescaled: e^300 leaves F and
 # dF/dE far from overflow, and e^-600 is far below a rounding error
 _MAX_IM_PA = 300.0
 
@@ -71,14 +71,20 @@ class DeltaShell:
 ScatteringModel = Union[SquareWell, DeltaShell]
 
 
-def s_matrix(model: ScatteringModel, E: complex) -> complex:
-    """Hard-sphere-subtracted partial-wave S-matrix at (possibly complex) E.
+def s_matrix(model: ScatteringModel, E: complex | np.ndarray) -> complex | np.ndarray:
+    """Hard-sphere-subtracted partial-wave S-matrix at (possibly complex) E,
+    a number or a numpy array; the result is of the same kind.
 
     S = -F(-k)/F(k) h1_l(ka)/h1_l(-ka) (the last factor only where F, the
     outgoing condition of :func:`_outgoing`, lacks it): unitary on the real
-    axis, with the pole search's zeros as its lower-half-plane poles.
+    axis, with the pole search's zeros as its lower-half-plane poles.  An
+    array is one evaluation, or one on each side of the interior-threshold
+    band when it reaches into it.
     """
-    series = _in_band(model, E)
+    return _banded(_s_matrix, model, E)
+
+
+def _s_matrix(model: ScatteringModel, E, series: bool):
     f_in, _, hh_in = _outgoing(model, E, lower=True, series=series)
     f_out, _, hh = _outgoing(model, E, series=series)
     s = -f_in / f_out
@@ -96,13 +102,16 @@ def phase_shift_bar(model: ScatteringModel, E: float) -> float:
 
 
 def phase_shift_sweep(model: ScatteringModel, energies: np.ndarray) -> Curve:
-    """Continuity-tracked phase shift along an increasing energy grid.
+    """Continuity-tracked phase shift along an increasing energy grid, from
+    one :func:`s_matrix` call on the whole grid.
 
     Branch crossings of the principal value are accumulated so the returned
     curve is smooth wherever the underlying phase is.
     """
     energies = np.asarray(energies, dtype=float)
-    raw = np.array([phase_shift_bar(model, E) for E in energies])
+    if not np.all(energies > 0):
+        raise ValueError("E must be positive")
+    raw = (np.log(s_matrix(model, energies)) / 2j).real
     out = np.unwrap(raw, period=math.pi)
     return Curve(energies, out, label="phase_shift_bar")
 
@@ -115,16 +124,46 @@ def _in_band(model: ScatteringModel, E: complex | np.ndarray):
     return abs((E + model.V0) * model.a**2) < _THRESHOLD_BAND
 
 
-def _clip_imag(z):
+def _banded(evaluate, model: ScatteringModel, E):
+    """``evaluate(model, E, series)`` with ``series`` set where E lies in the
+    band of :func:`_in_band`: one call, or one on each side of the band, put
+    back in place, when an array reaches into it."""
+    band = _in_band(model, E)
+    if np.any(band) and not np.all(band):
+        inside = evaluate(model, E[band], True)
+        outside = evaluate(model, E[~band], False)
+        out = np.empty(E.shape, dtype=np.result_type(inside, outside))
+        out[band], out[~band] = inside, outside
+        return out
+    return evaluate(model, E, bool(np.any(band)))
+
+
+def _clip_imag(z: np.ndarray) -> np.ndarray:
     """z with its imaginary part clipped to [-_MAX_IM_PA, _MAX_IM_PA]; every
     other bit of z is kept."""
-    if isinstance(z, np.ndarray):
-        z = z.copy()
-        z.imag = np.clip(z.imag, -_MAX_IM_PA, _MAX_IM_PA)
-        return z
-    if -_MAX_IM_PA <= z.imag <= _MAX_IM_PA:  # z itself, cheaply: Newton calls this
-        return z
-    return complex(z.real, math.copysign(_MAX_IM_PA, z.imag))
+    z = z.copy()
+    z.imag = np.clip(z.imag, -_MAX_IM_PA, _MAX_IM_PA)
+    return z
+
+
+def _interior_j(l: int, x: np.ndarray):
+    """(j_l(x), j_l'(x)), both scaled by one real factor where |Im x| >
+    _MAX_IM_PA (a thick barrier): there they recur upward from sin and cos
+    at x with Im x clipped to that bound, as :func:`sph_bessel` recurs from
+    sin and cos at x itself (|x| > 300 > l), so both share the factor
+    e^(|Im x| - _MAX_IM_PA) (to within e^(-2 _MAX_IM_PA))."""
+    thick = np.abs(x.imag) > _MAX_IM_PA
+    if not thick.any():
+        j, jp, *_ = sph_bessel(l, x)
+        return j, jp
+    j, jp = np.empty_like(x), np.empty_like(x)
+    thin = ~thick
+    j[thin], jp[thin], *_ = sph_bessel(l, x[thin])
+    xt = x[thick]
+    clipped = _clip_imag(xt)
+    s, c = np.sin(clipped), np.cos(clipped)
+    j[thick], jp[thick] = _upward(l, xt, s / xt, s / (xt * xt) - c / xt)
+    return j, jp
 
 
 def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = False):
@@ -137,14 +176,18 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     None.  With ``series`` (for E in the band of :func:`_in_band`), F is
     f/j_l(pa), since f vanishes with j_l(pa) and the chain rule through
     dp/dE loses ~eps/(pa)^2 there; without it (Newton's residual) the slope
-    is NaN at p = 0 and the value defined.  E is a number, evaluated in
-    ``cmath``, or a numpy array free of E = 0, evaluated in numpy.
+    is NaN at p = 0 and the value defined, or at l >= 1 :func:`sph_bessel`
+    raises.  E is a numpy array, evaluated elementwise (each element gets
+    the bits it would get alone), or a number, its one-element case.
+    E = 0, a branch point, raises ``ValueError``.
     """
-    xp = np if isinstance(E, np.ndarray) else cmath
-    E = E.astype(complex) if xp is np else complex(E)
-    if xp is cmath and E == 0:
+    if not isinstance(E, np.ndarray):
+        f, df, hh = _outgoing(model, np.array([E], dtype=complex), lower, series)
+        return f.item(), df.item(), None if hh is None else (hh[0].item(), hh[1].item())
+    E = E.astype(complex)
+    if (E == 0).any():
         raise ValueError("E = 0 is a branch point")
-    k = xp.sqrt(E)
+    k = np.sqrt(E)
     if lower:
         k = -k
     dk = 0.5 / k
@@ -152,7 +195,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     if isinstance(model, DeltaShell):
         lam = model.a * model.V0
         ka = k * model.a
-        c, s = xp.cos(ka), xp.sin(ka)
+        c, s = np.cos(ka), np.sin(ka)
         # entire form of k cot(ka) + aV0 - ik = 0 (multiplied by sin ka):
         # same zero set, but no poles to derail Newton at sin ka = 0 --
         # essential in the rigid-wall limit where the roots hug those poles
@@ -176,9 +219,9 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
         df = -a * c * (1.0 + t2 * (2.0 + 3.0 * t3)) * h + f_k * dk
         return aL / a * h - k * hp, df, (h, hp * a * dk)
 
-    p = xp.sqrt(E + model.V0)
-    # p = 0 (E = -V0) lies in the band, so only a number reaches it here
-    dp = 0.5 / p if xp is np or p else complex("nan")
+    p = np.sqrt(E + model.V0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dp = 0.5 / p  # not finite at p = 0, and so is the slope there
     if l == 0:
         pa = p * a
         # entire form of ik tan(pa) - p = 0 (multiplied by cos pa).  Under a
@@ -188,16 +231,18 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
         # e^(-2 _MAX_IM_PA)).  p is the same on both sheets of k, so the
         # factor cancels in s_matrix, in Im(F'/F) and in Newton's F/F'
         clipped = _clip_imag(pa)
-        c, s = xp.cos(clipped), xp.sin(clipped)
+        c, s = np.cos(clipped), np.sin(clipped)
         f = 1j * k * s - p * c
         f_p = 1j * k * a * c - c + pa * s
         return f, 1j * s * dk + f_p * dp, None
 
     # entire form of p j_l'(pa)/j_l(pa) - k h1_l'(ka)/h1_l(ka) = 0; the
     # second derivatives come from the spherical Bessel equation,
-    # x y''(x) = -2 y'(x) - (x - l(l+1)/x) y(x)
+    # x y''(x) = -2 y'(x) - (x - l(l+1)/x) y(x).  F and dF/dE are linear in
+    # (j, j'), so the thick-barrier scaling of _interior_j cancels as in
+    # the s-wave
     x, y = p * a, k * a
-    j, jp, *_ = sph_bessel(l, x)
+    j, jp = _interior_j(l, x)
     _, _, _, _, h, hp = sph_bessel(l, y)
     ll = l * (l + 1)
     f = p * jp * h - k * hp * j
@@ -217,13 +262,11 @@ def time_delay(model: ScatteringModel, E: float | np.ndarray) -> float | np.ndar
     """
     if not np.all(E > 0):
         raise ValueError("E must be positive")
-    band = _in_band(model, E)
-    if np.any(band) and not np.all(band):  # an array reaching into the band
-        t = np.empty(E.shape)
-        for part in (band, ~band):
-            t[part] = time_delay(model, E[part])
-        return t
-    f, df, hh = _outgoing(model, E, series=bool(np.any(band)))
+    return _banded(_time_delay, model, E)
+
+
+def _time_delay(model: ScatteringModel, E, series: bool):
+    f, df, hh = _outgoing(model, E, series=series)
     t = -(df / f).imag
     if hh is not None:
         h, dh = hh

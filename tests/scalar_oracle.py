@@ -1,8 +1,9 @@
 """Scalar reference implementations for the array code of ``resdelay``.
 
 One complex number at a time in ``cmath`` arithmetic: the Lanczos gamma
-function, the ascending series of J_nu(z), and the exponential step's
-reflection amplitude and central-difference delay.  The package evaluates
+function, the ascending series of J_nu(z), the spherical Bessel
+recurrences, and the exponential step's reflection amplitude and
+central-difference delay.  The package evaluates
 the same formulas on numpy arrays; these loops are what the array tests
 compare against where mpmath would be too slow for hundreds of energies.
 The sample-by-sample extremum scan is the reference for the package's
@@ -57,6 +58,42 @@ def bessel_j(nu: complex, z: complex) -> tuple[complex, complex]:
         if abs(term) < 1e-16 * acc:
             return total, dtotal
     raise AssertionError(f"series did not converge at nu={nu}, z={z}")
+
+
+def _upward(l: int, z: complex, f0: complex, f1: complex):
+    """(f_l, f_l') from f_0, f_1 by f_{k+1} = (2k+1)/z f_k - f_{k-1}."""
+    if l == 0:
+        return f0, -f1
+    for k in range(1, l):
+        f0, f1 = f1, (2 * k + 1) / z * f1 - f0
+    return f1, f0 - (l + 1) / z * f1
+
+
+def sph_bessel(l: int, z: complex):
+    """(j, jp, n, np_, h1, h1p) at z != 0: n_l upward; j_l upward where
+    |z| >= l, else downward Miller recurrence from l + 20 + int(|z|),
+    rescaled above 1e250 and normalized to j_0 = sin z / z."""
+    sin_z, cos_z = cmath.sin(z), cmath.cos(z)
+    j0 = sin_z / z
+    n, npr = _upward(l, z, -cos_z / z, -cos_z / (z * z) - sin_z / z)
+    if abs(z) >= l or l == 0:
+        j, jp = _upward(l, z, j0, sin_z / (z * z) - cos_z / z)
+    else:
+        fk1, fk = 0.0j, 1e-30 + 0.0j
+        f_l = f_lm1 = 0.0j
+        for k in range(l + 20 + int(abs(z)), -1, -1):
+            fk1, fk = fk, (2 * k + 3) / z * fk - fk1
+            if abs(fk) > 1e250:
+                fk1, fk = fk1 * 1e-250, fk * 1e-250
+                f_l, f_lm1 = f_l * 1e-250, f_lm1 * 1e-250
+            if k == l:
+                f_l = fk
+            elif k == l - 1:
+                f_lm1 = fk
+        scale = j0 / fk
+        j = f_l * scale
+        jp = f_lm1 * scale - (l + 1) / z * j
+    return j, jp, n, npr, j + 1j * n, jp + 1j * npr
 
 
 def reflection_amplitude(step, E: float) -> complex:

@@ -72,6 +72,44 @@ class TestExitCodes:
         n_R = (phase(10.0) - phase(1e-6)) / math.pi
         assert report["count"]["n_R"] == pytest.approx(n_R, abs=1e-7)
 
+    def test_thick_barrier_at_l1(self, tmp_path):
+        # the same barrier at l = 1: sin and cos of pa overflowed in
+        # sph_bessel (an OverflowError traceback, exit 1); j_1(pa) and
+        # j_1'(pa) now recur from pa with Im pa clipped, which scales the
+        # outgoing condition by one real factor, and the delay is mpmath's
+        # -Im(F'/F) + Im(h'/h)
+        mpmath = pytest.importorskip("mpmath")
+        args = ["sqwell", "--V0", "-1000", "--a", "30", "--l", "1"]
+        assert run(args + ["--format", "json"], tmp_path) == 0
+        report = json.loads((tmp_path / "sqwell_report.json").read_text())
+        curve = report["curves"][0]
+
+        def j1(x):
+            return mpmath.sin(x) / x**2 - mpmath.cos(x) / x
+
+        def j1p(x):  # j_1' = j_0 - 2 j_1 / x
+            return mpmath.sin(x) / x - 2 * j1(x) / x
+
+        def h1(y):  # j_1 + i y_1, y_1 = -cos y / y^2 - sin y / y
+            return j1(y) - 1j * (mpmath.cos(y) / y**2 + mpmath.sin(y) / y)
+
+        def h1p(y):  # h_0 - 2 h_1 / y, h_0 = -i e^(iy) / y
+            return -1j * mpmath.exp(1j * y) / y - 2 * h1(y) / y
+
+        def jost(E):
+            k, p = mpmath.sqrt(E), mpmath.sqrt(E - 1000)
+            return p * j1p(30 * p) * h1(30 * k) - k * h1p(30 * k) * j1(30 * p)
+
+        def hard(E):
+            return h1(30 * mpmath.sqrt(E))
+
+        for i in (0, 1, 299, 599):
+            E = curve["energies"][i]
+            with mpmath.workdps(40):
+                ref = (-mpmath.im(mpmath.diff(jost, E) / jost(E))
+                       + mpmath.im(mpmath.diff(hard, E) / hard(E)))
+            assert curve["values"][i] == pytest.approx(float(ref), rel=1e-11)
+
     def test_narrow_l5_resonance_is_integrable(self, tmp_path):
         # the S-matrix central difference left noise that drove the
         # counting quadrature to MaxDepthExceeded (exit 3) here

@@ -1,5 +1,4 @@
 """Unit tests for Lorentzian reconstruction and the counting integral."""
-import cmath
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from resdelay.counting import (
     lorentzian_sum,
     reconstruction_report,
 )
-from resdelay.errors import NoConvergence, SpuriousIncluded
+from resdelay.errors import SpuriousIncluded
 from resdelay.numerics import Curve, find_extrema, newton_complex
 from resdelay.poles import RESONANCE, SPURIOUS, Pole
 from resdelay.reflect import ExpStep, reflection_time_delay
@@ -233,20 +232,19 @@ class TestReconstructionReport:
         m = SquareWell(V0=5, a=10, l=0)
 
         def cond(k):  # (residual, d/dk) with dp/dk = k/p
-            p = cmath.sqrt(k * k + m.V0)
-            c, s = cmath.cos(p * m.a), cmath.sin(p * m.a)
+            p = np.sqrt(k * k + m.V0)
+            c, s = np.cos(p * m.a), np.sin(p * m.a)
             f_p = 1j * k * m.a * c - c + p * m.a * s
             return 1j * k * s - p * c, 1j * s + f_p * k / p
 
         seeds = [complex(x, y) for x in np.linspace(0.05, 45.0, 300)
                  for y in (-0.1, -0.3)]
         seeds += [complex(0.0, y) for y in np.linspace(-2.3, 2.3, 231)]
+        found, _, outcomes = newton_complex(
+            cond, np.array(seeds), tol=1e-12, max_iter=60
+        )
         roots = []
-        for seed in seeds:
-            try:
-                z = newton_complex(cond, seed, tol=1e-12, max_iter=60)
-            except (NoConvergence, ZeroDivisionError, OverflowError):
-                continue
+        for z in found[outcomes == "converged"].tolist():
             if abs(z) > 45.0 or z.real < -1e-9:
                 continue
             if all(abs(z - q) > 1e-8 for q in roots):

@@ -338,6 +338,28 @@ class TestTimeDelay:
         calls = self.count_calls(monkeypatch, lambda: s_matrix(m, 2.0))
         assert calls["sph_bessel"] == 4
 
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_phase_shift_sweep_is_one_s_matrix_call(self, monkeypatch, n):
+        # the whole grid is one s_matrix call, so the sph_bessel count does
+        # not grow with the grid; one scalar s_matrix call per energy made
+        # 4 calls per energy
+        m = SquareWell(V0=5, a=10, l=3)
+        grid = np.linspace(0.1, 10.0, n)
+        calls = self.count_calls(monkeypatch, lambda: phase_shift_sweep(m, grid))
+        assert calls == {"sph_bessel": 4, "s_matrix": 1}
+
+    @pytest.mark.filterwarnings("error")
+    def test_s_matrix_array_through_the_interior_threshold(self):
+        # split at the band as time_delay is; a float's quotient is rounded
+        # by Python, an array's by numpy
+        m = SquareWell(V0=-5, a=1, l=3)
+        E = np.union1d(np.linspace(4.9, 5.1, 201), np.linspace(4.9995, 5.0005, 11))
+        assert np.count_nonzero(np.abs(E - 5.0) < 1e-3) > 1
+        got = s_matrix(m, E)
+        ref = np.array([s_matrix(m, float(e)) for e in E])
+        assert np.all(np.abs(got - ref) <= 1e-15)
+        assert np.all(np.abs(np.abs(got) - 1) < 1e-13)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("l", [0, 1, 3])
     def test_array_through_the_interior_threshold(self, l):
