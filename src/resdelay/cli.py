@@ -113,7 +113,7 @@ def _report_json(report: dict, curves: list[Curve]) -> str:
 
 
 def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> None:
-    out = Path(args.out)
+    out = Path(os.environ.get(ENV_OUT, ".") if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
     curve_entries = []
     for stem, curve in curves:
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--out", default=os.environ.get(ENV_OUT, "."),
+        p.add_argument("--out", default=None,
                        help="output directory (env RESDELAY_OUT)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--tol", type=float, default=1e-8)
@@ -350,9 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ParseError) as exc:

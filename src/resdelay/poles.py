@@ -122,7 +122,7 @@ def _newton_residual(model: ScatteringModel, E: np.ndarray):
         return _outgoing(model, E)[:2]
     f = np.full(E.shape, np.nan, dtype=complex)
     df = f.copy()
-    f[~at], df[~at], _ = _outgoing(model, E[~at])
+    f[~at], df[~at] = _outgoing(model, E[~at])[:2]
     return f, df
 
 

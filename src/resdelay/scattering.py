@@ -36,6 +36,8 @@ _THRESHOLD_BAND = 1e-3
 # |Im(pa)| beyond which the outgoing condition is rescaled: e^300 leaves F and
 # dF/dE far from overflow, and e^-600 is far below a rounding error
 _MAX_IM_PA = 300.0
+# (h, dh/dE) of _outgoing where F already carries the hard-sphere factor
+_NO_HARD_SPHERE = (np.float64(1.0), np.float64(0.0))
 
 
 @dataclass(frozen=True)
@@ -75,22 +77,13 @@ def s_matrix(model: ScatteringModel, E: complex | np.ndarray) -> complex | np.nd
     """Hard-sphere-subtracted partial-wave S-matrix at (possibly complex) E,
     a number or a numpy array; the result is of the same kind.
 
-    S = -F(-k)/F(k) h1_l(ka)/h1_l(-ka) (the last factor only where F, the
-    outgoing condition of :func:`_outgoing`, lacks it): unitary on the real
-    axis, with the pole search's zeros as its lower-half-plane poles.  An
-    array is one evaluation, or one on each side of the interior-threshold
-    band when it reaches into it.
+    S = -F(-k)/F(k) h1_l(ka)/h1_l(-ka), with F and h from :func:`_outgoing`:
+    unitary on the real axis, with the pole search's zeros as its
+    lower-half-plane poles.
     """
-    return _banded(_s_matrix, model, E)
-
-
-def _s_matrix(model: ScatteringModel, E, series: bool):
-    f_in, _, hh_in = _outgoing(model, E, lower=True, series=series)
-    f_out, _, hh = _outgoing(model, E, series=series)
-    s = -f_in / f_out
-    if hh is not None:
-        s *= hh[0] / hh_in[0]
-    return s
+    f_in, _, h_in, _ = _outgoing(model, E, lower=True, series=True)
+    f, _, h, _ = _outgoing(model, E, series=True)
+    return -f_in / f * (h / h_in)
 
 
 def phase_shift_bar(model: ScatteringModel, E: float) -> float:
@@ -116,26 +109,12 @@ def phase_shift_sweep(model: ScatteringModel, energies: np.ndarray) -> Curve:
     return Curve(energies, out, label="phase_shift_bar")
 
 
-def _in_band(model: ScatteringModel, E: complex | np.ndarray):
-    """Whether E (elementwise for an array) lies in the band |(pa)^2| <
-    _THRESHOLD_BAND, where :func:`_outgoing` needs its series form."""
+def _in_band(model: ScatteringModel, E: np.ndarray) -> np.ndarray:
+    """Elementwise: E lies in the band |(pa)^2| < _THRESHOLD_BAND, where
+    :func:`_outgoing` needs its series form (never for the delta shell)."""
     if isinstance(model, DeltaShell):
-        return False
-    return abs((E + model.V0) * model.a**2) < _THRESHOLD_BAND
-
-
-def _banded(evaluate, model: ScatteringModel, E):
-    """``evaluate(model, E, series)`` with ``series`` set where E lies in the
-    band of :func:`_in_band`: one call, or one on each side of the band, put
-    back in place, when an array reaches into it."""
-    band = _in_band(model, E)
-    if np.any(band) and not np.all(band):
-        inside = evaluate(model, E[band], True)
-        outside = evaluate(model, E[~band], False)
-        out = np.empty(E.shape, dtype=np.result_type(inside, outside))
-        out[band], out[~band] = inside, outside
-        return out
-    return evaluate(model, E, bool(np.any(band)))
+        return np.zeros(E.shape, dtype=bool)
+    return np.abs((E + model.V0) * model.a**2) < _THRESHOLD_BAND
 
 
 def _clip_imag(z: np.ndarray) -> np.ndarray:
@@ -168,25 +147,36 @@ def _interior_j(l: int, x: np.ndarray):
 
 def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = False):
     """The outgoing (Jost) condition F of ``model`` at k = sqrt(E), or
-    k = -sqrt(E) with ``lower``: ``(F, dF/dE, hh)``.
+    k = -sqrt(E) with ``lower``: ``(F, dF/dE, h, dh/dE)``.
 
     F is the entire form whose zeros are the S-matrix poles; dF/dE chains
-    dk/dE = 1/(2k) and dp/dE = 1/(2p).  ``hh`` is (h1_l(ka), dh1_l(ka)/dE)
-    where F lacks the hard-sphere factor (l >= 1, and the series form), else
-    None.  With ``series`` (for E in the band of :func:`_in_band`), F is
-    f/j_l(pa), since f vanishes with j_l(pa) and the chain rule through
-    dp/dE loses ~eps/(pa)^2 there; without it (Newton's residual) the slope
-    is NaN at p = 0 and the value defined, or at l >= 1 :func:`sph_bessel`
-    raises.  E is a numpy array, evaluated elementwise (each element gets
-    the bits it would get alone), or a number, its one-element case.
-    E = 0, a branch point, raises ``ValueError``.
+    dk/dE = 1/(2k) and dp/dE = 1/(2p).  h is h1_l(ka) where F lacks the
+    hard-sphere factor (l >= 1, and the series form), else the constant 1
+    (and dh/dE the constant 0).  With ``series``, the elements of E in the
+    band of :func:`_in_band` get F = f/j_l(pa), since f vanishes with
+    j_l(pa) and the chain rule through dp/dE loses ~eps/(pa)^2 there; an
+    array reaching into the band is evaluated on each side of it and put
+    back in place.  Without ``series`` (Newton's residual) there is no band
+    test: the slope is NaN at p = 0 and the value defined, or at l >= 1
+    :func:`sph_bessel` raises.  E is a numpy array, evaluated elementwise
+    (each element gets the bits it would get alone), or a number, its
+    one-element case with Python numbers as the result.  E = 0, a branch
+    point, raises ``ValueError``.
     """
     if not isinstance(E, np.ndarray):
-        f, df, hh = _outgoing(model, np.array([E], dtype=complex), lower, series)
-        return f.item(), df.item(), None if hh is None else (hh[0].item(), hh[1].item())
+        E = np.array([E], dtype=complex)
+        return tuple(v.item() for v in _outgoing(model, E, lower, series))
     E = E.astype(complex)
     if (E == 0).any():
         raise ValueError("E = 0 is a branch point")
+    if series:
+        band = _in_band(model, E)
+        if band.any() and not band.all():
+            out = np.empty((4, *E.shape), dtype=complex)
+            out[:, band] = np.broadcast_arrays(*_outgoing(model, E[band], lower, True))
+            out[:, ~band] = np.broadcast_arrays(*_outgoing(model, E[~band], lower, False))
+            return tuple(out)
+        series = band.any()
     k = np.sqrt(E)
     if lower:
         k = -k
@@ -201,7 +191,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
         # essential in the rigid-wall limit where the roots hug those poles
         f = k * c + (lam - 1j * k) * s
         f_k = c - ka * s - 1j * s + (lam - 1j * k) * model.a * c
-        return f, f_k * dk, None
+        return f, f_k * dk, *_NO_HARD_SPHERE
 
     l, a = model.l, model.a
     if series:
@@ -217,7 +207,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
         *_, h, hp = sph_bessel(l, y)
         f_k = (aL + 1) * hp + (y - l * (l + 1) / y) * h
         df = -a * c * (1.0 + t2 * (2.0 + 3.0 * t3)) * h + f_k * dk
-        return aL / a * h - k * hp, df, (h, hp * a * dk)
+        return aL / a * h - k * hp, df, h, hp * a * dk
 
     p = np.sqrt(E + model.V0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +224,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
         c, s = np.cos(clipped), np.sin(clipped)
         f = 1j * k * s - p * c
         f_p = 1j * k * a * c - c + pa * s
-        return f, 1j * s * dk + f_p * dp, None
+        return f, 1j * s * dk + f_p * dp, *_NO_HARD_SPHERE
 
     # entire form of p j_l'(pa)/j_l(pa) - k h1_l'(ka)/h1_l(ka) = 0; the
     # second derivatives come from the spherical Bessel equation,
@@ -248,30 +238,21 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     f = p * jp * h - k * hp * j
     f_p = -jp * h - (x - ll / x) * j * h - y * hp * jp
     f_k = x * jp * hp + hp * j + (y - ll / y) * j * h
-    return f, f_p * dp + f_k * dk, (h, hp * a * dk)
+    return f, f_p * dp + f_k * dk, h, hp * a * dk
 
 
 def time_delay(model: ScatteringModel, E: float | np.ndarray) -> float | np.ndarray:
     """Time delay T = hbar d(delta_bar)/dE, exact for every model, at a
     float or a numpy array of energies; the result is of the same kind.
 
-    On the real axis S_bar = +-conj(F)/F, times h1_l(ka)/conj(h1_l(ka)) where
-    F lacks it (see :func:`s_matrix`), so T = -Im(F'/F) + Im(h1_l'/h1_l),
-    both derivatives in E.  An array is one :func:`_outgoing` call, or one
-    on each side of the interior-threshold band when it reaches into it.
+    On the real axis S_bar = +-conj(F)/F h1_l(ka)/conj(h1_l(ka)) (see
+    :func:`s_matrix`), so T = -Im(F'/F) + Im(h1_l'/h1_l), both derivatives
+    in E.
     """
     if not np.all(E > 0):
         raise ValueError("E must be positive")
-    return _banded(_time_delay, model, E)
-
-
-def _time_delay(model: ScatteringModel, E, series: bool):
-    f, df, hh = _outgoing(model, E, series=series)
-    t = -(df / f).imag
-    if hh is not None:
-        h, dh = hh
-        t = t + (dh / h).imag
-    return t
+    f, df, h, dh = _outgoing(model, E, series=True)
+    return -(df / f).imag + (dh / h).imag
 
 
 def time_delay_square_well_analytic(

@@ -132,7 +132,7 @@ class TestOutgoingSlope:
             ref = complex(
                 mpmath.diff(lambda z: outgoing_mpmath(mpmath, model, z), mpmath.mpc(E))
             )
-        f, df, _ = _outgoing(model, E)
+        f, df, *_ = _outgoing(model, E)
         assert f == outgoing_condition(model, E)
         assert abs(df - ref) <= 1e-10 * abs(ref)
 
@@ -275,7 +275,7 @@ class TestFindPoles:
         root = find_poles(m, reg, tol=1e-10)[0].energy
 
         def mirrored_condition(E):
-            f, df, _ = _outgoing(m, E.conjugate())
+            f, df, *_ = _outgoing(m, E.conjugate())
             return f.conjugate(), df.conjugate()
 
         mirrored = newton_complex(
