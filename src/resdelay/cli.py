@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -260,8 +261,11 @@ def run_step(args) -> dict:
         )
         delay_ext = _refine_minimum(delay, *window)
         report["dip"] = {"E": dip_e, "delay_extremum_E": delay_ext}
-    count = count_resonances(delay, lo, args.emax, tol=args.tol)
-    report["count"] = count.to_dict()
+    # n_R = (1/pi) * integral of d(theta)/dE, the phase change over pi
+    report["count"] = CountReport.from_n_R(
+        float(theta.values[-1] - theta.values[0]) / math.pi, (lo, args.emax),
+        0.0, len(theta),
+    ).to_dict()
     _emit(report, [("fig3_reflectivity", refl), ("fig3_theta", theta),
                    ("fig3_delay", dly)], args)
     return report
@@ -299,12 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, *, grid=False, tol=False):
         p.add_argument("--out", default=None,
                        help="output directory (env RESDELAY_OUT)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--grid", type=int, default=600)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8)
+        if grid:
+            p.add_argument("--grid", type=int, default=600)
 
     p = sub.add_parser("sqwell", help="square-well time delay and poles")
     p.add_argument("--V0", type=float, default=5.0,
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper Re(E) bound of the pole search")
     p.add_argument("--pole-gmax", type=float, default=12.0,
                    help="largest width admitted in the pole search")
-    common(p)
+    common(p, grid=True, tol=True)
     p.set_defaults(func=run_sqwell)
 
     p = sub.add_parser("deltashell", help="delta-shell time delay and poles")
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", type=float, default=1e-6)
     p.add_argument("--emax", type=float, default=170.0)
     p.add_argument("--pole-gmax", type=float, default=30.0)
-    common(p)
+    common(p, grid=True, tol=True)
     p.set_defaults(func=run_deltashell)
 
     p = sub.add_parser("step", help="exponential-step reflectometry")
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.31)
     p.add_argument("--emin", type=float, default=2.0)
     p.add_argument("--emax", type=float, default=10.0)
-    common(p)
+    common(p, grid=True)
     p.set_defaults(func=run_step)
 
     p = sub.add_parser("data", help="phase-shift table analysis")

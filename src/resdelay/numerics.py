@@ -296,17 +296,32 @@ def _miller(l: int, z: np.ndarray, j0: np.ndarray):
     return j, f_lm1 * scale - (l + 1) / z * j
 
 
+def _sph_j(l: int, z: np.ndarray, sin_z: np.ndarray, cos_z: np.ndarray):
+    """(j_l(z), j_l'(z)) on a complex numpy array, from the given sin z and
+    cos z: by upward recurrence where |z| >= l, and elsewhere by downward
+    Miller recurrence normalized to j_0 = sin z / z.  Raises
+    :class:`ZeroArgument` when any |z| < 1e-300."""
+    r = np.abs(z)
+    if (r < 1e-300).any():
+        raise ZeroArgument("spherical Bessel functions singular at z = 0")
+    j0 = sin_z / z
+    j, jp = _upward(l, z, j0, sin_z / (z * z) - cos_z / z)
+    miller = r < l
+    if miller.any():
+        j[miller], jp[miller] = _miller(l, z[miller], j0[miller])
+    return j, jp
+
+
 def sph_bessel(l: int, z: complex | np.ndarray):
     """Spherical Bessel j_l, Neumann n_l, outgoing Hankel h_l^(1) and their
     derivatives at complex z.
 
     Returns ``(j, jp, n, np_, h1, h1p)``: arrays of the shape of a numpy
-    array ``z``, complex numbers for a number (its one-element case).  n_l
-    is computed by upward recurrence (stable on the real axis; it loses
-    accuracy where |z| < l and |Im z| is large); j_l by upward recurrence
-    where |z| >= l, and elsewhere by downward Miller recurrence normalized
-    to j_0 = sin z / z.  Every element gets the bits it would get
-    alone.  Raises :class:`ZeroArgument` when any |z| < 1e-300.
+    array ``z``, complex numbers for a number (its one-element case).  j_l
+    comes from :func:`_sph_j`; n_l is computed by upward recurrence (stable
+    on the real axis; it loses accuracy where |z| < l and |Im z| is large).
+    Every element gets the bits it would get alone.  Raises
+    :class:`ZeroArgument` when any |z| < 1e-300.
     """
     if l < 0 or l > 30:
         raise ValueError("l must be in [0, 30]")
@@ -314,22 +329,9 @@ def sph_bessel(l: int, z: complex | np.ndarray):
         return tuple(c.item() for c in sph_bessel(l, np.array([z], dtype=complex)))
     shape = z.shape
     z = z.astype(complex).ravel()
-    r = np.abs(z)
-    if (r < 1e-300).any():
-        raise ZeroArgument("spherical Bessel functions singular at z = 0")
-
     sin_z, cos_z = np.sin(z), np.cos(z)
-    j0, z2 = sin_z / z, z * z
-    # n_l and j_l recur upward together, two rows of one array; the j_l of
-    # the elements with |z| < l is then replaced by Miller's
-    (n, j), (npr, jp) = _upward(
-        l, z,
-        np.array((-cos_z / z, j0)),
-        np.array((-cos_z / z2 - sin_z / z, sin_z / z2 - cos_z / z)),
-    )
-    miller = r < l
-    if miller.any():
-        j[miller], jp[miller] = _miller(l, z[miller], j0[miller])
+    j, jp = _sph_j(l, z, sin_z, cos_z)
+    n, npr = _upward(l, z, -cos_z / z, -cos_z / (z * z) - sin_z / z)
     h1, h1p = j + 1j * n, jp + 1j * npr
     return tuple(c.reshape(shape) for c in (j, jp, n, npr, h1, h1p))
 

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import Curve, _upward, sph_bessel
+from .numerics import Curve, _sph_j, sph_bessel
 
 __all__ = [
     "SquareWell",
@@ -125,26 +125,6 @@ def _clip_imag(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _interior_j(l: int, x: np.ndarray):
-    """(j_l(x), j_l'(x)), both scaled by one real factor where |Im x| >
-    _MAX_IM_PA (a thick barrier): there they recur upward from sin and cos
-    at x with Im x clipped to that bound, as :func:`sph_bessel` recurs from
-    sin and cos at x itself (|x| > 300 > l), so both share the factor
-    e^(|Im x| - _MAX_IM_PA) (to within e^(-2 _MAX_IM_PA))."""
-    thick = np.abs(x.imag) > _MAX_IM_PA
-    if not thick.any():
-        j, jp, *_ = sph_bessel(l, x)
-        return j, jp
-    j, jp = np.empty_like(x), np.empty_like(x)
-    thin = ~thick
-    j[thin], jp[thin], *_ = sph_bessel(l, x[thin])
-    xt = x[thick]
-    clipped = _clip_imag(xt)
-    s, c = np.sin(clipped), np.cos(clipped)
-    j[thick], jp[thick] = _upward(l, xt, s / xt, s / (xt * xt) - c / xt)
-    return j, jp
-
-
 def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = False):
     """The outgoing (Jost) condition F of ``model`` at k = sqrt(E), or
     k = -sqrt(E) with ``lower``: ``(F, dF/dE, h, dh/dE)``.
@@ -229,10 +209,12 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     # entire form of p j_l'(pa)/j_l(pa) - k h1_l'(ka)/h1_l(ka) = 0; the
     # second derivatives come from the spherical Bessel equation,
     # x y''(x) = -2 y'(x) - (x - l(l+1)/x) y(x).  F and dF/dE are linear in
-    # (j, j'), so the thick-barrier scaling of _interior_j cancels as in
-    # the s-wave
+    # (j, j'), so the scaling of a thick barrier cancels as in the s-wave:
+    # there j_l recurs upward (|x| > 300 > l) from sin and cos at Im x
+    # clipped, and both carry the factor e^(|Im x| - _MAX_IM_PA)
     x, y = p * a, k * a
-    j, jp = _interior_j(l, x)
+    clipped = _clip_imag(x)
+    j, jp = _sph_j(l, x, np.sin(clipped), np.cos(clipped))
     _, _, _, _, h, hp = sph_bessel(l, y)
     ll = l * (l + 1)
     f = p * jp * h - k * hp * j

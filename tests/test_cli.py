@@ -117,8 +117,9 @@ class TestExitCodes:
         assert run(args, tmp_path) == 0
 
     def test_step_dip_is_integrable(self, tmp_path):
-        # the finite-difference noise of this delay at its dip must not
-        # exhaust the counting quadrature's depth (exit 3)
+        # the finite-difference noise of this delay at its dip once
+        # exhausted the depth of the counting quadrature (exit 3); the delay
+        # curve and its dip refinement must still succeed here
         args = ["step", "--V1", "1.2205", "--V2", "1.4612", "--a", "2.3290"]
         assert run(args, tmp_path) == 0
 
@@ -136,8 +137,7 @@ class TestExitCodes:
 
     def test_step_cancelled_series_exits_3(self, tmp_path, capsys):
         # 2 sqrt(V2) a = 40: r(E) would come from a cancelled J_nu series,
-        # and the first grid raises instead of the quadrature filling its
-        # panel cap
+        # and the first grid raises
         args = ["step", "--V2", "100", "--a", "2", "--emin", "102", "--emax", "110"]
         assert run(args, tmp_path) == 3
         assert "(SeriesNonConvergence)" in capsys.readouterr().err
@@ -321,11 +321,10 @@ class TestEnvironmentDefault:
 class TestEvaluationCounts:
     def test_step_bessel_calls(self, tmp_path, monkeypatch):
         # every bessel_j call takes an array of orders, and every delay call
-        # is one of them (r at E and E +- h, stacked): 14 quadrature rounds,
-        # the delay curve and its dip refinement, plus the reflectivity
-        # grid, the theta grid and the reflectivity refinement.  Sampling
-        # the quadrature one energy at a time made 3,771 scalar calls here,
-        # and three r(E) calls per delay call made 51
+        # is one of them (r at E and E +- h, stacked): the delay curve and
+        # its dip refinement, plus the reflectivity grid, the theta grid and
+        # the reflectivity refinement.  n_R is read off the theta curve at no
+        # further call
         calls = {"scalar": 0, "array": 0}
         original = reflect.bessel_j
 
@@ -336,8 +335,9 @@ class TestEvaluationCounts:
         monkeypatch.setattr(reflect, "bessel_j", counted)
         assert run(["step"], tmp_path) == 0
         report = json.loads((tmp_path / "step_report.json").read_text())
-        assert report["count"]["evaluations"] == 1257
-        assert calls == {"scalar": 0, "array": 19}
+        assert report["count"]["evaluations"] == 600
+        assert report["count"]["quadrature_tol"] == 0.0
+        assert calls == {"scalar": 0, "array": 5}
 
     def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
         # the reconstruction curve and its error report share one evaluation

@@ -1,5 +1,6 @@
 """Unit tests for the exponential-step reflection module."""
 import cmath
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scalar_oracle
 
 from resdelay import reflect
+from resdelay.cli import main
 from resdelay.counting import count_resonances
 from resdelay.errors import (
     SeriesNonConvergence,
@@ -26,12 +28,12 @@ from resdelay.reflect import (
 STEP = ExpStep(V1=1.0, V2=1.0, a=1.31)
 
 
-def mp_reflection_amplitude(mpmath, E):
-    """r(E) of STEP from the matching formula with mpmath's J_nu."""
+def mp_reflection_amplitude(mpmath, E, step=STEP):
+    """r(E) of ``step`` from the matching formula with mpmath's J_nu."""
     k = mpmath.sqrt(E)
-    p = mpmath.sqrt(mpmath.mpf(E) - STEP.threshold)
-    q = mpmath.sqrt(STEP.V2)
-    nu, z = -2j * p * STEP.a, 2 * q * STEP.a
+    p = mpmath.sqrt(mpmath.mpf(E) - step.threshold)
+    q = mpmath.sqrt(step.V2)
+    nu, z = -2j * p * step.a, 2 * q * step.a
     J = mpmath.besselj(nu, z)
     Jp = mpmath.besselj(nu, z, derivative=1)
     return (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
@@ -176,6 +178,60 @@ class TestReflectionTimeDelay:
         assert 0 < raw < math.pi
         assert rep.n_R == pytest.approx(raw / math.pi - 2.0, abs=1e-6)
         assert rep.n_R == pytest.approx(-1.1210, abs=1e-4)
+
+
+# (V1, V2, a) of four expstep bench pool instances: r5/i6 and r0/i3, where
+# the quadrature of the delay is biased by 4.0e-7 and 5.6e-7 just above the
+# barrier top, r2/i0, where theta falls by more than pi, and r4/i0, where
+# n_R is within 3e-4 of -1
+POOL_STEPS = [
+    ("1.9587", "1.0467", "2.4255"),
+    ("1.9986", "1.4353", "2.4335"),
+    ("0.9559", "1.8712", "0.9810"),
+    ("0.9637", "1.8493", "2.0535"),
+]
+
+
+def step_count(tmp_path, step, *extra):
+    v1, v2, a = step
+    argv = ["step", "--V1", v1, "--V2", v2, "--a", a, "--out", str(tmp_path)]
+    assert main(argv + list(extra)) == 0
+    return json.loads((tmp_path / "step_report.json").read_text())["count"]
+
+
+class TestStepCount:
+    """The ``step`` pipeline's n_R is the change of its unwrapped theta over
+    pi."""
+
+    @pytest.mark.parametrize("step", POOL_STEPS)
+    def test_n_r_is_the_phase_change_against_mpmath(self, tmp_path, step):
+        mpmath = pytest.importorskip("mpmath")
+        count = step_count(tmp_path, step)
+        model = ExpStep(*map(float, step))
+        e_lo, e_hi = count["E_range"]
+        with mpmath.workdps(30):
+            raw = float(
+                mpmath.arg(mp_reflection_amplitude(mpmath, e_hi, model))
+                - mpmath.arg(mp_reflection_amplitude(mpmath, e_lo, model))
+            )
+        # the whole turns from the quadrature of the delay, which agrees to
+        # its bias
+        quad = count_resonances(
+            lambda e: reflection_time_delay(model, e), e_lo, e_hi, tol=1e-8
+        )
+        assert count["n_R"] == pytest.approx(quad.n_R, abs=1e-6)
+        turns = round((math.pi * quad.n_R - raw) / (2 * math.pi))
+        expected = (raw + 2 * math.pi * turns) / math.pi
+        assert count["n_R"] == pytest.approx(expected, abs=1e-10)
+        assert count["quadrature_tol"] == 0.0
+
+    @pytest.mark.parametrize("step", POOL_STEPS)
+    def test_n_r_does_not_depend_on_the_grid(self, tmp_path, step):
+        # theta_curve refines a coarse grid until its unwrap is unambiguous
+        fine = step_count(tmp_path / "fine", step)
+        coarse = step_count(tmp_path / "coarse", step, "--grid", "5")
+        assert coarse["evaluations"] < fine["evaluations"] == 600
+        assert coarse["n_R"] == pytest.approx(fine["n_R"], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
