@@ -1,9 +1,10 @@
 """Command-line front-end.
 
 Each subcommand runs one analysis pipeline end to end and emits
-figure-ready CSV curves (``E,value``, 17 significant digits, LF endings)
-plus a machine-readable JSON report that validates against
-``report_schema.json``.
+figure-ready CSV curves (``E,value``, LF endings) plus a machine-readable
+JSON report that validates against ``report_schema.json``.  Every sample is
+written in the shortest digits that read back to the same float
+(``float.__repr__``), the same string in the CSV row as in the report.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -48,10 +49,12 @@ ENV_OUT = "RESDELAY_OUT"
 _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
 
 
-def _write_curve_csv(curve: Curve, path: Path) -> None:
-    rows = np.column_stack([curve.energies, curve.values]).ravel().tolist()
-    text = ("E,value\n" + "%.17g,%.17g\n" * len(curve)) % tuple(rows)
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _digit_table(curves: list[Curve]) -> dict[int, list[str]]:
+    """The digits of every sample, by id of its array: ``float.__repr__``,
+    the JSON encoder's own format for the finite floats a :class:`Curve`
+    holds.  An array shared by two curves is formatted once."""
+    arrays = {id(a): a for curve in curves for a in (curve.energies, curve.values)}
+    return {k: list(map(float.__repr__, a.tolist())) for k, a in arrays.items()}
 
 
 def _json_block(open_: str, close: str, items: list[list[str]], pad: str) -> list[str]:
@@ -78,26 +81,22 @@ def _json_value(value, pad: str) -> list[str]:
     return [json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)]
 
 
-def _report_json(report: dict, curves: list[Curve]) -> str:
+def _report_json(report: dict, curves: list[Curve],
+                 digits: dict[int, list[str]]) -> str:
     """The report file: ``json.dumps(report, indent=2, sort_keys=True)`` and
     a newline, where ``report["curves"]`` holds the entries of ``curves``, in
     order.
 
-    Each curve's samples are written by ``float.__repr__``, the encoder's
-    own format for the finite floats a :class:`Curve` holds, and an array
-    shared by two curves is written once.  Everything else goes through
-    ``json.dumps``.  The text is one join of its pieces: the curve text is
-    placed by structure, not by search, and copied once.
+    Each curve's samples are the strings of ``digits``
+    (:func:`_digit_table`), the encoder's own text for them.  Everything
+    else goes through ``json.dumps``.  The text is one join of its pieces:
+    the curve text is placed by structure, not by search, and copied once.
     """
     pad_entry, pad_field = "\n    ", "\n      "
-    samples: dict[int, list[str]] = {}  # id of the sample array -> its pieces
 
-    def floats(array: np.ndarray, values: list[float]) -> list[str]:
-        if id(array) not in samples:
-            text = ("," + pad_field + "  ").join(map(float.__repr__, values))
-            items = [[text]] if values else []
-            samples[id(array)] = _json_block("[", "]", items, pad_field)
-        return samples[id(array)]
+    def floats(array: np.ndarray) -> list[str]:
+        text = ("," + pad_field + "  ").join(digits[id(array)])
+        return _json_block("[", "]", [[text]] if text else [], pad_field)
 
     entries = []
     for curve, entry in zip(curves, report["curves"], strict=True):
@@ -105,8 +104,8 @@ def _report_json(report: dict, curves: list[Curve]) -> str:
             k: _json_value(v, pad_field)
             for k, v in entry.items() if k not in ("energies", "values")
         }
-        members["energies"] = floats(curve.energies, entry["energies"])
-        members["values"] = floats(curve.values, entry["values"])
+        members["energies"] = floats(curve.energies)
+        members["values"] = floats(curve.values)
         entries.append(_json_object(members, pad_entry))
     members = {k: _json_value(v, "\n  ") for k, v in report.items() if k != "curves"}
     members["curves"] = _json_block("[", "]", entries, "\n  ")
@@ -116,17 +115,22 @@ def _report_json(report: dict, curves: list[Curve]) -> str:
 def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> None:
     out = Path(os.environ.get(ENV_OUT, ".") if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
+    plain = [curve for _, curve in curves]
+    digits = _digit_table(plain)
     curve_entries = []
     for stem, curve in curves:
         entry = curve.to_dict()
         if args.format == "csv":
             path = out / f"{stem}.csv"
-            _write_curve_csv(curve, path)
+            rows = map("{},{}\n".format, digits[id(curve.energies)],
+                       digits[id(curve.values)])
+            path.write_text("E,value\n" + "".join(rows), encoding="utf-8",
+                            newline="\n")
             entry["file"] = path.name
         curve_entries.append(entry)
     report["curves"] = curve_entries
     (out / f"{report['provenance']['subcommand']}_report.json").write_text(
-        _report_json(report, [curve for _, curve in curves]),
+        _report_json(report, plain, digits),
         encoding="utf-8",
         newline="\n",
     )

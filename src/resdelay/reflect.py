@@ -69,6 +69,8 @@ def reflection_amplitude(step: ExpStep, E: float | np.ndarray) -> complex | np.n
 def _sample_grid(e_lo: float, e_hi: float, n: int) -> np.ndarray:
     if not (e_hi > e_lo > 0):
         raise ValueError("require e_hi > e_lo > 0")
+    if n < 2:
+        raise ValueError(f"a curve needs at least 2 samples (n = {n})")
     return np.linspace(e_lo, e_hi, n)
 
 

@@ -146,10 +146,11 @@ def _plateau_exit_step(v, i) -> int:
 
 
 def curve_csv(curve) -> str:
-    """The text of a curve's CSV file, one f-string per row."""
+    """The text of a curve's CSV file, one f-string per row, in the digits
+    the encoder gives each sample in the report."""
     lines = ["E,value"]
     for e, v in zip(curve.energies, curve.values):
-        lines.append(f"{e:.17g},{v:.17g}")
+        lines.append(f"{float(e)!r},{float(v)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line front-end."""
+import argparse
 import dataclasses
 import json
 import math
@@ -35,6 +36,11 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         # emax below the barrier top is a config error
         assert run(["step", "--emax", "1.0"], tmp_path) == 2
+
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_step_grid_below_two_is_validation(self, tmp_path, grid):
+        # the theta curve needs two samples for a phase change
+        assert run(["step", "--grid", grid], tmp_path) == 2
 
     def test_parse_error_is_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -264,16 +270,45 @@ class TestWriters:
                 entry["file"] = name
             entries.append(entry)
         report["curves"] = entries
-        got = cli._report_json(report, curves)
+        got = cli._report_json(report, curves, cli._digit_table(curves))
         assert got == scalar_oracle.report_json(report)
 
     @given(curves=curve_sets())
     @settings(max_examples=100, deadline=None)
     def test_csv_matches_the_row_loop(self, tmp_path_factory, curves):
-        path = tmp_path_factory.getbasetemp() / "curve.csv"
-        for curve in curves:
-            cli._write_curve_csv(curve, path)
-            assert path.read_bytes() == scalar_oracle.curve_csv(curve).encode()
+        out = tmp_path_factory.getbasetemp() / "curves"
+        args = argparse.Namespace(out=str(out), format="csv")
+        stems = [f"curve{i}" for i in range(len(curves))]
+        cli._emit({"provenance": {"subcommand": "step"}}, list(zip(stems, curves)),
+                  args)
+        for stem, curve in zip(stems, curves):
+            text = scalar_oracle.curve_csv(curve).encode()
+            assert (out / f"{stem}.csv").read_bytes() == text
+
+    def test_each_sample_array_is_formatted_once(self, tmp_path, monkeypatch):
+        # step writes six sample arrays, and its reflectivity and delay
+        # curves share one energy array: five are formatted, once each, and
+        # both CSV files and the report take their fields from that one table
+        tables = []
+        original = cli._digit_table
+
+        def recorded(curves):
+            tables.append((curves, original(curves)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(cli, "_digit_table", recorded)
+        assert run(["step", "--grid", "200"], tmp_path) == 0
+        ((curves, digits),) = tables
+        refl, theta, delay = curves
+        assert refl.energies is delay.energies
+        assert len(digits) == 5
+        report = json.loads((tmp_path / "step_report.json").read_text())
+        for curve, entry in zip(curves, report["curves"], strict=True):
+            energies, values = digits[id(curve.energies)], digits[id(curve.values)]
+            assert list(map(repr, entry["energies"])) == energies
+            assert list(map(repr, entry["values"])) == values
+            lines = (tmp_path / entry["file"]).read_text().splitlines()
+            assert lines == ["E,value"] + [f"{e},{v}" for e, v in zip(energies, values)]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [["step", "--grid", "200"], ["data"]])

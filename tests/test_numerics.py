@@ -323,6 +323,34 @@ class TestSphBessel:
         assert h1 == pytest.approx(complex(ref["j"][1] + 1j * ref["n"][1]), rel=1e-12)
         assert h1p == pytest.approx(jp + 1j * np_, rel=1e-15)
 
+    # against 50-digit mpmath, j_30 is 7.8e-5 relative off at 30i and j_20
+    # 2.3e-8 at 20i, where the upward j row runs (|z| >= l); h1_30 = j + i n
+    # has a relative error of 6.6 at -20i and h1_20 one of 1.0e-6 at -15i,
+    # where the upward n row runs at |z| < l (ROADMAP item 3)
+    @pytest.mark.parametrize(
+        "l, z, which",
+        [
+            pytest.param(l, z, which, marks=pytest.mark.xfail(strict=True, reason=why))
+            for l, z, which, why in [
+                (30, 30j, "j", "upward j_l loses digits off the axis at |z| >= l"),
+                (20, 20j, "j", "upward j_l loses digits off the axis at |z| >= l"),
+                (30, -20j, "h1", "upward n_l loses digits off the axis at |z| < l"),
+                (20, -15j, "h1", "upward n_l loses digits off the axis at |z| < l"),
+            ]
+        ],
+    )
+    def test_large_order_off_the_axis_against_mpmath(self, l, z, which):
+        j, _, _, _, h1, _ = sph_bessel(l, z)
+        with mpmath.workdps(50):
+            zm = mpmath.mpc(z)
+            scale = mpmath.sqrt(mpmath.pi / (2 * zm))
+            ref = scale * mpmath.besselj(l + 0.5, zm)
+            if which == "h1":
+                ref += 1j * scale * mpmath.bessely(l + 0.5, zm)
+            ref = complex(ref)
+        got = j if which == "j" else h1
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
     @given(
         l=st.integers(0, 10),
         re=st.floats(0.1, 20.0),

@@ -350,6 +350,17 @@ class TestTimeDelay:
         t = time_delay(SquareWell(V0=5, a=10, l=l), E)
         assert t == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.xfail(strict=True,
+                       reason="j_30(pa) at pa = 30i is 7.8e-5 relative off")
+    def test_l30_under_a_barrier_against_mpmath(self):
+        # pa = 30i lies on the imaginary axis with |pa| = l, where the upward
+        # j_l recurrence loses digits, and the delay is 1.1e-4 relative off
+        # (ROADMAP item 3).  The delay is 8.5e-22 here, so the check is
+        # relative only
+        t = time_delay(SquareWell(V0=-10, a=10, l=30), 1.0)
+        ref = self.delay_mpmath(-10, 10, 30, 1.0)
+        assert abs(t - ref) <= 1e-9 * abs(ref)
+
     @pytest.mark.parametrize("l", [0, 1, 9])
     @pytest.mark.parametrize("q", [1.8e-15, -1.8e-15, 1e-6, -1e-6, 9.9e-4, 1.01e-3])
     def test_near_interior_threshold_against_mpmath(self, l, q):
