@@ -27,8 +27,8 @@ from .counting import (
     count_resonances,
     lorentzian_sum,
 )
-from .errors import ParseError, ResdelayError
-from .numerics import Curve, _parabolic_refine, find_extrema
+from .errors import CurveTooCoarse, ParseError, ResdelayError
+from .numerics import Curve, _parabolic_refine, _sample_grid, find_extrema
 from .phasedata import (
     delay_from_table,
     extract_resonance,
@@ -36,13 +36,7 @@ from .phasedata import (
     parse_phase_table,
 )
 from .poles import RESONANCE, SearchRegion, classify_pole, find_poles
-from .reflect import (
-    ExpStep,
-    reflection_amplitude,
-    reflection_time_delay,
-    reflectivity_curve,
-    theta_curve,
-)
+from .reflect import ExpStep, _reflection, theta_curve
 from .scattering import DeltaShell, SquareWell, delay_curve, time_delay
 
 ENV_OUT = "RESDELAY_OUT"
@@ -153,18 +147,6 @@ def _base_report(args, subcommand: str) -> dict:
     }
 
 
-def _refine_minimum(fn, x0, step, lo, hi):
-    """Fine parabolic pass around a coarse minimum: ``fn`` maps an array of
-    energies to an array of values on the window [x0 - 2*step, x0 + 2*step],
-    clipped to the curve's range [lo, hi]."""
-    grid = np.linspace(max(x0 - 2 * step, lo), min(x0 + 2 * step, hi),
-                       _REFINE_POINTS)
-    vals = fn(grid)
-    i = min(max(int(np.argmin(vals)), 1), _REFINE_POINTS - 2)
-    x, _ = _parabolic_refine(*grid[i - 1:i + 2], *vals[i - 1:i + 2])
-    return float(x)
-
-
 def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
                     max_resonances=None):
     """Delay curves, classified poles, n_R and the Lorentzian reconstruction
@@ -246,29 +228,40 @@ def run_deltashell(args) -> dict:
 
 def run_step(args) -> dict:
     step = ExpStep(V1=args.V1, V2=args.V2, a=args.a)
-    thr = step.threshold
-    lo = max(args.emin, thr + 2e-6)
+    lo = max(args.emin, step.threshold + 2e-6)
     if not args.emax > lo:
         raise ValueError("emax must exceed the barrier top")
-    refl = reflectivity_curve(step, lo, args.emax, max(args.grid, 2000))
+    # r and its delay on one grid shared by the reflectivity and delay curves
+    grid = _sample_grid(lo, args.emax, max(args.grid, 2000))
+    r, delay = _reflection(step, grid)
+    refl = Curve(grid, np.abs(r) ** 2, label="reflectivity")
+    dly = Curve(grid, delay, label="reflection_time_delay")
     theta = theta_curve(step, lo, args.emax, args.grid)
-    delay = functools.partial(reflection_time_delay, step)
-    dly = Curve(refl.energies, delay(refl.energies), label="reflection_time_delay")
-    # dip in R(E): coarse minimum, then a fine parabolic pass
+    # n_R = (1/pi) * integral of d(theta)/dE, the phase change over pi; a
+    # coarse theta grid can miss a full turn that r on the shared grid shows
+    turn = theta.values[-1] - theta.values[0]
+    shared = np.unwrap(np.angle(r))
+    if abs(turn - (shared[-1] - shared[0])) > math.pi:
+        raise CurveTooCoarse(
+            f"the theta curve on --grid {args.grid} misses a full turn of the "
+            f"phase seen on the {len(grid)}-point reflectivity grid; raise --grid"
+        )
+    # dip in R(E): coarse minimum, then a fine parabolic pass on a window of
+    # two coarse steps either side, for R and for the delay
     dips = [p for p in find_extrema(refl) if p.kind == "min"]
     report = _base_report(args, "step")
     if dips:
-        coarse = min(dips, key=lambda p: p.height)
-        window = (coarse.position, refl.grid_step, lo, args.emax)
-        dip_e = _refine_minimum(
-            lambda E: np.abs(reflection_amplitude(step, E)) ** 2, *window
-        )
-        delay_ext = _refine_minimum(delay, *window)
-        report["dip"] = {"E": dip_e, "delay_extremum_E": delay_ext}
-    # n_R = (1/pi) * integral of d(theta)/dE, the phase change over pi
+        x0, dx = min(dips, key=lambda p: p.height).position, refl.grid_step
+        window = np.linspace(max(x0 - 2 * dx, lo), min(x0 + 2 * dx, args.emax),
+                             _REFINE_POINTS)
+        r, delay = _reflection(step, window)
+        report["dip"] = {}
+        for key, vals in (("E", np.abs(r) ** 2), ("delay_extremum_E", delay)):
+            i = min(max(int(np.argmin(vals)), 1), _REFINE_POINTS - 2)
+            x, _ = _parabolic_refine(*window[i - 1:i + 2], *vals[i - 1:i + 2])
+            report["dip"][key] = float(x)
     report["count"] = CountReport.from_n_R(
-        float(theta.values[-1] - theta.values[0]) / math.pi, (lo, args.emax),
-        0.0, len(theta),
+        float(turn) / math.pi, (lo, args.emax), 0.0, len(theta),
     ).to_dict()
     _emit(report, [("fig3_reflectivity", refl), ("fig3_theta", theta),
                    ("fig3_delay", dly)], args)

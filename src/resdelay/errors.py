@@ -52,7 +52,9 @@ class SpuriousIncluded(ResdelayError):
 
 
 class CurveTooCoarse(ResdelayError):
-    """Delay curve grid too coarse to resolve the pole width."""
+    """A sampled curve too coarse for what is read off it: a delay curve
+    whose grid step exceeds a pole's width, or a phase curve that misses a
+    full turn."""
 
 
 class ParseError(ResdelayError):

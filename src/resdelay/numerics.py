@@ -86,6 +86,16 @@ class Peak:
     kind: str  # "max" | "min"
 
 
+def _sample_grid(e_lo: float, e_hi: float, n: int) -> np.ndarray:
+    """The uniform energy grid of a sampled curve: ``n`` >= 2 points from
+    ``e_lo`` to ``e_hi``, with e_hi > e_lo > 0."""
+    if not (e_hi > e_lo > 0):
+        raise ValueError("require e_hi > e_lo > 0")
+    if n < 2:
+        raise ValueError(f"a curve needs at least 2 samples (n = {n})")
+    return np.linspace(e_lo, e_hi, n)
+
+
 # ---------------------------------------------------------------------------
 # gamma function
 # ---------------------------------------------------------------------------
@@ -374,9 +384,10 @@ def newton_complex(
     ``NO_CONVERGENCE``, ``NON_FINITE`` and ``ZERO_SLOPE``.  A number seed
     returns a complex with |f(z)| <= tol or raises :class:`NoConvergence`
     with the last iterate and its residual -- never a silent bad root.
+    ``tol`` must be positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite (tol = {tol})")
     z = np.array(seed, dtype=complex).ravel()
     roots, residuals = np.empty_like(z), np.empty(z.size)
     outcomes = np.full(z.size, NO_CONVERGENCE)
@@ -482,8 +493,10 @@ def integrate(
     until the estimates sum to at most ``tol``.  Raises
     :class:`MaxDepthExceeded` when a panel to bisect is already 40 levels
     deep or the panels reach ``_MAX_PANELS``.  Reversed limits flip the
-    sign.
+    sign.  ``tol`` must be positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite (tol = {tol})")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     if a > b:

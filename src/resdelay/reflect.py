@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdBranchPoint, VanishingAmplitude
-from .numerics import Curve, bessel_j
+from .numerics import Curve, _sample_grid, bessel_j
 
 __all__ = [
     "ExpStep",
@@ -31,6 +31,8 @@ class ExpStep:
     a: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.V1, self.V2, self.a))):
+            raise ValueError("V1, V2 and a must be finite")
         if self.V2 <= 0:
             raise ValueError("V2 must be positive")
         if self.a <= 0:
@@ -66,14 +68,6 @@ def reflection_amplitude(step: ExpStep, E: float | np.ndarray) -> complex | np.n
     return r if isinstance(E, np.ndarray) else complex(r)
 
 
-def _sample_grid(e_lo: float, e_hi: float, n: int) -> np.ndarray:
-    if not (e_hi > e_lo > 0):
-        raise ValueError("require e_hi > e_lo > 0")
-    if n < 2:
-        raise ValueError(f"a curve needs at least 2 samples (n = {n})")
-    return np.linspace(e_lo, e_hi, n)
-
-
 def reflectivity_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
     """|r(E)|^2 sampled on a uniform grid."""
     grid = _sample_grid(e_lo, e_hi, n)
@@ -104,15 +98,15 @@ def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
     return Curve(grid, np.unwrap(raw), label="theta")
 
 
-def reflection_time_delay(step: ExpStep, E: float | np.ndarray) -> float | np.ndarray:
-    """Reflection time delay hbar * d(theta)/dE, computed algebraically from
-    r and a central difference dr/dE (no unwrapping needed), at a float or a
-    numpy array of energies; the result is of the same kind.
+def _reflection(step: ExpStep, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r(E) and the reflection time delay hbar * d(theta)/dE at a float
+    array of energies, the delay computed algebraically from r and a central
+    difference dr/dE (no unwrapping needed).
 
     r at E, E + h and E - h is one stacked :func:`reflection_amplitude`
-    call, so one :func:`bessel_j` call, whatever the shape of E.
+    call, so one :func:`bessel_j` call, whatever the shape of E; r(E) is its
+    first row.
     """
-    e = np.asarray(E, dtype=float)
     if (e <= step.threshold + 1e-6).any():
         raise ValueError("E must exceed the barrier top by more than 1e-6")
     h = np.minimum(1e-6 * np.maximum(1.0, e), 0.49 * (e - step.threshold))
@@ -123,5 +117,11 @@ def reflection_time_delay(step: ExpStep, E: float | np.ndarray) -> float | np.nd
             f"|r| = {abs(r0[vanishing].flat[0]):.2e} at E = {e[vanishing].flat[0]}"
         )
     dr = (r_up - r_down) / (2.0 * h)
-    t = (r0.conjugate() * dr).imag / np.abs(r0) ** 2
+    return r0, (r0.conjugate() * dr).imag / np.abs(r0) ** 2
+
+
+def reflection_time_delay(step: ExpStep, E: float | np.ndarray) -> float | np.ndarray:
+    """Reflection time delay hbar * d(theta)/dE (see :func:`_reflection`) at
+    a float or a numpy array of energies; the result is of the same kind."""
+    _, t = _reflection(step, np.asarray(E, dtype=float))
     return t if isinstance(E, np.ndarray) else float(t)

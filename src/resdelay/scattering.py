@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import Curve, _sph_j, sph_bessel
+from .numerics import Curve, _sample_grid, _sph_j, sph_bessel
 
 __all__ = [
     "SquareWell",
@@ -50,6 +50,8 @@ class SquareWell:
     l: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.V0) and math.isfinite(self.a)):
+            raise ValueError("V0 and a must be finite")
         if self.a <= 0:
             raise ValueError("range a must be positive")
         if not (0 <= self.l <= 30):
@@ -64,6 +66,8 @@ class DeltaShell:
     a: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.V0) and math.isfinite(self.a)):
+            raise ValueError("V0 and a must be finite")
         if self.V0 <= 0:
             raise ValueError("shell strength V0 must be positive")
         if self.a <= 0:
@@ -114,7 +118,9 @@ def _in_band(model: ScatteringModel, E: np.ndarray) -> np.ndarray:
     :func:`_outgoing` needs its series form (never for the delta shell)."""
     if isinstance(model, DeltaShell):
         return np.zeros(E.shape, dtype=bool)
-    return np.abs((E + model.V0) * model.a**2) < _THRESHOLD_BAND
+    # a * a overflows to inf where a**2 would raise; abs first, since a
+    # complex times inf has a NaN imaginary part
+    return np.abs(E + model.V0) * (model.a * model.a) < _THRESHOLD_BAND
 
 
 def _clip_imag(z: np.ndarray) -> np.ndarray:
@@ -180,7 +186,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
         #        - 2 c^3 q^3/((2l+5)(2l+7)) + O(q^4),
         # the series solution of x g' = l(l+1) - g - g^2 - x^2 (Riccati);
         # h'' comes from the spherical Bessel equation
-        q = (E + model.V0) * a**2
+        q = (E + model.V0) * (a * a)
         y, c = k * a, 1.0 / (2 * l + 3)
         t2, t3 = c * q / (2 * l + 5), 2.0 * c * q / (2 * l + 7)
         aL = l - c * q * (1.0 + t2 * (1.0 + t3))
@@ -293,5 +299,5 @@ def delay_curve(
     label: str = "time_delay",
 ) -> Curve:
     """Sample :func:`time_delay` on a uniform grid."""
-    grid = np.linspace(max(e_min, E_MIN), e_max, n)
+    grid = _sample_grid(max(e_min, E_MIN), e_max, n)
     return Curve(grid, time_delay(model, grid), label=label)

@@ -42,6 +42,54 @@ class TestExitCodes:
         # the theta curve needs two samples for a phase change
         assert run(["step", "--grid", grid], tmp_path) == 2
 
+    @pytest.mark.parametrize("sub", ["sqwell", "deltashell"])
+    def test_delay_grid_below_two_is_validation(self, tmp_path, sub, capsys):
+        # was numpy's "zero-size array to reduction operation maximum"
+        assert run([sub, "--grid", "0"], tmp_path) == 2
+        assert "a curve needs at least 2 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["2", "8"])
+    def test_step_grid_missing_a_turn_is_too_coarse(self, tmp_path, grid, capsys):
+        # theta turns a full 2 pi between two coarse samples near the dip at
+        # E = 2.04, where the principal values agree: n_R read 0.8427592.
+        # The shared 2000-point grid sees the turn
+        assert run(["step", "--grid", grid], tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "(CurveTooCoarse)" in err and f"--grid {grid}" in err
+
+    def test_step_grid_resolving_the_turn(self, tmp_path):
+        assert run(["step", "--grid", "9"], tmp_path) == 0
+        report = json.loads((tmp_path / "step_report.json").read_text())
+        assert report["count"]["n_R"] == pytest.approx(-1.1572408, abs=1e-7)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_validation(self, tmp_path, tol):
+        # a NaN tol bisected one panel per round to the panel cap (exit 3
+        # after minutes); an infinite one took every Newton seed for a root
+        assert run(["sqwell", "--tol", tol], tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sqwell", "--V0", "nan"],
+            ["sqwell", "--a", "inf"],
+            ["deltashell", "--V0", "nan"],
+            ["deltashell", "--a", "inf"],
+            ["step", "--V1", "nan"],
+            ["step", "--V2", "nan"],
+            ["step", "--a", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_model_parameter_is_validation(self, tmp_path, argv):
+        # NaN passed the positivity checks: the runs warned, or reported a
+        # series at order nan as a numerical failure
+        assert run(argv, tmp_path) == 2
+
+    def test_huge_range_overflows_to_inf(self, tmp_path):
+        # a**2 of a Python float raised an uncaught OverflowError (exit 1)
+        assert run(["sqwell", "--a", "1e300"], tmp_path) == 3
+
     def test_parse_error_is_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("W_MeV,delta_deg\n1,1\n2,oops\n3,3\n4,4\n5,5\n")
@@ -355,11 +403,10 @@ class TestEnvironmentDefault:
 
 class TestEvaluationCounts:
     def test_step_bessel_calls(self, tmp_path, monkeypatch):
-        # every bessel_j call takes an array of orders, and every delay call
-        # is one of them (r at E and E +- h, stacked): the delay curve and
-        # its dip refinement, plus the reflectivity grid, the theta grid and
-        # the reflectivity refinement.  n_R is read off the theta curve at no
-        # further call
+        # every bessel_j call takes an array of orders: r at E and E +- h,
+        # stacked, on the grid shared by the reflectivity and delay curves
+        # and on the dip window, plus the theta grid.  n_R is read off the
+        # theta curve at no further call
         calls = {"scalar": 0, "array": 0}
         original = reflect.bessel_j
 
@@ -372,7 +419,7 @@ class TestEvaluationCounts:
         report = json.loads((tmp_path / "step_report.json").read_text())
         assert report["count"]["evaluations"] == 600
         assert report["count"]["quadrature_tol"] == 0.0
-        assert calls == {"scalar": 0, "array": 5}
+        assert calls == {"scalar": 0, "array": 3}
 
     def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
         # the reconstruction curve and its error report share one evaluation

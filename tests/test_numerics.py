@@ -485,6 +485,13 @@ class TestNewtonComplex:
             newton_complex(lambda z: (z * z + 1, 2 * z), 0.0, 1e-12, 50)
         assert err.value.last_iterate == 0 and err.value.residual == 1.0
 
+    def test_tol_must_be_positive_and_finite(self):
+        # a NaN tol stopped no seed (NoConvergence at residual 0.0), and an
+        # infinite one took every seed for a root
+        for tol in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                newton_complex(lambda z: (z * z + 1, 2 * z), 0.5 + 0.8j, tol, 50)
+
 
 class TestNewtonBatch:
     @staticmethod
@@ -620,10 +627,17 @@ class TestIntegrate:
             integrate(lambda x: np.where(x == 0.5, np.nan, x), 0.0, 1.0, 1e-8)
 
     def test_unreachable_tolerance_raises(self):
-        # round-off keeps the error sum above tol = 0 at every depth; the
-        # panel cap ends the bisection instead of exhausting memory
+        # round-off keeps the error sum above tol = 1e-300 at every depth;
+        # the panel cap ends the bisection instead of exhausting memory
         with pytest.raises(MaxDepthExceeded):
-            integrate(np.sin, 0.0, math.pi, 0.0)
+            integrate(np.sin, 0.0, math.pi, 1e-300)
+
+    def test_tol_must_be_positive_and_finite(self):
+        # a NaN tol bisected one panel per round up to the panel cap, and an
+        # infinite one accepted the first estimate
+        for tol in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                integrate(np.sin, 0.0, math.pi, tol)
 
     def test_integrand_must_return_an_array_of_its_shape(self):
         with pytest.raises(ValueError):

@@ -234,6 +234,25 @@ class TestStepCount:
         assert coarse["n_R"] == pytest.approx(fine["n_R"], abs=1e-12)
 
 
+class TestStepCurves:
+    @pytest.mark.parametrize("step", POOL_STEPS)
+    def test_curves_are_the_amplitude_and_the_delay(self, tmp_path, step):
+        # the reflectivity and delay curves share one evaluation of r; each
+        # is, bit for bit, the public function at the same energies
+        v1, v2, a = step
+        argv = ["step", "--V1", v1, "--V2", v2, "--a", a, "--format", "json"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "step_report.json").read_text())
+        curves = {c["label"]: c for c in report["curves"]}
+        refl, delay = curves["reflectivity"], curves["reflection_time_delay"]
+        e = np.array(refl["energies"])
+        model = ExpStep(*map(float, step))
+        assert delay["energies"] == refl["energies"]
+        r = reflection_amplitude(model, e)
+        assert np.array_equal(refl["values"], np.abs(r) ** 2)
+        assert np.array_equal(delay["values"], reflection_time_delay(model, e))
+
+
 # ---------------------------------------------------------------------------
 # arrays of energies: the scalar loop of tests/scalar_oracle.py is the
 # reference
