@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from . import __version__
 from .counting import (
     CountReport,
     _reconstruction_errors,
-    count_resonances,
+    count_from_phase,
     lorentzian_sum,
 )
 from .errors import CurveTooCoarse, ParseError, ResdelayError
@@ -35,9 +34,9 @@ from .phasedata import (
     load_bundled_p33,
     parse_phase_table,
 )
-from .poles import RESONANCE, SearchRegion, classify_pole, find_poles
+from .poles import RESONANCE, SearchRegion, classify_poles, find_poles
 from .reflect import ExpStep, _reflection, theta_curve
-from .scattering import DeltaShell, SquareWell, delay_curve, time_delay
+from .scattering import DeltaShell, SquareWell, delay_curve
 
 ENV_OUT = "RESDELAY_OUT"
 _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
@@ -155,23 +154,24 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
     Returns the report, its curves and the resonances used (at most
     ``max_resonances``).
     """
+    if args.grid < 3:
+        raise ValueError(
+            f"--grid {args.grid}: a curve needs at least 2 samples, and the "
+            "peak count at least 3"
+        )
     display = delay_curve(model, args.emin, args.emax, args.grid, label=label)
     # classification needs coverage out to the last pole of interest
     cls_curve = delay_curve(
         model, args.emin, region.re_range[1], max(args.grid, min_cls_grid),
         label="classification",
     )
-    poles = [
-        classify_pole(p, cls_curve) for p in find_poles(model, region, tol=args.tol)
-    ]
+    poles = classify_poles(find_poles(model, region, tol=args.tol), cls_curve)
     resonances = [p for p in poles if p.classification == RESONANCE][:max_resonances]
 
     report = _base_report(args, args.subcommand)
     report["poles"] = [p.to_dict() for p in poles]
-    count = count_resonances(
-        functools.partial(time_delay, model), args.emin, args.emax, tol=args.tol
-    )
-    report["count"] = count.to_dict()
+    # the points at each pole found resolve its resonance in the unwrap
+    report["count"] = count_from_phase(model, args.emin, args.emax, poles).to_dict()
     curves = [(stem, display)]
     if resonances:
         recon = Curve(
@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (env RESDELAY_OUT)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="Newton tolerance of the pole search")
         if grid:
             p.add_argument("--grid", type=int, default=600)
 

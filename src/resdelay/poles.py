@@ -33,6 +33,7 @@ __all__ = [
     "outgoing_condition",
     "find_poles",
     "classify_pole",
+    "classify_poles",
 ]
 
 RESONANCE = "Resonance"
@@ -184,52 +185,65 @@ def find_poles(
 
 
 def classify_pole(pole: Pole, delay_curve: Curve) -> Pole:
-    """Fill in Resonance/Spurious classification against an exact delay curve.
+    """:func:`classify_poles` of one pole."""
+    return classify_poles([pole], delay_curve)[0]
+
+
+def classify_poles(poles: list[Pole], delay_curve: Curve) -> list[Pole]:
+    """Fill in Resonance/Spurious classification against an exact delay
+    curve, from one extremum scan of it.
 
     Resonance iff (a) a delay maximum lies within max(Gamma, 2*grid_step) of
     E_j AND its height is consistent with 2/Gamma (within a factor 4 — a
     narrow peak belonging to a different pole must not vouch for a broad
     spurious root), OR (b) Gamma < E_j and the curve is locally concave at
-    E_j (broad-peak case).
+    E_j (broad-peak case).  Raises :class:`CurveTooCoarse` at the first
+    pole too narrow for the grid step.
     """
+    if not poles:
+        return []
     e, v = delay_curve.energies, delay_curve.values
     step = delay_curve.grid_step
-    gamma = pole.gamma
-    e_j = pole.position
     span = e[-1] - e[0]
-    if step > gamma / 4.0 and gamma < span / 100.0:
-        raise CurveTooCoarse(
-            f"grid step {step:.3g} cannot resolve width {gamma:.3g}"
+    for pole in poles:
+        if step > pole.gamma / 4.0 and pole.gamma < span / 100.0:
+            raise CurveTooCoarse(
+                f"grid step {step:.3g} cannot resolve width {pole.gamma:.3g}"
+            )
+    maxima = [pk for pk in find_extrema(delay_curve) if pk.kind == "max"]
+
+    def classify(pole: Pole) -> Pole:
+        gamma = pole.gamma
+        e_j = pole.position
+        window = max(gamma, 2.0 * step)
+        peak_found = False
+        height_ratio = math.inf
+        for pk in maxima:
+            if abs(pk.position - e_j) > window:
+                continue
+            implied_gamma = 2.0 / pk.height if pk.height > 0 else math.inf
+            ratio = max(implied_gamma / gamma, gamma / implied_gamma)
+            height_ratio = min(height_ratio, ratio)
+            if ratio <= 4.0:
+                peak_found = True
+
+        concave = False
+        if gamma < e_j and e[0] <= e_j <= e[-1]:
+            i = int(np.argmin(np.abs(e - e_j)))
+            i = min(max(i, 1), len(e) - 2)
+            concave = bool(v[i - 1] - 2.0 * v[i] + v[i + 1] < 0)
+
+        is_resonance = peak_found or (gamma < e_j and concave)
+        diag = dict(pole.diagnostics)
+        diag.update(
+            peak_found=peak_found,
+            concave_at_pole=concave,
+            peak_height_ratio=None if math.isinf(height_ratio) else float(height_ratio),
+        )
+        return replace(
+            pole,
+            classification=RESONANCE if is_resonance else SPURIOUS,
+            diagnostics=diag,
         )
 
-    window = max(gamma, 2.0 * step)
-    peak_found = False
-    height_ratio = math.inf
-    for pk in find_extrema(delay_curve):
-        if pk.kind != "max" or abs(pk.position - e_j) > window:
-            continue
-        implied_gamma = 2.0 / pk.height if pk.height > 0 else math.inf
-        ratio = max(implied_gamma / gamma, gamma / implied_gamma)
-        height_ratio = min(height_ratio, ratio)
-        if ratio <= 4.0:
-            peak_found = True
-
-    concave = False
-    if gamma < e_j and e[0] <= e_j <= e[-1]:
-        i = int(np.argmin(np.abs(e - e_j)))
-        i = min(max(i, 1), len(e) - 2)
-        concave = bool(v[i - 1] - 2.0 * v[i] + v[i + 1] < 0)
-
-    is_resonance = peak_found or (gamma < e_j and concave)
-    diag = dict(pole.diagnostics)
-    diag.update(
-        peak_found=peak_found,
-        concave_at_pole=concave,
-        peak_height_ratio=None if math.isinf(height_ratio) else float(height_ratio),
-    )
-    return replace(
-        pole,
-        classification=RESONANCE if is_resonance else SPURIOUS,
-        diagnostics=diag,
-    )
-
+    return [classify(pole) for pole in poles]

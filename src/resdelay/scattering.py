@@ -239,8 +239,19 @@ def time_delay(model: ScatteringModel, E: float | np.ndarray) -> float | np.ndar
     """
     if not np.all(E > 0):
         raise ValueError("E must be positive")
+    return _phase_delay(model, E)[1]
+
+
+def _phase_delay(model: ScatteringModel, E):
+    """The phase phi = arg h1_l(ka) - arg F and the delay T = dphi/dE of
+    :func:`time_delay` at real E > 0, from one :func:`_outgoing` call.
+
+    phi equals delta_bar mod pi up to a constant: the clipping of a thick
+    barrier scales F by a positive factor and the series form divides it by
+    the real j_l(pa), and neither moves phi mod pi.
+    """
     f, df, h, dh = _outgoing(model, E, series=True)
-    return -(df / f).imag + (dh / h).imag
+    return np.angle(h) - np.angle(f), -(df / f).imag + (dh / h).imag
 
 
 def time_delay_square_well_analytic(

@@ -14,7 +14,7 @@ import numpy as np
 
 import scalar_oracle
 
-from resdelay import cli, counting, reflect, scattering
+from resdelay import cli, counting, poles, reflect, scattering
 from resdelay.cli import main
 from resdelay.counting import CountReport
 from resdelay.numerics import Curve
@@ -47,6 +47,18 @@ class TestExitCodes:
         # was numpy's "zero-size array to reduction operation maximum"
         assert run([sub, "--grid", "0"], tmp_path) == 2
         assert "a curve needs at least 2 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["sqwell", "deltashell"])
+    def test_delay_grid_below_three_is_validation(self, tmp_path, sub, capsys,
+                                                  monkeypatch):
+        # the peak count needs 3 samples: --grid 2 ran the pole search and
+        # the count, then failed with find_extrema's message
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pole search ran")
+
+        monkeypatch.setattr(cli, "find_poles", forbidden)
+        assert run([sub, "--grid", "2"], tmp_path) == 2
+        assert "--grid 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["2", "8"])
     def test_step_grid_missing_a_turn_is_too_coarse(self, tmp_path, grid, capsys):
@@ -165,10 +177,14 @@ class TestExitCodes:
             assert curve["values"][i] == pytest.approx(float(ref), rel=1e-11)
 
     def test_narrow_l5_resonance_is_integrable(self, tmp_path):
-        # the S-matrix central difference left noise that drove the
-        # counting quadrature to MaxDepthExceeded (exit 3) here
+        # the S-matrix central difference once left noise here that drove
+        # the counting quadrature of the time (exit 3) to MaxDepthExceeded.
+        # The count now unwraps the phase, and its delay check refines onto
+        # the narrow pole at 0.168 that the pole search misses
         args = ["sqwell", "--l", "5", "--V0", "2.5836", "--a", "6.9964"]
         assert run(args, tmp_path) == 0
+        report = json.loads((tmp_path / "sqwell_report.json").read_text())
+        assert report["count"]["n_R"] == pytest.approx(4.6041380075, abs=1e-9)
 
     def test_step_dip_is_integrable(self, tmp_path):
         # the finite-difference noise of this delay at its dip once
@@ -436,6 +452,36 @@ class TestEvaluationCounts:
         report = json.loads((tmp_path / "deltashell_report.json").read_text())
         assert report["reconstruction"] is not None
         assert calls[0] == 1
+
+    @pytest.mark.parametrize("argv", [["sqwell", "--l", "1"], ["deltashell"]])
+    def test_count_reads_the_phase(self, tmp_path, monkeypatch, argv):
+        # n_R is the unwrapped phase change: no quadrature runs, and the
+        # count reports its phase samples (294 on default deltashell)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(counting, "integrate", forbidden)
+        assert run(argv, tmp_path) == 0
+        report = json.loads((tmp_path / f"{argv[0]}_report.json").read_text())
+        assert report["count"]["quadrature_tol"] == 0.0
+        assert report["count"]["evaluations"] == {"sqwell": 309, "deltashell": 294}[argv[0]]
+
+    def test_two_extremum_scans(self, tmp_path, monkeypatch):
+        # one scan of the classification curve for all poles, and one of
+        # the display curve for the peak count
+        scans = []
+        original = cli.find_extrema
+
+        def counted(curve):
+            scans.append(curve.label)
+            return original(curve)
+
+        for module in (cli, poles):
+            monkeypatch.setattr(module, "find_extrema", counted)
+        assert run(["sqwell", "--l", "1"], tmp_path) == 0
+        report = json.loads((tmp_path / "sqwell_report.json").read_text())
+        assert len(report["poles"]) > 1
+        assert scans == ["classification", "time_delay_l1"]
 
     @pytest.mark.parametrize("argv", [["sqwell", "--l", "0"], ["deltashell"]])
     def test_pipelines_use_no_closed_form(self, tmp_path, monkeypatch, argv):

@@ -17,6 +17,7 @@ from resdelay.poles import (
     Pole,
     SearchRegion,
     classify_pole,
+    classify_poles,
     find_poles,
     outgoing_condition,
 )
@@ -369,6 +370,26 @@ class TestClassifyPole:
         curve = Curve(e, np.ones_like(e))
         with pytest.raises(CurveTooCoarse):
             classify_pole(pole, curve)
+
+    def test_one_scan_per_curve(self, monkeypatch):
+        # classify_poles scans the curve for extrema once, and classifies
+        # each pole as classify_pole does alone
+        m = SquareWell(V0=5, a=10, l=5)
+        curve = delay_curve(m, 1e-6, 50.0, 900)
+        found = find_poles(m, SearchRegion((0.0, 50.0), (-6.0, 0.0), 120, 10), 1e-8)
+        alone = [classify_pole(p, curve) for p in found]
+        scans = [0]
+        original = poles.find_extrema
+
+        def counted(c):
+            scans[0] += 1
+            return original(c)
+
+        monkeypatch.setattr(poles, "find_extrema", counted)
+        assert classify_poles(found, curve) == alone
+        assert len(found) > 1 and scans[0] == 1
+        assert {p.classification for p in alone} == {RESONANCE, SPURIOUS}
+        assert classify_poles([], curve) == [] and scans[0] == 1
 
 
 
