@@ -246,12 +246,22 @@ def _phase_delay(model: ScatteringModel, E):
     """The phase phi = arg h1_l(ka) - arg F and the delay T = dphi/dE of
     :func:`time_delay` at real E > 0, from one :func:`_outgoing` call.
 
-    phi equals delta_bar mod pi up to a constant: the clipping of a thick
-    barrier scales F by a positive factor and the series form divides it by
-    the real j_l(pa), and neither moves phi mod pi.
+    phi equals delta_bar mod pi up to a constant.  The clipping of a thick
+    barrier scales F by a positive factor, which does not move phi.  The
+    closed form's F is the series form's times j_l(pa) (at l = 0, times
+    -sin(pa) with h1_0(ka) moved into h), which is real where
+    p = sqrt(E + V0) is.  Below a barrier's band p is imaginary and that
+    factor is i^l times a real (i times a real at l = 0), so at l = 0 and
+    at odd l pi/2 is added there: else phi jumps by pi/2 at the band's
+    lower edge.  The factor's log has a real E-derivative, so T is unmoved.
     """
     f, df, h, dh = _outgoing(model, E, series=True)
-    return np.angle(h) - np.angle(f), -(df / f).imag + (dh / h).imag
+    phi = np.angle(h) - np.angle(f)
+    if isinstance(model, SquareWell) and model.V0 < 0 and (model.l == 0 or model.l % 2):
+        E = np.asarray(E)
+        below = (E.real + model.V0 < 0) & ~_in_band(model, E)
+        phi = phi + np.where(below, 0.5 * math.pi, 0.0)
+    return phi, -(df / f).imag + (dh / h).imag
 
 
 def time_delay_square_well_analytic(

@@ -186,6 +186,16 @@ class TestExitCodes:
         report = json.loads((tmp_path / "sqwell_report.json").read_text())
         assert report["count"]["n_R"] == pytest.approx(4.6041380075, abs=1e-9)
 
+    @pytest.mark.parametrize("l, n_R", [("0", 0.9522843546), ("1", 0.5549050673)])
+    def test_barrier_band_edge_in_range(self, tmp_path, l, n_R):
+        # E = -V0 = 1 lies in the count's range, where the phase of the
+        # outgoing condition once jumped by pi/2 and the unwrap ended in
+        # MaxDepthExceeded (exit 3); n_R is the tol-1e-10 quadrature's
+        args = ["sqwell", "--V0", "-1", "--a", "1", "--l", l]
+        assert run(args, tmp_path) == 0
+        report = json.loads((tmp_path / "sqwell_report.json").read_text())
+        assert report["count"]["n_R"] == pytest.approx(n_R, abs=1e-9)
+
     def test_step_dip_is_integrable(self, tmp_path):
         # the finite-difference noise of this delay at its dip once
         # exhausted the depth of the counting quadrature (exit 3); the delay

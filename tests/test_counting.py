@@ -253,6 +253,24 @@ class TestCountFromPhase:
         assert rep.n_R == pytest.approx(quad.n_R, abs=1e-9)
         assert rep.evaluations < 400 < quad.evaluations
 
+    @pytest.mark.parametrize(
+        "model",
+        # barriers whose band edge E = -V0 lies inside the range: below it
+        # p is imaginary, and at l = 0 and odd l the closed form's phase
+        # stood pi/2 off the series form's, so the unwrap split the edge's
+        # interval until the pass cap.  l = 2 had no offset; the thick
+        # a = 9.52 barrier's band is narrower than any grid interval
+        [SquareWell(-1, 1, 0), SquareWell(-1, 1, 1), SquareWell(-1, 1, 2),
+         SquareWell(-5.1309695857884, 9.520647625521876, 1),
+         SquareWell(-2.163635413795018, 0.10673175365962739, 1)],
+        ids=["l0", "l1", "l2", "thick_l1", "thin_l1"],
+    )
+    def test_barrier_band_edge_in_range(self, model):
+        rep = count_from_phase(model, 1e-6, 10.0,
+                               find_poles(model, SQWELL_REGION, 1e-8))
+        quad = count_resonances(lambda e: time_delay(model, e), 1e-6, 10.0, 1e-10)
+        assert rep.n_R == pytest.approx(quad.n_R, abs=1e-9)
+
     def test_pole_points_are_needed(self):
         # without them, the start grid and the delay check both step over
         # the narrow l = 10 resonance, and the count is one short
