@@ -26,7 +26,7 @@ from .counting import (
     count_from_phase,
     lorentzian_sum,
 )
-from .errors import CurveTooCoarse, ParseError, ResdelayError
+from .errors import ParseError, ResdelayError
 from .numerics import Curve, _parabolic_refine, _sample_grid, find_extrema
 from .phasedata import (
     delay_from_table,
@@ -35,7 +35,7 @@ from .phasedata import (
     parse_phase_table,
 )
 from .poles import RESONANCE, SearchRegion, classify_poles, find_poles
-from .reflect import ExpStep, _reflection, theta_curve
+from .reflect import ExpStep, _reflection, _theta
 from .scattering import DeltaShell, SquareWell, delay_curve
 
 ENV_OUT = "RESDELAY_OUT"
@@ -227,6 +227,8 @@ def run_deltashell(args) -> dict:
 
 
 def run_step(args) -> dict:
+    if args.grid < 2:
+        raise ValueError(f"--grid {args.grid}: a curve needs at least 2 samples")
     step = ExpStep(V1=args.V1, V2=args.V2, a=args.a)
     lo = max(args.emin, step.threshold + 2e-6)
     if not args.emax > lo:
@@ -236,16 +238,8 @@ def run_step(args) -> dict:
     r, delay = _reflection(step, grid)
     refl = Curve(grid, np.abs(r) ** 2, label="reflectivity")
     dly = Curve(grid, delay, label="reflection_time_delay")
-    theta = theta_curve(step, lo, args.emax, args.grid)
-    # n_R = (1/pi) * integral of d(theta)/dE, the phase change over pi; a
-    # coarse theta grid can miss a full turn that r on the shared grid shows
-    turn = theta.values[-1] - theta.values[0]
-    shared = np.unwrap(np.angle(r))
-    if abs(turn - (shared[-1] - shared[0])) > math.pi:
-        raise CurveTooCoarse(
-            f"the theta curve on --grid {args.grid} misses a full turn of the "
-            f"phase seen on the {len(grid)}-point reflectivity grid; raise --grid"
-        )
+    # n_R = (1/pi) * integral of d(theta)/dE, the phase change over pi
+    theta = _theta(step, grid, r, delay)
     # dip in R(E): coarse minimum, then a fine parabolic pass on a window of
     # two coarse steps either side, for R and for the delay
     dips = [p for p in find_extrema(refl) if p.kind == "min"]
@@ -261,7 +255,8 @@ def run_step(args) -> dict:
             x, _ = _parabolic_refine(*window[i - 1:i + 2], *vals[i - 1:i + 2])
             report["dip"][key] = float(x)
     report["count"] = CountReport.from_n_R(
-        float(turn) / math.pi, (lo, args.emax), 0.0, len(theta),
+        float(theta.values[-1] - theta.values[0]) / math.pi, (lo, args.emax),
+        0.0, len(theta),
     ).to_dict()
     _emit(report, [("fig3_reflectivity", refl), ("fig3_theta", theta),
                    ("fig3_delay", dly)], args)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MaxDepthExceeded, SpuriousIncluded
-from .numerics import Curve, integrate
+from .errors import SpuriousIncluded
+from .numerics import Curve, _unwrap, integrate
 from .poles import Pole, RESONANCE
 from .scattering import E_MIN, ScatteringModel, _phase_delay
 
@@ -29,14 +30,6 @@ _INTEGER_SNAP = 1e-9
 # samples; and the offsets E_j + s*Gamma_j added at every pole found
 _PHASE_START = 257
 _POLE_OFFSETS = (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0, -8.0, 8.0)
-# an interval is bisected where its phase step lies more than the first
-# bound (rad) from the trapezoid of the delay, or that trapezoid exceeds the
-# second
-_UNWRAP_MISMATCH = 0.25
-_UNWRAP_MAX_TURN = 1.0
-# bisection passes, and samples, after which the unwrap gives up
-_UNWRAP_PASSES = 20
-_UNWRAP_MAX_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,20 +116,19 @@ def count_from_phase(
     """n_R of ``model`` as the change of delta_bar over pi: the theorem of
     :func:`count_resonances` read the other way round, T = d(delta_bar)/dE.
 
-    delta_bar is unwrapped on 257 points uniform in k plus the points
+    delta_bar is unwrapped by :func:`~resdelay.numerics._unwrap` with
+    period pi (phi is delta_bar mod pi only: F's real factor j_l(pa)
+    changes sign), from 257 points uniform in k plus the points
     E_j + s Gamma_j, s in {0, +-1/2, +-1, +-2, +-4, +-8}, of every pole in
     ``poles`` that lie inside the range.  The exact delay, from the same
-    evaluation, picks each step's multiple of pi: the step is the one
-    nearest the trapezoid of T.  Every interval whose step lies more than
-    0.25 rad from that trapezoid, or whose trapezoid exceeds 1 rad, is
-    bisected, all new midpoints of a pass in one evaluation, until none
-    is.  ``evaluations`` is the number of samples, and ``quadrature_tol``
-    is 0.0.
+    evaluation, picks each step's multiple of pi and decides where to
+    bisect.  n_R is the exact sum of the steps over pi; ``evaluations`` is
+    the number of samples, and ``quadrature_tol`` is 0.0.
 
     The range is checked and raised to ``E_MIN`` as in
-    :func:`count_resonances`.  Raises :class:`MaxDepthExceeded` on a
-    phase or delay that is not finite, and on a grid still split after 20
-    passes or at 65,536 samples.
+    :func:`count_resonances`.  The unwrap raises :class:`MaxDepthExceeded`
+    on a phase or delay that is not finite, and on a grid still split after
+    20 passes or at 65,536 samples.
     """
     if not (0 <= E_lo < E_hi) or E_hi <= E_MIN:
         raise ValueError(f"require 0 <= E_lo < E_hi and E_hi > {E_MIN}")
@@ -145,28 +137,8 @@ def count_from_phase(
     E[0], E[-1] = lo, E_hi
     near = np.array([p.position + s * p.gamma for p in poles for s in _POLE_OFFSETS])
     E = np.union1d(E, near[(lo < near) & (near < E_hi)])
-    phi, T = _phase_delay(model, E)
-    for passes in range(_UNWRAP_PASSES + 1):
-        if not (np.isfinite(phi).all() and np.isfinite(T).all()):
-            raise MaxDepthExceeded(f"phase or delay not finite on [{lo}, {E_hi}]")
-        d_phi, trap = np.diff(phi), 0.5 * (T[1:] + T[:-1]) * np.diff(E)
-        steps = d_phi - math.pi * np.round((d_phi - trap) / math.pi)
-        split = np.flatnonzero(
-            (np.abs(steps - trap) > _UNWRAP_MISMATCH) | (np.abs(trap) > _UNWRAP_MAX_TURN)
-        )
-        if not split.size:
-            return CountReport.from_n_R(
-                math.fsum(steps) / math.pi, (lo, E_hi), 0.0, len(E)
-            )
-        if passes == _UNWRAP_PASSES or len(E) + split.size > _UNWRAP_MAX_SAMPLES:
-            raise MaxDepthExceeded(
-                f"phase unwrap on [{lo}, {E_hi}] still splits {split.size} "
-                f"intervals of {len(E) - 1} after {passes} passes"
-            )
-        mid = 0.5 * (E[split] + E[split + 1])
-        phi_mid, T_mid = _phase_delay(model, mid)
-        E, phi, T = (np.insert(a, split + 1, b)
-                     for a, b in ((E, mid), (phi, phi_mid), (T, T_mid)))
+    E, steps = _unwrap(partial(_phase_delay, model), E, *_phase_delay(model, E), math.pi)
+    return CountReport.from_n_R(math.fsum(steps) / math.pi, (lo, E_hi), 0.0, len(E))
 
 
 def gamma_from_peak(peak_height: float) -> float:

@@ -36,7 +36,9 @@ class NoConvergence(ResdelayError):
 
 
 class MaxDepthExceeded(ResdelayError):
-    """Adaptive quadrature hit the bisection depth cap (non-integrable feature?)."""
+    """An adaptive bisection gave up: the quadrature hit its depth or panel
+    cap (non-integrable feature?), or the phase unwrap met a phase or delay
+    that is not finite, or its pass or sample cap."""
 
 
 class ThresholdBranchPoint(ResdelayError):
@@ -52,9 +54,8 @@ class SpuriousIncluded(ResdelayError):
 
 
 class CurveTooCoarse(ResdelayError):
-    """A sampled curve too coarse for what is read off it: a delay curve
-    whose grid step exceeds a pole's width, or a phase curve that misses a
-    full turn."""
+    """A delay curve too coarse to classify a pole: its grid step cannot
+    resolve the pole's width."""
 
 
 class ParseError(ResdelayError):

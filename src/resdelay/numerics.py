@@ -88,9 +88,9 @@ class Peak:
 
 def _sample_grid(e_lo: float, e_hi: float, n: int) -> np.ndarray:
     """The uniform energy grid of a sampled curve: ``n`` >= 2 points from
-    ``e_lo`` to ``e_hi``, with e_hi > e_lo > 0."""
-    if not (e_hi > e_lo > 0):
-        raise ValueError("require e_hi > e_lo > 0")
+    ``e_lo`` to ``e_hi``, with e_hi > e_lo > 0 both finite."""
+    if not (math.isfinite(e_hi) and e_hi > e_lo > 0):
+        raise ValueError("require e_hi > e_lo > 0, both finite")
     if n < 2:
         raise ValueError(f"a curve needs at least 2 samples (n = {n})")
     return np.linspace(e_lo, e_hi, n)
@@ -168,6 +168,9 @@ _BESSEL_MAX_TERMS = 200
 _BESSEL_MAX_ABS_Z = 50.0
 # largest accepted round-off estimate of the series (see bessel_j)
 _BESSEL_MAX_ROUNDOFF = 1e-8
+# largest accepted |J| + |dJ/dz| of the first term: beyond it the sums, or
+# a caller's products and ratios of them, overflow
+_BESSEL_MAX_FIRST_TERM = 1e300
 
 
 def bessel_j(nu: complex | np.ndarray, z: complex):
@@ -182,7 +185,10 @@ def bessel_j(nu: complex | np.ndarray, z: complex):
     Once |z| is large against |nu| the terms grow before they fall and
     cancel: :class:`SeriesNonConvergence` is raised when the round-off
     estimate 1e-16 (sum|term| + sum|dterm|) / (|J| + |dJ/dz|) exceeds 1e-8.
-    It judges the pair, so a zero of J alone does not trip it.
+    It judges the pair, so a zero of J alone does not trip it.  Far down
+    the imaginary order axis Gamma(nu + 1) underflows and J overflows:
+    :class:`SeriesNonConvergence` is raised, with no warning, when the
+    first term's |J| + |dJ/dz| exceeds 1e300.
     """
     z = complex(z)
     if abs(z) > _BESSEL_MAX_ABS_Z:
@@ -212,9 +218,18 @@ def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     negative_int = (nu.imag == 0) & (n < 0) & (nu.real == n)
     sign, nu = np.where(negative_int, (-1.0) ** n, 1.0), np.where(negative_int, -nu, nu)
     half = z / 2.0
-    # k = 0 term; reciprocal gamma absorbs potential poles harmlessly
-    term = np.exp(nu * cmath.log(half)) * _reciprocal_gamma(nu + 1.0)
-    dterm = (nu / z) * term
+    # k = 0 term; reciprocal gamma absorbs potential poles harmlessly.  Far
+    # out along the imaginary order axis Gamma(nu + 1) underflows, and its
+    # reciprocal or the first terms overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        term = np.exp(nu * cmath.log(half)) * _reciprocal_gamma(nu + 1.0)
+        dterm = (nu / z) * term
+        over = ~(np.abs(term) + np.abs(dterm) <= _BESSEL_MAX_FIRST_TERM)
+    if over.any():
+        raise SeriesNonConvergence(
+            f"J_nu series overflows at nu={nu[over][0]}, z={z}: its first term "
+            f"exceeds {_BESSEL_MAX_FIRST_TERM:g}"
+        )
     total, dtotal = term, dterm
     acc, dacc = np.abs(term), np.abs(dterm)
     ratio_base = -half * half
@@ -550,6 +565,64 @@ def integrate(
             total = math.fsum(err)
     # 4 evaluations per panel beyond the shared left end of the range
     return QuadratureResult(math.fsum(value), total, 4 * len(err) + 1)
+
+
+# ---------------------------------------------------------------------------
+# phase unwrapping guided by the delay
+# ---------------------------------------------------------------------------
+
+# an interval is bisected where its phase step lies more than the first
+# bound (rad) from the trapezoid of the delay, or that trapezoid exceeds the
+# second
+_UNWRAP_MISMATCH = 0.25
+_UNWRAP_MAX_TURN = 1.0
+# bisection passes, and samples, after which the unwrap gives up
+_UNWRAP_PASSES = 20
+_UNWRAP_MAX_SAMPLES = 1 << 16
+
+
+def _unwrap(
+    phase_delay: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    E: np.ndarray,
+    phi: np.ndarray,
+    T: np.ndarray,
+    period: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unwrap a phase known modulo ``period`` with the help of its
+    derivative, the delay T.
+
+    ``phase_delay`` maps a 1-D array of energies to the phase and the delay
+    there; ``phi`` and ``T`` are its values on the increasing grid ``E``.
+    Each interval's step is its phase difference less the multiple of
+    ``period`` that brings it nearest the trapezoid of T.  Every interval
+    whose step lies more than 0.25 rad from that trapezoid, or whose
+    trapezoid exceeds 1 rad, is bisected, all new midpoints of a pass in one
+    ``phase_delay`` call, until none is.  Returns the refined grid (``E``
+    itself when nothing is split) and the step of each of its intervals.
+
+    Raises :class:`MaxDepthExceeded` on a phase or delay that is not finite,
+    and on a grid still split after 20 passes or at 65,536 samples.
+    """
+    lo, hi = float(E[0]), float(E[-1])
+    for passes in range(_UNWRAP_PASSES + 1):
+        if not (np.isfinite(phi).all() and np.isfinite(T).all()):
+            raise MaxDepthExceeded(f"phase or delay not finite on [{lo}, {hi}]")
+        d_phi, trap = np.diff(phi), 0.5 * (T[1:] + T[:-1]) * np.diff(E)
+        steps = d_phi - period * np.round((d_phi - trap) / period)
+        split = np.flatnonzero(
+            (np.abs(steps - trap) > _UNWRAP_MISMATCH) | (np.abs(trap) > _UNWRAP_MAX_TURN)
+        )
+        if not split.size:
+            return E, steps
+        if passes == _UNWRAP_PASSES or len(E) + split.size > _UNWRAP_MAX_SAMPLES:
+            raise MaxDepthExceeded(
+                f"phase unwrap on [{lo}, {hi}] still splits {split.size} "
+                f"intervals of {len(E) - 1} after {passes} passes"
+            )
+        mid = 0.5 * (E[split] + E[split + 1])
+        phi_mid, T_mid = phase_delay(mid)
+        E, phi, T = (np.insert(a, split + 1, b)
+                     for a, b in ((E, mid), (phi, phi_mid), (T, T_mid)))
 
 
 # ---------------------------------------------------------------------------

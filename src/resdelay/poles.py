@@ -80,7 +80,8 @@ class Pole:
 
 @dataclass(frozen=True)
 class SearchRegion:
-    """Rectangle in the lower-half complex E plane plus seed grid counts."""
+    """Rectangle in the lower-half complex E plane, with finite bounds,
+    plus seed grid counts."""
 
     re_range: tuple[float, float]
     im_range: tuple[float, float]
@@ -88,6 +89,8 @@ class SearchRegion:
     n_im: int = 10
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.re_range, *self.im_range))):
+            raise ValueError("the search region's bounds must be finite")
         lo, hi = self.re_range
         if not (hi > lo >= 0):
             raise ValueError("require E_hi > E_lo >= 0")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdBranchPoint, VanishingAmplitude
-from .numerics import Curve, _sample_grid, bessel_j
+from .numerics import Curve, _sample_grid, _unwrap, bessel_j
 
 __all__ = [
     "ExpStep",
@@ -77,25 +77,30 @@ def reflectivity_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve
 
 
 def theta_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
-    """Continuity-unwrapped reflection phase theta(E).
-
-    The grid is refined adaptively wherever adjacent principal-value samples
-    differ by pi or more (at most 12 passes), so the unwrapping is
-    unambiguous.  The initial grid is one array evaluation, and so are the
-    midpoints each pass inserts.
-    """
+    """Unwrapped reflection phase theta(E) from ``n`` uniform samples, at
+    energies above the barrier top by more than 1e-6 (see
+    :func:`_reflection`).  The start grid is one evaluation, and so is each
+    bisection pass of the unwrap (see :func:`_theta`)."""
     grid = _sample_grid(e_lo, e_hi, n)
-    raw = np.angle(reflection_amplitude(step, grid))
-    for _ in range(12):
-        d = np.abs(np.diff(raw))
-        d = np.minimum(d, 2.0 * math.pi - d)
-        split = np.flatnonzero((d >= math.pi * 0.9) & (np.diff(grid) > 1e-12))
-        if not split.size:
-            break
-        mid = 0.5 * (grid[split] + grid[split + 1])
-        grid = np.insert(grid, split + 1, mid)
-        raw = np.insert(raw, split + 1, np.angle(reflection_amplitude(step, mid)))
-    return Curve(grid, np.unwrap(raw), label="theta")
+    return _theta(step, grid, *_reflection(step, grid))
+
+
+def _theta(step: ExpStep, grid: np.ndarray, r: np.ndarray,
+           delay: np.ndarray) -> Curve:
+    """The theta curve from r and its delay on ``grid``.
+
+    theta = arg r is unwrapped by :func:`~resdelay.numerics._unwrap` with
+    period 2 pi, the delay picking each step's multiple of 2 pi and deciding
+    where to bisect.  Modulo 2 pi, and not pi, a coarse grid still sees
+    theta fall by nearly pi across a dip of the reflectivity.
+    """
+    def phase_delay(e):
+        r_e, delay_e = _reflection(step, e)
+        return np.angle(r_e), delay_e
+
+    phi = np.angle(r)
+    energies, steps = _unwrap(phase_delay, grid, phi, delay, 2.0 * math.pi)
+    return Curve(energies, np.cumsum(np.concatenate((phi[:1], steps))), label="theta")
 
 
 def _reflection(step: ExpStep, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

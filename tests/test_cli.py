@@ -61,13 +61,14 @@ class TestExitCodes:
         assert "--grid 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["2", "8"])
-    def test_step_grid_missing_a_turn_is_too_coarse(self, tmp_path, grid, capsys):
-        # theta turns a full 2 pi between two coarse samples near the dip at
-        # E = 2.04, where the principal values agree: n_R read 0.8427592.
-        # The shared 2000-point grid sees the turn
-        assert run(["step", "--grid", grid], tmp_path) == 3
-        err = capsys.readouterr().err
-        assert "(CurveTooCoarse)" in err and f"--grid {grid}" in err
+    def test_step_coarse_grid_counts_the_turn(self, tmp_path, grid):
+        # theta turns a full 2 pi between two samples of a 2- to 8-point
+        # grid near the dip at E = 2.04, where the principal values agree
+        # (n_R read 0.8427592, then exit 3).  theta is unwrapped on the
+        # shared grid of at least 2000 points, whatever --grid says
+        assert run(["step", "--grid", grid], tmp_path) == 0
+        report = json.loads((tmp_path / "step_report.json").read_text())
+        assert report["count"]["n_R"] == pytest.approx(-1.1572408, abs=1e-7)
 
     def test_step_grid_resolving_the_turn(self, tmp_path):
         assert run(["step", "--grid", "9"], tmp_path) == 0
@@ -90,13 +91,25 @@ class TestExitCodes:
             ["step", "--V1", "nan"],
             ["step", "--V2", "nan"],
             ["step", "--a", "inf"],
+            ["sqwell", "--pole-gmax", "inf"],
+            ["deltashell", "--pole-gmax", "inf"],
+            ["sqwell", "--pole-emax", "inf"],
+            ["step", "--emax", "inf"],
         ],
         ids=" ".join,
     )
     def test_non_finite_model_parameter_is_validation(self, tmp_path, argv):
         # NaN passed the positivity checks: the runs warned, or reported a
-        # series at order nan as a numerical failure
+        # series at order nan as a numerical failure.  An infinite width
+        # bound put every seed at Im E = -inf (exit 0 with no poles), and an
+        # infinite energy bound warned on inf * 0
         assert run(argv, tmp_path) == 2
+
+    def test_step_bessel_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # Gamma(nu + 1) underflows near E = 3e4: the run warned, then
+        # reported a round-off estimate nan
+        assert run(["step", "--emax", "1e6"], tmp_path) == 3
+        assert "overflows" in capsys.readouterr().err
 
     def test_huge_range_overflows_to_inf(self, tmp_path):
         # a**2 of a Python float raised an uncaught OverflowError (exit 1)
@@ -430,9 +443,9 @@ class TestEnvironmentDefault:
 class TestEvaluationCounts:
     def test_step_bessel_calls(self, tmp_path, monkeypatch):
         # every bessel_j call takes an array of orders: r at E and E +- h,
-        # stacked, on the grid shared by the reflectivity and delay curves
-        # and on the dip window, plus the theta grid.  n_R is read off the
-        # theta curve at no further call
+        # stacked, on the grid shared by the reflectivity, delay and theta
+        # curves, on the 2 midpoints of theta's one bisection pass, and on
+        # the dip window.  n_R is read off the theta curve at no further call
         calls = {"scalar": 0, "array": 0}
         original = reflect.bessel_j
 
@@ -443,7 +456,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(reflect, "bessel_j", counted)
         assert run(["step"], tmp_path) == 0
         report = json.loads((tmp_path / "step_report.json").read_text())
-        assert report["count"]["evaluations"] == 600
+        assert report["count"]["evaluations"] == 2002
         assert report["count"]["quadrature_tol"] == 0.0
         assert calls == {"scalar": 0, "array": 3}
 

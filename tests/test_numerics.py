@@ -243,6 +243,11 @@ class TestBesselJArray:
             (-1.0 + 1e-13, 1.0, SeriesNonConvergence),
             # the terms reach 1e7 and cancel to J ~ 0.1
             (-5.24j, 40.0, SeriesNonConvergence),
+            # the step's order -2i sqrt(E - 2) a at a = 1.31: near E = 3e4
+            # the first terms pass 1e300, and at E = 1e6 Gamma(nu + 1)
+            # underflows to zero; both once warned and returned inf or nan
+            (-453.78j, 2.62, SeriesNonConvergence),
+            (-2620j, 2.62, SeriesNonConvergence),
         ],
     )
     def test_error_parity(self, bad, z, exc):

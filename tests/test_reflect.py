@@ -27,6 +27,17 @@ from resdelay.reflect import (
 
 STEP = ExpStep(V1=1.0, V2=1.0, a=1.31)
 
+# (V1, V2, a) of four expstep bench pool instances: r5/i6 and r0/i3, where
+# the quadrature of the delay is biased by 4.0e-7 and 5.6e-7 just above the
+# barrier top, r2/i0, where theta falls by more than pi, and r4/i0, where
+# n_R is within 3e-4 of -1
+POOL_STEPS = [
+    ("1.9587", "1.0467", "2.4255"),
+    ("1.9986", "1.4353", "2.4335"),
+    ("0.9559", "1.8712", "0.9810"),
+    ("0.9637", "1.8493", "2.0535"),
+]
+
 
 def mp_reflection_amplitude(mpmath, E, step=STEP):
     """r(E) of ``step`` from the matching formula with mpmath's J_nu."""
@@ -111,6 +122,24 @@ class TestReflectivityCurve:
 
 
 class TestThetaCurve:
+    @pytest.mark.parametrize("step", [("1.0", "1.0", "1.31"), *POOL_STEPS])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+    def test_coarse_start_reads_the_fine_change(self, step, n):
+        # the delay guides the unwrap: from as few as 2 start points it
+        # bisects to where theta falls by nearly pi across the dip, which a
+        # continuity unwrap of 2 to 8 principal values missed by a full turn
+        model = ExpStep(*map(float, step))
+        lo = model.threshold + 2e-6
+        fine = theta_curve(model, lo, 10.0, 2000).values
+        coarse = theta_curve(model, lo, 10.0, n).values
+        assert coarse[-1] - coarse[0] == pytest.approx(fine[-1] - fine[0], abs=1e-12)
+
+    @pytest.mark.parametrize("e_lo", [0.5, 2.0, 2.0 + 1e-6])
+    def test_rejects_energies_below_the_delays_domain(self, e_lo):
+        # the unwrap needs the delay, defined above the barrier top + 1e-6
+        with pytest.raises(ValueError):
+            theta_curve(STEP, e_lo, 10.0, 300)
+
     def test_unwrapped_continuity(self):
         curve = theta_curve(STEP, 2.000002, 10.0, 300)
         assert np.max(np.abs(np.diff(curve.values))) < math.pi
@@ -180,18 +209,6 @@ class TestReflectionTimeDelay:
         assert rep.n_R == pytest.approx(-1.1210, abs=1e-4)
 
 
-# (V1, V2, a) of four expstep bench pool instances: r5/i6 and r0/i3, where
-# the quadrature of the delay is biased by 4.0e-7 and 5.6e-7 just above the
-# barrier top, r2/i0, where theta falls by more than pi, and r4/i0, where
-# n_R is within 3e-4 of -1
-POOL_STEPS = [
-    ("1.9587", "1.0467", "2.4255"),
-    ("1.9986", "1.4353", "2.4335"),
-    ("0.9559", "1.8712", "0.9810"),
-    ("0.9637", "1.8493", "2.0535"),
-]
-
-
 def step_count(tmp_path, step, *extra):
     v1, v2, a = step
     argv = ["step", "--V1", v1, "--V2", v2, "--a", a, "--out", str(tmp_path)]
@@ -227,11 +244,15 @@ class TestStepCount:
 
     @pytest.mark.parametrize("step", POOL_STEPS)
     def test_n_r_does_not_depend_on_the_grid(self, tmp_path, step):
-        # theta_curve refines a coarse grid until its unwrap is unambiguous
-        fine = step_count(tmp_path / "fine", step)
+        # theta is unwrapped from the shared grid of max(--grid, 2000)
+        # points, so a coarse --grid changes nothing and a fine one only
+        # adds samples
+        default = step_count(tmp_path / "default", step)
         coarse = step_count(tmp_path / "coarse", step, "--grid", "5")
-        assert coarse["evaluations"] < fine["evaluations"] == 600
-        assert coarse["n_R"] == pytest.approx(fine["n_R"], abs=1e-12)
+        fine = step_count(tmp_path / "fine", step, "--grid", "2500")
+        assert coarse == default
+        assert 2000 <= default["evaluations"] < 2500 <= fine["evaluations"]
+        assert fine["n_R"] == pytest.approx(default["n_R"], abs=1e-12)
 
 
 class TestStepCurves:
