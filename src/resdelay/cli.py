@@ -229,6 +229,9 @@ def run_deltashell(args) -> dict:
 def run_step(args) -> dict:
     if args.grid < 2:
         raise ValueError(f"--grid {args.grid}: a curve needs at least 2 samples")
+    for option, value in (("--emin", args.emin), ("--emax", args.emax)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} {value}: the energy range must be finite")
     step = ExpStep(V1=args.V1, V2=args.V2, a=args.a)
     lo = max(args.emin, step.threshold + 2e-6)
     if not args.emax > lo:

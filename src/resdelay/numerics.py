@@ -132,6 +132,18 @@ def _lanczos(z: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * s
 
 
+def _digamma(z: np.ndarray) -> np.ndarray:
+    """psi(z) = Gamma'(z)/Gamma(z) for Re(z) >= 0.5, elementwise: the
+    log-derivative of the Lanczos form of :func:`_lanczos`."""
+    w = z - 1.0
+    s, ds = _LANCZOS_C[0], 0.0
+    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+        s += c / (w + i)
+        ds -= c / (w + i) ** 2
+    t = w + _LANCZOS_G + 0.5
+    return np.log(t) + (w + 0.5) / t - 1.0 + ds / s
+
+
 def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     """Gamma function for complex argument.
 
@@ -173,7 +185,7 @@ _BESSEL_MAX_ROUNDOFF = 1e-8
 _BESSEL_MAX_FIRST_TERM = 1e300
 
 
-def bessel_j(nu: complex | np.ndarray, z: complex):
+def bessel_j(nu: complex | np.ndarray, z: complex, order_derivative: bool = False):
     """Bessel function J_nu(z) of complex order and its z-derivative.
 
     Ascending power series with principal branch of z**nu, for |z| <= 50.
@@ -182,35 +194,62 @@ def bessel_j(nu: complex | np.ndarray, z: complex):
     once (each order stops by its own rule, and any order that would raise
     alone makes the call raise).
 
+    With ``order_derivative=True`` it returns ``(J, dJ/dz, dJ/dnu,
+    d2J/dz dnu)``, the order derivatives summed in the same loop from
+    d(term_k)/dnu = term_k (ln(z/2) - psi(nu + k + 1)) (DLMF 10.15.1), with
+    psi as a running sum.  Their domain is Re(nu) > -1/2 and z != 0
+    (``ValueError`` otherwise), which holds the purely imaginary orders of
+    the exponential step.  J and dJ/dz are the same bits either way; the
+    order derivatives stop by their own rule once J has stopped.
+
     Once |z| is large against |nu| the terms grow before they fall and
     cancel: :class:`SeriesNonConvergence` is raised when the round-off
     estimate 1e-16 (sum|term| + sum|dterm|) / (|J| + |dJ/dz|) exceeds 1e-8.
-    It judges the pair, so a zero of J alone does not trip it.  Far down
+    It judges the pair, so a zero of J alone does not trip it, and the
+    order derivatives get the same estimate of their own pair.  Far down
     the imaginary order axis Gamma(nu + 1) underflows and J overflows:
     :class:`SeriesNonConvergence` is raised, with no warning, when the
-    first term's |J| + |dJ/dz| exceeds 1e300.
+    first term's |J| + |dJ/dz| (or of its order derivatives) exceeds 1e300.
     """
     z = complex(z)
     if abs(z) > _BESSEL_MAX_ABS_Z:
         raise ValueError(f"|z| = {abs(z):.3g} outside the series regime (<= 50)")
     orders = np.asarray(nu, dtype=complex).ravel()
-    if z == 0:
+    if order_derivative:
+        if z == 0 or (orders.real <= -0.5).any():
+            raise ValueError("the order derivative needs Re(nu) > -1/2 and z != 0")
+        out = _bessel_series(orders, z, order_derivative=True)
+    elif z == 0:
         if (orders.real < 0).any():
             raise BranchAmbiguity("z**nu undefined at z = 0 for Re(nu) < 0")
-        J = np.where(orders == 0, 1.0, 0.0).astype(complex)
-        dJ = np.where(orders == 1, 0.5, 0.0).astype(complex)
+        out = (np.where(orders == 0, 1.0, 0.0).astype(complex),
+               np.where(orders == 1, 0.5, 0.0).astype(complex))
     else:
-        J, dJ = _bessel_series(orders, z)
+        out = _bessel_series(orders, z)
     if isinstance(nu, np.ndarray):
-        return J.reshape(nu.shape), dJ.reshape(nu.shape)
-    return J.item(), dJ.item()
+        return tuple(x.reshape(nu.shape) for x in out)
+    return tuple(x.item() for x in out)
 
 
-def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def _check_roundoff(what: str, nu, z, acc, dacc, total, dtotal) -> None:
+    """Raise when a finished pair of sums lost more than 1e-8 to round-off."""
+    roundoff = 1e-16 * (acc + dacc) / (np.abs(total) + np.abs(dtotal))
+    bad = ~(roundoff <= _BESSEL_MAX_ROUNDOFF)
+    if bad.any():
+        raise SeriesNonConvergence(
+            f"{what} series cancels at nu={nu[bad][0]}, z={z}: round-off "
+            f"estimate {roundoff[bad][0]:.2g} > {_BESSEL_MAX_ROUNDOFF:g}"
+        )
+
+
+def _bessel_series(nu: np.ndarray, z: complex,
+                   order_derivative: bool = False) -> tuple[np.ndarray, ...]:
     """The series of :func:`bessel_j` on a 1-D array of orders at z != 0.
 
     The orders still summing are kept packed: one that meets the stopping
     rule has its sums checked and stored, and leaves the running arrays.
+    With ``order_derivative`` an order leaves once its order-derivative
+    sums meet the rule too, at or after J's step; J stays as stored.
     """
     # at an order -n the series divides by k (nu + k) = 0 at k = n; there
     # J_{-n} = (-1)^n J_n, and the same for the derivative
@@ -218,13 +257,21 @@ def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     negative_int = (nu.imag == 0) & (n < 0) & (nu.real == n)
     sign, nu = np.where(negative_int, (-1.0) ** n, 1.0), np.where(negative_int, -nu, nu)
     half = z / 2.0
+    log_half = cmath.log(half)
     # k = 0 term; reciprocal gamma absorbs potential poles harmlessly.  Far
     # out along the imaginary order axis Gamma(nu + 1) underflows, and its
     # reciprocal or the first terms overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        term = np.exp(nu * cmath.log(half)) * _reciprocal_gamma(nu + 1.0)
+        term = np.exp(nu * log_half) * _reciprocal_gamma(nu + 1.0)
         dterm = (nu / z) * term
         over = ~(np.abs(term) + np.abs(dterm) <= _BESSEL_MAX_FIRST_TERM)
+        if order_derivative:
+            # d ln(term_k)/dnu = ln(z/2) - psi(nu + k + 1), here at k = 0
+            psi = _digamma(nu + 1.0)
+            dlog = log_half - psi
+            nterm = term * dlog
+            ndterm = term / z + dterm * dlog
+            over |= ~(np.abs(nterm) + np.abs(ndterm) <= _BESSEL_MAX_FIRST_TERM)
     if over.any():
         raise SeriesNonConvergence(
             f"J_nu series overflows at nu={nu[over][0]}, z={z}: its first term "
@@ -232,8 +279,13 @@ def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
         )
     total, dtotal = term, dterm
     acc, dacc = np.abs(term), np.abs(dterm)
-    ratio_base = -half * half
     J, dJ = np.empty_like(term), np.empty_like(term)
+    if order_derivative:
+        ntotal, ndtotal = nterm, ndterm
+        nacc, ndacc = np.abs(nterm), np.abs(ndterm)
+        nJ, ndJ = np.empty_like(term), np.empty_like(term)
+        summing = np.ones(nu.size, dtype=bool)  # orders whose J still sums
+    ratio_base = -half * half
     left = np.arange(nu.size)  # positions of the orders still summing
     k = 0
     while left.size:
@@ -250,20 +302,39 @@ def _bessel_series(nu: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
         acc = acc + size
         dacc = dacc + np.abs(dterm)
         done = size < 1e-16 * acc
+        if order_derivative:
+            psi = psi + 1.0 / (nu + k)
+            dlog = log_half - psi
+            nterm = term * dlog
+            ndterm = term / z + dterm * dlog
+            ntotal = ntotal + nterm
+            ndtotal = ndtotal + ndterm
+            nsize = np.abs(nterm)
+            nacc = nacc + nsize
+            ndacc = ndacc + np.abs(ndterm)
+            store, summing = done & summing, summing & ~done
+            done = ~summing & (nsize < 1e-16 * nacc)
+        else:
+            store = done
+        if store.any():
+            _check_roundoff("J_nu", nu[store], z, acc[store], dacc[store],
+                            total[store], dtotal[store])
+            J[left[store]], dJ[left[store]] = total[store], dtotal[store]
         if done.any():
-            pair = np.abs(total[done]) + np.abs(dtotal[done])
-            roundoff = 1e-16 * (acc[done] + dacc[done]) / pair
-            bad = ~(roundoff <= _BESSEL_MAX_ROUNDOFF)
-            if bad.any():
-                raise SeriesNonConvergence(
-                    f"J_nu series cancels at nu={nu[done][bad][0]}, z={z}: round-off "
-                    f"estimate {roundoff[bad][0]:.2g} > {_BESSEL_MAX_ROUNDOFF:g}"
-                )
-            J[left[done]], dJ[left[done]] = total[done], dtotal[done]
+            if order_derivative:
+                _check_roundoff("dJ_nu/dnu", nu[done], z, nacc[done], ndacc[done],
+                                ntotal[done], ndtotal[done])
+                nJ[left[done]], ndJ[left[done]] = ntotal[done], ndtotal[done]
             run = ~done
             left, nu, term, total, dtotal, acc, dacc = (
                 x[run] for x in (left, nu, term, total, dtotal, acc, dacc)
             )
+            if order_derivative:
+                psi, ntotal, ndtotal, nacc, ndacc, summing = (
+                    x[run] for x in (psi, ntotal, ndtotal, nacc, ndacc, summing)
+                )
+    if order_derivative:
+        return sign * J, sign * dJ, nJ, ndJ
     return sign * J, sign * dJ
 
 

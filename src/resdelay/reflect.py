@@ -52,7 +52,17 @@ def reflection_amplitude(step: ExpStep, E: float | np.ndarray) -> complex | np.n
     array call of :func:`bessel_j` (its argument 2*sqrt(V2)*a does not
     depend on E), and the call raises when any of them would.
     """
-    e = np.asarray(E, dtype=float)
+    N, D = _matching(step, np.asarray(E, dtype=float))
+    r = N / D
+    return r if isinstance(E, np.ndarray) else complex(r)
+
+
+def _matching(step: ExpStep, e: np.ndarray, slope: bool = False) -> tuple:
+    """Numerator and denominator of r = N/D at a float array of energies,
+    N, D = i k J_nu(z) +- q J_nu'(z) with nu = -2i p a and z = 2 q a, from
+    one :func:`bessel_j` call; with ``slope`` also dN/dE and dD/dE, from
+    the same call's order derivatives through dnu/dE = -i a/p and
+    dk/dE = 1/(2k)."""
     bad = e <= 0
     if bad.any():
         raise ValueError(f"E must be positive (E = {e[bad].flat[0]})")
@@ -63,9 +73,16 @@ def reflection_amplitude(step: ExpStep, E: float | np.ndarray) -> complex | np.n
         )
     k, p = np.sqrt(e), np.sqrt((e - step.threshold).astype(complex))
     q = math.sqrt(step.V2)
-    J, Jp = bessel_j(np.asarray(-2j * p * step.a), 2.0 * q * step.a)
-    r = (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
-    return r if isinstance(E, np.ndarray) else complex(r)
+    J, Jp, *dJ_dnu = bessel_j(np.asarray(-2j * p * step.a), 2.0 * q * step.a,
+                              order_derivative=slope)
+    ikJ = 1j * k * J
+    N, D = ikJ + q * Jp, ikJ - q * Jp
+    if not slope:
+        return N, D
+    dnu = -1j * step.a / p
+    d_ikJ = 1j * (J / (2.0 * k) + k * dJ_dnu[0] * dnu)
+    d_qJp = q * dJ_dnu[1] * dnu
+    return N, D, d_ikJ + d_qJp, d_ikJ - d_qJp
 
 
 def reflectivity_curve(step: ExpStep, e_lo: float, e_hi: float, n: int) -> Curve:
@@ -105,28 +122,29 @@ def _theta(step: ExpStep, grid: np.ndarray, r: np.ndarray,
 
 def _reflection(step: ExpStep, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """r(E) and the reflection time delay hbar * d(theta)/dE at a float
-    array of energies, the delay computed algebraically from r and a central
-    difference dr/dE (no unwrapping needed).
+    array of energies above the barrier top by more than 1e-6.
 
-    r at E, E + h and E - h is one stacked :func:`reflection_amplitude`
-    call, so one :func:`bessel_j` call, whatever the shape of E; r(E) is its
-    first row.
+    theta = arg r, so the delay is Im(r'/r) = Im(N'/N - D'/D) with N, D, N'
+    and D' from one :func:`bessel_j` call on the orders at E (see
+    :func:`_matching`): dr/dE is exact, and no unwrapping is needed.  r is
+    bit for bit :func:`reflection_amplitude`'s.
     """
     if (e <= step.threshold + 1e-6).any():
         raise ValueError("E must exceed the barrier top by more than 1e-6")
-    h = np.minimum(1e-6 * np.maximum(1.0, e), 0.49 * (e - step.threshold))
-    r0, r_up, r_down = reflection_amplitude(step, np.stack([e, e + h, e - h]))
-    vanishing = np.abs(r0) < 1e-8
+    N, D, dN, dD = _matching(step, e, slope=True)
+    r = N / D
+    vanishing = np.abs(r) < 1e-8
     if vanishing.any():
         raise VanishingAmplitude(
-            f"|r| = {abs(r0[vanishing].flat[0]):.2e} at E = {e[vanishing].flat[0]}"
+            f"|r| = {abs(r[vanishing].flat[0]):.2e} at E = {e[vanishing].flat[0]}"
         )
-    dr = (r_up - r_down) / (2.0 * h)
-    return r0, (r0.conjugate() * dr).imag / np.abs(r0) ** 2
+    return r, (dN / N - dD / D).imag
 
 
 def reflection_time_delay(step: ExpStep, E: float | np.ndarray) -> float | np.ndarray:
-    """Reflection time delay hbar * d(theta)/dE (see :func:`_reflection`) at
-    a float or a numpy array of energies; the result is of the same kind."""
+    """Reflection time delay hbar * d(theta)/dE at a float or a numpy array
+    of energies above the barrier top by more than 1e-6; the result is of
+    the same kind.  It is exact, from the order derivatives of one
+    :func:`bessel_j` call on the orders at E (see :func:`_reflection`)."""
     _, t = _reflection(step, np.asarray(E, dtype=float))
     return t if isinstance(E, np.ndarray) else float(t)

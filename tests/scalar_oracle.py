@@ -2,10 +2,10 @@
 
 One complex number at a time in ``cmath`` arithmetic: the Lanczos gamma
 function, the ascending series of J_nu(z), the spherical Bessel
-recurrences, and the exponential step's reflection amplitude and
-central-difference delay.  The package evaluates
-the same formulas on numpy arrays; these loops are what the array tests
-compare against where mpmath would be too slow for hundreds of energies.
+recurrences, and the exponential step's reflection amplitude.  The
+package evaluates the same formulas on numpy arrays; these loops are what
+the array tests compare against where mpmath would be too slow for
+hundreds of energies.
 The sample-by-sample extremum scan is the reference for the package's
 array one, and the row-by-row CSV writer and the plain ``json.dumps`` report
 are the references for the CLI's writers.
@@ -102,16 +102,6 @@ def reflection_amplitude(step, E: float) -> complex:
     q = math.sqrt(step.V2)
     J, Jp = bessel_j(-2j * p * step.a, complex(2.0 * q * step.a))
     return (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
-
-
-def reflection_time_delay(step, E: float) -> float:
-    """Im(conj(r) dr/dE)/|r|^2 with the package's central difference."""
-    h = min(1e-6 * max(1.0, E), 0.49 * (E - step.threshold))
-    r0 = reflection_amplitude(step, E)
-    dr = (reflection_amplitude(step, E + h) - reflection_amplitude(step, E - h)) / (
-        2.0 * h
-    )
-    return (r0.conjugate() * dr).imag / abs(r0) ** 2
 
 
 def find_extrema(curve) -> list:

@@ -105,6 +105,15 @@ class TestExitCodes:
         # infinite energy bound warned on inf * 0
         assert run(argv, tmp_path) == 2
 
+    @pytest.mark.parametrize("option", ["--emin", "--emax"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_step_non_finite_range_names_the_option(self, tmp_path, capsys,
+                                                     option, value):
+        # max(nan, barrier top) stayed NaN, so --emin nan was reported as
+        # "emax must exceed the barrier top"
+        assert run(["step", option, value], tmp_path) == 2
+        assert f"{option} {value}" in capsys.readouterr().err
+
     def test_step_bessel_overflow_is_numerical_failure(self, tmp_path, capsys):
         # Gamma(nu + 1) underflows near E = 3e4: the run warned, then
         # reported a round-off estimate nan
@@ -442,23 +451,25 @@ class TestEnvironmentDefault:
 
 class TestEvaluationCounts:
     def test_step_bessel_calls(self, tmp_path, monkeypatch):
-        # every bessel_j call takes an array of orders: r at E and E +- h,
-        # stacked, on the grid shared by the reflectivity, delay and theta
-        # curves, on the 2 midpoints of theta's one bisection pass, and on
-        # the dip window.  n_R is read off the theta curve at no further call
-        calls = {"scalar": 0, "array": 0}
+        # every bessel_j call takes an array of orders, one per energy (r
+        # and its exact delay): on the grid shared by the reflectivity,
+        # delay and theta curves, on the 2 midpoints of theta's one
+        # bisection pass, and on the dip window.  n_R is read off the theta
+        # curve at no further call
+        calls = {"scalar": 0, "array": 0, "orders": 0}
         original = reflect.bessel_j
 
-        def counted(nu, z):
+        def counted(nu, z, **kwargs):
             calls["array" if isinstance(nu, np.ndarray) else "scalar"] += 1
-            return original(nu, z)
+            calls["orders"] += np.size(nu)
+            return original(nu, z, **kwargs)
 
         monkeypatch.setattr(reflect, "bessel_j", counted)
         assert run(["step"], tmp_path) == 0
         report = json.loads((tmp_path / "step_report.json").read_text())
         assert report["count"]["evaluations"] == 2002
         assert report["count"]["quadrature_tol"] == 0.0
-        assert calls == {"scalar": 0, "array": 3}
+        assert calls == {"scalar": 0, "array": 3, "orders": 2066}
 
     def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
         # the reconstruction curve and its error report share one evaluation

@@ -17,7 +17,7 @@ from resdelay.counting import (
 from resdelay.errors import MaxDepthExceeded, SpuriousIncluded
 from resdelay.numerics import Curve, find_extrema, newton_complex
 from resdelay.poles import RESONANCE, SPURIOUS, Pole, SearchRegion, find_poles
-from resdelay.reflect import ExpStep, reflection_time_delay
+from resdelay.reflect import ExpStep, reflection_time_delay, theta_curve
 from resdelay.scattering import (
     DeltaShell,
     SquareWell,
@@ -110,9 +110,9 @@ class TestCountResonances:
         assert ab + bc == pytest.approx(ac, abs=2 * tol + 1e-9)
 
     def test_finite_difference_delay_over_a_wide_range(self):
-        # the reflection delay is a central difference: its noise at the
-        # dip (E = 2.04, inside the first initial panel [2, 8.2]) must not
-        # exhaust the quadrature's depth
+        # the reflection delay's dip (E = 2.04, inside the first initial
+        # panel [2, 8.2]) must not exhaust the quadrature's depth: a central
+        # difference's noise once did at this tol
         step = ExpStep(1.0, 1.0, 1.31)
 
         def delay(e):
@@ -123,6 +123,26 @@ class TestCountResonances:
         split = (count_resonances(delay, 2.000002, 10.0, tol).n_R
                  + count_resonances(delay, 10.0, 200.0, tol).n_R)
         assert whole == pytest.approx(split, abs=tol / math.pi)
+
+    @pytest.mark.parametrize(
+        "step, e_lo, e_hi",
+        [
+            (ExpStep(1.0, 1.0, 1.31), 2.000002, 200.0),
+            (ExpStep(1.9587, 1.0467, 2.4255), 3.0054 + 2e-6, 3.0054 + 1e-3),
+        ],
+        ids=["wide", "near_threshold"],
+    )
+    def test_reflection_delay_reaches_a_fine_tol(self, step, e_lo, e_hi):
+        # the central-difference delay floored the error sum at 3.6e-10 on
+        # the wide range (MaxDepthExceeded at the panel cap) and was 4.4e-7
+        # off theta's change just above the barrier top, where its step
+        # straddled the sqrt(E - V1 - V2) singularity
+        rep = count_resonances(
+            lambda e: reflection_time_delay(step, e), e_lo, e_hi, tol=1e-10
+        )
+        theta = theta_curve(step, e_lo, e_hi, 2000)
+        change = (theta.values[-1] - theta.values[0]) / math.pi
+        assert rep.n_R == pytest.approx(change, abs=1e-10)
 
     def test_lorentzian_comb(self):
         # isolated narrow resonances each contribute ~1

@@ -10,6 +10,7 @@ import scalar_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resdelay import numerics
 from resdelay.errors import (
     BranchAmbiguity,
     MaxDepthExceeded,
@@ -267,6 +268,62 @@ class TestBesselJArray:
         for i, n in enumerate(nu):
             assert bessel_j(n, z) == (J[i], dJ[i])
         assert bessel_j(-1.0, 1.0)[0] == pytest.approx(-0.440050585744933, rel=1e-14)
+
+
+# the step's orders -2i p a: p from 1e-3 to 5.3, a up to 2.5
+STEP_ORDERS = -1j * np.geomspace(0.01, 14.0, 15)
+
+
+def mp_order_derivatives(nu, z):
+    """(dJ/dnu, d2J/dz dnu) of mpmath's besselj at 40 digits."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpc(nu)
+        return (
+            complex(mpmath.diff(lambda v: mpmath.besselj(v, z), nu)),
+            complex(mpmath.diff(lambda v: mpmath.besselj(v, z, derivative=1), nu)),
+        )
+
+
+class TestBesselJOrderDerivative:
+    @pytest.mark.parametrize("z", [1.0, 2.62, 7.07])
+    @pytest.mark.parametrize(
+        "nu", [STEP_ORDERS, np.array([0.0, 0.3 + 1.0j, 2.5 - 0.5j, -0.4 + 0.2j])],
+        ids=["step", "general"],
+    )
+    def test_against_mpmath(self, nu, z):
+        *_, nJ, ndJ = bessel_j(nu, z, order_derivative=True)
+        ref = scalar_loop(mp_order_derivatives, nu, z)
+        assert_rel_close(nJ, [r[0] for r in ref])
+        assert_rel_close(ndJ, [r[1] for r in ref])
+
+    @pytest.mark.parametrize("z", [0.3, 2.62, 7.07])
+    def test_value_and_z_derivative_keep_their_bits(self, z):
+        # the order derivatives keep an order in the loop after J stops,
+        # but J and dJ/dz are stored at J's own stopping step
+        J, dJ, *_ = bessel_j(STEP_ORDERS, z, order_derivative=True)
+        assert np.array_equal(J, bessel_j(STEP_ORDERS, z)[0])
+        assert np.array_equal(dJ, bessel_j(STEP_ORDERS, z)[1])
+        one = bessel_j(complex(STEP_ORDERS[4]), z, order_derivative=True)
+        assert all(isinstance(x, complex) for x in one)
+        assert one[:2] == bessel_j(complex(STEP_ORDERS[4]), z)
+
+    def test_digamma_is_the_log_derivative_of_gamma(self):
+        z = np.array([0.5, 1.0, 1.0 - 0.01j, 1.0 - 14j, 3.7 + 2.0j, 20.0])
+        ref = [complex(mpmath.digamma(x)) for x in z]
+        assert_rel_close(numerics._digamma(z), ref, rel=1e-13)
+
+    @pytest.mark.parametrize("bad, z", [(-0.5, 2.0), (-1.3 + 0.4j, 2.0), (1.0, 0.0)])
+    def test_domain(self, bad, z):
+        with pytest.raises(ValueError):
+            bessel_j(bad, z, order_derivative=True)
+        with pytest.raises(ValueError):
+            bessel_j(np.array([0.5, bad]), z, order_derivative=True)
+
+    @pytest.mark.parametrize("bad, z", [(-5.24j, 40.0), (-453.78j, 2.62)])
+    def test_error_parity(self, bad, z):
+        # the cancelling and the overflowing series of TestBesselJArray
+        with pytest.raises(SeriesNonConvergence):
+            bessel_j(np.array([0.5, bad, 2.0 + 1j]), z, order_derivative=True)
 
 
 # ---------------------------------------------------------------------------

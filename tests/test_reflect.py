@@ -50,6 +50,15 @@ def mp_reflection_amplitude(mpmath, E, step=STEP):
     return (1j * k * J + q * Jp) / (1j * k * J - q * Jp)
 
 
+def mp_reflection_time_delay(mpmath, E, step=STEP):
+    """The delay Im(r'/r) of ``step`` at 30 digits, r' by ``mpmath.diff``."""
+    with mpmath.workdps(30):
+        E = mpmath.mpf(E)
+        r = mp_reflection_amplitude(mpmath, E, step)
+        dr = mpmath.diff(lambda e: mp_reflection_amplitude(mpmath, e, step), E)
+        return float(mpmath.im(dr / r))
+
+
 class TestExpStep:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -157,18 +166,30 @@ class TestThetaCurve:
 
 class TestReflectionTimeDelay:
     def test_constant_slope_phase(self):
-        # synthetic r = e^{icE} has delay identically c; emulate via the
-        # algebraic formula the module uses
+        # synthetic r = N/D = e^{icE} with N = e^{icE/2}, D = e^{-icE/2} has
+        # delay identically c; emulate via the algebraic formula the module
+        # uses, Im(N'/N - D'/D)
         c = 0.7
 
-        def delay_of(e, h=1e-6):
-            r0 = cmath.exp(1j * c * e)
-            dr = (
-                cmath.exp(1j * c * (e + h)) - cmath.exp(1j * c * (e - h))
-            ) / (2 * h)
-            return (r0.conjugate() * dr).imag / abs(r0) ** 2
+        def delay_of(e):
+            n, d = cmath.exp(0.5j * c * e), cmath.exp(-0.5j * c * e)
+            return (0.5j * c * n / n - (-0.5j * c) * d / d).imag
 
-        assert delay_of(3.1) == pytest.approx(c, rel=1e-9)
+        assert delay_of(3.1) == pytest.approx(c, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "step", [STEP] + [ExpStep(*map(float, s)) for s in POOL_STEPS]
+    )
+    def test_against_mpmath_from_the_barrier_top(self, step):
+        # the exact slope holds right above the barrier top, where the
+        # central difference it replaced was 1.3e-3 off at thr + 2e-6
+        mpmath = pytest.importorskip("mpmath")
+        e = step.threshold + np.concatenate(
+            ([2e-6, 1e-5, 1e-4, 1e-3, 1e-2], np.linspace(0.1, 10.0 - step.threshold, 10))
+        )
+        got = reflection_time_delay(step, e)
+        ref = np.array([mp_reflection_time_delay(mpmath, x, step) for x in e])
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
 
     def test_extremum_near_dip(self):
         grid = np.linspace(2.02, 2.08, 1200)
@@ -306,11 +327,14 @@ class TestArrays:
 
     @pytest.mark.parametrize("step", random_steps(8))
     def test_delay_matches_scalar_loop(self, step):
+        # the reference is a 30-digit mpmath delay, one energy at a time, on
+        # every 16th sample of the array (5 ms each), the first included
+        mpmath = pytest.importorskip("mpmath")
         e = np.linspace(step.threshold + 2e-6, 10.0, 400)
         got = reflection_time_delay(step, e)
-        ref = np.array([scalar_oracle.reflection_time_delay(step, float(x)) for x in e])
         assert got.shape == e.shape and got.dtype == float
-        assert np.all(np.abs(got - ref) <= 1e-8 * (1.0 + np.abs(ref)))
+        ref = np.array([mp_reflection_time_delay(mpmath, x, step) for x in e[::16]])
+        assert np.all(np.abs(got[::16] - ref) <= 1e-10 * np.abs(ref))
 
     def test_amplitude_row_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -330,18 +354,18 @@ class TestArrays:
         "E", [3.0, np.linspace(2.5, 9.0, 40), np.linspace(2.5, 9.0, 40).reshape(5, 8)]
     )
     def test_delay_is_one_bessel_call(self, monkeypatch, E):
-        # r at E, E + h and E - h is one stacked amplitude call, for a float
-        # as for an array
+        # r and dr/dE come from one call on the orders at E, with their
+        # order derivatives, for a float as for an array
         calls = []
         original = reflect.bessel_j
 
-        def counted(nu, z):
+        def counted(nu, z, **kwargs):
             calls.append(np.shape(nu))
-            return original(nu, z)
+            return original(nu, z, **kwargs)
 
         monkeypatch.setattr(reflect, "bessel_j", counted)
         reflection_time_delay(STEP, E)
-        assert calls == [(3,) + np.shape(E)]
+        assert calls == [np.shape(E)]
 
     def test_stacked_amplitude_is_bit_identical(self):
         # bessel_j stops each order by its own rule, so r of a batch is r of

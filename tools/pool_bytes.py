@@ -1,0 +1,141 @@
+"""Compare the outputs of two source trees on every bench pool instance.
+
+Each tree runs every instance of ``bench/reference.json`` in-process, in a
+child interpreter of its own that imports ``resdelay`` from ``<tree>/src``.
+The script then prints, for each instance where the trees differ, the exit
+codes, the stderr text and the sha256 of every output file that differs::
+
+    python tools/pool_bytes.py OLD_TREE NEW_TREE [--workload expstep]
+
+A tree is a checkout, for instance one made by ``git archive``.  The
+instance list, and the phase tables of the ``data`` instances, come from
+this checkout's ``bench/``.  The exit status is 0 when every instance is
+byte-identical, and 1 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def instances(workloads: list[str] | None) -> list[dict]:
+    """Every instance of the reference pools, in file order."""
+    ref = json.loads((BENCH / "reference.json").read_text("utf-8"))["workloads"]
+    return [
+        inst
+        for name, rounds in ref.items() if workloads is None or name in workloads
+        for rnd in rounds
+        for inst in rnd
+    ]
+
+
+def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
+    """Run every instance against ``tree`` in this process: the exit code,
+    the stderr text and the sha256 of each output file, by instance id.
+
+    The tables and outputs go under ``work``, at the same paths for every
+    tree, since a report records its ``--input`` path."""
+    sys.path[:0] = [str(tree / "src"), str(BENCH)]
+    import pool
+    import resdelay
+    from resdelay.cli import main
+
+    if not Path(resdelay.__file__).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"resdelay imported from {resdelay.__file__}, not {tree}")
+    tables, out = work / "tables", work / "out"
+    shutil.rmtree(tables, ignore_errors=True)
+    tables.mkdir()
+    records = {}
+    for inst in instances(workloads):
+        argv = pool.materialize(inst, tables)
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = main(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                rc = exc.code
+            except Exception as exc:  # a crash is an output like any other
+                rc = f"raised {type(exc).__name__}: {exc}"
+        records[inst["id"]] = {
+            "exit": rc,
+            "stderr": err.getvalue(),
+            "files": {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(out.iterdir())
+            },
+        }
+    return records
+
+
+def run_tree(tree: Path, work: Path, workloads: list[str] | None) -> dict:
+    """:func:`collect` in a child interpreter, so each tree has its own
+    imports."""
+    cmd = [sys.executable, __file__, "--collect", str(tree), "--work", str(work)]
+    for name in workloads or ():
+        cmd += ["--workload", name]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def differences(old: dict, new: dict) -> dict[str, list[str]]:
+    """What differs, line by line, for each instance whose outputs differ."""
+    out = {}
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if a is None or b is None:
+            out[key] = [f"only in the {'new' if a is None else 'old'} tree"]
+            continue
+        lines = out[key] = []
+        if a["exit"] != b["exit"]:
+            lines.append(f"exit: {a['exit']!r} -> {b['exit']!r}")
+        if a["stderr"] != b["stderr"]:
+            lines.append(f"stderr: {a['stderr']!r} -> {b['stderr']!r}")
+        for name in sorted(a["files"].keys() | b["files"].keys()):
+            ha, hb = a["files"].get(name, "missing"), b["files"].get(name, "missing")
+            if ha != hb:
+                lines.append(f"{name}: {ha} -> {hb}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    parser.add_argument("--workload", action="append",
+                        help="only this workload (repeatable); default all")
+    parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect is not None:
+        print(json.dumps(collect(args.collect, args.work, args.workload)))
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give two source trees, OLD_TREE NEW_TREE")
+    with tempfile.TemporaryDirectory() as work:
+        old, new = (run_tree(tree, Path(work), args.workload) for tree in args.trees)
+    diff = differences(old, new)
+    for key, lines in diff.items():
+        print(key)
+        for line in lines:
+            print("  " + line)
+    print(f"{len(old.keys() | new.keys())} instances, {len(diff)} differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
