@@ -10,7 +10,8 @@ class PoleOfGamma(ResdelayError):
 
 
 class BranchAmbiguity(ResdelayError):
-    """z**nu is undefined at z = 0 for Re(nu) < 0."""
+    """J_nu(z) at z = 0 for an order other than nu = 0, nu = 1 or
+    Re(nu) > 1, where z**nu or z**(nu - 1) has no limit."""
 
 
 class SeriesNonConvergence(ResdelayError):

@@ -188,11 +188,13 @@ _BESSEL_MAX_FIRST_TERM = 1e300
 def bessel_j(nu: complex | np.ndarray, z: complex, order_derivative: bool = False):
     """Bessel function J_nu(z) of complex order and its z-derivative.
 
-    Ascending power series with principal branch of z**nu, for |z| <= 50.
-    Returns ``(J, dJ/dz)``: complex numbers for a number ``nu``, and arrays
-    of its shape for a numpy array of orders, on which the series runs at
-    once (each order stops by its own rule, and any order that would raise
-    alone makes the call raise).
+    Ascending power series with principal branch of z**nu, for |z| <= 50;
+    z = 0 takes only the orders nu = 0, nu = 1 and Re(nu) > 1, where J and
+    dJ/dz tend to a limit (:class:`BranchAmbiguity` otherwise).  Returns
+    ``(J, dJ/dz)``: complex numbers for a number ``nu``, and arrays of its
+    shape for a numpy array of orders, on which the series runs at once
+    (each order stops by its own rule, and any order that would raise alone
+    makes the call raise).
 
     With ``order_derivative=True`` it returns ``(J, dJ/dz, dJ/dnu,
     d2J/dz dnu)``, the order derivatives summed in the same loop from
@@ -220,8 +222,14 @@ def bessel_j(nu: complex | np.ndarray, z: complex, order_derivative: bool = Fals
             raise ValueError("the order derivative needs Re(nu) > -1/2 and z != 0")
         out = _bessel_series(orders, z, order_derivative=True)
     elif z == 0:
-        if (orders.real < 0).any():
-            raise BranchAmbiguity("z**nu undefined at z = 0 for Re(nu) < 0")
+        # J ~ (z/2)**nu / Gamma(nu + 1) and dJ/dz ~ (nu/z) J: both tend to a
+        # limit only at nu = 0, nu = 1 and Re(nu) > 1
+        bad = ~((orders == 0) | (orders == 1) | (orders.real > 1))
+        if bad.any():
+            raise BranchAmbiguity(
+                f"J_nu or dJ_nu/dz has no limit at z = 0 for nu = {orders[bad][0]}"
+                " (only nu = 0, nu = 1 and Re(nu) > 1 are taken there)"
+            )
         out = (np.where(orders == 0, 1.0, 0.0).astype(complex),
                np.where(orders == 1, 0.5, 0.0).astype(complex))
     else:
@@ -392,20 +400,46 @@ def _miller(l: int, z: np.ndarray, j0: np.ndarray):
     return j, f_lm1 * scale - (l + 1) / z * j
 
 
-def _sph_j(l: int, z: np.ndarray, sin_z: np.ndarray, cos_z: np.ndarray):
-    """(j_l(z), j_l'(z)) on a complex numpy array, from the given sin z and
-    cos z: by upward recurrence where |z| >= l, and elsewhere by downward
-    Miller recurrence normalized to j_0 = sin z / z.  Raises
-    :class:`ZeroArgument` when any |z| < 1e-300."""
-    r = np.abs(z)
+def _sph_jh(l: int, x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray,
+            y: np.ndarray):
+    """``(j, j', j, j', n, n', h1, h1')``: (j_l, j_l') at x from the given
+    sin x and cos x, then (j_l, j_l', n_l, n_l', h1_l, h1_l') at y, as
+    complex arrays of the shapes of x and of y, from one pass.
+
+    The rows [j(x), j(y), n(y)] are stacked and run through one upward
+    recurrence, from f_0 = s/z and f_1 = s/z^2 - c/z, where (s, c) is
+    (sin z, cos z) for j and (-cos z, sin z) for n.  One downward Miller
+    pass (:func:`_miller`) then replaces the j rows where |z| < l.  Both
+    recurrences are elementwise and Miller rescales each element on its
+    own, so every element gets the bits it would get alone, whatever else
+    is stacked with it.  Raises :class:`ZeroArgument` when any |x| or |y| <
+    1e-300.
+    """
+    shape, y = y.shape, y.ravel()
+    zj = np.concatenate((x.ravel(), y))
+    r = np.abs(zj)
     if (r < 1e-300).any():
         raise ZeroArgument("spherical Bessel functions singular at z = 0")
-    j0 = sin_z / z
-    j, jp = _upward(l, z, j0, sin_z / (z * z) - cos_z / z)
+    sin_y, cos_y = np.sin(y), np.cos(y)
+    z = np.concatenate((zj, y))
+    s = np.concatenate((sin_x.ravel(), sin_y, -cos_y))
+    c = np.concatenate((cos_x.ravel(), cos_y, sin_y))
+    f0 = s / z
+    f, fp = _upward(l, z, f0, s / (z * z) - c / z)
     miller = r < l
     if miller.any():
-        j[miller], jp[miller] = _miller(l, z[miller], j0[miller])
-    return j, jp
+        rows = slice(0, zj.size)  # a view: the j rows of f and fp
+        f[rows][miller], fp[rows][miller] = _miller(l, zj[miller], f0[rows][miller])
+    nx, ny = x.size, y.size
+    j, jp, n, npr = (
+        g.reshape(shape)
+        for g in (f[nx:nx + ny], fp[nx:nx + ny], f[nx + ny:], fp[nx + ny:])
+    )
+    return (f[:nx].reshape(x.shape), fp[:nx].reshape(x.shape),
+            j, jp, n, npr, j + 1j * n, jp + 1j * npr)
+
+
+_NO_ROWS = np.empty(0, dtype=complex)
 
 
 def sph_bessel(l: int, z: complex | np.ndarray):
@@ -413,10 +447,11 @@ def sph_bessel(l: int, z: complex | np.ndarray):
     derivatives at complex z.
 
     Returns ``(j, jp, n, np_, h1, h1p)``: arrays of the shape of a numpy
-    array ``z``, complex numbers for a number (its one-element case).  j_l
-    comes from :func:`_sph_j`; n_l is computed by upward recurrence.  Every
-    element gets the bits it would get alone.  Raises :class:`ZeroArgument`
-    when any |z| < 1e-300.
+    array ``z``, complex numbers for a number (its one-element case), from
+    one :func:`_sph_jh` pass: j_l by upward recurrence where |z| >= l and
+    by downward Miller recurrence elsewhere, n_l by upward recurrence.
+    Every element gets the bits it would get alone.  Raises
+    :class:`ZeroArgument` when any |z| < 1e-300.
 
     Both rows are accurate on the real axis.  Off it, at large l:
 
@@ -431,13 +466,7 @@ def sph_bessel(l: int, z: complex | np.ndarray):
         raise ValueError("l must be in [0, 30]")
     if not isinstance(z, np.ndarray):
         return tuple(c.item() for c in sph_bessel(l, np.array([z], dtype=complex)))
-    shape = z.shape
-    z = z.astype(complex).ravel()
-    sin_z, cos_z = np.sin(z), np.cos(z)
-    j, jp = _sph_j(l, z, sin_z, cos_z)
-    n, npr = _upward(l, z, -cos_z / z, -cos_z / (z * z) - sin_z / z)
-    h1, h1p = j + 1j * n, jp + 1j * npr
-    return tuple(c.reshape(shape) for c in (j, jp, n, npr, h1, h1p))
+    return _sph_jh(l, _NO_ROWS, _NO_ROWS, _NO_ROWS, z.astype(complex))[2:]
 
 
 # ---------------------------------------------------------------------------

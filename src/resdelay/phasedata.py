@@ -8,6 +8,7 @@ separators.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -75,44 +76,62 @@ class ResonanceReport:
 
 
 def parse_phase_table(text: str, source: str = "") -> PhaseTable:
-    """Parse and validate a phase-shift CSV (see module docstring)."""
-    header = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            cols = [c.strip() for c in line.split(",")]
-            if cols[:2] != ["W_MeV", "delta_deg"] or (
-                len(cols) == 3 and cols[2] != "err_deg"
-            ) or len(cols) > 3:
-                raise ParseError(f"bad header {line!r}", lineno)
-            header = cols
-            continue
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(parts)}", lineno
-            )
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"non-numeric field in {line!r}", lineno) from None
-        rows.append((lineno, vals))
-    if header is None:
+    """Parse and validate a phase-shift CSV (see module docstring).
+
+    Each data line is split once and every field goes through one
+    ``float`` pass; a field count or a number that does not parse raises
+    :class:`ParseError` at the first such line in file order."""
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and line[0] != "#"
+    ]
+    if not lines:
         raise ParseError("missing header line")
+    lineno, line = lines[0]
+    header = [c.strip() for c in line.split(",")]
+    if header[:2] != ["W_MeV", "delta_deg"] or (
+        len(header) == 3 and header[2] != "err_deg"
+    ) or len(header) > 3:
+        raise ParseError(f"bad header {line!r}", lineno)
+    ncol, rows = len(header), lines[1:]
+    fields = [line.split(",") for _, line in rows]
+    try:
+        if set(map(len, fields)) - {ncol}:
+            raise ValueError("a row has the wrong field count")
+        # float() ignores the whitespace around a field
+        values = np.fromiter(
+            map(float, itertools.chain.from_iterable(fields)), float, ncol * len(rows)
+        )
+    except ValueError:
+        raise _first_bad_row(rows, fields, ncol) from None
     if len(rows) < _MIN_ROWS:
         raise TooFewRows(f"need at least {_MIN_ROWS} rows, got {len(rows)}")
-    w = np.array([r[1][0] for r in rows])
-    for i in range(1, len(w)):
-        if w[i] <= w[i - 1]:
-            raise MonotonicityError(
-                f"W = {w[i]} does not increase past {w[i - 1]}", rows[i][0]
-            )
-    delta = np.array([r[1][1] for r in rows])
-    err = np.array([r[1][2] for r in rows]) if len(header) == 3 else None
-    return PhaseTable(W=w, delta_deg=delta, err_deg=err, source=source)
+    w, delta, *err = values.reshape(-1, ncol).T.copy()
+    # <= rather than a difference: inf, inf does not increase, NaN is left
+    # to PhaseTable
+    bad = np.flatnonzero(w[1:] <= w[:-1])
+    if bad.size:
+        i = bad[0] + 1
+        raise MonotonicityError(
+            f"W = {w[i]} does not increase past {w[i - 1]}", rows[i][0]
+        )
+    return PhaseTable(
+        W=w, delta_deg=delta, err_deg=err[0] if err else None, source=source
+    )
+
+
+def _first_bad_row(rows, fields, ncol) -> ParseError:
+    """The :class:`ParseError` of the first row, in file order, with the
+    wrong field count or a field that is not a number."""
+    for (lineno, line), parts in zip(rows, fields):
+        if len(parts) != ncol:
+            return ParseError(f"expected {ncol} fields, got {len(parts)}", lineno)
+        try:
+            list(map(float, parts))
+        except ValueError:
+            return ParseError(f"non-numeric field in {line!r}", lineno)
+    raise AssertionError("every row parses")
 
 
 def load_bundled_p33() -> PhaseTable:

@@ -111,7 +111,7 @@ def outgoing_condition(model: ScatteringModel, E: complex) -> complex:
 
 def _branch_point(model: ScatteringModel, E: np.ndarray) -> np.ndarray:
     """Elementwise: the outgoing condition cannot be evaluated at E (E = 0,
-    and E = -V0 at l >= 1, where :func:`sph_bessel` raises)."""
+    and E = -V0 at l >= 1, where its spherical-Bessel pass raises)."""
     at = E == 0
     if isinstance(model, SquareWell) and model.l >= 1:
         at |= E + model.V0 == 0

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import Curve, _sample_grid, _sph_j, sph_bessel
+from .numerics import Curve, _sample_grid, _sph_jh, sph_bessel
 
 __all__ = [
     "SquareWell",
@@ -144,7 +144,10 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     array reaching into the band is evaluated on each side of it and put
     back in place.  Without ``series`` (Newton's residual) there is no band
     test: the slope is NaN at p = 0 and the value defined, or at l >= 1
-    :func:`sph_bessel` raises.  E is a numpy array, evaluated elementwise
+    the spherical-Bessel pass raises :class:`ZeroArgument`.  At l >= 1
+    (j_l, j_l') at pa and (h1_l, h1_l') at ka come from one such pass
+    (:func:`numerics._sph_jh`), the series form's h from
+    :func:`sph_bessel`.  E is a numpy array, evaluated elementwise
     (each element gets the bits it would get alone), or a number, its
     one-element case with Python numbers as the result.  E = 0, a branch
     point, raises ``ValueError``.
@@ -217,11 +220,11 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     # x y''(x) = -2 y'(x) - (x - l(l+1)/x) y(x).  F and dF/dE are linear in
     # (j, j'), so the scaling of a thick barrier cancels as in the s-wave:
     # there j_l recurs upward (|x| > 300 > l) from sin and cos at Im x
-    # clipped, and both carry the factor e^(|Im x| - _MAX_IM_PA)
+    # clipped, and both carry the factor e^(|Im x| - _MAX_IM_PA).  The
+    # interior and exterior rows run as one recurrence pass
     x, y = p * a, k * a
     clipped = _clip_imag(x)
-    j, jp = _sph_j(l, x, np.sin(clipped), np.cos(clipped))
-    _, _, _, _, h, hp = sph_bessel(l, y)
+    j, jp, *_, h, hp = _sph_jh(l, x, np.sin(clipped), np.cos(clipped), y)
     ll = l * (l + 1)
     f = p * jp * h - k * hp * j
     f_p = -jp * h - (x - ll / x) * j * h - y * hp * jp

@@ -135,8 +135,37 @@ class TestBesselJ:
         assert abs(v - ref_v) + abs(d - ref_d) <= 1e-8 * (abs(ref_v) + abs(ref_d))
 
     def test_branch_ambiguity_at_origin(self):
+        # z**nu has no limit; at nu = -n, J_{-n} = (-1)^n J_n does, but the
+        # origin still takes only nu = 0, nu = 1 and Re(nu) > 1
+        for nu in (-0.5, -1.0, -2.0 + 1j):
+            with pytest.raises(BranchAmbiguity):
+                bessel_j(nu, 0.0)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 2.5 + 1j, 3.0, 2.2 - 4j])
+    def test_origin_is_the_limit(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        J, dJ = bessel_j(nu, 0.0)
+        with mpmath.workdps(30):
+            z = mpmath.mpf("1e-40")
+            ref = mpmath.besselj(nu, z), mpmath.besselj(nu, z, derivative=1)
+        assert abs(J - complex(ref[0])) <= 1e-12
+        assert abs(dJ - complex(ref[1])) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [1j, -3.5j, 0.5, 0.9, 1.0 + 1j, 1.0 - 2j])
+    def test_origin_without_a_limit_raises(self, nu):
+        # (z/2)**nu turns through every phase (Re nu = 0), or dJ/dz grows
+        # like z**(nu - 1) (Re nu < 1) or turns (Re nu = 1, nu != 1), so
+        # mpmath's values at z = 1e-10 and 1e-20 are far apart
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            at = [(mpmath.besselj(nu, z), mpmath.besselj(nu, z, derivative=1))
+                  for z in (mpmath.mpf("1e-10"), mpmath.mpf("1e-20"))]
+        apart = abs(at[0][0] - at[1][0]) + abs(at[0][1] - at[1][1])
+        assert apart > 0.1
         with pytest.raises(BranchAmbiguity):
-            bessel_j(-0.5, 0.0)
+            bessel_j(nu, 0.0)
+        with pytest.raises(BranchAmbiguity):
+            bessel_j(np.array([0.0, nu, 2.0]), 0.0)
 
     def test_argument_cap(self):
         with pytest.raises(ValueError):
@@ -487,6 +516,94 @@ class TestSphBessel:
     def test_array_zero_argument_rejected(self):
         with pytest.raises(ZeroArgument):
             sph_bessel(3, np.array([1.0, 0.0, 2.0]))
+
+
+def separate_passes(l, x, sin_x, cos_x, y):
+    """The rows of numerics._sph_jh, each from a pass of its own: j_l at x
+    (upward, then Miller where |x| < l), and j_l, n_l and h1_l at y."""
+    def sph_j(z, s, c):
+        j0 = s / z
+        j, jp = numerics._upward(l, z, j0, s / (z * z) - c / z)
+        miller = np.abs(z) < l
+        if miller.any():
+            j[miller], jp[miller] = numerics._miller(l, z[miller], j0[miller])
+        return j, jp
+
+    sin_y, cos_y = np.sin(y), np.cos(y)
+    j, jp = sph_j(y, sin_y, cos_y)
+    n, npr = numerics._upward(l, y, -cos_y / y, -cos_y / (y * y) - sin_y / y)
+    return (*sph_j(x, sin_x, cos_x), j, jp, n, npr, j + 1j * n, jp + 1j * npr)
+
+
+def points(seed, n, r_lo, r_hi):
+    """n complex points with |z| uniform in [r_lo, r_hi) at random angles."""
+    rng = np.random.default_rng(seed)
+    r, angle = rng.uniform((r_lo, 0.0), (r_hi, 2 * math.pi), (n, 2)).T
+    return r * np.exp(1j * angle)
+
+
+class TestStackedPass:
+    # the outgoing condition's one pass: j_l at the interior x = pa and h1_l
+    # at the exterior y = ka, stacked as the rows [j(x), j(y), n(y)]
+    THICK = np.array([2.0 + 400.0j, 35.0 - 350.0j, 0.5 + 900.0j])  # |Im x| > 300
+
+    @classmethod
+    def arguments(cls, l, case):
+        below, above = (lambda seed, n: points(seed, n, 0.05 * l, 0.95 * l),
+                        lambda seed, n: points(seed, n, 1.05 * l, 3.0 * l))
+        mixed_x = np.concatenate((below(l, 6), [1e-4, -1e-6j], above(l + 1, 6)))
+        mixed_y = np.concatenate((above(l + 2, 5), below(l + 3, 5)))
+        return {
+            "mixed": (mixed_x, mixed_y),
+            "thick_barrier": (np.concatenate((mixed_x, cls.THICK)), mixed_y),
+            "one_element": (below(l + 4, 1), above(l + 5, 1)),
+            "no_interior_miller": (np.concatenate((above(l + 6, 4), cls.THICK)), mixed_y),
+            "no_exterior_miller": (mixed_x, above(l + 7, 4)),
+            "no_interior_rows": (np.empty(0, dtype=complex), mixed_y),
+        }[case]
+
+    @pytest.mark.parametrize("case", [
+        "mixed", "thick_barrier", "one_element", "no_interior_miller",
+        "no_exterior_miller", "no_interior_rows",
+    ])
+    @pytest.mark.parametrize("l", [1, 5, 10, 20, 30])
+    def test_equals_the_separate_passes(self, l, case):
+        x, y = self.arguments(l, case)
+        clipped = x.copy()
+        clipped.imag = np.clip(x.imag, -300.0, 300.0)
+        sin_x, cos_x = np.sin(clipped), np.cos(clipped)
+        got = numerics._sph_jh(l, x, sin_x, cos_x, y)
+        want = separate_passes(l, x, sin_x, cos_x, y)
+        assert [g.shape for g in got] == [x.shape] * 2 + [y.shape] * 6
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()  # bit for bit
+        for g, public in zip(got[2:], sph_bessel(l, y)):  # j, n and h1 at y
+            assert g.tobytes() == public.tobytes()
+
+    def test_cases_cover_both_branches(self):
+        # each case reaches the Miller and upward branches it is named for
+        for l in (1, 5, 10, 20, 30):
+            x, y = self.arguments(l, "mixed")
+            assert (np.abs(x) < l).any() and (np.abs(x) >= l).any()
+            assert (np.abs(y) < l).any() and (np.abs(y) >= l).any()
+            assert (np.abs(self.arguments(l, "no_interior_miller")[0]) >= l).all()
+            assert (np.abs(self.arguments(l, "no_exterior_miller")[1]) >= l).all()
+
+    def test_shapes_follow_each_argument(self):
+        x, y = points(1, 6, 0.5, 8.0).reshape(2, 3), points(2, 4, 0.5, 8.0).reshape(4, 1)
+        got = numerics._sph_jh(5, x, np.sin(x), np.cos(x), y)
+        assert [g.shape for g in got] == [(2, 3)] * 2 + [(4, 1)] * 6
+        flat = numerics._sph_jh(
+            5, x.ravel(), np.sin(x).ravel(), np.cos(x).ravel(), y.ravel()
+        )
+        for g, f in zip(got, flat):
+            assert g.ravel().tobytes() == f.tobytes()
+
+    def test_zero_argument_on_either_side(self):
+        x, y = points(3, 3, 0.5, 2.0), points(4, 3, 0.5, 2.0)
+        for bad_x, bad_y in ((np.append(x, 0.0), y), (x, np.append(y, 0.0))):
+            with pytest.raises(ZeroArgument):
+                numerics._sph_jh(3, bad_x, np.sin(bad_x), np.cos(bad_x), bad_y)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ class TestParsePhaseTable:
 
     def test_monotonicity(self):
         bad = GOOD.replace("1130,19.0", "1115,19.0")
-        with pytest.raises(MonotonicityError):
+        with pytest.raises(MonotonicityError) as err:
             parse_phase_table(bad)
+        assert err.value.line_number == 6
 
     def test_duplicate_w_rejected(self):
         bad = GOOD.replace("1130,19.0", "1120,19.0")
@@ -56,6 +57,26 @@ class TestParsePhaseTable:
         with pytest.raises(ParseError) as err:
             parse_phase_table(bad)
         assert err.value.line_number == 7
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("1110,abc", "1130,19.0,1", "non-numeric field in '1110,abc'"),
+        ("1110,12.0,1", "1130,abc", "expected 2 fields, got 3"),
+    ])
+    def test_first_bad_line_wins(self, first, second, message):
+        # a field count and a number that does not parse, on lines 4 and 6:
+        # the error is line 4's, whichever kind each is
+        bad = GOOD.replace("1110,12.0", first).replace("1130,19.0", second)
+        with pytest.raises(ParseError) as err:
+            parse_phase_table(bad)
+        assert type(err.value) is ParseError
+        assert err.value.line_number == 4
+        assert str(err.value) == f"line 4: {message}"
+
+    def test_fields_padded_with_whitespace(self):
+        padded = parse_phase_table(GOOD.replace("1120,15.0", "  1120 ,\t15.0 "))
+        plain = parse_phase_table(GOOD)
+        assert padded.W.tobytes() == plain.W.tobytes()
+        assert padded.delta_deg.tobytes() == plain.delta_deg.tobytes()
 
     def test_err_column(self):
         text = "W_MeV,delta_deg,err_deg\n" + "\n".join(

@@ -10,7 +10,7 @@ import pytest
 from resdelay import poles, scattering
 from resdelay.counting import lorentzian_sum
 from resdelay.errors import ZeroArgument
-from resdelay.numerics import Curve, _sph_j, newton_complex, sph_bessel
+from resdelay.numerics import Curve, _sph_jh, newton_complex, sph_bessel
 from resdelay.poles import (
     RESONANCE,
     SPURIOUS,
@@ -141,17 +141,18 @@ class TestOutgoingSlope:
 class TestFindPoles:
     def test_bessel_call_budget(self, monkeypatch):
         # the 1200 seeds run as one batch: each round evaluates the residual
-        # once on the seeds still running, which is two array sph_bessel
-        # calls (j_l(pa) and h_l(ka)), and the nine seeds that never converge
-        # keep it going for all 61 rounds.  One scalar Newton run per seed
-        # made about 28k scalar calls here, a central-difference slope 183,814
-        # (the interior j_l(pa) is a _sph_j call, counted with sph_bessel)
+        # once on the seeds still running, which is one spherical-Bessel
+        # pass (_sph_jh: j_l(pa) and h_l(ka) together), and the nine seeds
+        # that never converge keep it going for all 61 rounds.  One scalar
+        # Newton run per seed made about 28k scalar calls here, a
+        # central-difference slope 183,814, and separate interior and
+        # exterior calls 122 (calls to the public sph_bessel count too)
         calls, rounds = [], [0]
 
         def counted(fn):
-            def wrapper(l, z, *args):
-                calls.append(z.size)
-                return fn(l, z, *args)
+            def wrapper(l, *args):
+                calls.append(args[-1].size)
+                return fn(l, *args)
             return wrapper
 
         def residual(model, E):
@@ -160,12 +161,12 @@ class TestFindPoles:
 
         newton_residual = poles._newton_residual
         monkeypatch.setattr(scattering, "sph_bessel", counted(sph_bessel))
-        monkeypatch.setattr(scattering, "_sph_j", counted(_sph_j))
+        monkeypatch.setattr(scattering, "_sph_jh", counted(_sph_jh))
         monkeypatch.setattr(poles, "_newton_residual", residual)
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
-        assert rounds[0] == 61 and len(calls) == 122
-        assert calls[:2] == [1200, 1200] and calls[-2:] == [9, 9]
+        assert rounds[0] == 61 and len(calls) == 61
+        assert calls[0] == 1200 and calls[-1] == 9
         assert len(found) == 16
         for pole in found:
             assert pole.residual <= 1e-8

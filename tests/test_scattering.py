@@ -373,7 +373,8 @@ class TestTimeDelay:
 
     @staticmethod
     def count_calls(monkeypatch, evaluate):
-        # "sph_bessel" counts the interior j_l calls (_sph_j) too
+        # "sph_bessel" counts the passes of the private kernel (_sph_jh)
+        # that _outgoing calls too
         calls = {"sph_bessel": 0, "s_matrix": 0}
 
         def counted(name, key):
@@ -386,33 +387,34 @@ class TestTimeDelay:
             monkeypatch.setattr(scattering, name, wrapper)
 
         counted("sph_bessel", "sph_bessel")
-        counted("_sph_j", "sph_bessel")
+        counted("_sph_jh", "sph_bessel")
         counted("s_matrix", "s_matrix")
         evaluate()
         return calls
 
     def test_evaluation_counts(self, monkeypatch):
         # the outgoing condition and its slope: j_l(pa) and h_l(ka), which
-        # also gives the hard-sphere term
+        # also gives the hard-sphere term, in one pass
         m = SquareWell(V0=5, a=10, l=3)
         calls = self.count_calls(monkeypatch, lambda: time_delay(m, 2.0))
-        assert calls == {"sph_bessel": 2, "s_matrix": 0}
+        assert calls == {"sph_bessel": 1, "s_matrix": 0}
 
     def test_array_evaluation_counts(self, monkeypatch):
         # an array outside the band is one outgoing-condition call: one
-        # sph_bessel call each for j_l(pa) and h_l(ka), and none for the
-        # s-wave and the delta shell
+        # pass for j_l(pa) and h_l(ka), and none for the s-wave and the
+        # delta shell
         E = np.linspace(0.5, 10.0, 200)
-        for m, n in ((SquareWell(V0=5, a=10, l=3), 2),
+        for m, n in ((SquareWell(V0=5, a=10, l=3), 1),
                      (SquareWell(V0=5, a=10, l=0), 0), (DeltaShell(V0=10, a=1), 0)):
             calls = self.count_calls(monkeypatch, lambda: time_delay(m, E))
             assert calls == {"sph_bessel": n, "s_matrix": 0}
 
     def test_s_matrix_evaluation_counts(self, monkeypatch):
-        # the outgoing condition on each sheet: j_l(pa) and h_l(+-ka)
+        # the outgoing condition on each sheet: one pass each for j_l(pa)
+        # and h_l(+-ka)
         m = SquareWell(V0=5, a=10, l=3)
         calls = self.count_calls(monkeypatch, lambda: s_matrix(m, 2.0))
-        assert calls["sph_bessel"] == 4
+        assert calls["sph_bessel"] == 2
 
     @pytest.mark.parametrize("n", [50, 500])
     def test_phase_shift_sweep_is_one_s_matrix_call(self, monkeypatch, n):
@@ -422,7 +424,7 @@ class TestTimeDelay:
         m = SquareWell(V0=5, a=10, l=3)
         grid = np.linspace(0.1, 10.0, n)
         calls = self.count_calls(monkeypatch, lambda: phase_shift_sweep(m, grid))
-        assert calls == {"sph_bessel": 4, "s_matrix": 1}
+        assert calls == {"sph_bessel": 2, "s_matrix": 1}
 
     @pytest.mark.filterwarnings("error")
     def test_s_matrix_array_through_the_interior_threshold(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -24,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -40,12 +42,14 @@ def instances(workloads: list[str] | None) -> list[dict]:
     ]
 
 
-def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
-    """Run every instance against ``tree`` in this process: the exit code,
-    the stderr text and the sha256 of each output file, by instance id.
+def run_pool(tree: Path, work: Path, workloads: list[str] | None):
+    """Run every instance against ``tree`` in this process, in file order.
 
-    The tables and outputs go under ``work``, at the same paths for every
-    tree, since a report records its ``--input`` path."""
+    Yields ``(instance, exit code, stderr text, output directory, seconds)``
+    per instance, the seconds those of the ``main`` call alone.  The tables
+    and outputs go under ``work``, at the same paths for every tree, since a
+    report records its ``--input`` path; the output directory is emptied
+    before the next instance."""
     sys.path[:0] = [str(tree / "src"), str(BENCH)]
     import pool
     import resdelay
@@ -56,34 +60,46 @@ def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
     tables, out = work / "tables", work / "out"
     shutil.rmtree(tables, ignore_errors=True)
     tables.mkdir()
-    records = {}
     for inst in instances(workloads):
         argv = pool.materialize(inst, tables)
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
+        gc.collect()
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            t0 = time.perf_counter()
             try:
                 rc = main(argv + ["--out", str(out)])
             except SystemExit as exc:
                 rc = exc.code
             except Exception as exc:  # a crash is an output like any other
                 rc = f"raised {type(exc).__name__}: {exc}"
-        records[inst["id"]] = {
+            seconds = time.perf_counter() - t0
+        yield inst, rc, err.getvalue(), out, seconds
+
+
+def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
+    """The exit code, the stderr text and the sha256 of each output file of
+    every instance of :func:`run_pool`, by instance id."""
+    return {
+        inst["id"]: {
             "exit": rc,
-            "stderr": err.getvalue(),
+            "stderr": err,
             "files": {
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(out.iterdir())
             },
         }
-    return records
+        for inst, rc, err, out, _ in run_pool(tree, work, workloads)
+    }
 
 
-def run_tree(tree: Path, work: Path, workloads: list[str] | None) -> dict:
-    """:func:`collect` in a child interpreter, so each tree has its own
+def run_tree(tree: Path, work: Path, workloads: list[str] | None,
+             script: str = __file__) -> dict:
+    """The ``--collect`` output of ``script`` (by default this one) for
+    ``tree``, run in a child interpreter, so each tree has its own
     imports."""
-    cmd = [sys.executable, __file__, "--collect", str(tree), "--work", str(work)]
+    cmd = [sys.executable, script, "--collect", str(tree), "--work", str(work)]
     for name in workloads or ():
         cmd += ["--workload", name]
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")

@@ -1,0 +1,106 @@
+"""Time two source trees on one bench pool, in alternating pairs.
+
+Each pair runs the workload's pool of ``bench/reference.json`` once per
+tree, each tree in a child interpreter of its own that imports ``resdelay``
+from ``<tree>/src`` (see ``pool_bytes.py``), the old tree first in odd
+pairs and the new tree first in even ones.  A child runs the pool twice and
+times the second pass, each instance's ``main`` call alone::
+
+    python tools/pool_time.py OLD_TREE NEW_TREE --workload sqwell_highl --pairs 10
+
+Per pair and tree the script takes the median instance time of each
+pipeline, and of the instances that exit 0 in both trees: a median over the
+whole pool mixes pipelines, and instances that exit early pull it down.  It
+prints, for each group, the median of those per-pair medians in each tree,
+the old tree's quartiles, the relative change and the pairs in which the
+new tree was faster.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+from pool_bytes import run_pool, run_tree
+
+
+def collect(tree: Path, work: Path, workloads: list[str]) -> dict:
+    """The pipeline, exit code and seconds of every instance, by id, from
+    the second of two passes of :func:`pool_bytes.run_pool`."""
+    for _ in run_pool(tree, work, workloads):  # warm-up pass
+        pass
+    return {
+        inst["id"]: {"pipeline": inst["argv"][0], "exit": rc, "seconds": seconds}
+        for inst, rc, _, _, seconds in run_pool(tree, work, workloads)
+    }
+
+
+def groups(old: dict, new: dict) -> dict[str, list[str]]:
+    """Instance ids per pipeline, and of the instances that exit 0 in both
+    trees."""
+    out: dict[str, list[str]] = {}
+    for key, rec in old.items():
+        out.setdefault(rec["pipeline"], []).append(key)
+    out["exit 0 in both"] = [
+        key for key in old if old[key]["exit"] == 0 and new[key]["exit"] == 0
+    ]
+    return out
+
+
+def summary(runs: tuple[list[dict], list[dict]]) -> list[str]:
+    """One line per group of :func:`groups`: instances, the old and new
+    medians of the per-pair medians, the old quartiles, the change and the
+    pairs won by the new tree."""
+    old_runs, new_runs = runs
+    lines = [f"{'group':<16} {'n':>4} {'old s':>10} {'old quartiles':>23} "
+             f"{'new s':>10} {'change':>8} {'new won':>8}"]
+    for name, ids in groups(old_runs[0], new_runs[0]).items():
+        if not ids:
+            continue
+        old, new = (
+            [statistics.median(run[key]["seconds"] for key in ids) for run in side]
+            for side in runs
+        )
+        q1, q3 = (statistics.quantiles(old, n=4)[::2] if len(old) > 1 else old * 2)
+        mo, mn = statistics.median(old), statistics.median(new)
+        won = sum(b < a for a, b in zip(old, new))
+        lines.append(f"{name:<16} {len(ids):>4} {mo:>10.6f} {q1:>11.6f}-{q3:<11.6f} "
+                     f"{mn:>10.6f} {100 * (mn / mo - 1):>+7.1f}% {won:>4}/{len(old)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    parser.add_argument("--workload", required=True, help="the bench workload")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (10)")
+    parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect is not None:
+        print(json.dumps(collect(args.collect, args.work, [args.workload])))
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give two source trees, OLD_TREE NEW_TREE")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    runs: tuple[list[dict], list[dict]] = ([], [])
+    with tempfile.TemporaryDirectory() as work:
+        for i in range(args.pairs):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                tree = args.trees[side]
+                runs[side].append(run_tree(tree, Path(work), [args.workload], __file__))
+    differ = sum(a[key]["exit"] != b[key]["exit"] for a, b in zip(*runs) for key in a)
+    print(f"{args.workload}: {args.pairs} pairs, old tree first in odd pairs; "
+          f"seconds are per-pair medians of instance times")
+    print("\n".join(summary(runs)))
+    if differ:
+        print(f"exit codes differ in {differ} instance runs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
