@@ -478,6 +478,7 @@ CONVERGED = "converged"
 NO_CONVERGENCE = "no_convergence"  # max_iter reached
 NON_FINITE = "non_finite"  # a non-finite value, slope or step
 ZERO_SLOPE = "zero_slope"
+STOPPED = "stopped"  # still running when the caller's stop rule held
 
 
 def newton_complex(
@@ -485,6 +486,7 @@ def newton_complex(
     seed: complex | np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 100,
+    until: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ):
     """Newton's method in the complex plane with an analytic derivative,
     run on every seed at once: ``f(z)`` maps a 1-D array of iterates to
@@ -496,10 +498,15 @@ def newton_complex(
     ``max_iter`` steps.  A numpy array of seeds returns
     ``(roots, residuals, outcomes)``, 1-D arrays in seed order: the last
     iterate, its |f| (inf where f is not finite) and one of ``CONVERGED``,
-    ``NO_CONVERGENCE``, ``NON_FINITE`` and ``ZERO_SLOPE``.  A number seed
-    returns a complex with |f(z)| <= tol or raises :class:`NoConvergence`
-    with the last iterate and its residual -- never a silent bad root.
-    ``tol`` must be positive and finite.
+    ``NO_CONVERGENCE``, ``NON_FINITE``, ``ZERO_SLOPE`` and ``STOPPED``.  A
+    number seed returns a complex with |f(z)| <= tol or raises
+    :class:`NoConvergence` with the last iterate and its residual -- never
+    a silent bad root.  ``tol`` must be positive and finite.
+
+    ``until(roots, outcomes)``, when given, is called after each round in
+    which seeds stopped, with the last iterates and outcomes of the seeds
+    that stopped in that round, in seed order.  Once it returns True, the
+    seeds still running end there with the outcome ``STOPPED``.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite (tol = {tol})")
@@ -530,6 +537,12 @@ def newton_complex(
                 outcomes[left[conv]] = CONVERGED
                 outcomes[left[zero]] = ZERO_SLOPE
                 outcomes[left[bad]] = NON_FINITE
+                if until is not None and until(roots[at], outcomes[at]):
+                    run, going = left[~stop], ~stop
+                    roots[run] = z[going]
+                    residuals[run] = np.where(np.isfinite(fz[going]), r[going], math.inf)
+                    outcomes[run] = STOPPED
+                    break
                 left, z_new = left[~stop], z_new[~stop]
             if not left.size:
                 break
@@ -692,13 +705,16 @@ def _unwrap(
     derivative, the delay T.
 
     ``phase_delay`` maps a 1-D array of energies to the phase and the delay
-    there; ``phi`` and ``T`` are its values on the increasing grid ``E``.
-    Each interval's step is its phase difference less the multiple of
-    ``period`` that brings it nearest the trapezoid of T.  Every interval
-    whose step lies more than 0.25 rad from that trapezoid, or whose
-    trapezoid exceeds 1 rad, is bisected, all new midpoints of a pass in one
-    ``phase_delay`` call, until none is.  Returns the refined grid (``E``
-    itself when nothing is split) and the step of each of its intervals.
+    there; ``phi`` and ``T`` are its values on the non-decreasing grid
+    ``E``.  A repeated point is an interval of length 0, whose step is 0
+    and which is never split: it lets T jump there, as at the corner of a
+    contour.  Each interval's step is its phase difference less the
+    multiple of ``period`` that brings it nearest the trapezoid of T.
+    Every interval whose step lies more than 0.25 rad from that trapezoid,
+    or whose trapezoid exceeds 1 rad, is bisected, all new midpoints of a
+    pass in one ``phase_delay`` call, until none is.  Returns the refined
+    grid (``E`` itself when nothing is split) and the step of each of its
+    intervals.
 
     Raises :class:`MaxDepthExceeded` on a phase or delay that is not finite,
     and on a grid still split after 20 passes or at 65,536 samples.

@@ -1,8 +1,14 @@
 """Gamow-Siegert pole location and resonance/spurious classification.
 
-Pole search is a dense seed grid plus Newton iteration, run on all seeds as
-one array computation, plus deduplication; the regions at stake are small
-and the residual functions cheap, so nothing fancier is needed.
+The pole search runs Newton from a dense seed grid, all seeds as one array
+computation, and deduplicates the roots.  Before it starts, the argument
+principle counts the poles in the search box: the winding number of a
+regularised outgoing condition around the box's edge, whose phase is
+unwrapped with the help of its exact slope.  Where that count is certified
+and the condition has no zero in the box that is not a pole, the batch
+stops as soon as the distinct roots found number the count, and the search
+is then known to be complete.  Every pole found is polished by one batched
+Newton step.
 """
 from __future__ import annotations
 
@@ -12,17 +18,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CurveTooCoarse
+from .errors import CurveTooCoarse, MaxDepthExceeded, ZeroArgument
 from .numerics import (
     CONVERGED,
     NO_CONVERGENCE,
     NON_FINITE,
+    STOPPED,
     ZERO_SLOPE,
     Curve,
+    _unwrap,
     find_extrema,
     newton_complex,
 )
-from .scattering import ScatteringModel, SquareWell, _outgoing
+from .scattering import DeltaShell, ScatteringModel, SquareWell, _outgoing
 
 __all__ = [
     "Pole",
@@ -44,6 +52,12 @@ UNCLASSIFIED = "Unclassified"
 # branch point of the outgoing condition
 BRANCH_POINT = "branch_point"
 SEED_FAILURES = (NO_CONVERGENCE, NON_FINITE, ZERO_SLOPE, BRANCH_POINT)
+
+# the top edge of the counting box lies where Im(ka) is at most this on it:
+# above the real axis h1 = j + i n cancels, by about 1e-10 relative here
+_MAX_IM_KA = 7.0
+# start samples on each edge of the counting box, corners included
+_COUNT_START = 65
 
 
 @dataclass(frozen=True)
@@ -130,18 +144,175 @@ def _newton_residual(model: ScatteringModel, E: np.ndarray):
     return f, df
 
 
+def _regularised_phase(model: ScatteringModel, E: np.ndarray):
+    """arg G mod 2 pi and G'/G at E != 0, for the regularised condition
+
+        G = F/k (delta shell),  F/p (l = 0),  (ka)^(l+1) F/(pa)^l (l >= 1),
+
+    from one :func:`_outgoing` call.  G has no pole at k = 0 and no zero at
+    p = 0, which F has at l = 0 and at l >= 1 (like p^l), so its zeros
+    with Re E >= 0 are exactly the poles.  The powers of the principal
+    square roots k and p enter through arg k = arg(E)/2 and d ln k/dE =
+    1/(2E), so a large F or a power of ka does not overflow."""
+    f, df, *_ = _outgoing(model, E)
+    phase, dlog = np.angle(f), df / f
+    if isinstance(model, DeltaShell):
+        return phase - 0.5 * np.angle(E), dlog - 0.5 / E
+    q, l = E + model.V0, model.l
+    if l == 0:
+        return phase - 0.5 * np.angle(q), dlog - 0.5 / q
+    return (phase + 0.5 * ((l + 1) * np.angle(E) - l * np.angle(q)),
+            dlog + 0.5 * ((l + 1) / E - l / q))
+
+
+def _top_edge(model: ScatteringModel, region: SearchRegion) -> float:
+    """Im E of the counting box's top edge: the largest g/(3 2^j - 1),
+    g = -Im E of the bottom edge, j = 0, 1, ..., at which Im(ka) <= 7 on the
+    top edge (0 when none is).  E = 0, where the left edge at Re E = 0
+    meets the real axis, then lies at the fraction 1/(3 2^j) of that edge
+    from its top, which no sample of the dyadic grids the count bisects
+    lands on."""
+    c = _MAX_IM_KA / model.a
+    # a Im sqrt(x + i eta) <= 7 at the top-left corner x = Re E, where it
+    # is largest on the edge
+    eta_max = 2.0 * c * math.sqrt(region.re_range[0] + c * c)
+    g, j = -region.im_range[0], 0
+    while g / (3 * 2**j - 1) > eta_max and j < 60:
+        j += 1
+    eta = g / (3 * 2**j - 1)
+    return eta if eta <= eta_max else 0.0
+
+
+def _winding_number(model: ScatteringModel, region: SearchRegion) -> int | None:
+    """The number of poles in the box Re E in ``re_range``, Im E in
+    [Im E_lo, +eta] (:func:`_top_edge`): the winding number of G
+    (:func:`_regularised_phase`) around the box's edge, counter-clockwise.
+
+    The edges are sampled as one closed loop with parameter s in [0, 4],
+    edge i on [i, i + 1] from 65 start points, each corner a repeated point
+    (an interval of length 0 between the slopes of its two edges).  arg G
+    is unwrapped by :func:`~resdelay.numerics._unwrap`, period 2 pi, guided
+    by its exact slope Im(G'/G dE/ds).  Returns None when the count is not
+    certified: a top edge that does not fit, a sample at E = 0 or at a
+    branch point, a sample that is not finite, an unwrap that raises
+    :class:`MaxDepthExceeded`, or a winding that is not an integer.  No
+    warning is raised either way."""
+    (x0, x1), (y0, _) = region.re_range, region.im_range
+    y1 = _top_edge(model, region)
+    if not y1 > 0:
+        return None
+    # the start and the direction of each edge: bottom, right, top, left
+    start_re, start_im = np.array([x0, x1, x1, x0]), np.array([y0, y0, y1, y1])
+    w, h = x1 - x0, y1 - y0
+    step_re, step_im = np.array([w, 0.0, -w, 0.0]), np.array([0.0, h, 0.0, -h])
+
+    def phase_slope(s, edge):
+        # real and imaginary parts apart: no cross terms of a complex product
+        t = s - edge
+        E = ((start_re[edge] + t * step_re[edge])
+             + 1j * (start_im[edge] + t * step_im[edge]))
+        if (E == 0).any():
+            raise ZeroArgument("a sample of the count lies on E = 0")
+        phase, dlog = _regularised_phase(model, E)
+        return phase, (dlog * (step_re[edge] + 1j * step_im[edge])).imag
+
+    def phase_slope_inside(s):  # a new sample never lies on a corner
+        return phase_slope(s, np.minimum(s.astype(int), 3))
+
+    edge = np.repeat(np.arange(4), _COUNT_START)
+    s = edge + np.tile(np.linspace(0.0, 1.0, _COUNT_START), 4)
+    with np.errstate(all="ignore"):
+        try:
+            _, steps = _unwrap(phase_slope_inside, s, *phase_slope(s, edge),
+                               2.0 * math.pi)
+        except (MaxDepthExceeded, ZeroArgument):
+            return None
+    turns = math.fsum(steps) / (2.0 * math.pi)
+    n = round(turns)
+    return n if abs(turns - n) <= 1e-6 else None
+
+
+def _spurious_zero_inside(model: ScatteringModel, region: SearchRegion) -> bool:
+    """F has a zero in the counting box that is not a pole: E = -V0 of a
+    square well, where F vanishes with p, lies in the real range of the
+    box (a barrier's, or V0 = 0 with the box from Re E = 0)."""
+    lo, hi = region.re_range
+    return isinstance(model, SquareWell) and lo <= -model.V0 <= hi
+
+
+def _inside(region: SearchRegion, z: np.ndarray) -> np.ndarray:
+    """Elementwise: z lies in the region's real range, and in
+    [Im E_lo, 0) below the axis."""
+    (re_lo, re_hi), (im_lo, _) = region.re_range, region.im_range
+    return (re_lo <= z.real) & (z.real <= re_hi) & (im_lo <= z.imag) & (z.imag < 0)
+
+
+def _distinct(z: np.ndarray) -> np.ndarray:
+    """Positions of the roots kept from z in order: a root is kept unless it
+    lies within 1e-6 (1 + |z|) of a root kept before it (np.hypot rounds as
+    Python's abs(complex))."""
+    size = np.hypot(z.real, z.imag)
+    left, kept = np.arange(z.size), []
+    while left.size:
+        kept.append(left[0])
+        d = z[left] - z[left[0]]
+        left = left[~(np.hypot(d.real, d.imag) < 1e-6 * (1.0 + size[left]))]
+    return np.array(kept, dtype=int)
+
+
+def _count_met(region: SearchRegion, count: int):
+    """Newton's stop rule of a certified count: the distinct converged roots
+    inside the region, over the rounds so far, number ``count``."""
+    kept = np.empty(0, dtype=complex)
+
+    def met(roots, outcomes):
+        nonlocal kept
+        z = roots[(outcomes == CONVERGED) & _inside(region, roots)]
+        if z.size and kept.size:
+            d = z[:, None] - kept
+            size = np.hypot(z.real, z.imag)[:, None]
+            z = z[~(np.hypot(d.real, d.imag) < 1e-6 * (1.0 + size)).any(axis=1)]
+        kept = np.append(kept, z[_distinct(z)])
+        return kept.size == count
+
+    return met
+
+
+def _polish(model: ScatteringModel, z: np.ndarray, r: np.ndarray):
+    """One Newton step from each root, all in one batch, kept where it
+    lowers |F| and stays below the real axis; the residuals are those of
+    the same batch."""
+    with np.errstate(all="ignore"):
+        f, df = _newton_residual(model, z)
+        step = z - f / df
+        f1, _ = _newton_residual(model, step)
+    r1 = np.hypot(f1.real, f1.imag)
+    better = (r1 < r) & (step.imag < 0)
+    return np.where(better, step, z), np.where(better, r1, r)
+
+
 def find_poles(
     model: ScatteringModel, region: SearchRegion, tol: float = 1e-9
 ) -> list[Pole]:
     """Launch Newton from every grid seed, all seeds as one batch; keep
     deduplicated lower-half-plane roots inside the region (in seed order),
-    sorted by Re(E).
+    polish each by one Newton step (:func:`_polish`), and sort by Re(E).
+
+    The poles in the region's box are first counted
+    (:func:`_winding_number`).  Where the count is certified and F has no
+    zero in the box that is not a pole (:func:`_spurious_zero_inside`), the
+    batch ends once the distinct roots found number the count; the seeds
+    still running then end as ``stopped``.  Otherwise every seed runs to its
+    own end.
 
     Failed seeds are dropped.  Each pole's diagnostics record their count
     under ``seeds_failed`` and, under ``seeds_failed_by_reason``, their
     count per reason of :data:`SEED_FAILURES`: ``no_convergence`` (60
     steps), ``non_finite`` (a value, slope or step), ``zero_slope`` and
-    ``branch_point`` (an iterate where the condition is undefined).
+    ``branch_point`` (an iterate where the condition is undefined).  They
+    also record ``seeds_stopped``, ``winding_number`` (the count, None
+    where it is not certified) and ``complete`` (the number of poles found
+    equals the count).
     """
     (re_lo, re_hi), (im_lo, im_hi) = region.re_range, region.im_range
     seeds_re = np.linspace(max(re_lo, 1e-6), re_hi, region.n_re)
@@ -152,38 +323,36 @@ def find_poles(
     seeds = np.empty((region.n_re, region.n_im), dtype=complex)
     seeds.real, seeds.imag = seeds_re[:, None], seeds_im
 
+    count = _winding_number(model, region)
+    until = None
+    if count is not None and not _spurious_zero_inside(model, region):
+        until = _count_met(region, count)
     roots, residuals, outcomes = newton_complex(
-        functools.partial(_newton_residual, model), seeds.ravel(), tol=tol, max_iter=60
+        functools.partial(_newton_residual, model), seeds.ravel(), tol=tol,
+        max_iter=60, until=until,
     )
     outcomes[(outcomes == NON_FINITE) & _branch_point(model, roots)] = BRANCH_POINT
     failed = {why: int(np.count_nonzero(outcomes == why)) for why in SEED_FAILURES}
-    inside = (
-        (outcomes == CONVERGED)
-        & (re_lo <= roots.real) & (roots.real <= re_hi)
-        & (im_lo <= roots.imag) & (roots.imag < 0)
-    )
-    # dedup in seed order: a root is kept unless it lies within 1e-6 (1 + |z|)
-    # of a root kept before it.  The first root left is kept, and drops
-    # every later one that close (np.hypot rounds as Python's abs(complex))
+    inside = (outcomes == CONVERGED) & _inside(region, roots)
     z, r = roots[inside], residuals[inside]
-    size = np.hypot(z.real, z.imag)
-    found: list[tuple[complex, float]] = []
-    while z.size:
-        found.append((z[0].item(), r[0].item()))
-        d = z - z[0]
-        far = ~(np.hypot(d.real, d.imag) < 1e-6 * (1.0 + size))
-        z, r, size = z[far], r[far], size[far]
-    found.sort(key=lambda zr: zr[0].real)
+    keep = _distinct(z)
+    z, r = z[keep], r[keep]
+    if z.size:
+        z, r = _polish(model, z, r)
+    stopped = int(np.count_nonzero(outcomes == STOPPED))
     return [
         Pole(
-            z,
-            residual=r,
+            z[i].item(),
+            residual=r[i].item(),
             diagnostics={
                 "seeds_failed": sum(failed.values()),
                 "seeds_failed_by_reason": dict(failed),
+                "seeds_stopped": stopped,
+                "winding_number": count,
+                "complete": z.size == count,
             },
         )
-        for z, r in found
+        for i in np.argsort(z.real, kind="stable")
     ]
 
 

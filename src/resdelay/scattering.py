@@ -125,7 +125,10 @@ def _in_band(model: ScatteringModel, E: np.ndarray) -> np.ndarray:
 
 def _clip_imag(z: np.ndarray) -> np.ndarray:
     """z with its imaginary part clipped to [-_MAX_IM_PA, _MAX_IM_PA]; every
-    other bit of z is kept."""
+    other bit of z is kept.  z itself is returned, not a copy, when no
+    element reaches beyond the bound."""
+    if not (np.abs(z.imag) > _MAX_IM_PA).any():
+        return z
     z = z.copy()
     z.imag = np.clip(z.imag, -_MAX_IM_PA, _MAX_IM_PA)
     return z
@@ -155,7 +158,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     if not isinstance(E, np.ndarray):
         E = np.array([E], dtype=complex)
         return tuple(v.item() for v in _outgoing(model, E, lower, series))
-    E = E.astype(complex)
+    E = np.asarray(E, dtype=complex)
     if (E == 0).any():
         raise ValueError("E = 0 is a branch point")
     if series:

@@ -729,6 +729,38 @@ class TestNewtonBatch:
         assert calls[0] == 3 and calls[-1] == 1
         assert calls == sorted(calls, reverse=True) and len(calls) <= 51
 
+    def test_until_stops_the_seeds_still_running(self):
+        # the rule sees the seeds that stopped in each round, in seed order:
+        # the zero slope in round 0, the first root in round 2.  Once it
+        # holds, the seeds still running end there as stopped, each with
+        # its last iterate and its |f| there
+        seen, calls = [], []
+
+        def until(roots, outcomes):
+            seen.append((roots.tolist(), outcomes.tolist()))
+            return len(seen) == 2
+
+        def f(z):
+            calls.append(z.size)
+            return self.square(z)
+
+        seeds = np.array([1j + 1e-3, 0.5 + 0.8j, 1e3 + 1j, -1 - 1j, 0.0])
+        roots, residuals, outcomes = newton_complex(f, seeds, 1e-12, 50, until=until)
+        free = newton_complex(self.square, seeds, 1e-12, 50)
+        assert calls == [5, 4, 4]
+        assert seen == [([0j], ["zero_slope"]), ([free[0][0]], ["converged"])]
+        assert list(outcomes) == ["converged", "stopped", "stopped", "stopped",
+                                  "zero_slope"]
+        assert roots[0] == free[0][0] and residuals[0] == free[1][0]
+        for i in (1, 2, 3):
+            assert residuals[i] == abs(roots[i] * roots[i] + 1) > 1e-12
+
+    def test_until_is_not_asked_without_a_stopped_seed(self):
+        asked = []
+        newton_complex(self.square, np.array([1e3 + 1j]), 1e-12, 50,
+                       until=lambda r, o: asked.append(o.size) or False)
+        assert asked == [1]
+
     def test_empty_batch(self):
         roots, residuals, outcomes = newton_complex(
             self.square, np.array([], dtype=complex), 1e-12, 50

@@ -142,12 +142,15 @@ class TestFindPoles:
     def test_bessel_call_budget(self, monkeypatch):
         # the 1200 seeds run as one batch: each round evaluates the residual
         # once on the seeds still running, which is one spherical-Bessel
-        # pass (_sph_jh: j_l(pa) and h_l(ka) together), and the nine seeds
-        # that never converge keep it going for all 61 rounds.  One scalar
-        # Newton run per seed made about 28k scalar calls here, a
-        # central-difference slope 183,814, and separate interior and
-        # exterior calls 122 (calls to the public sph_bessel count too)
-        calls, rounds = [], [0]
+        # pass (_sph_jh: j_l(pa) and h_l(ka) together).  The count of the
+        # box takes 4 passes on 362 samples; the batch stops after 6 rounds,
+        # once the 16 poles it counts are found (739 of the 839 seeds of the
+        # last round still running), and one polish step costs 2 passes on
+        # the 16 poles.  The full run took 61 rounds, one scalar
+        # Newton run per seed about 28k scalar calls, a central-difference
+        # slope 183,814, and separate interior and exterior calls 122
+        # (calls to the public sph_bessel count too)
+        calls, rounds, samples = [], [], []
 
         def counted(fn):
             def wrapper(l, *args):
@@ -156,37 +159,65 @@ class TestFindPoles:
             return wrapper
 
         def residual(model, E):
-            rounds[0] += 1
+            rounds.append(E.size)
             return newton_residual(model, E)
 
+        def phase(model, E):
+            samples.append(E.size)
+            return regularised_phase(model, E)
+
         newton_residual = poles._newton_residual
+        regularised_phase = poles._regularised_phase
         monkeypatch.setattr(scattering, "sph_bessel", counted(sph_bessel))
         monkeypatch.setattr(scattering, "_sph_jh", counted(_sph_jh))
         monkeypatch.setattr(poles, "_newton_residual", residual)
+        monkeypatch.setattr(poles, "_regularised_phase", phase)
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
-        assert rounds[0] == 61 and len(calls) == 61
-        assert calls[0] == 1200 and calls[-1] == 9
+        assert len(samples) == 4 and sum(samples) == 362 and samples[0] == 260
+        assert rounds == [1200, 1200, 1195, 1087, 939, 839, 16, 16]
+        assert len(calls) == 4 + 6 + 2
         assert len(found) == 16
         for pole in found:
+            d = pole.diagnostics
             assert pole.residual <= 1e-8
-            assert pole.diagnostics["seeds_failed_by_reason"]["no_convergence"] == 9
+            assert d["winding_number"] == 16 and d["complete"] is True
+            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 739
 
     def test_failed_seeds_by_reason(self):
-        # the CLI's sqwell region: the six failed seeds reach the negative
-        # real axis, where the s-wave Newton steps stay real, and run out of
-        # steps there
+        # the CLI's sqwell region.  In the full run six seeds reach the
+        # negative real axis, where the s-wave Newton steps stay real, and
+        # bounce there until they run out of steps; the count of 10 stops
+        # the batch first, and they end as stopped
         m = SquareWell(6.1477, 6.071, 0)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert len(found) == 10
         for pole in found:
             d = pole.diagnostics
-            assert d["seeds_failed"] == 6
+            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 1056
             assert d["seeds_failed_by_reason"] == {
-                "no_convergence": 6, "non_finite": 0, "zero_slope": 0,
+                "no_convergence": 0, "non_finite": 0, "zero_slope": 0,
+                "branch_point": 0,
+            }
+            assert d["winding_number"] == 10 and d["complete"] is True
+
+    def test_barrier_runs_every_seed_to_its_end(self):
+        # under a barrier F vanishes like p at E = -V0 (here 3), which is
+        # not a pole: the count does not stop the batch.  A Newton step on
+        # F ~ sqrt(E + V0) maps E + V0 to about -(E + V0), so the seed from
+        # 2.941 - 0.06i bounces around E = 3 until it runs out of steps
+        m = SquareWell(-3, 3, 0)
+        found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
+        assert len(found) == 4
+        for pole in found:
+            d = pole.diagnostics
+            assert d["seeds_stopped"] == 0 and d["seeds_failed"] == 1
+            assert d["seeds_failed_by_reason"] == {
+                "no_convergence": 1, "non_finite": 0, "zero_slope": 0,
                 "branch_point": 0,
             }
             assert sum(d["seeds_failed_by_reason"].values()) == d["seeds_failed"]
+            assert d["winding_number"] == 4 and d["complete"] is True
             assert all(type(n) is int for n in d["seeds_failed_by_reason"].values())
 
     @pytest.mark.parametrize("l, branch_points", [(0, 1), (1, 2)])
@@ -397,11 +428,7 @@ class TestClassifyPole:
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 # benchmark pool instances (bench/reference.json, read only): one
 # sqwell_highl instance per l = 1..10, three `sqwell --l 0` and three
-# `deltashell`.  The reference was recorded with a central-difference Newton
-# slope, and a pole is fixed only to within |F| <= tol of it: the recorded
-# digits of some other instances differ from today's roots by up to 1e-7
-# relative (the benchmark allows 1e-6).  These are instances whose recorded
-# poles today's search reproduces to better than 1e-9
+# `deltashell`
 REFERENCE_IDS = [
     "sqwell_highl/r2/i0", "sqwell_highl/r1/i1", "sqwell_highl/r2/i2",
     "sqwell_highl/r2/i3", "sqwell_highl/r0/i4", "sqwell_highl/r0/i5",
@@ -410,6 +437,9 @@ REFERENCE_IDS = [
     "closed_form/r0/i0", "closed_form/r0/i1", "closed_form/r0/i2",
     "closed_form/r0/i12", "closed_form/r0/i13", "closed_form/r0/i14",
 ]
+# the CLI's default search regions
+SQWELL_REGION = SearchRegion((0.0, 50.0), (-6.0, 0.0), n_re=120, n_im=10)
+DELTASHELL_REGION = SearchRegion((0.0, 170.0), (-15.0, 0.0), n_re=50, n_im=8)
 
 
 def reference_instances():
@@ -422,28 +452,187 @@ def reference_instances():
     return [by_id[i] for i in REFERENCE_IDS]
 
 
+def instance_model(inst):
+    """The model and the CLI's default search region of a pool instance."""
+    argv = inst["argv"]
+    flags = {argv[i][2:]: float(argv[i + 1]) for i in range(1, len(argv), 2)}
+    if argv[0] == "sqwell":
+        return SquareWell(V0=flags["V0"], a=flags["a"], l=int(flags["l"])), SQWELL_REGION
+    return DeltaShell(V0=flags["V0"], a=flags["a"]), DELTASHELL_REGION
+
+
+def mpmath_root(mpmath, model, E):
+    """The 30-digit root of the outgoing condition that findroot reaches
+    from E."""
+    with mpmath.workdps(30):
+        return complex(mpmath.findroot(
+            lambda z: outgoing_mpmath(mpmath, model, z), mpmath.mpc(E)
+        ))
+
+
 class TestBenchmarkPoleSets:
-    """The pole search reproduces the benchmark's recorded pole sets."""
+    """The pole search reproduces the benchmark's recorded pole sets, and
+    its poles are the roots of the condition to 1e-12.
+
+    The recorded digits hold the stopping error of the search that recorded
+    them (|F| <= 1e-8): up to 9.3e-8 relative off the 30-digit roots.  So
+    they are matched within the bench tolerance, and the reported poles
+    against mpmath roots."""
 
     @pytest.mark.parametrize(
         "inst", reference_instances(), ids=lambda inst: inst["id"]
     )
     def test_recorded_poles_are_found(self, inst):
-        argv = inst["argv"]
-        flags = {argv[i][2:]: float(argv[i + 1]) for i in range(1, len(argv), 2)}
-        # the CLI's default search regions and --tol
-        if argv[0] == "sqwell":
-            m = SquareWell(V0=flags["V0"], a=flags["a"], l=int(flags["l"]))
-            region = SearchRegion((0.0, 50.0), (-6.0, 0.0), n_re=120, n_im=10)
-        else:
-            m = DeltaShell(V0=flags["V0"], a=flags["a"])
-            region = SearchRegion((0.0, 170.0), (-15.0, 0.0), n_re=50, n_im=8)
+        mpmath = pytest.importorskip("mpmath")
+        m, region = instance_model(inst)
         found = find_poles(m, region, tol=1e-8)
         expect = inst["expect"]
         assert expect["exit"] == 0 and expect["poles"]
+        # (a) the bench tolerance of bench/checks.py
         for re_, im_ in expect["poles"]:
             ref = complex(re_, im_)
-            assert min(abs(p.energy - ref) for p in found) <= 1e-9 * abs(ref)
+            assert min(abs(p.energy - ref) for p in found) <= 1e-6 + 1e-6 * abs(ref)
         for p in found:
             assert p.residual <= 1e-8
             assert abs(outgoing_condition(m, p.energy)) == p.residual
+            # (b) the root that findroot reaches from the pole
+            root = mpmath_root(mpmath, m, p.energy)
+            assert abs(p.energy - root) <= 1e-12 * abs(root)
+
+
+def mpmath_roots_in_box(mpmath, model, region, starts):
+    """The distinct 30-digit roots of the outgoing condition that findroot
+    reaches from ``starts`` and that lie in the region below the axis, less
+    E = -V0 of a square well (F vanishes there, and it is no pole)."""
+    (re_lo, re_hi), (im_lo, _) = region.re_range, region.im_range
+    roots = []
+    for start in starts:
+        try:
+            z = mpmath_root(mpmath, model, start)
+        except (ValueError, ZeroDivisionError):  # no root reached from there
+            continue
+        if isinstance(model, SquareWell) and abs(z + model.V0) < 1e-6:
+            continue
+        inside = re_lo <= z.real <= re_hi and im_lo <= z.imag < 0
+        if inside and all(abs(z - r) > 1e-10 * (1 + abs(z)) for r in roots):
+            roots.append(z)
+    return roots
+
+
+# models whose roots findroot reaches from the poles the search finds
+COUNTED = [
+    # criterion 2's depth-5, range-2 well in its region
+    (SquareWell(5, 2, 0), SearchRegion((0.0, 15.0), (-6.0, 0.0), 60, 12)),
+    (DeltaShell(10, 1), DELTASHELL_REGION),
+    (SquareWell(5, 10, 1), SQWELL_REGION),
+    # barriers: F also vanishes at E = -V0 = 4, like p^l
+    (SquareWell(-4, 5, 0), SQWELL_REGION),
+    (SquareWell(-4, 5, 1), SQWELL_REGION),
+    (SquareWell(-4, 5, 3), SQWELL_REGION),
+]
+
+
+def full_run(monkeypatch, model, region):
+    """find_poles with every seed run to its own end: its count fails."""
+    with monkeypatch.context() as patch:
+        patch.setattr(poles, "_winding_number", lambda model, region: None)
+        return find_poles(model, region, tol=1e-8)
+
+
+def assert_same_poles(early, full, model=None):
+    """The same poles to 1e-12 relative; with ``model``, to that plus each
+    pole's residual over |F'|, the distance within which a point of that
+    residual finds the root, where F's own error exceeds 1e-12."""
+    assert len(early) == len(full)
+    for a, b in zip(early, full):
+        slack = 0.0
+        if model is not None:
+            slack = (a.residual + b.residual) / abs(_outgoing(model, b.energy)[1])
+        assert abs(a.energy - b.energy) <= 1e-12 * abs(b.energy) + slack
+
+
+class TestWindingNumber:
+    """The argument-principle count of the poles in the search box."""
+
+    @pytest.mark.parametrize("model, region", COUNTED, ids=str)
+    def test_count_is_the_number_of_mpmath_roots(self, model, region):
+        mpmath = pytest.importorskip("mpmath")
+        found = find_poles(model, region, tol=1e-8)
+        roots = mpmath_roots_in_box(mpmath, model, region, [p.energy for p in found])
+        count = found[0].diagnostics["winding_number"]
+        assert count == len(roots) > 0
+        assert poles._winding_number(model, region) == count
+
+    @pytest.mark.parametrize("model, region", COUNTED, ids=str)
+    def test_top_edge_keeps_im_ka_at_most_7(self, model, region):
+        eta = poles._top_edge(model, region)
+        corner = complex(region.re_range[0], eta)
+        assert 0 < eta and cmath.sqrt(corner).imag * model.a <= 7.0 * (1 + 1e-15)
+
+    @pytest.mark.parametrize("inst_id, missed", [
+        ("sqwell_highl/r2/i4", 0.168245380 - 0.001476100j),
+        ("sqwell_highl/r2/i9", 0.1431902223 - 1.887e-9j),
+    ])
+    def test_count_shows_the_missed_pole(self, inst_id, missed):
+        # the two poles the seed grid misses (the strict xfails
+        # test_narrow_l5_pole_is_found and
+        # test_narrow_l10_resonance_is_counted): the count is one higher,
+        # the search reports itself incomplete and so runs every seed
+        m, region = instance_model(pool_instance(inst_id))
+        found = find_poles(m, region, tol=1e-8)
+        assert min(abs(p.energy - missed) for p in found) > 1e-6
+        for p in found:
+            d = p.diagnostics
+            assert d["winding_number"] == len(found) + 1
+            assert d["complete"] is False and d["seeds_stopped"] == 0
+
+    @pytest.mark.parametrize(
+        "inst", reference_instances(), ids=lambda inst: inst["id"]
+    )
+    def test_early_stop_finds_the_full_runs_poles(self, monkeypatch, inst):
+        m, region = instance_model(inst)
+        early = find_poles(m, region, tol=1e-8)
+        full = full_run(monkeypatch, m, region)
+        assert_same_poles(early, full)
+        assert all(p.diagnostics["winding_number"] is None for p in full)
+
+    def test_early_stop_on_attractive_wells(self, monkeypatch):
+        # at l = 21 (V0 = 6.435, a = 7.684) the poles near Re E = 0.35 and
+        # 1.73 below Im E = -4.5 lie 6.7e-9 and 3.4e-10 relative off the
+        # 30-digit roots in both runs, with residuals near 3e-9 that one
+        # Newton step does not lower: F itself is that far off there, with
+        # |ka| < l below the axis (ROADMAP item 3)
+        rng = np.random.default_rng(23)
+        for _ in range(8):
+            m = SquareWell(V0=float(rng.uniform(0.5, 10.0)),
+                           a=float(rng.uniform(1.0, 10.0)),
+                           l=int(rng.integers(0, 31)))
+            early = find_poles(m, SQWELL_REGION, tol=1e-8)
+            assert early and early[0].diagnostics["complete"] is True
+            assert_same_poles(early, full_run(monkeypatch, m, SQWELL_REGION), m)
+
+    def test_uncertified_count_runs_in_full_without_warning(self):
+        # with a = 1e300 no top edge keeps Im(ka) <= 7 above E = 0
+        m = SquareWell(5, 1e300, 0)
+        assert poles._top_edge(m, SQWELL_REGION) == 0.0
+        assert poles._winding_number(m, SQWELL_REGION) is None
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "F vanishes like p^8 at E = -V0 under this barrier, so Newton "
+        "reports 30 roots within 0.014 of it and 48 in all; the count is 18 "
+        "(CHANGES.md FOUND line on barrier roots)"
+    ))
+    def test_barrier_l8_reports_its_counted_poles(self):
+        m = SquareWell(-1.702, 9.39, 8)
+        found = find_poles(m, SQWELL_REGION, tol=1e-8)
+        assert found[0].diagnostics["winding_number"] == 18
+        assert len(found) == 18
+
+    def test_barrier_l8_count(self):
+        assert poles._winding_number(SquareWell(-1.702, 9.39, 8), SQWELL_REGION) == 18
+
+
+def pool_instance(inst_id):
+    workloads = json.loads(REFERENCE.read_text(encoding="utf-8"))["workloads"]
+    name = inst_id.split("/")[0]
+    return next(i for rnd in workloads[name] for i in rnd if i["id"] == inst_id)

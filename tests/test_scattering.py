@@ -200,6 +200,32 @@ class TestOutgoing:
         ] * 2
         assert (result[2:] == (1.0, 0.0)) == carried
 
+    def test_clip_only_where_im_pa_is_beyond_the_bound(self):
+        # the copy-and-clip of every element, bit for bit, on random arrays
+        # with elements beyond |Im pa| = 300; z itself where none is
+        rng = np.random.default_rng(64)
+        for scale in (1.0, 100.0, 1000.0):
+            z = rng.normal(size=200) * scale + 1j * rng.normal(size=200) * scale
+            ref = z.copy()
+            ref.imag = np.clip(ref.imag, -scattering._MAX_IM_PA, scattering._MAX_IM_PA)
+            before = z.copy()
+            clipped = scattering._clip_imag(z)
+            assert clipped.tobytes() == ref.tobytes()
+            assert z.tobytes() == before.tobytes()
+            big = (np.abs(z.imag) > scattering._MAX_IM_PA).any()
+            assert big == (scale > 100.0) and (clipped is z) == (not big)
+
+    @pytest.mark.parametrize("model", [
+        SquareWell(V0=-1000, a=30, l=0),  # |Im pa| up to 949: clipped
+        SquareWell(V0=-1000, a=30, l=3),
+        SquareWell(V0=5, a=10, l=3),
+    ])
+    def test_real_and_complex_arrays_give_the_same_bits(self, model):
+        E = np.random.default_rng(1).uniform(0.1, 50.0, 64)
+        for a, b in zip(scattering._outgoing(model, E),
+                        scattering._outgoing(model, E.astype(complex))):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
     def test_band_split_puts_h_back_in_place(self):
         # an s-wave array reaching into the band: h1_0(ka) inside, 1 outside
         m = SquareWell(V0=-5, a=1, l=0)

@@ -3,7 +3,11 @@
 Each tree runs every instance of ``bench/reference.json`` in-process, in a
 child interpreter of its own that imports ``resdelay`` from ``<tree>/src``.
 The script then prints, for each instance where the trees differ, the exit
-codes, the stderr text and the sha256 of every output file that differs::
+codes, the stderr text and the sha256 of every output file that differs.
+For a JSON report that differs it also prints each JSON path whose values
+differ (list indices shown as ``[]``), with the number of values and the
+largest relative change of the numbers among them, and the largest
+relative numeric change of the whole report::
 
     python tools/pool_bytes.py OLD_TREE NEW_TREE [--workload expstep]
 
@@ -20,7 +24,9 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -79,8 +85,9 @@ def run_pool(tree: Path, work: Path, workloads: list[str] | None):
 
 
 def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
-    """The exit code, the stderr text and the sha256 of each output file of
-    every instance of :func:`run_pool`, by instance id."""
+    """The exit code, the stderr text, the sha256 of each output file and
+    the content of each JSON report of every instance of :func:`run_pool`,
+    by instance id."""
     return {
         inst["id"]: {
             "exit": rc,
@@ -88,6 +95,10 @@ def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
             "files": {
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(out.iterdir())
+            },
+            "reports": {
+                p.name: json.loads(p.read_text("utf-8"))
+                for p in sorted(out.glob("*.json"))
             },
         }
         for inst, rc, err, out, _ in run_pool(tree, work, workloads)
@@ -105,6 +116,59 @@ def run_tree(tree: Path, work: Path, workloads: list[str] | None,
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
+
+
+def leaves(value, path: str = "") -> dict:
+    """The leaf values of a JSON document by path, list indices kept."""
+    if isinstance(value, dict):
+        return {k: v for key, item in value.items()
+                for k, v in leaves(item, f"{path}.{key}" if path else key).items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value)
+                for k, v in leaves(item, f"{path}[{i}]").items()}
+    return {path: value}
+
+
+def relative_change(a, b) -> float | None:
+    """|b - a| / |a| of two numbers (inf from 0), None for anything else."""
+    if not all(type(x) in (int, float) for x in (a, b)):
+        return None
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def field_changes(old, new) -> list[str]:
+    """The JSON paths whose values differ between two reports, list indices
+    shown as ``[]``: for each, the number of values that differ and the
+    largest relative change of the numbers among them (a value only in one
+    report is added or removed).  The last line gives the largest relative
+    numeric change of the whole report."""
+    a, b = leaves(old), leaves(new)
+    groups: dict[str, list] = {}
+    for path in sorted(a.keys() | b.keys()):
+        if path in a and path in b and a[path] == b[path]:
+            continue
+        group = groups.setdefault(re.sub(r"\[\d+\]", "[]", path), [0, None, set()])
+        group[0] += 1
+        if path not in a or path not in b:
+            group[2].add("added" if path not in a else "removed")
+            continue
+        rel = relative_change(a[path], b[path])
+        if rel is None:
+            group[2].add("changed")
+        else:
+            group[1] = rel if group[1] is None else max(group[1], rel)
+    lines, largest = [], None
+    for path, (n, rel, kinds) in sorted(groups.items()):
+        what = [f"{n} value{'s' if n > 1 else ''}", *sorted(kinds)]
+        if rel is not None:
+            what.append(f"largest relative change {rel:.3g}")
+            largest = rel if largest is None else max(largest, rel)
+        lines.append(f"{path}: {', '.join(what)}")
+    if largest is not None:
+        lines.append(f"largest relative numeric change {largest:.3g}")
+    return lines
 
 
 def differences(old: dict, new: dict) -> dict[str, list[str]]:
@@ -126,6 +190,9 @@ def differences(old: dict, new: dict) -> dict[str, list[str]]:
             ha, hb = a["files"].get(name, "missing"), b["files"].get(name, "missing")
             if ha != hb:
                 lines.append(f"{name}: {ha} -> {hb}")
+                ra, rb = a["reports"].get(name), b["reports"].get(name)
+                if ra is not None and rb is not None:
+                    lines += ["  " + line for line in field_changes(ra, rb)]
     return out
 
 
