@@ -2,19 +2,23 @@
 
 Each subcommand runs one analysis pipeline end to end and emits
 figure-ready CSV curves (``E,value``, LF endings) plus a machine-readable
-JSON report that validates against ``report_schema.json``.  Every sample is
-written in the shortest digits that read back to the same float
-(``float.__repr__``), the same string in the CSV row as in the report.
+JSON report that validates against ``report_schema.json``.  Each distinct
+sample is formatted once, in the shortest digits that read back to the same
+float (``float.__repr__``), and the CSV row and the report write the same
+string; an energy array that repeats the first curve's grid takes the grid's
+digits.  Every file is one ``"".join`` of pre-formatted pieces: a CSV file of
+one interleaved list, the report of one recursive writer that lays it out as
+``json.dumps(report, indent=2, sort_keys=True)`` does.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation or file-system error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -42,145 +46,154 @@ ENV_OUT = "RESDELAY_OUT"
 _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
 
 
-def _digit_table(curves: list[Curve]) -> dict[int, list[str]]:
-    """The digits of every sample, by id of its array: ``float.__repr__``,
-    the JSON encoder's own format for the finite floats a :class:`Curve`
-    holds.  An array shared by two curves is formatted once."""
-    arrays = {id(a): a for curve in curves for a in (curve.energies, curve.values)}
-    return {k: list(map(float.__repr__, a.tolist())) for k, a in arrays.items()}
+def _format(samples: list[float]) -> list[str]:
+    """The digits of each sample: ``float.__repr__``, the JSON encoder's own
+    format for a finite float.  Every sample a run writes is formatted here."""
+    return list(map(float.__repr__, samples))
 
 
-def _json_block(open_: str, close: str, items: list[list[str]], pad: str) -> list[str]:
-    """The pieces of a JSON array or object laid out as ``json.dumps(indent=2)``
-    lays it out on a line that starts with ``pad`` (a newline and its
-    indentation), from the pieces of its items."""
-    if not items:
-        return [open_ + close]
-    inner = pad + "  "
-    pieces = [open_, inner, *items[0]]
-    for item in items[1:]:
-        pieces += ["," + inner, *item]
-    pieces.append(pad + close)
-    return pieces
+def _digit_table(curves: list[Curve]) -> dict[int, tuple[list[float], list[str]]]:
+    """The samples (one ``tolist()``) and the digits of every sample array,
+    by id of the array, each array formatted once.  An energy array takes the
+    digits of the samples it shares with the first curve's energies (one
+    ``np.searchsorted``: both are strictly increasing) and formats the rest,
+    such as the bisection midpoints of θ's refined grid."""
+    table, grid = {}, curves[0].energies if curves else None
+    for curve in curves:
+        for array in (curve.energies, curve.values):
+            if id(array) in table:
+                continue
+            samples = array.tolist()
+            if array is not curve.energies or array is grid or not len(grid):
+                table[id(array)] = samples, _format(samples)
+                continue
+            i = np.minimum(np.searchsorted(grid, array), len(grid) - 1)
+            # equal bits, not equal values: -0.0 == 0.0 has other digits
+            new = grid.view(np.int64)[i] != array.view(np.int64)
+            digits = np.array(table[id(grid)][1], dtype=object)[i]
+            digits[new] = _format(array[new].tolist())
+            table[id(array)] = samples, digits.tolist()
+    return table
 
 
-def _json_object(members: dict[str, list[str]], pad: str) -> list[str]:
-    items = [[json.dumps(k), ": ", *members[k]] for k in sorted(members)]
-    return _json_block("{", "}", items, pad)
+class _Digits(list):
+    """A JSON array of numbers that are already written out as text."""
 
 
-def _json_value(value, pad: str) -> list[str]:
-    # json.dumps escapes a newline inside a string, so each newline is layout
-    return [json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)]
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _report_json(report: dict, curves: list[Curve],
-                 digits: dict[int, list[str]]) -> str:
+def _pieces(value, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the text of ``json.dumps(value, indent=2,
+    sort_keys=True)`` on a line that starts with ``pad`` (a newline and its
+    indentation).  Dict keys are strings; a :class:`_Digits` is copied."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, _Digits):
+        out += ["[", pad + "  ", ("," + pad + "  ").join(value), pad + "]"]
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key, item in sorted(value.items()):
+            out += [sep, inner, encode_basestring_ascii(key), ": "]
+            _pieces(item, inner, out)
+            sep = ","
+        out.append(pad + "}")
+    else:
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out += [sep, inner]
+            _pieces(item, inner, out)
+            sep = ","
+        out.append(pad + "]")
+
+
+def _report_json(report: dict, curves: list[Curve], table: dict) -> str:
     """The report file: ``json.dumps(report, indent=2, sort_keys=True)`` and
     a newline, where ``report["curves"]`` holds the entries of ``curves``, in
-    order.
-
-    Each curve's samples are the strings of ``digits``
-    (:func:`_digit_table`), the encoder's own text for them.  Everything
-    else goes through ``json.dumps``.  The text is one join of its pieces:
-    the curve text is placed by structure, not by search, and copied once.
-    """
-    pad_entry, pad_field = "\n    ", "\n      "
-
-    def floats(array: np.ndarray) -> list[str]:
-        text = ("," + pad_field + "  ").join(digits[id(array)])
-        return _json_block("[", "]", [[text]] if text else [], pad_field)
-
-    entries = []
-    for curve, entry in zip(curves, report["curves"], strict=True):
-        members = {
-            k: _json_value(v, pad_field)
-            for k, v in entry.items() if k not in ("energies", "values")
-        }
-        members["energies"] = floats(curve.energies)
-        members["values"] = floats(curve.values)
-        entries.append(_json_object(members, pad_entry))
-    members = {k: _json_value(v, "\n  ") for k, v in report.items() if k != "curves"}
-    members["curves"] = _json_block("[", "]", entries, "\n  ")
-    return "".join(_json_object(members, "\n") + ["\n"])
+    order, their samples written as the digits of ``table``."""
+    entries = [{**entry, "energies": _Digits(table[id(c.energies)][1]),
+                "values": _Digits(table[id(c.values)][1])}
+               for c, entry in zip(curves, report["curves"], strict=True)]
+    out = []
+    _pieces({**report, "curves": entries}, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> None:
+def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> dict:
+    """Write the curves and the report; returns the report."""
     out = Path(os.environ.get(ENV_OUT, ".") if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
     plain = [curve for _, curve in curves]
-    digits = _digit_table(plain)
-    curve_entries = []
+    table = _digit_table(plain)
+    report["curves"] = []
     for stem, curve in curves:
-        entry = curve.to_dict()
+        energies, values = table[id(curve.energies)], table[id(curve.values)]
+        entry = {"label": curve.label, "energies": energies[0], "values": values[0]}
         if args.format == "csv":
-            path = out / f"{stem}.csv"
-            rows = map("{},{}\n".format, digits[id(curve.energies)],
-                       digits[id(curve.values)])
-            path.write_text("E,value\n" + "".join(rows), encoding="utf-8",
-                            newline="\n")
-            entry["file"] = path.name
-        curve_entries.append(entry)
-    report["curves"] = curve_entries
-    (out / f"{report['provenance']['subcommand']}_report.json").write_text(
-        _report_json(report, plain, digits),
-        encoding="utf-8",
-        newline="\n",
-    )
+            # one interleaved list of pieces: E_i, ",", V_i, "\n", ...
+            rows = ["E,value\n"] + ["", ",", "", "\n"] * len(curve)
+            rows[1::4], rows[3::4] = energies[1], values[1]
+            entry["file"] = f"{stem}.csv"
+            (out / entry["file"]).write_bytes("".join(rows).encode())
+        report["curves"].append(entry)
+    (out / f"{report['provenance']['subcommand']}_report.json").write_bytes(
+        _report_json(report, plain, table).encode())
+    return report
 
 
-def _base_report(args, subcommand: str) -> dict:
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")
-    }
-    return {
-        "provenance": {
-            "subcommand": subcommand,
-            "version": __version__,
-            "config": config,
-        },
-        "poles": [],
-        "count": None,
-        "reconstruction": None,
-        "curves": [],
-    }
+def _base_report(args) -> dict:
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
+    provenance = {"subcommand": args.subcommand, "version": __version__,
+                  "config": config}
+    return {"provenance": provenance, "poles": [], "count": None,
+            "reconstruction": None, "curves": []}
+
+
+def _require_finite(args, what: str, *names: str) -> None:
+    """Reject a non-finite value of the options ``names`` that are set."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name} {value}: {what} must be finite")
 
 
 def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
                     max_resonances=None):
     """Delay curves, classified poles, n_R and the Lorentzian reconstruction
-    of a scattering model.
-
-    Returns the report, its curves and the resonances used (at most
-    ``max_resonances``).
-    """
+    of a scattering model: the report, its curves and the resonances used (at
+    most ``max_resonances``)."""
     if args.grid < 3:
-        raise ValueError(
-            f"--grid {args.grid}: a curve needs at least 2 samples, and the "
-            "peak count at least 3"
-        )
+        raise ValueError(f"--grid {args.grid}: a curve needs at least 2 samples, "
+                         "and the peak count at least 3")
     display = delay_curve(model, args.emin, args.emax, args.grid, label=label)
     # classification needs coverage out to the last pole of interest
-    cls_curve = delay_curve(
-        model, args.emin, region.re_range[1], max(args.grid, min_cls_grid),
-        label="classification",
-    )
+    cls_curve = delay_curve(model, args.emin, region.re_range[1],
+                            max(args.grid, min_cls_grid), label="classification")
     poles = classify_poles(find_poles(model, region, tol=args.tol), cls_curve)
     resonances = [p for p in poles if p.classification == RESONANCE][:max_resonances]
 
-    report = _base_report(args, args.subcommand)
+    report = _base_report(args)
     report["poles"] = [p.to_dict() for p in poles]
     # the points at each pole found resolve its resonance in the unwrap
     report["count"] = count_from_phase(model, args.emin, args.emax, poles).to_dict()
     curves = [(stem, display)]
     if resonances:
-        recon = Curve(
-            display.energies, lorentzian_sum(resonances, display.energies),
-            label="lorentzian_sum",
-        )
+        recon = Curve(display.energies, lorentzian_sum(resonances, display.energies),
+                      label="lorentzian_sum")
         report["reconstruction"] = _reconstruction_errors(
-            display, recon.values, len(resonances)
-        ).to_dict()
+            display, recon.values, len(resonances)).to_dict()
         curves.append((f"{stem}_lorentzian", recon))
     report["peak_count"] = sum(1 for p in find_extrema(display) if p.kind == "max")
     return report, curves, resonances
@@ -192,46 +205,35 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
 
 def run_sqwell(args) -> dict:
     model = SquareWell(V0=args.V0, a=args.a, l=args.l)
-    region = SearchRegion(
-        (0.0, max(args.pole_emax, args.emax)), (-args.pole_gmax / 2.0, 0.0),
-        n_re=120, n_im=10,
-    )
+    region = SearchRegion((0.0, max(args.pole_emax, args.emax)),
+                          (-args.pole_gmax / 2.0, 0.0), n_re=120, n_im=10)
     report, curves, resonances = _model_pipeline(
         args, model, region, min_cls_grid=900, stem=f"fig1a_l{model.l}",
-        label=f"time_delay_l{model.l}", max_resonances=15,
-    )
+        label=f"time_delay_l{model.l}", max_resonances=15)
     if resonances:
         # first peak separated out for clarity
         first = resonances[0]
         lo = max(args.emin, first.position - 3 * first.gamma)
         hi = min(args.emax, first.position + 3 * first.gamma)
         if hi > lo:
-            curves.append(
-                (f"fig1b_l{model.l}", delay_curve(model, lo, hi, 200,
-                                                  label="first_peak"))
-            )
-    _emit(report, curves, args)
-    return report
+            peak = delay_curve(model, lo, hi, 200, label="first_peak")
+            curves.append((f"fig1b_l{model.l}", peak))
+    return _emit(report, curves, args)
 
 
 def run_deltashell(args) -> dict:
     model = DeltaShell(V0=args.V0, a=args.a)
-    region = SearchRegion(
-        (0.0, args.emax), (-args.pole_gmax / 2.0, 0.0), n_re=50, n_im=8
-    )
+    region = SearchRegion((0.0, args.emax), (-args.pole_gmax / 2.0, 0.0),
+                          n_re=50, n_im=8)
     report, curves, _ = _model_pipeline(
-        args, model, region, min_cls_grid=1200, stem="fig2", label="time_delay"
-    )
-    _emit(report, curves, args)
-    return report
+        args, model, region, min_cls_grid=1200, stem="fig2", label="time_delay")
+    return _emit(report, curves, args)
 
 
 def run_step(args) -> dict:
     if args.grid < 2:
         raise ValueError(f"--grid {args.grid}: a curve needs at least 2 samples")
-    for option, value in (("--emin", args.emin), ("--emax", args.emax)):
-        if not math.isfinite(value):
-            raise ValueError(f"{option} {value}: the energy range must be finite")
+    _require_finite(args, "the energy range", "emin", "emax")
     step = ExpStep(V1=args.V1, V2=args.V2, a=args.a)
     lo = max(args.emin, step.threshold + 2e-6)
     if not args.emax > lo:
@@ -246,7 +248,7 @@ def run_step(args) -> dict:
     # dip in R(E): coarse minimum, then a fine parabolic pass on a window of
     # two coarse steps either side, for R and for the delay
     dips = [p for p in find_extrema(refl) if p.kind == "min"]
-    report = _base_report(args, "step")
+    report = _base_report(args)
     if dips:
         x0, dx = min(dips, key=lambda p: p.height).position, refl.grid_step
         window = np.linspace(max(x0 - 2 * dx, lo), min(x0 + 2 * dx, args.emax),
@@ -259,31 +261,27 @@ def run_step(args) -> dict:
             report["dip"][key] = float(x)
     report["count"] = CountReport.from_n_R(
         float(theta.values[-1] - theta.values[0]) / math.pi, (lo, args.emax),
-        0.0, len(theta),
-    ).to_dict()
-    _emit(report, [("fig3_reflectivity", refl), ("fig3_theta", theta),
-                   ("fig3_delay", dly)], args)
-    return report
+        0.0, len(theta)).to_dict()
+    return _emit(report, [("fig3_reflectivity", refl), ("fig3_theta", theta),
+                          ("fig3_delay", dly)], args)
 
 
 def run_data(args) -> dict:
+    _require_finite(args, "the window bounds", "wlo", "whi")
     if args.input is None:
         table = load_bundled_p33()
     else:
-        table = parse_phase_table(
-            Path(args.input).read_text("utf-8"), source=str(args.input)
-        )
+        text = Path(args.input).read_text("utf-8")
+        table = parse_phase_table(text, source=str(args.input))
     curve = delay_from_table(table, smooth_window=args.smooth)
     w_lo = args.wlo if args.wlo is not None else float(table.W[0])
     w_hi = args.whi if args.whi is not None else float(table.W[-1])
     res = extract_resonance(curve, w_lo, w_hi)
-    report = _base_report(args, "data")
+    report = _base_report(args)
     report["resonance"] = res.to_dict()
-    report["count"] = CountReport.from_n_R(
-        res.n_R, (w_lo, w_hi), 0.0, len(curve)
-    ).to_dict()
-    _emit(report, [("fig4", curve)], args)
-    return report
+    report["count"] = CountReport.from_n_R(res.n_R, (w_lo, w_hi), 0.0,
+                                           len(curve)).to_dict()
+    return _emit(report, [("fig4", curve)], args)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +357,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, ParseError) as exc:
+    except (ValueError, ParseError, OSError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
     except ResdelayError as exc:

@@ -115,6 +115,30 @@ class TestExitCodes:
         assert run(["step", option, value], tmp_path) == 2
         assert f"{option} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--wlo", "--whi"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_data_non_finite_window_names_the_option(self, tmp_path, capsys,
+                                                     option, value):
+        # --whi inf exited 0 and wrote Infinity, which is not JSON, into the
+        # report; --wlo nan exited 2 with a message that blamed the window
+        assert run(["data", f"{option}={value}"], tmp_path) == 2
+        assert f"{option} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "data_report.json").exists()
+
+    def test_missing_input_names_the_path(self, tmp_path, capsys):
+        # was an uncaught FileNotFoundError (exit 1)
+        missing = tmp_path / "no_such_table.csv"
+        assert run(["data", "--input", str(missing)], tmp_path) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_output_path_that_is_a_file_names_the_path(self, tmp_path, capsys):
+        # mkdir raised an uncaught FileExistsError (exit 1)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(["data"], taken) == 2
+        assert str(taken) in capsys.readouterr().err
+        assert taken.read_text() == ""
+
     def test_step_bessel_overflow_is_numerical_failure(self, tmp_path, capsys):
         # Gamma(nu + 1) underflows near E = 3e4: the run warned, then
         # reported a round-off estimate nan
@@ -334,6 +358,17 @@ energy_lists = st.lists(
 json_scalars = st.one_of(
     st.text(), finite_floats, st.integers(), st.booleans(), st.none()
 )
+# nested report members: tuples (written as arrays), empty containers and
+# the non-finite floats the encoder spells NaN, Infinity and -Infinity
+json_values = st.recursive(
+    st.one_of(json_scalars, st.sampled_from([math.nan, math.inf, -math.inf])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=10,
+)
 
 
 @st.composite
@@ -355,7 +390,7 @@ class TestWriters:
         curves=curve_sets(),
         files=st.lists(st.one_of(st.none(), st.text()), min_size=3, max_size=3),
         config=st.dictionaries(st.text(), json_scalars),
-        extra=st.dictionaries(st.text(max_size=8), json_scalars),
+        extra=st.dictionaries(st.text(max_size=8), json_values),
     )
     @settings(max_examples=100, deadline=None)
     def test_report_matches_the_encoder(self, curves, files, config, extra):
@@ -387,37 +422,51 @@ class TestWriters:
             assert (out / f"{stem}.csv").read_bytes() == text
 
     def test_each_sample_array_is_formatted_once(self, tmp_path, monkeypatch):
-        # step writes six sample arrays, and its reflectivity and delay
-        # curves share one energy array: five are formatted, once each, and
-        # both CSV files and the report take their fields from that one table
-        tables = []
-        original = cli._digit_table
+        # default step writes six sample arrays.  The reflectivity and delay
+        # curves share the 2,000-point grid, and theta's refined grid is that
+        # grid plus its 2 bisection midpoints, which are all it formats: the
+        # grid, the midpoints and the reflectivity, delay and theta values
+        # make 8,004 floats, where formatting each array took 10,004
+        formatted = []
+        original = cli._format
 
-        def recorded(curves):
-            tables.append((curves, original(curves)))
-            return tables[-1][1]
+        def counted(samples):
+            formatted.append(len(samples))
+            return original(samples)
 
-        monkeypatch.setattr(cli, "_digit_table", recorded)
-        assert run(["step", "--grid", "200"], tmp_path) == 0
-        ((curves, digits),) = tables
-        refl, theta, delay = curves
-        assert refl.energies is delay.energies
-        assert len(digits) == 5
-        report = json.loads((tmp_path / "step_report.json").read_text())
-        for curve, entry in zip(curves, report["curves"], strict=True):
-            energies, values = digits[id(curve.energies)], digits[id(curve.values)]
-            assert list(map(repr, entry["energies"])) == energies
-            assert list(map(repr, entry["values"])) == values
+        monkeypatch.setattr(cli, "_format", counted)
+        args = cli.build_parser().parse_args(["step", "--out", str(tmp_path)])
+        report = args.func(args)
+        assert sorted(formatted) == [2, 2000, 2000, 2000, 2002]
+        refl, theta, delay = report["curves"]
+        assert len(theta["energies"]) == len(theta["values"]) == 2002
+        # one tolist() per array, kept by the returned report
+        assert refl["energies"] is delay["energies"]
+        written = json.loads((tmp_path / "step_report.json").read_text())
+        assert written["curves"] == report["curves"]
+        for entry in report["curves"]:
             lines = (tmp_path / entry["file"]).read_text().splitlines()
-            assert lines == ["E,value"] + [f"{e},{v}" for e, v in zip(energies, values)]
+            rows = zip(entry["energies"], entry["values"], strict=True)
+            assert lines == ["E,value"] + [f"{e!r},{v!r}" for e, v in rows]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("argv", [["step", "--grid", "200"], ["data"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["step", "--grid", "200"],
+            ["data"],
+            ["sqwell", "--grid", "40"],
+            ["sqwell", "--l", "1", "--grid", "40"],
+            ["deltashell", "--grid", "40"],
+        ],
+    )
     def test_files_match_the_oracle_writers(self, tmp_path, fmt, argv):
         args = cli.build_parser().parse_args(
             argv + ["--format", fmt, "--out", str(tmp_path)]
         )
         report = args.func(args)
+        # the model reports carry poles: nested diagnostics, None, bools, ints
+        assert bool(report["poles"]) == (argv[0] in ("sqwell", "deltashell"))
         # the returned report still holds each curve's samples as lists
         for entry in report["curves"]:
             assert type(entry["energies"]) is list and type(entry["values"]) is list
