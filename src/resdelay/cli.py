@@ -166,7 +166,8 @@ def _require_finite(args, what: str, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{name} {value}: {what} must be finite")
+            option = "--" + name.replace("_", "-")
+            raise ValueError(f"{option} {value}: {what} must be finite")
 
 
 def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
@@ -204,6 +205,8 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
 # ---------------------------------------------------------------------------
 
 def run_sqwell(args) -> dict:
+    _require_finite(args, "the energy range", "emin", "emax")
+    _require_finite(args, "the pole search's bounds", "pole_emax", "pole_gmax")
     model = SquareWell(V0=args.V0, a=args.a, l=args.l)
     region = SearchRegion((0.0, max(args.pole_emax, args.emax)),
                           (-args.pole_gmax / 2.0, 0.0), n_re=120, n_im=10)
@@ -222,6 +225,8 @@ def run_sqwell(args) -> dict:
 
 
 def run_deltashell(args) -> dict:
+    _require_finite(args, "the energy range", "emin", "emax")
+    _require_finite(args, "the pole search's bounds", "pole_gmax")
     model = DeltaShell(V0=args.V0, a=args.a)
     region = SearchRegion((0.0, args.emax), (-args.pole_gmax / 2.0, 0.0),
                           n_re=50, n_im=8)

@@ -69,13 +69,6 @@ class Curve:
     def grid_step(self) -> float:
         return float(np.median(np.diff(self.energies)))
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "energies": self.energies.tolist(),
-            "values": self.values.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class Peak:
@@ -402,44 +395,42 @@ def _miller(l: int, z: np.ndarray, j0: np.ndarray):
 
 def _sph_jh(l: int, x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray,
             y: np.ndarray):
-    """``(j, j', j, j', n, n', h1, h1')``: (j_l, j_l') at x from the given
-    sin x and cos x, then (j_l, j_l', n_l, n_l', h1_l, h1_l') at y, as
-    complex arrays of the shapes of x and of y, from one pass.
+    """``(j, j', h1, h1')``: (j_l, j_l') at x from the given sin x and
+    cos x, and (h1_l, h1_l') at y, as complex arrays of the shapes of x and
+    of y, from one pass.
 
-    The rows [j(x), j(y), n(y)] are stacked and run through one upward
+    The rows [j(x), h1(y)] are stacked and run through one upward
     recurrence, from f_0 = s/z and f_1 = s/z^2 - c/z, where (s, c) is
-    (sin z, cos z) for j and (-cos z, sin z) for n.  One downward Miller
-    pass (:func:`_miller`) then replaces the j rows where |z| < l.  Both
-    recurrences are elementwise and Miller rescales each element on its
-    own, so every element gets the bits it would get alone, whatever else
-    is stacked with it.  Raises :class:`ZeroArgument` when any |x| or |y| <
-    1e-300.
+    (sin z, cos z) for j and (-i e^(iz), e^(iz)) for h1: one complex
+    ``exp`` for the exterior.  One downward Miller pass (:func:`_miller`)
+    then replaces the j rows where |x| < l.
+
+    Rounding adds to the h1 row multiples of the other solutions, j_l and
+    h2_l (Gautschi, SIAM Rev. 9 (1967) 24; DLMF 10.49).  Relative to h1_l
+    they stay near the rounding error, except below the axis at |y| < l:
+    there h2_l, which starts e^(2 Im y) times as large as h1_l at order 0,
+    catches up with it, and the error grows to about 1e-16 e^(-2 Im y).
+
+    Both recurrences are elementwise and Miller rescales each element on
+    its own, so every element gets the bits it would get alone, whatever
+    else is stacked with it.  Raises :class:`ZeroArgument` when any |x| or
+    |y| < 1e-300.
     """
-    shape, y = y.shape, y.ravel()
-    zj = np.concatenate((x.ravel(), y))
-    r = np.abs(zj)
-    if (r < 1e-300).any():
+    nx, shape, x = x.size, x.shape, x.ravel()
+    z = np.concatenate((x, y.ravel()))
+    if (np.abs(z) < 1e-300).any():
         raise ZeroArgument("spherical Bessel functions singular at z = 0")
-    sin_y, cos_y = np.sin(y), np.cos(y)
-    z = np.concatenate((zj, y))
-    s = np.concatenate((sin_x.ravel(), sin_y, -cos_y))
-    c = np.concatenate((cos_x.ravel(), cos_y, sin_y))
+    e = np.exp(1j * z[nx:])
+    s = np.concatenate((sin_x.ravel(), -1j * e))
+    c = np.concatenate((cos_x.ravel(), e))
     f0 = s / z
     f, fp = _upward(l, z, f0, s / (z * z) - c / z)
-    miller = r < l
+    miller = np.abs(x) < l
     if miller.any():
-        rows = slice(0, zj.size)  # a view: the j rows of f and fp
-        f[rows][miller], fp[rows][miller] = _miller(l, zj[miller], f0[rows][miller])
-    nx, ny = x.size, y.size
-    j, jp, n, npr = (
-        g.reshape(shape)
-        for g in (f[nx:nx + ny], fp[nx:nx + ny], f[nx + ny:], fp[nx + ny:])
-    )
-    return (f[:nx].reshape(x.shape), fp[:nx].reshape(x.shape),
-            j, jp, n, npr, j + 1j * n, jp + 1j * npr)
-
-
-_NO_ROWS = np.empty(0, dtype=complex)
+        rows = slice(0, nx)  # a view: the j rows of f and fp
+        f[rows][miller], fp[rows][miller] = _miller(l, x[miller], f0[rows][miller])
+    return (f[:nx].reshape(shape), fp[:nx].reshape(shape),
+            f[nx:].reshape(y.shape), fp[nx:].reshape(y.shape))
 
 
 def sph_bessel(l: int, z: complex | np.ndarray):
@@ -448,25 +439,29 @@ def sph_bessel(l: int, z: complex | np.ndarray):
 
     Returns ``(j, jp, n, np_, h1, h1p)``: arrays of the shape of a numpy
     array ``z``, complex numbers for a number (its one-element case), from
-    one :func:`_sph_jh` pass: j_l by upward recurrence where |z| >= l and
-    by downward Miller recurrence elsewhere, n_l by upward recurrence.
-    Every element gets the bits it would get alone.  Raises
-    :class:`ZeroArgument` when any |z| < 1e-300.
+    one :func:`_sph_jh` pass with x = y = z: j_l by upward recurrence where
+    |z| >= l and by downward Miller recurrence elsewhere, h1_l by upward
+    recurrence from h1_0 = -i e^(iz)/z, and n_l = -i (h1_l - j_l).  Every
+    element gets the bits it would get alone.  Raises :class:`ZeroArgument`
+    when any |z| < 1e-300.
 
-    Both rows are accurate on the real axis.  Off it, at large l:
+    All rows are accurate on the real axis and, for h1, above it.  Off the
+    axis, at large l:
 
     - j_l loses accuracy where |z| >= l but |Im z| is large, because the
       Miller pass runs only where |z| < l (j_30 is 7.8e-5 relative off at
       30i, j_20 2.3e-8 at 20i);
-    - n_l loses accuracy where |z| < l and |Im z| is large;
-    - h1 = j + i n cancels for Im z > 0, and inherits both errors below the
-      axis (h1_30 is 1.4e-4 relative off at -15i, h1_20 1.0e-6 at -15i).
+    - h1_l loses accuracy below the axis where |z| < l and |Im z| is large
+      (h1_30 has a relative error of order 10 at -20i);
+    - n_l inherits both errors.
     """
     if l < 0 or l > 30:
         raise ValueError("l must be in [0, 30]")
     if not isinstance(z, np.ndarray):
         return tuple(c.item() for c in sph_bessel(l, np.array([z], dtype=complex)))
-    return _sph_jh(l, _NO_ROWS, _NO_ROWS, _NO_ROWS, z.astype(complex))[2:]
+    z = z.astype(complex)
+    j, jp, h1, h1p = _sph_jh(l, z, np.sin(z), np.cos(z), z)
+    return j, jp, -1j * (h1 - j), -1j * (h1p - jp), h1, h1p
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,11 @@ UNCLASSIFIED = "Unclassified"
 # branch point of the outgoing condition
 BRANCH_POINT = "branch_point"
 SEED_FAILURES = (NO_CONVERGENCE, NON_FINITE, ZERO_SLOPE, BRANCH_POINT)
+# a seed that the search ends and that does not count as failed: at l >= 1
+# its iterate rose above the search box's bottom edge mirrored above the axis
+ABOVE_BOX = "above_box"
 
-# the top edge of the counting box lies where Im(ka) is at most this on it:
-# above the real axis h1 = j + i n cancels, by about 1e-10 relative here
+# the top edge of the counting box lies where Im(ka) is at most this on it
 _MAX_IM_KA = 7.0
 # start samples on each edge of the counting box, corners included
 _COUNT_START = 65
@@ -132,10 +134,14 @@ def _branch_point(model: ScatteringModel, E: np.ndarray) -> np.ndarray:
     return at
 
 
-def _newton_residual(model: ScatteringModel, E: np.ndarray):
+def _newton_residual(model: ScatteringModel, E: np.ndarray,
+                     ceiling: float = math.inf):
     """Newton's residual and slope on an array of iterates: the bare entire
-    form of the outgoing condition, NaN at branch points."""
+    form of the outgoing condition, NaN at branch points and above Im E =
+    ``ceiling``."""
     at = _branch_point(model, E)
+    if ceiling < math.inf:  # a mask the s-wave and delta-shell rounds skip
+        at |= E.imag > ceiling
     if not at.any():
         return _outgoing(model, E)[:2]
     f = np.full(E.shape, np.nan, dtype=complex)
@@ -305,14 +311,19 @@ def find_poles(
     still running then end as ``stopped``.  Otherwise every seed runs to its
     own end.
 
+    At l >= 1 a seed also ends once its iterate rises above Im E = -Im
+    E_lo, the bottom edge of the box mirrored above the real axis, where no
+    pole lies: there the Newton steps on F wander without a root in reach.
+
     Failed seeds are dropped.  Each pole's diagnostics record their count
     under ``seeds_failed`` and, under ``seeds_failed_by_reason``, their
     count per reason of :data:`SEED_FAILURES`: ``no_convergence`` (60
     steps), ``non_finite`` (a value, slope or step), ``zero_slope`` and
     ``branch_point`` (an iterate where the condition is undefined).  They
-    also record ``seeds_stopped``, ``winding_number`` (the count, None
-    where it is not certified) and ``complete`` (the number of poles found
-    equals the count).
+    also record the seeds the search ended by its own rules, which did not
+    fail: ``seeds_stopped`` (by the count) and ``seeds_above_box``; and
+    ``winding_number`` (the count, None where it is not certified) and
+    ``complete`` (the number of poles found equals the count).
     """
     (re_lo, re_hi), (im_lo, im_hi) = region.re_range, region.im_range
     seeds_re = np.linspace(max(re_lo, 1e-6), re_hi, region.n_re)
@@ -327,11 +338,17 @@ def find_poles(
     until = None
     if count is not None and not _spurious_zero_inside(model, region):
         until = _count_met(region, count)
+    # only F at l >= 1 carries h1_l(ka); on s-wave wells and delta shells
+    # the rule ended no search a round sooner
+    ceiling = -im_lo if isinstance(model, SquareWell) and model.l >= 1 else math.inf
     roots, residuals, outcomes = newton_complex(
-        functools.partial(_newton_residual, model), seeds.ravel(), tol=tol,
-        max_iter=60, until=until,
+        functools.partial(_newton_residual, model, ceiling=ceiling), seeds.ravel(),
+        tol=tol, max_iter=60, until=until,
     )
-    outcomes[(outcomes == NON_FINITE) & _branch_point(model, roots)] = BRANCH_POINT
+    nan = outcomes == NON_FINITE
+    is_above = nan & (roots.imag > ceiling)
+    outcomes[nan & _branch_point(model, roots)] = BRANCH_POINT
+    outcomes[is_above] = ABOVE_BOX
     failed = {why: int(np.count_nonzero(outcomes == why)) for why in SEED_FAILURES}
     inside = (outcomes == CONVERGED) & _inside(region, roots)
     z, r = roots[inside], residuals[inside]
@@ -340,6 +357,7 @@ def find_poles(
     if z.size:
         z, r = _polish(model, z, r)
     stopped = int(np.count_nonzero(outcomes == STOPPED))
+    above = int(np.count_nonzero(is_above))
     return [
         Pole(
             z[i].item(),
@@ -348,6 +366,7 @@ def find_poles(
                 "seeds_failed": sum(failed.values()),
                 "seeds_failed_by_reason": dict(failed),
                 "seeds_stopped": stopped,
+                "seeds_above_box": above,
                 "winding_number": count,
                 "complete": z.size == count,
             },

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import Curve, _sample_grid, _sph_jh, sph_bessel
+from .numerics import Curve, _sample_grid, _sph_jh
 
 __all__ = [
     "SquareWell",
@@ -38,6 +38,8 @@ _THRESHOLD_BAND = 1e-3
 _MAX_IM_PA = 300.0
 # (h, dh/dE) of _outgoing where F already carries the hard-sphere factor
 _NO_HARD_SPHERE = (np.float64(1.0), np.float64(0.0))
+# the interior rows of a spherical-Bessel pass that needs none
+_NO_ROWS = np.empty(0, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -149,8 +151,8 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     test: the slope is NaN at p = 0 and the value defined, or at l >= 1
     the spherical-Bessel pass raises :class:`ZeroArgument`.  At l >= 1
     (j_l, j_l') at pa and (h1_l, h1_l') at ka come from one such pass
-    (:func:`numerics._sph_jh`), the series form's h from
-    :func:`sph_bessel`.  E is a numpy array, evaluated elementwise
+    (:func:`numerics._sph_jh`), the series form's h from a pass with no
+    interior rows.  E is a numpy array, evaluated elementwise
     (each element gets the bits it would get alone), or a number, its
     one-element case with Python numbers as the result.  E = 0, a branch
     point, raises ``ValueError``.
@@ -196,7 +198,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
         y, c = k * a, 1.0 / (2 * l + 3)
         t2, t3 = c * q / (2 * l + 5), 2.0 * c * q / (2 * l + 7)
         aL = l - c * q * (1.0 + t2 * (1.0 + t3))
-        *_, h, hp = sph_bessel(l, y)
+        _, _, h, hp = _sph_jh(l, _NO_ROWS, _NO_ROWS, _NO_ROWS, y)
         f_k = (aL + 1) * hp + (y - l * (l + 1) / y) * h
         df = -a * c * (1.0 + t2 * (2.0 + 3.0 * t3)) * h + f_k * dk
         return aL / a * h - k * hp, df, h, hp * a * dk
@@ -227,7 +229,7 @@ def _outgoing(model: ScatteringModel, E, lower: bool = False, series: bool = Fal
     # interior and exterior rows run as one recurrence pass
     x, y = p * a, k * a
     clipped = _clip_imag(x)
-    j, jp, *_, h, hp = _sph_jh(l, x, np.sin(clipped), np.cos(clipped), y)
+    j, jp, h, hp = _sph_jh(l, x, np.sin(clipped), np.cos(clipped), y)
     ll = l * (l + 1)
     f = p * jp * h - k * hp * j
     f_p = -jp * h - (x - ll / x) * j * h - y * hp * jp

@@ -115,6 +115,20 @@ class TestExitCodes:
         assert run(["step", option, value], tmp_path) == 2
         assert f"{option} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sub, option",
+        [("sqwell", "--emin"), ("sqwell", "--emax"), ("sqwell", "--pole-emax"),
+         ("sqwell", "--pole-gmax"), ("deltashell", "--emin"),
+         ("deltashell", "--emax"), ("deltashell", "--pole-gmax")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_model_non_finite_range_names_the_option(self, tmp_path, capsys,
+                                                      sub, option, value):
+        # these were reported as "require e_hi > e_lo > 0, both finite" or
+        # "the search region's bounds must be finite", naming no option
+        assert run([sub, option, value], tmp_path) == 2
+        assert f"{option} {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", ["--wlo", "--whi"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_data_non_finite_window_names_the_option(self, tmp_path, capsys,
@@ -401,7 +415,8 @@ class TestWriters:
         report["count"] = {"n_R": -1.25, "evaluations": 1257}
         entries = []
         for curve, name in zip(curves, files):
-            entry = curve.to_dict()
+            entry = {"label": curve.label, "energies": curve.energies.tolist(),
+                     "values": curve.values.tolist()}
             if name is not None:
                 entry["file"] = name
             entries.append(entry)

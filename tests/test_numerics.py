@@ -415,9 +415,9 @@ class TestSphBessel:
         assert h1p == pytest.approx(jp + 1j * np_, rel=1e-15)
 
     # against 50-digit mpmath, j_30 is 7.8e-5 relative off at 30i and j_20
-    # 2.3e-8 at 20i, where the upward j row runs (|z| >= l); h1_30 = j + i n
-    # has a relative error of 6.6 at -20i and h1_20 one of 1.0e-6 at -15i,
-    # where the upward n row runs at |z| < l (ROADMAP item 3)
+    # 2.3e-8 at 20i, where the upward j row runs (|z| >= l); the upward h1
+    # row has a relative error of 12.5 at (30, -20i) and 4.9e-6 at
+    # (20, -15i), below the axis at |z| < l, where h2_l catches up with h1_l
     @pytest.mark.parametrize(
         "l, z, which",
         [
@@ -425,8 +425,8 @@ class TestSphBessel:
             for l, z, which, why in [
                 (30, 30j, "j", "upward j_l loses digits off the axis at |z| >= l"),
                 (20, 20j, "j", "upward j_l loses digits off the axis at |z| >= l"),
-                (30, -20j, "h1", "upward n_l loses digits off the axis at |z| < l"),
-                (20, -15j, "h1", "upward n_l loses digits off the axis at |z| < l"),
+                (30, -20j, "h1", "upward h1_l loses digits below the axis at |z| < l"),
+                (20, -15j, "h1", "upward h1_l loses digits below the axis at |z| < l"),
             ]
         ],
     )
@@ -441,6 +441,26 @@ class TestSphBessel:
             ref = complex(ref)
         got = j if which == "j" else h1
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("l", [1, 3, 10])
+    def test_hankel_above_the_axis_against_mpmath(self, l):
+        # h1_l decays like e^(-Im z) above the axis, where j_l + i n_l used
+        # to cancel (h1_1 was 9e-5 relative off at 15i and 0 from 20i on)
+        def sph_h1(nu, t):
+            scale = mpmath.sqrt(mpmath.pi / (2 * t))
+            return scale * (mpmath.besselj(nu + 0.5, t)
+                            + 1j * mpmath.bessely(nu + 0.5, t))
+
+        z = 1j * np.linspace(5.0, 40.0, 36)
+        _, _, _, _, h1, h1p = sph_bessel(l, z)
+        with mpmath.workdps(50):
+            for y, got, gotp in zip(z, h1, h1p):
+                zm = mpmath.mpc(y)
+                want = complex(sph_h1(l, zm))
+                # h1_l' = h1_(l-1) - (l + 1)/z h1_l
+                wantp = complex(sph_h1(l - 1, zm) - (l + 1) / zm * sph_h1(l, zm))
+                assert abs(got - want) <= 1e-13 * abs(want)
+                assert abs(gotp - wantp) <= 1e-13 * abs(wantp)
 
     @given(
         l=st.integers(0, 10),
@@ -520,19 +540,15 @@ class TestSphBessel:
 
 def separate_passes(l, x, sin_x, cos_x, y):
     """The rows of numerics._sph_jh, each from a pass of its own: j_l at x
-    (upward, then Miller where |x| < l), and j_l, n_l and h1_l at y."""
-    def sph_j(z, s, c):
-        j0 = s / z
-        j, jp = numerics._upward(l, z, j0, s / (z * z) - c / z)
-        miller = np.abs(z) < l
-        if miller.any():
-            j[miller], jp[miller] = numerics._miller(l, z[miller], j0[miller])
-        return j, jp
-
-    sin_y, cos_y = np.sin(y), np.cos(y)
-    j, jp = sph_j(y, sin_y, cos_y)
-    n, npr = numerics._upward(l, y, -cos_y / y, -cos_y / (y * y) - sin_y / y)
-    return (*sph_j(x, sin_x, cos_x), j, jp, n, npr, j + 1j * n, jp + 1j * npr)
+    (upward, then Miller where |x| < l) and h1_l at y (upward from
+    h1_0 = -i e^(iy)/y)."""
+    j0 = sin_x / x
+    j, jp = numerics._upward(l, x, j0, sin_x / (x * x) - cos_x / x)
+    miller = np.abs(x) < l
+    if miller.any():
+        j[miller], jp[miller] = numerics._miller(l, x[miller], j0[miller])
+    e = np.exp(1j * y)
+    return (j, jp, *numerics._upward(l, y, -1j * e / y, -1j * e / (y * y) - e / y))
 
 
 def points(seed, n, r_lo, r_hi):
@@ -544,7 +560,9 @@ def points(seed, n, r_lo, r_hi):
 
 class TestStackedPass:
     # the outgoing condition's one pass: j_l at the interior x = pa and h1_l
-    # at the exterior y = ka, stacked as the rows [j(x), j(y), n(y)]
+    # at the exterior y = ka, stacked as the rows [j(x), h1(y)].  Only the
+    # j rows run Miller, so "no_exterior_miller" is the case whose y all
+    # lie at |y| >= l, where h1_l never loses to h2_l
     THICK = np.array([2.0 + 400.0j, 35.0 - 350.0j, 0.5 + 900.0j])  # |Im x| > 300
 
     @classmethod
@@ -574,25 +592,31 @@ class TestStackedPass:
         sin_x, cos_x = np.sin(clipped), np.cos(clipped)
         got = numerics._sph_jh(l, x, sin_x, cos_x, y)
         want = separate_passes(l, x, sin_x, cos_x, y)
-        assert [g.shape for g in got] == [x.shape] * 2 + [y.shape] * 6
+        assert [g.shape for g in got] == [x.shape] * 2 + [y.shape] * 2
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()  # bit for bit
-        for g, public in zip(got[2:], sph_bessel(l, y)):  # j, n and h1 at y
+        # sph_bessel is the same pass: h1 at y, and j at the x not clipped
+        for g, public in zip(got[2:], sph_bessel(l, y)[4:]):
             assert g.tobytes() == public.tobytes()
+        free = x == clipped
+        for g, public in zip(got[:2], sph_bessel(l, x[free])[:2]):
+            assert g[free].tobytes() == public.tobytes()
 
     def test_cases_cover_both_branches(self):
-        # each case reaches the Miller and upward branches it is named for
+        # each case reaches the Miller and upward j rows it is named for,
+        # and h1 rows on both sides of |y| = l and of the real axis
         for l in (1, 5, 10, 20, 30):
             x, y = self.arguments(l, "mixed")
             assert (np.abs(x) < l).any() and (np.abs(x) >= l).any()
             assert (np.abs(y) < l).any() and (np.abs(y) >= l).any()
+            assert (y.imag > 0).any() and (y.imag < 0).any()
             assert (np.abs(self.arguments(l, "no_interior_miller")[0]) >= l).all()
             assert (np.abs(self.arguments(l, "no_exterior_miller")[1]) >= l).all()
 
     def test_shapes_follow_each_argument(self):
         x, y = points(1, 6, 0.5, 8.0).reshape(2, 3), points(2, 4, 0.5, 8.0).reshape(4, 1)
         got = numerics._sph_jh(5, x, np.sin(x), np.cos(x), y)
-        assert [g.shape for g in got] == [(2, 3)] * 2 + [(4, 1)] * 6
+        assert [g.shape for g in got] == [(2, 3)] * 2 + [(4, 1)] * 2
         flat = numerics._sph_jh(
             5, x.ravel(), np.sin(x).ravel(), np.cos(x).ravel(), y.ravel()
         )

@@ -10,7 +10,7 @@ import pytest
 from resdelay import poles, scattering
 from resdelay.counting import lorentzian_sum
 from resdelay.errors import ZeroArgument
-from resdelay.numerics import Curve, _sph_jh, newton_complex, sph_bessel
+from resdelay.numerics import Curve, _sph_jh, newton_complex
 from resdelay.poles import (
     RESONANCE,
     SPURIOUS,
@@ -144,12 +144,14 @@ class TestFindPoles:
         # once on the seeds still running, which is one spherical-Bessel
         # pass (_sph_jh: j_l(pa) and h_l(ka) together).  The count of the
         # box takes 4 passes on 362 samples; the batch stops after 6 rounds,
-        # once the 16 poles it counts are found (739 of the 839 seeds of the
+        # once the 16 poles it counts are found (700 of the 783 seeds of the
         # last round still running), and one polish step costs 2 passes on
-        # the 16 poles.  The full run took 61 rounds, one scalar
-        # Newton run per seed about 28k scalar calls, a central-difference
-        # slope 183,814, and separate interior and exterior calls 122
-        # (calls to the public sph_bessel count too)
+        # the 16 poles.  The rounds shrink faster than when h1 was j + i n
+        # (1200, 1200, 1195, 1087, 939, 839), because 414 seeds end once
+        # they rise above Im E = 6, the box's bottom edge mirrored.  The
+        # full run took 61 rounds, one scalar Newton run per seed about 28k
+        # scalar calls, a central-difference slope 183,814, and separate
+        # interior and exterior calls 122
         calls, rounds, samples = [], [], []
 
         def counted(fn):
@@ -158,9 +160,9 @@ class TestFindPoles:
                 return fn(l, *args)
             return wrapper
 
-        def residual(model, E):
+        def residual(model, E, **kwargs):
             rounds.append(E.size)
-            return newton_residual(model, E)
+            return newton_residual(model, E, **kwargs)
 
         def phase(model, E):
             samples.append(E.size)
@@ -168,21 +170,21 @@ class TestFindPoles:
 
         newton_residual = poles._newton_residual
         regularised_phase = poles._regularised_phase
-        monkeypatch.setattr(scattering, "sph_bessel", counted(sph_bessel))
         monkeypatch.setattr(scattering, "_sph_jh", counted(_sph_jh))
         monkeypatch.setattr(poles, "_newton_residual", residual)
         monkeypatch.setattr(poles, "_regularised_phase", phase)
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert len(samples) == 4 and sum(samples) == 362 and samples[0] == 260
-        assert rounds == [1200, 1200, 1195, 1087, 939, 839, 16, 16]
+        assert rounds == [1200, 1200, 1118, 932, 855, 783, 16, 16]
         assert len(calls) == 4 + 6 + 2
         assert len(found) == 16
         for pole in found:
             d = pole.diagnostics
             assert pole.residual <= 1e-8
             assert d["winding_number"] == 16 and d["complete"] is True
-            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 739
+            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 700
+            assert d["seeds_above_box"] == 414
 
     def test_failed_seeds_by_reason(self):
         # the CLI's sqwell region.  In the full run six seeds reach the
@@ -303,6 +305,38 @@ class TestFindPoles:
     def test_narrow_l5_pole_is_found(self):
         found = find_poles(self.NARROW_L5, self.CLI_REGION, tol=1e-8)
         assert min(abs(p.energy - self.NARROW_L5_POLE) for p in found) < 1e-8
+
+    def test_seeds_above_the_box_end(self, monkeypatch):
+        # where h1 was j + i n, it underflowed above the axis and 634 seeds
+        # "converged" there at points that are no zero of F.  Now a seed
+        # ends once it rises above Im E = 6, the box's bottom edge mirrored
+        # (599 seeds, not counted as failed).  The 36 seeds still converging
+        # above the axis reach zeros of F that are no poles: 35 within 0.05
+        # of E = -V0, where F vanishes like p^5, and the bound state on the
+        # negative real axis
+        mpmath = pytest.importorskip("mpmath")
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(newton_complex(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(poles, "newton_complex", recorded)
+        m = self.NARROW_L5
+        found = find_poles(m, self.CLI_REGION, tol=1e-8)
+        assert len(found) == 13
+        d = found[0].diagnostics
+        assert d["seeds_above_box"] == 599
+        assert d["seeds_failed"] == d["seeds_failed_by_reason"]["no_convergence"] == 16
+        roots, _, outcomes = runs[0]
+        assert (roots[outcomes == poles.ABOVE_BOX].imag > 6.0).all()
+        above = roots[(outcomes == "converged") & (roots.imag > 0)]
+        at_threshold = np.abs(above + m.V0) < 0.05
+        assert above.size == 36 and np.count_nonzero(at_threshold) == 35
+        (bound,) = above[~at_threshold]
+        root = mpmath_root(mpmath, m, bound)
+        assert abs(root.imag) < 1e-30 and -m.V0 < root.real < 0
+        assert abs(bound - root) < 1e-4
 
     def test_rigid_wall_limit(self):
         m = DeltaShell(V0=1e6, a=1)
