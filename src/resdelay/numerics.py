@@ -482,6 +482,7 @@ def newton_complex(
     tol: float = 1e-11,
     max_iter: int = 100,
     until: Callable[[np.ndarray, np.ndarray], bool] | None = None,
+    start: np.ndarray | None = None,
 ):
     """Newton's method in the complex plane with an analytic derivative,
     run on every seed at once: ``f(z)`` maps a 1-D array of iterates to
@@ -502,16 +503,33 @@ def newton_complex(
     which seeds stopped, with the last iterates and outcomes of the seeds
     that stopped in that round, in seed order.  Once it returns True, the
     seeds still running end there with the outcome ``STOPPED``.
+
+    ``start``, when given, holds one round in [0, max_iter] per seed of an
+    array: the seed joins the batch in that round (all in round 0 by
+    default), so it has ``max_iter - start`` steps, and the batch still
+    makes at most ``max_iter + 1`` rounds.  A seed that ``until`` ends
+    before it joins is ``STOPPED`` at the seed itself, with residual NaN.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite (tol = {tol})")
-    z = np.array(seed, dtype=complex).ravel()
-    roots, residuals = np.empty_like(z), np.empty(z.size)
-    outcomes = np.full(z.size, NO_CONVERGENCE)
-    left = np.arange(z.size)  # positions of the seeds still running
+    seeds = np.array(seed, dtype=complex).ravel()
+    start = np.zeros(seeds.size, dtype=int) if start is None else np.ravel(start)
+    roots, residuals = seeds.copy(), np.full(seeds.size, math.nan)
+    outcomes = np.full(seeds.size, NO_CONVERGENCE)
+    # positions of the seeds still running, in seed order, and their iterates
+    left, z = np.empty(0, dtype=int), np.empty(0, dtype=complex)
     with np.errstate(all="ignore"):  # non-finite values end their seeds
-        fz, df, *_ = f(z)
         for i in range(max_iter + 1):
+            new = np.flatnonzero(start == i)
+            if new.size:
+                left, z = np.append(left, new), np.append(z, seeds[new])
+                order = np.argsort(left, kind="stable")
+                left, z = left[order], z[order]
+            if not left.size:
+                if (start > i).any():
+                    continue
+                break
+            fz, df, *_ = f(z)
             # |f| rounded as Python's abs(complex) rounds it (np.abs differs
             # in the last bit), so abs(f(root)) <= tol holds for every root
             r = np.hypot(fz.real, fz.imag)
@@ -537,12 +555,10 @@ def newton_complex(
                     roots[run] = z[going]
                     residuals[run] = np.where(np.isfinite(fz[going]), r[going], math.inf)
                     outcomes[run] = STOPPED
+                    outcomes[start > i] = STOPPED
                     break
                 left, z_new = left[~stop], z_new[~stop]
-            if not left.size:
-                break
             z = z_new
-            fz, df, *_ = f(z)
     if isinstance(seed, np.ndarray):
         return roots, residuals, outcomes
     if outcomes[0] != CONVERGED:

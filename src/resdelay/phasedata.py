@@ -80,7 +80,8 @@ def parse_phase_table(text: str, source: str = "") -> PhaseTable:
 
     Each data line is split once and every field goes through one
     ``float`` pass; a field count or a number that does not parse raises
-    :class:`ParseError` at the first such line in file order."""
+    :class:`ParseError` at the first such line in file order, and so does
+    then a field that is not finite (``nan``, ``inf``)."""
     lines = [
         (lineno, line)
         for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
@@ -105,11 +106,14 @@ def parse_phase_table(text: str, source: str = "") -> PhaseTable:
         )
     except ValueError:
         raise _first_bad_row(rows, fields, ncol) from None
+    # float() also reads nan and inf
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        lineno, line = rows[bad[0] // ncol]
+        raise ParseError(f"non-finite field in {line!r}", lineno)
     if len(rows) < _MIN_ROWS:
         raise TooFewRows(f"need at least {_MIN_ROWS} rows, got {len(rows)}")
     w, delta, *err = values.reshape(-1, ncol).T.copy()
-    # <= rather than a difference: inf, inf does not increase, NaN is left
-    # to PhaseTable
     bad = np.flatnonzero(w[1:] <= w[:-1])
     if bad.size:
         i = bad[0] + 1

@@ -7,8 +7,10 @@ regularised outgoing condition around the box's edge, whose phase is
 unwrapped with the help of its exact slope.  Where that count is certified
 and the condition has no zero in the box that is not a pole, the batch
 stops as soon as the distinct roots found number the count, and the search
-is then known to be complete.  Every pole found is polished by one batched
-Newton step.
+is then known to be complete.  Such a search runs coarse to fine: Newton
+starts on a quarter of the seeds, and the rest join the batch only when
+the count is not met within a few rounds.  Every pole found is polished by
+one batched Newton step.
 """
 from __future__ import annotations
 
@@ -60,6 +62,17 @@ ABOVE_BOX = "above_box"
 _MAX_IM_KA = 7.0
 # start samples on each edge of the counting box, corners included
 _COUNT_START = 65
+# where the count can stop the search, Newton starts on the coarse grid of
+# every _COARSE_STRIDE-th seed in each direction, and the other seeds join
+# in round _FINE_START only if the count is not met by then.  Over the 150
+# model instances of the bench pools (CLI regions, in-process, min of 3 on
+# 2 cores) the median search took 2.51 ms on sqwell_highl and 0.83 ms on
+# closed_form with every seed from round 0; with stride 2 it took 2.36,
+# 1.85, 1.73, 1.72 and 1.81 ms on sqwell_highl (0.60-0.65 ms on
+# closed_form) for joins in round 4, 6, 8, 10 and 12, and stride 3 with
+# round 8 2.03 ms (0.54 ms)
+_COARSE_STRIDE = 2
+_FINE_START = 8
 
 
 @dataclass(frozen=True)
@@ -300,7 +313,7 @@ def _polish(model: ScatteringModel, z: np.ndarray, r: np.ndarray):
 def find_poles(
     model: ScatteringModel, region: SearchRegion, tol: float = 1e-9
 ) -> list[Pole]:
-    """Launch Newton from every grid seed, all seeds as one batch; keep
+    """Launch Newton from the grid seeds, all seeds as one batch; keep
     deduplicated lower-half-plane roots inside the region (in seed order),
     polish each by one Newton step (:func:`_polish`), and sort by Re(E).
 
@@ -308,8 +321,14 @@ def find_poles(
     (:func:`_winding_number`).  Where the count is certified and F has no
     zero in the box that is not a pole (:func:`_spurious_zero_inside`), the
     batch ends once the distinct roots found number the count; the seeds
-    still running then end as ``stopped``.  Otherwise every seed runs to its
-    own end.
+    still running, and those that never started, then end as ``stopped``.
+    Such a batch runs coarse to fine: it starts on every other seed in each
+    direction (300 of the CLI's 1,200 ``sqwell`` seeds), and the other seeds
+    join in round 8 only if the count is not met by then, with the rounds
+    left up to the 60th.  Each seed takes the steps it would take alone, so
+    only the seed that reaches a pole first can differ from a batch that
+    starts on every seed.  Otherwise every seed runs from round 0 to its own
+    end.
 
     At l >= 1 a seed also ends once its iterate rises above Im E = -Im
     E_lo, the bottom edge of the box mirrored above the real axis, where no
@@ -317,13 +336,17 @@ def find_poles(
 
     Failed seeds are dropped.  Each pole's diagnostics record their count
     under ``seeds_failed`` and, under ``seeds_failed_by_reason``, their
-    count per reason of :data:`SEED_FAILURES`: ``no_convergence`` (60
-    steps), ``non_finite`` (a value, slope or step), ``zero_slope`` and
-    ``branch_point`` (an iterate where the condition is undefined).  They
-    also record the seeds the search ended by its own rules, which did not
-    fail: ``seeds_stopped`` (by the count) and ``seeds_above_box``; and
-    ``winding_number`` (the count, None where it is not certified) and
-    ``complete`` (the number of poles found equals the count).
+    count per reason of :data:`SEED_FAILURES`: ``no_convergence`` (out of
+    steps by round 60), ``non_finite`` (a value, slope or step),
+    ``zero_slope`` and ``branch_point`` (an iterate where the condition is
+    undefined).  They also record the seeds the search ended by its own
+    rules, which did not fail: ``seeds_stopped`` (by the count) and
+    ``seeds_above_box``; under ``seeds_converged_outside``, the seeds that
+    converged to a root outside the region (a zero of F at E = -V0, a bound
+    state, a root above the axis or beyond the box); and ``winding_number``
+    (the count, None where it is not certified) and ``complete`` (the number
+    of poles found equals the count).  With the seeds that converged inside
+    the region, these counts add up to every seed of the grid.
     """
     (re_lo, re_hi), (im_lo, im_hi) = region.re_range, region.im_range
     seeds_re = np.linspace(max(re_lo, 1e-6), re_hi, region.n_re)
@@ -341,16 +364,21 @@ def find_poles(
     # only F at l >= 1 carries h1_l(ka); on s-wave wells and delta shells
     # the rule ended no search a round sooner
     ceiling = -im_lo if isinstance(model, SquareWell) and model.l >= 1 else math.inf
+    start = None
+    if until is not None:
+        start = np.full(seeds.shape, _FINE_START)
+        start[::_COARSE_STRIDE, ::_COARSE_STRIDE] = 0
     roots, residuals, outcomes = newton_complex(
         functools.partial(_newton_residual, model, ceiling=ceiling), seeds.ravel(),
-        tol=tol, max_iter=60, until=until,
+        tol=tol, max_iter=60, until=until, start=start,
     )
     nan = outcomes == NON_FINITE
     is_above = nan & (roots.imag > ceiling)
     outcomes[nan & _branch_point(model, roots)] = BRANCH_POINT
     outcomes[is_above] = ABOVE_BOX
     failed = {why: int(np.count_nonzero(outcomes == why)) for why in SEED_FAILURES}
-    inside = (outcomes == CONVERGED) & _inside(region, roots)
+    converged = outcomes == CONVERGED
+    inside = converged & _inside(region, roots)
     z, r = roots[inside], residuals[inside]
     keep = _distinct(z)
     z, r = z[keep], r[keep]
@@ -358,6 +386,7 @@ def find_poles(
         z, r = _polish(model, z, r)
     stopped = int(np.count_nonzero(outcomes == STOPPED))
     above = int(np.count_nonzero(is_above))
+    outside = int(np.count_nonzero(converged & ~inside))
     return [
         Pole(
             z[i].item(),
@@ -367,6 +396,7 @@ def find_poles(
                 "seeds_failed_by_reason": dict(failed),
                 "seeds_stopped": stopped,
                 "seeds_above_box": above,
+                "seeds_converged_outside": outside,
                 "winding_number": count,
                 "complete": z.size == count,
             },

@@ -145,6 +145,19 @@ class TestExitCodes:
         assert run(["data", "--input", str(missing)], tmp_path) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_data_infinite_energy_names_its_line(self, tmp_path, capsys):
+        # exited 2 with "curve samples must be finite", no line number, after
+        # two numpy RuntimeWarnings on stderr
+        table = tmp_path / "table.csv"
+        rows = [f"{1100 + 10 * i},{5.0 * i}" for i in range(8)]
+        rows[3] = "inf,15.0"
+        table.write_text("W_MeV,delta_deg\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["data", "--input", str(table)], tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == "error (ParseError): line 5: non-finite field in 'inf,15.0'\n"
+
     def test_output_path_that_is_a_file_names_the_path(self, tmp_path, capsys):
         # mkdir raised an uncaught FileExistsError (exit 1)
         taken = tmp_path / "taken"

@@ -785,6 +785,59 @@ class TestNewtonBatch:
                        until=lambda r, o: asked.append(o.size) or False)
         assert asked == [1]
 
+    def test_late_seeds_take_the_steps_they_take_alone(self):
+        # a seed that joins in round s is evaluated with the seeds still
+        # running and takes the steps it takes alone, max_iter - s of them
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return self.square(z)
+
+        seeds = np.array([0.5 + 0.8j, 3 - 7j, 1e3 + 1j, -0.2 - 0.01j, 2 + 1j])
+        start = np.array([0, 2, 0, 2, 0])
+        roots, residuals, outcomes = newton_complex(f, seeds, 1e-12, 12, start=start)
+        assert calls[:3] == [3, 3, 5]
+        assert len(calls) <= 13
+        for i, seed in enumerate(seeds):
+            alone = newton_complex(self.square, seeds[i:i + 1], 1e-12, 12 - start[i])
+            assert (roots[i], residuals[i], outcomes[i]) == tuple(a[0] for a in alone)
+        assert outcomes[2] == "no_convergence"
+
+    def test_late_seeds_join_after_the_others_stopped(self):
+        # the round-0 seed converges in round 0; no round runs on no seed,
+        # and the late seed still joins in round 4
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return self.square(z)
+
+        seeds = np.array([1j, 0.5 + 0.8j])
+        roots, _, outcomes = newton_complex(f, seeds, 1e-12, 50, start=[0, 4])
+        alone = newton_complex(self.square, seeds[1:], 1e-12, 46)
+        assert calls[0] == 1 and set(calls[1:]) == {1}
+        assert list(outcomes) == ["converged", "converged"]
+        assert roots[1] == alone[0][0]
+
+    def test_until_stops_the_seeds_still_to_join(self):
+        # the rule holds in round 0, before the late seeds join: they end
+        # as stopped at the seed itself, never evaluated
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return self.square(z)
+
+        seeds = np.array([1j, 0.5 + 0.8j, -1 - 1j])
+        roots, residuals, outcomes = newton_complex(
+            f, seeds, 1e-12, 50, until=lambda r, o: True, start=[0, 3, 3]
+        )
+        assert calls == [1]
+        assert list(outcomes) == ["converged", "stopped", "stopped"]
+        assert np.array_equal(roots[1:], seeds[1:])
+        assert np.isnan(residuals[1:]).all()
+
     def test_empty_batch(self):
         roots, residuals, outcomes = newton_complex(
             self.square, np.array([], dtype=complex), 1e-12, 50

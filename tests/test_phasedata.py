@@ -72,6 +72,21 @@ class TestParsePhaseTable:
         assert err.value.line_number == 4
         assert str(err.value) == f"line 4: {message}"
 
+    @pytest.mark.parametrize("first, second", [
+        ("1110,nan", "1130,19.0"),
+        ("inf,12.0", "1130,nan"),
+        ("1110,-inf", "nan,19.0"),
+    ])
+    def test_non_finite_field_names_its_line(self, first, second):
+        # float() reads nan and inf; an inf in W reached the curve check
+        # ("curve samples must be finite", no line, numpy warnings first)
+        # and a nan in W a MonotonicityError with no line
+        bad = GOOD.replace("1110,12.0", first).replace("1130,19.0", second)
+        with pytest.raises(ParseError) as err:
+            parse_phase_table(bad)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"line 4: non-finite field in {first!r}"
+
     def test_fields_padded_with_whitespace(self):
         padded = parse_phase_table(GOOD.replace("1120,15.0", "  1120 ,\t15.0 "))
         plain = parse_phase_table(GOOD)

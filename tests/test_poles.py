@@ -140,18 +140,20 @@ class TestOutgoingSlope:
 
 class TestFindPoles:
     def test_bessel_call_budget(self, monkeypatch):
-        # the 1200 seeds run as one batch: each round evaluates the residual
-        # once on the seeds still running, which is one spherical-Bessel
-        # pass (_sph_jh: j_l(pa) and h_l(ka) together).  The count of the
-        # box takes 4 passes on 362 samples; the batch stops after 6 rounds,
-        # once the 16 poles it counts are found (700 of the 783 seeds of the
-        # last round still running), and one polish step costs 2 passes on
-        # the 16 poles.  The rounds shrink faster than when h1 was j + i n
-        # (1200, 1200, 1195, 1087, 939, 839), because 414 seeds end once
-        # they rise above Im E = 6, the box's bottom edge mirrored.  The
-        # full run took 61 rounds, one scalar Newton run per seed about 28k
-        # scalar calls, a central-difference slope 183,814, and separate
-        # interior and exterior calls 122
+        # the seeds run as one batch: each round evaluates the residual once
+        # on the seeds still running, which is one spherical-Bessel pass
+        # (_sph_jh: j_l(pa) and h_l(ka) together).  The count of the box
+        # takes 4 passes on 362 samples.  The batch starts on the 300 coarse
+        # seeds; they find 15 of the 16 counted poles in 8 rounds, so the
+        # 900 other seeds join in round 8 (with the 129 coarse seeds still
+        # running), and the batch stops after 12 rounds, once the 16th is
+        # found (727 seeds stopped).  One polish
+        # step costs 2 passes on the 16 poles.  383 seeds end once they rise
+        # above Im E = 6, the box's bottom edge mirrored.  Starting on all
+        # 1200 seeds took 6 rounds (1200, 1200, 1118, 932, 855, 783: 6,088
+        # seed evaluations against 5,571), the full run 61, one scalar
+        # Newton run per seed about 28k scalar calls, a central-difference
+        # slope 183,814, and separate interior and exterior calls 122
         calls, rounds, samples = [], [], []
 
         def counted(fn):
@@ -176,27 +178,30 @@ class TestFindPoles:
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert len(samples) == 4 and sum(samples) == 362 and samples[0] == 260
-        assert rounds == [1200, 1200, 1118, 932, 855, 783, 16, 16]
-        assert len(calls) == 4 + 6 + 2
+        assert rounds == [300, 300, 275, 220, 202, 184, 165, 149,
+                          1029, 1012, 940, 795, 16, 16]
+        assert len(calls) == 4 + 12 + 2
         assert len(found) == 16
         for pole in found:
             d = pole.diagnostics
             assert pole.residual <= 1e-8
             assert d["winding_number"] == 16 and d["complete"] is True
-            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 700
-            assert d["seeds_above_box"] == 414
+            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 727
+            assert d["seeds_above_box"] == 383
 
     def test_failed_seeds_by_reason(self):
         # the CLI's sqwell region.  In the full run six seeds reach the
         # negative real axis, where the s-wave Newton steps stay real, and
         # bounce there until they run out of steps; the count of 10 stops
-        # the batch first, and they end as stopped
+        # the batch first, and they end as stopped.  The 300 coarse seeds
+        # meet the count in 4 rounds, so 1164 seeds are stopped, 900 of
+        # them never started (1056 when the batch started on all 1200)
         m = SquareWell(6.1477, 6.071, 0)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert len(found) == 10
         for pole in found:
             d = pole.diagnostics
-            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 1056
+            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 1164
             assert d["seeds_failed_by_reason"] == {
                 "no_convergence": 0, "non_finite": 0, "zero_slope": 0,
                 "branch_point": 0,
@@ -226,13 +231,15 @@ class TestFindPoles:
     def test_branch_point_fails_its_seed_only(self, monkeypatch, l, branch_points):
         # seeds at E = 0 and E = -V0: the outgoing condition is undefined at
         # E = 0, and at E = -V0 too for l >= 1 (sph_bessel raises at p = 0);
-        # the two seeds fail and every other seed runs as before
+        # the two seeds fail and every other seed runs as before.  They
+        # replace the last two seeds that start in round 0, which run
+        # whether or not the rest of the grid joins
         m = SquareWell(V0=5, a=10, l=l)
         region = SearchRegion((0, 20), (-3, 0), 40, 6)
 
         def at_branch_points(f, seeds, **kwargs):
             seeds = seeds.copy()
-            seeds[-2:] = 0.0, -m.V0
+            seeds[np.flatnonzero(kwargs["start"] == 0)[-2:]] = 0.0, -m.V0
             return newton_complex(f, seeds, **kwargs)
 
         plain = find_poles(m, region, tol=1e-8)
@@ -310,10 +317,13 @@ class TestFindPoles:
         # where h1 was j + i n, it underflowed above the axis and 634 seeds
         # "converged" there at points that are no zero of F.  Now a seed
         # ends once it rises above Im E = 6, the box's bottom edge mirrored
-        # (599 seeds, not counted as failed).  The 36 seeds still converging
+        # (597 seeds, not counted as failed).  The 36 seeds still converging
         # above the axis reach zeros of F that are no poles: 35 within 0.05
         # of E = -V0, where F vanishes like p^5, and the bound state on the
-        # negative real axis
+        # negative real axis.  The count is never met here, so the 900
+        # fine seeds join in round 8 and have 52 steps left, not 60: 23
+        # seeds run out of steps (16, and 599 above the box, when every
+        # seed started in round 0)
         mpmath = pytest.importorskip("mpmath")
         runs = []
 
@@ -326,8 +336,8 @@ class TestFindPoles:
         found = find_poles(m, self.CLI_REGION, tol=1e-8)
         assert len(found) == 13
         d = found[0].diagnostics
-        assert d["seeds_above_box"] == 599
-        assert d["seeds_failed"] == d["seeds_failed_by_reason"]["no_convergence"] == 16
+        assert d["seeds_above_box"] == 597
+        assert d["seeds_failed"] == d["seeds_failed_by_reason"]["no_convergence"] == 23
         roots, _, outcomes = runs[0]
         assert (roots[outcomes == poles.ABOVE_BOX].imag > 6.0).all()
         above = roots[(outcomes == "converged") & (roots.imag > 0)]
@@ -337,6 +347,63 @@ class TestFindPoles:
         root = mpmath_root(mpmath, m, bound)
         assert abs(root.imag) < 1e-30 and -m.V0 < root.real < 0
         assert abs(bound - root) < 1e-4
+
+    def test_search_starts_on_a_quarter_of_the_seeds(self, monkeypatch):
+        # where the count can stop the search, the batch starts on the
+        # seeds of every other row and column, and the rest join in round 8
+        # (the l = 1 search of test_bessel_call_budget); a barrier, whose
+        # count does not stop the search, starts on every seed
+        rounds, starts = [], []
+
+        def recorded(f, seeds, **kwargs):
+            starts.append(kwargs["start"])
+            return newton_complex(f, seeds, **kwargs)
+
+        def residual(model, E, **kwargs):
+            rounds.append(E.size)
+            return newton_residual(model, E, **kwargs)
+
+        newton_residual = poles._newton_residual
+        monkeypatch.setattr(poles, "newton_complex", recorded)
+        monkeypatch.setattr(poles, "_newton_residual", residual)
+        find_poles(SquareWell(5, 10, 1), self.CLI_REGION, tol=1e-8)
+        # the 900 other seeds join the 129 coarse seeds still running
+        assert rounds[0] == 300 and rounds[8] == 900 + 129
+        start = starts[0].reshape(120, 10)
+        assert (start[::2, ::2] == 0).all() and np.count_nonzero(start == 0) == 300
+        assert (start[start != 0] == 8).all()
+        rounds.clear()
+        find_poles(SquareWell(-3, 3, 0), self.CLI_REGION, tol=1e-8)
+        assert starts[1] is None and rounds[0] == 1200
+
+    @pytest.mark.parametrize("inst_id, outside, above_axis", [
+        ("sqwell_highl/r0/i1", 2, 0),
+        ("sqwell_highl/r2/i4", 80, 36),
+    ])
+    def test_every_seed_is_accounted_for(self, monkeypatch, inst_id, outside,
+                                         above_axis):
+        # failed + stopped + above the box + converged outside the region +
+        # converged inside it = every seed.  When every seed started in
+        # round 0, 130 of r0/i1's seeds converged outside the region; now
+        # the count stops it on the coarse seeds first.  r2/i4 never meets
+        # its count, and 36 of its seeds converge above the axis
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(newton_complex(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(poles, "newton_complex", recorded)
+        m, region = instance_model(pool_instance(inst_id))
+        found = find_poles(m, region, tol=1e-8)
+        d = found[0].diagnostics
+        roots, _, outcomes = runs[0]
+        converged = outcomes == "converged"
+        inside = np.count_nonzero(converged & poles._inside(region, roots))
+        assert d["seeds_converged_outside"] == outside
+        assert np.count_nonzero(converged & (roots.imag > 0)) == above_axis
+        assert (d["seeds_failed"] + d["seeds_stopped"] + d["seeds_above_box"]
+                + d["seeds_converged_outside"] + inside == region.n_re * region.n_im)
 
     def test_rigid_wall_limit(self):
         m = DeltaShell(V0=1e6, a=1)
@@ -486,6 +553,17 @@ def reference_instances():
     return [by_id[i] for i in REFERENCE_IDS]
 
 
+def model_instances():
+    """Every sqwell and deltashell instance of the bench pools."""
+    workloads = json.loads(REFERENCE.read_text(encoding="utf-8"))["workloads"]
+    return [
+        inst
+        for name in ("sqwell_highl", "closed_form")
+        for rnd in workloads[name] for inst in rnd
+        if inst["argv"][0] in ("sqwell", "deltashell")
+    ]
+
+
 def instance_model(inst):
     """The model and the CLI's default search region of a pool instance."""
     argv = inst["argv"]
@@ -621,14 +699,19 @@ class TestWindingNumber:
             assert d["complete"] is False and d["seeds_stopped"] == 0
 
     @pytest.mark.parametrize(
-        "inst", reference_instances(), ids=lambda inst: inst["id"]
+        "inst", model_instances(), ids=lambda inst: inst["id"]
     )
     def test_early_stop_finds_the_full_runs_poles(self, monkeypatch, inst):
+        # every sqwell and deltashell instance of the bench pools: the
+        # coarse-to-fine search that the count stops finds the poles of
+        # the full run, and a complete search has no failed seed
         m, region = instance_model(inst)
         early = find_poles(m, region, tol=1e-8)
         full = full_run(monkeypatch, m, region)
         assert_same_poles(early, full)
         assert all(p.diagnostics["winding_number"] is None for p in full)
+        for p in early:
+            assert p.diagnostics["seeds_failed"] == 0 or not p.diagnostics["complete"]
 
     def test_early_stop_on_attractive_wells(self, monkeypatch):
         # at l = 21 (V0 = 6.435, a = 7.684) the poles near Re E = 0.35 and

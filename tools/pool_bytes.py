@@ -4,12 +4,18 @@ Each tree runs every instance of ``bench/reference.json`` in-process, in a
 child interpreter of its own that imports ``resdelay`` from ``<tree>/src``.
 The script then prints, for each instance where the trees differ, the exit
 codes, the stderr text and the sha256 of every output file that differs.
-For a JSON report that differs it also prints each JSON path whose values
-differ (list indices shown as ``[]``), with the number of values and the
-largest relative change of the numbers among them, and the largest
-relative numeric change of the whole report::
+For a JSON report or a CSV file that differs it also prints each JSON
+path or CSV column whose values differ (list indices and rows shown as
+``[]``), with the number of values and the largest relative change of the
+numbers among them, and the largest relative numeric change of the whole
+file::
 
-    python tools/pool_bytes.py OLD_TREE NEW_TREE [--workload expstep]
+    python tools/pool_bytes.py OLD_TREE NEW_TREE [--workload expstep] [--summary]
+
+``--summary`` prints, in place of the lines per instance, one line per
+JSON path (over every report), per CSV file name, and for the exit codes
+and stderr: the number of instances in which it differs and the largest
+relative change of its numbers.
 
 A tree is a checkout, for instance one made by ``git archive``.  The
 instance list, and the phase tables of the ``data`` instances, come from
@@ -84,10 +90,28 @@ def run_pool(tree: Path, work: Path, workloads: list[str] | None):
         yield inst, rc, err.getvalue(), out, seconds
 
 
+def number(field: str):
+    """A CSV field as a float, or the text where it is no number."""
+    try:
+        return float(field)
+    except ValueError:
+        return field
+
+
+def content(path: Path):
+    """A JSON report's document, or a CSV file's columns by header name."""
+    text = path.read_text("utf-8")
+    if path.suffix == ".json":
+        return json.loads(text)
+    header, *rows = text.splitlines()
+    columns = zip(*(row.split(",") for row in rows))
+    return {name: list(map(number, col)) for name, col in zip(header.split(","), columns)}
+
+
 def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
     """The exit code, the stderr text, the sha256 of each output file and
-    the content of each JSON report of every instance of :func:`run_pool`,
-    by instance id."""
+    the :func:`content` of each JSON and CSV file of every instance of
+    :func:`run_pool`, by instance id."""
     return {
         inst["id"]: {
             "exit": rc,
@@ -96,9 +120,9 @@ def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(out.iterdir())
             },
-            "reports": {
-                p.name: json.loads(p.read_text("utf-8"))
-                for p in sorted(out.glob("*.json"))
+            "contents": {
+                p.name: content(p)
+                for p in sorted(out.iterdir()) if p.suffix in (".json", ".csv")
             },
         }
         for inst, rc, err, out, _ in run_pool(tree, work, workloads)
@@ -138,30 +162,46 @@ def relative_change(a, b) -> float | None:
     return abs(b - a) / abs(a) if a else math.inf
 
 
-def field_changes(old, new) -> list[str]:
-    """The JSON paths whose values differ between two reports, list indices
-    shown as ``[]``: for each, the number of values that differ and the
-    largest relative change of the numbers among them (a value only in one
-    report is added or removed).  The last line gives the largest relative
-    numeric change of the whole report."""
+def widen(group: list, rel: float | None, kinds=()) -> None:
+    """Take a relative change and kinds into a ``[count, largest relative
+    change, kinds]`` group."""
+    if rel is not None:
+        group[1] = rel if group[1] is None else max(group[1], rel)
+    group[2].update(kinds)
+
+
+def add(group: list, rel: float | None, kinds=()) -> None:
+    """Count one value (or instance) into a group of :func:`widen`."""
+    group[0] += 1
+    widen(group, rel, kinds)
+
+
+def changed_paths(old, new) -> dict[str, list]:
+    """The paths of two documents whose values differ, list indices shown
+    as ``[]``: for each, the ``[count, largest relative change, kinds]``
+    group of :func:`add` over the values that differ (a value only in one
+    document is added or removed, a value that is no number changed)."""
     a, b = leaves(old), leaves(new)
     groups: dict[str, list] = {}
     for path in sorted(a.keys() | b.keys()):
         if path in a and path in b and a[path] == b[path]:
             continue
         group = groups.setdefault(re.sub(r"\[\d+\]", "[]", path), [0, None, set()])
-        group[0] += 1
         if path not in a or path not in b:
-            group[2].add("added" if path not in a else "removed")
+            add(group, None, ["added" if path not in a else "removed"])
             continue
         rel = relative_change(a[path], b[path])
-        if rel is None:
-            group[2].add("changed")
-        else:
-            group[1] = rel if group[1] is None else max(group[1], rel)
+        add(group, rel, ["changed"] if rel is None else [])
+    return groups
+
+
+def describe(groups: dict[str, list], unit: str) -> list[str]:
+    """One line per group: its count of ``unit``, its kinds and its largest
+    relative change; the last line gives the largest relative change of
+    them all."""
     lines, largest = [], None
     for path, (n, rel, kinds) in sorted(groups.items()):
-        what = [f"{n} value{'s' if n > 1 else ''}", *sorted(kinds)]
+        what = [f"{n} {unit}{'s' if n > 1 else ''}", *sorted(kinds)]
         if rel is not None:
             what.append(f"largest relative change {rel:.3g}")
             largest = rel if largest is None else max(largest, rel)
@@ -169,6 +209,18 @@ def field_changes(old, new) -> list[str]:
     if largest is not None:
         lines.append(f"largest relative numeric change {largest:.3g}")
     return lines
+
+
+def changed_files(a: dict, b: dict):
+    """The names of the output files whose bytes differ between two
+    instance records, with the :func:`changed_paths` of their contents
+    (None where a file is in one record only, or is neither JSON nor
+    CSV)."""
+    for name in sorted(a["files"].keys() | b["files"].keys()):
+        if a["files"].get(name) != b["files"].get(name):
+            ca, cb = a["contents"].get(name), b["contents"].get(name)
+            both = ca is not None and cb is not None
+            yield name, changed_paths(ca, cb) if both else None
 
 
 def differences(old: dict, new: dict) -> dict[str, list[str]]:
@@ -186,14 +238,42 @@ def differences(old: dict, new: dict) -> dict[str, list[str]]:
             lines.append(f"exit: {a['exit']!r} -> {b['exit']!r}")
         if a["stderr"] != b["stderr"]:
             lines.append(f"stderr: {a['stderr']!r} -> {b['stderr']!r}")
-        for name in sorted(a["files"].keys() | b["files"].keys()):
+        for name, paths in changed_files(a, b):
             ha, hb = a["files"].get(name, "missing"), b["files"].get(name, "missing")
-            if ha != hb:
-                lines.append(f"{name}: {ha} -> {hb}")
-                ra, rb = a["reports"].get(name), b["reports"].get(name)
-                if ra is not None and rb is not None:
-                    lines += ["  " + line for line in field_changes(ra, rb)]
+            lines.append(f"{name}: {ha} -> {hb}")
+            if paths is not None:
+                lines += ["  " + line for line in describe(paths, "value")]
     return out
+
+
+def summary(old: dict, new: dict) -> list[str]:
+    """:func:`describe` of the instances that differ, grouped by JSON path
+    (over every report), by CSV file name, and by exit code and stderr."""
+    groups: dict[str, list] = {}
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if a is None or b is None:
+            add(groups.setdefault("instance", [0, None, set()]), None,
+                ["added" if a is None else "removed"])
+            continue
+        touched: dict[str, list] = {}  # the groups this instance touches
+
+        def touch(name, rel=None, kinds=("changed",)):
+            widen(touched.setdefault(name, [1, None, set()]), rel, kinds)
+
+        for what in ("exit", "stderr"):
+            if a[what] != b[what]:
+                touch(what)
+        for name, paths in changed_files(a, b):
+            if paths is None:
+                touch(name)
+            for path, (_, rel, kinds) in (paths or {}).items():
+                touch(name if name.endswith(".csv") else path, rel, kinds)
+        for name, (_, rel, kinds) in touched.items():
+            add(groups.setdefault(name, [0, None, set()]), rel, kinds)
+    return describe(groups, "instance")
 
 
 def main(argv=None) -> int:
@@ -201,6 +281,8 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
     parser.add_argument("--workload", action="append",
                         help="only this workload (repeatable); default all")
+    parser.add_argument("--summary", action="store_true",
+                        help="one line per JSON path and CSV file, over all instances")
     parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -212,10 +294,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         old, new = (run_tree(tree, Path(work), args.workload) for tree in args.trees)
     diff = differences(old, new)
-    for key, lines in diff.items():
-        print(key)
-        for line in lines:
-            print("  " + line)
+    if args.summary:
+        print("\n".join(summary(old, new)))
+    else:
+        for key, lines in diff.items():
+            print(key)
+            for line in lines:
+                print("  " + line)
     print(f"{len(old.keys() | new.keys())} instances, {len(diff)} differ")
     return 1 if diff else 0
 
