@@ -161,13 +161,33 @@ def _base_report(args) -> dict:
             "reconstruction": None, "curves": []}
 
 
+def _require(args, name: str, ok, what: str) -> None:
+    """Reject the option ``name`` unless ``ok(value)``, naming the option,
+    its value and ``what`` it must be."""
+    value = getattr(args, name)
+    if not ok(value):
+        raise ValueError(f"--{name.replace('_', '-')} {value}: {what}")
+
+
 def _require_finite(args, what: str, *names: str) -> None:
     """Reject a non-finite value of the options ``names`` that are set."""
     for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            option = "--" + name.replace("_", "-")
-            raise ValueError(f"{option} {value}: {what} must be finite")
+        _require(args, name, lambda v: v is None or math.isfinite(v),
+                 f"{what} must be finite")
+
+
+def _require_model_options(args, *bounds: str) -> None:
+    """Reject an out-of-range energy range, pole-search bound (``bounds``)
+    or Newton tolerance of a model pipeline."""
+    _require_finite(args, "the energy range", "emin", "emax")
+    _require(args, "emin", lambda v: v > 0, "the energy range must start above 0")
+    _require(args, "emax", lambda v: v > args.emin,
+             f"the energy range must end above --emin {args.emin}")
+    _require_finite(args, "the pole search's bounds", *bounds)
+    _require(args, "pole_gmax", lambda v: v > 0,
+             "the pole search's largest width must be positive")
+    _require(args, "tol", lambda v: 0 < v < math.inf,
+             "the Newton tolerance must be positive and finite")
 
 
 def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
@@ -205,8 +225,7 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
 # ---------------------------------------------------------------------------
 
 def run_sqwell(args) -> dict:
-    _require_finite(args, "the energy range", "emin", "emax")
-    _require_finite(args, "the pole search's bounds", "pole_emax", "pole_gmax")
+    _require_model_options(args, "pole_emax", "pole_gmax")
     model = SquareWell(V0=args.V0, a=args.a, l=args.l)
     region = SearchRegion((0.0, max(args.pole_emax, args.emax)),
                           (-args.pole_gmax / 2.0, 0.0), n_re=120, n_im=10)
@@ -225,8 +244,7 @@ def run_sqwell(args) -> dict:
 
 
 def run_deltashell(args) -> dict:
-    _require_finite(args, "the energy range", "emin", "emax")
-    _require_finite(args, "the pole search's bounds", "pole_gmax")
+    _require_model_options(args, "pole_gmax")
     model = DeltaShell(V0=args.V0, a=args.a)
     region = SearchRegion((0.0, args.emax), (-args.pole_gmax / 2.0, 0.0),
                           n_re=50, n_im=8)
@@ -273,6 +291,8 @@ def run_step(args) -> dict:
 
 def run_data(args) -> dict:
     _require_finite(args, "the window bounds", "wlo", "whi")
+    _require(args, "smooth", lambda v: v >= 1 and v % 2 == 1,
+             "the moving-average window must be an odd integer >= 1")
     if args.input is None:
         table = load_bundled_p33()
     else:

@@ -473,7 +473,9 @@ CONVERGED = "converged"
 NO_CONVERGENCE = "no_convergence"  # max_iter reached
 NON_FINITE = "non_finite"  # a non-finite value, slope or step
 ZERO_SLOPE = "zero_slope"
-STOPPED = "stopped"  # still running when the caller's stop rule held
+STOPPED = "stopped"  # ended by the caller's rule, or held and never joined
+# the batch rule's answer that lets the held seeds join (newton_complex)
+JOIN = "join"
 
 
 def newton_complex(
@@ -481,8 +483,8 @@ def newton_complex(
     seed: complex | np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 100,
-    until: Callable[[np.ndarray, np.ndarray], bool] | None = None,
-    start: np.ndarray | None = None,
+    until: Callable[[int, np.ndarray, np.ndarray], object] | None = None,
+    held: np.ndarray | None = None,
 ):
     """Newton's method in the complex plane with an analytic derivative,
     run on every seed at once: ``f(z)`` maps a 1-D array of iterates to
@@ -499,66 +501,68 @@ def newton_complex(
     :class:`NoConvergence` with the last iterate and its residual -- never
     a silent bad root.  ``tol`` must be positive and finite.
 
-    ``until(roots, outcomes)``, when given, is called after each round in
-    which seeds stopped, with the last iterates and outcomes of the seeds
-    that stopped in that round, in seed order.  Once it returns True, the
-    seeds still running end there with the outcome ``STOPPED``.
-
-    ``start``, when given, holds one round in [0, max_iter] per seed of an
-    array: the seed joins the batch in that round (all in round 0 by
-    default), so it has ``max_iter - start`` steps, and the batch still
-    makes at most ``max_iter + 1`` rounds.  A seed that ``until`` ends
-    before it joins is ``STOPPED`` at the seed itself, with residual NaN.
+    ``held``, when given, marks the seeds of an array that wait outside the
+    batch.  ``until(i, roots, outcomes)``, when given, is called after
+    each round i = 0, 1, ... with the last iterates and outcomes of the
+    seeds that stopped in that round, in seed order (empty where none did).
+    It returns ``JOIN`` to let the held seeds join in round i + 1, so that
+    each has the ``max_iter - i - 1`` steps left and the batch still makes
+    at most ``max_iter + 1`` rounds; any other true value ends the batch,
+    and the seeds still running end there with the outcome ``STOPPED``.  A
+    held seed that never joins is ``STOPPED`` at the seed itself, with
+    residual NaN.  A round with no seed running evaluates nothing.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite (tol = {tol})")
     seeds = np.array(seed, dtype=complex).ravel()
-    start = np.zeros(seeds.size, dtype=int) if start is None else np.ravel(start)
+    held = np.zeros(seeds.size, dtype=bool) if held is None else np.ravel(held) != 0
     roots, residuals = seeds.copy(), np.full(seeds.size, math.nan)
     outcomes = np.full(seeds.size, NO_CONVERGENCE)
-    # positions of the seeds still running, in seed order, and their iterates
-    left, z = np.empty(0, dtype=int), np.empty(0, dtype=complex)
+    # positions of the seeds still running, in seed order, and their
+    # iterates; positions of the seeds still held
+    left, wait = np.flatnonzero(~held), np.flatnonzero(held)
+    z = seeds[left]
     with np.errstate(all="ignore"):  # non-finite values end their seeds
         for i in range(max_iter + 1):
-            new = np.flatnonzero(start == i)
-            if new.size:
-                left, z = np.append(left, new), np.append(z, seeds[new])
-                order = np.argsort(left, kind="stable")
-                left, z = left[order], z[order]
-            if not left.size:
-                if (start > i).any():
-                    continue
+            if not (left.size or wait.size):
                 break
-            fz, df, *_ = f(z)
-            # |f| rounded as Python's abs(complex) rounds it (np.abs differs
-            # in the last bit), so abs(f(root)) <= tol holds for every root
-            r = np.hypot(fz.real, fz.imag)
-            conv = r <= tol
-            z_new = z - fz / df
-            if i < max_iter:
-                zero = ~conv & (df == 0)
-                finite = np.isfinite(fz) & np.isfinite(df) & np.isfinite(z_new)
-                bad = ~(conv | zero | finite)
-                stop = conv | zero | bad
-            else:  # out of steps: every seed still running stops here
-                zero = bad = np.zeros(z.size, dtype=bool)
-                stop = np.ones(z.size, dtype=bool)
-            if stop.any():
+            stop, at, z_new = np.zeros(left.size, dtype=bool), left[:0], z
+            if left.size:
+                fz, df, *_ = f(z)
+                # |f| rounded as Python's abs(complex) rounds it (np.abs
+                # differs in the last bit), so abs(f(root)) <= tol holds for
+                # every root
+                r = np.hypot(fz.real, fz.imag)
+                conv = r <= tol
+                z_new = z - fz / df
+                if i < max_iter:
+                    zero = ~conv & (df == 0)
+                    finite = np.isfinite(fz) & np.isfinite(df) & np.isfinite(z_new)
+                    bad = ~(conv | zero | finite)
+                    stop = conv | zero | bad
+                else:  # out of steps: every seed still running stops here
+                    zero = bad = np.zeros(z.size, dtype=bool)
+                    stop = np.ones(z.size, dtype=bool)
                 at = left[stop]
                 roots[at] = z[stop]
                 residuals[at] = np.where(np.isfinite(fz[stop]), r[stop], math.inf)
                 outcomes[left[conv]] = CONVERGED
                 outcomes[left[zero]] = ZERO_SLOPE
                 outcomes[left[bad]] = NON_FINITE
-                if until is not None and until(roots[at], outcomes[at]):
-                    run, going = left[~stop], ~stop
+            rule = None if until is None else until(i, roots[at], outcomes[at])
+            if rule and rule != JOIN:
+                run, going = left[~stop], ~stop
+                if run.size:
                     roots[run] = z[going]
                     residuals[run] = np.where(np.isfinite(fz[going]), r[going], math.inf)
                     outcomes[run] = STOPPED
-                    outcomes[start > i] = STOPPED
-                    break
-                left, z_new = left[~stop], z_new[~stop]
-            z = z_new
+                break
+            left, z = left[~stop], z_new[~stop]
+            if rule == JOIN and i < max_iter:
+                left, z = np.append(left, wait), np.append(z, seeds[wait])
+                order = np.argsort(left, kind="stable")
+                left, z, wait = left[order], z[order], wait[:0]
+    outcomes[wait] = STOPPED
     if isinstance(seed, np.ndarray):
         return roots, residuals, outcomes
     if outcomes[0] != CONVERGED:

@@ -7,10 +7,11 @@ regularised outgoing condition around the box's edge, whose phase is
 unwrapped with the help of its exact slope.  Where that count is certified
 and the condition has no zero in the box that is not a pole, the batch
 stops as soon as the distinct roots found number the count, and the search
-is then known to be complete.  Such a search runs coarse to fine: Newton
-starts on a quarter of the seeds, and the rest join the batch only when
-the count is not met within a few rounds.  Every pole found is polished by
-one batched Newton step.
+is then known to be complete.  Such a search is driven by its progress:
+Newton starts on a quarter of the seeds, the rest join once a few rounds
+bring no new root, and a batch that then stops finding roots ends short
+of the count, reported incomplete.  Every pole found is polished by one
+batched Newton step.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import CurveTooCoarse, MaxDepthExceeded, ZeroArgument
 from .numerics import (
     CONVERGED,
+    JOIN,
     NO_CONVERGENCE,
     NON_FINITE,
     STOPPED,
@@ -63,16 +65,31 @@ _MAX_IM_KA = 7.0
 # start samples on each edge of the counting box, corners included
 _COUNT_START = 65
 # where the count can stop the search, Newton starts on the coarse grid of
-# every _COARSE_STRIDE-th seed in each direction, and the other seeds join
-# in round _FINE_START only if the count is not met by then.  Over the 150
-# model instances of the bench pools (CLI regions, in-process, min of 3 on
-# 2 cores) the median search took 2.51 ms on sqwell_highl and 0.83 ms on
-# closed_form with every seed from round 0; with stride 2 it took 2.36,
-# 1.85, 1.73, 1.72 and 1.81 ms on sqwell_highl (0.60-0.65 ms on
-# closed_form) for joins in round 4, 6, 8, 10 and 12, and stride 3 with
-# round 8 2.03 ms (0.54 ms)
+# every _COARSE_STRIDE-th seed in each direction and holds the other seeds
+# (_Progress).  Over the 150 model instances of the bench pools (CLI
+# regions, in-process, min of 3 on 2 cores) the median search took 2.51 ms
+# on sqwell_highl and 0.83 ms on closed_form with every seed from round 0;
+# with stride 2 and the held seeds joining in a fixed round 4, 6, 8, 10 or
+# 12 it took 2.36, 1.85, 1.73, 1.72 and 1.81 ms on sqwell_highl (0.60-0.65
+# ms on closed_form), and stride 3 with round 8 2.03 ms (0.54 ms)
 _COARSE_STRIDE = 2
-_FINE_START = 8
+# the held seeds join once the batch has gone _JOIN_AFTER rounds without a
+# new root in the region, and with every seed in, the batch ends after
+# _END_AFTER such rounds (_Progress).  Swept on the 150 model instances of
+# the bench pools (median, sum and largest search on sqwell_highl,
+# in-process, min of 3 on 2 cores; 1.75, 74.3 and 10.5 ms with the fixed
+# join in round 8 and no stall end) and on 480 seeded wells (V0 in [2, 10],
+# a in [3, 10], l in [0, 20]) and 120 delta shells (V0 in [2, 20], a in
+# [0.5, 2]), CLI regions, numpy default_rng(27) and (5), against the poles
+# of a run of every seed to its own end:
+#   join after 2, 3, 4, 6, 8 (end after 16): 2.59, 1.74, 1.72, 1.72, 1.73 ms
+#     median, 85.0, 67.8, 64.9, 64.6, 65.3 ms summed, no pole lost;
+#   end after 6, 8, 12, 16, 24, 32 (join after 4): 5.43, 5.51, 5.75, 6.56,
+#     7.69, 8.63 ms largest, poles lost on 17, 10, 2, 0, 0, 0 models
+_JOIN_AFTER = 4
+_END_AFTER = 16
+# Newton's steps per seed
+_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -279,22 +296,49 @@ def _distinct(z: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def _count_met(region: SearchRegion, count: int):
-    """Newton's stop rule of a certified count: the distinct converged roots
-    inside the region, over the rounds so far, number ``count``."""
-    kept = np.empty(0, dtype=complex)
+class _Progress:
+    """Newton's batch rule of a pole search (``until`` of
+    :func:`~resdelay.numerics.newton_complex`), and its record: the rounds
+    run, the round the held seeds joined (None if they never did) and how
+    the batch ended: ``"count"``, ``"stall"``, or ``"steps"`` when every
+    seed ran to its own end.
 
-    def met(roots, outcomes):
-        nonlocal kept
-        z = roots[(outcomes == CONVERGED) & _inside(region, roots)]
-        if z.size and kept.size:
-            d = z[:, None] - kept
+    With a ``count``, it keeps the distinct converged roots inside the
+    region over the rounds so far, and the batch ends once they number the
+    count.  From the first round in which a seed ends (before it, Newton is
+    still on its way), it also counts the rounds in a row that bring no new
+    root: the held seeds join after :data:`_JOIN_AFTER` of them, and with
+    every seed in, the batch ends after :data:`_END_AFTER`.  Without a count
+    it only counts the rounds."""
+
+    def __init__(self, region: SearchRegion, count: int | None):
+        self.region, self.count = region, count
+        self.kept = np.empty(0, dtype=complex)
+        self.quiet = None  # rounds in a row without a new root, once counted
+        self.rounds, self.joined_round, self.end = 0, None, "steps"
+
+    def __call__(self, i, roots, outcomes):
+        self.rounds = i + 1
+        if self.count is None or self.quiet is None and not roots.size:
+            return False
+        z = roots[(outcomes == CONVERGED) & _inside(self.region, roots)]
+        if z.size and self.kept.size:
+            d = z[:, None] - self.kept
             size = np.hypot(z.real, z.imag)[:, None]
             z = z[~(np.hypot(d.real, d.imag) < 1e-6 * (1.0 + size)).any(axis=1)]
-        kept = np.append(kept, z[_distinct(z)])
-        return kept.size == count
-
-    return met
+        self.kept = np.append(self.kept, z[_distinct(z)])
+        self.quiet = 0 if z.size else (self.quiet or 0) + 1
+        if self.kept.size == self.count:
+            self.end = "count"
+            return True
+        if self.joined_round is None:
+            if self.quiet >= _JOIN_AFTER and i < _MAX_ITER:
+                self.joined_round, self.quiet = i + 1, 0
+                return JOIN
+        elif self.quiet >= _END_AFTER:
+            self.end = "stall"
+            return True
+        return False
 
 
 def _polish(model: ScatteringModel, z: np.ndarray, r: np.ndarray):
@@ -322,11 +366,13 @@ def find_poles(
     zero in the box that is not a pole (:func:`_spurious_zero_inside`), the
     batch ends once the distinct roots found number the count; the seeds
     still running, and those that never started, then end as ``stopped``.
-    Such a batch runs coarse to fine: it starts on every other seed in each
-    direction (300 of the CLI's 1,200 ``sqwell`` seeds), and the other seeds
-    join in round 8 only if the count is not met by then, with the rounds
-    left up to the 60th.  Each seed takes the steps it would take alone, so
-    only the seed that reaches a pole first can differ from a batch that
+    Such a batch starts on every other seed in each direction (300 of the
+    CLI's 1,200 ``sqwell`` seeds) and holds the rest.  Once a seed has
+    ended, it counts the rounds in a row that bring no new root: after 4
+    the held seeds join, with the rounds left up to the 60th, and with
+    every seed in, the batch ends after 16, short of the count
+    (:class:`_Progress`).  Each seed takes the steps it would take alone,
+    so only the seed that reaches a pole first can differ from a batch that
     starts on every seed.  Otherwise every seed runs from round 0 to its own
     end.
 
@@ -340,13 +386,17 @@ def find_poles(
     steps by round 60), ``non_finite`` (a value, slope or step),
     ``zero_slope`` and ``branch_point`` (an iterate where the condition is
     undefined).  They also record the seeds the search ended by its own
-    rules, which did not fail: ``seeds_stopped`` (by the count) and
+    rules, which did not fail: ``seeds_stopped`` (by the batch rule) and
     ``seeds_above_box``; under ``seeds_converged_outside``, the seeds that
     converged to a root outside the region (a zero of F at E = -V0, a bound
     state, a root above the axis or beyond the box); and ``winding_number``
     (the count, None where it is not certified) and ``complete`` (the number
     of poles found equals the count).  With the seeds that converged inside
-    the region, these counts add up to every seed of the grid.
+    the region, these counts add up to every seed of the grid.  Finally,
+    ``search_end`` records how the batch ended (``"count"``, ``"stall"``
+    or ``"steps"``, every seed to its own end), ``rounds`` the Newton
+    rounds it ran and ``joined_round`` the round the held seeds joined in
+    (None where they never did or none were held).
     """
     (re_lo, re_hi), (im_lo, im_hi) = region.re_range, region.im_range
     seeds_re = np.linspace(max(re_lo, 1e-6), re_hi, region.n_re)
@@ -358,19 +408,18 @@ def find_poles(
     seeds.real, seeds.imag = seeds_re[:, None], seeds_im
 
     count = _winding_number(model, region)
-    until = None
-    if count is not None and not _spurious_zero_inside(model, region):
-        until = _count_met(region, count)
+    stops = count is not None and not _spurious_zero_inside(model, region)
+    progress = _Progress(region, count if stops else None)
     # only F at l >= 1 carries h1_l(ka); on s-wave wells and delta shells
     # the rule ended no search a round sooner
     ceiling = -im_lo if isinstance(model, SquareWell) and model.l >= 1 else math.inf
-    start = None
-    if until is not None:
-        start = np.full(seeds.shape, _FINE_START)
-        start[::_COARSE_STRIDE, ::_COARSE_STRIDE] = 0
+    held = None
+    if stops:
+        held = np.ones(seeds.shape, dtype=bool)
+        held[::_COARSE_STRIDE, ::_COARSE_STRIDE] = False
     roots, residuals, outcomes = newton_complex(
         functools.partial(_newton_residual, model, ceiling=ceiling), seeds.ravel(),
-        tol=tol, max_iter=60, until=until, start=start,
+        tol=tol, max_iter=_MAX_ITER, until=progress, held=held,
     )
     nan = outcomes == NON_FINITE
     is_above = nan & (roots.imag > ceiling)
@@ -399,6 +448,9 @@ def find_poles(
                 "seeds_converged_outside": outside,
                 "winding_number": count,
                 "complete": z.size == count,
+                "search_end": progress.end,
+                "rounds": progress.rounds,
+                "joined_round": progress.joined_round,
             },
         )
         for i in np.argsort(z.real, kind="stable")

@@ -129,6 +129,31 @@ class TestExitCodes:
         assert run([sub, option, value], tmp_path) == 2
         assert f"{option} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(argv, named, id=" ".join(argv)) for argv, named in [
+            (["sqwell", "--tol", "0"], "--tol 0.0"),
+            (["sqwell", "--tol", "-1"], "--tol -1.0"),
+            (["sqwell", "--tol", "nan"], "--tol nan"),
+            (["deltashell", "--tol", "0"], "--tol 0.0"),
+            (["sqwell", "--pole-gmax", "0"], "--pole-gmax 0.0"),
+            (["sqwell", "--pole-gmax", "-3"], "--pole-gmax -3.0"),
+            (["deltashell", "--pole-gmax", "0"], "--pole-gmax 0.0"),
+            (["deltashell", "--pole-gmax", "-3"], "--pole-gmax -3.0"),
+            (["data", "--smooth", "2"], "--smooth 2"),
+            (["data", "--smooth", "0"], "--smooth 0"),
+            (["sqwell", "--emin", "5", "--emax", "4"], "--emax 4.0"),
+            (["deltashell", "--emin", "5", "--emax", "4"], "--emax 4.0"),
+            (["sqwell", "--emin", "0"], "--emin 0.0"),
+        ]
+    ])
+    def test_out_of_range_option_names_it(self, tmp_path, capsys, argv, named):
+        # these were reported as "tol must be positive and finite",
+        # "im_range must lie in the lower half plane", "smooth_window must
+        # be an odd integer >= 1" and "require e_hi > e_lo > 0, both
+        # finite", naming no option
+        assert run(argv, tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"error (ValueError): {named}: ")
+
     @pytest.mark.parametrize("option", ["--wlo", "--whi"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_data_non_finite_window_names_the_option(self, tmp_path, capsys,

@@ -20,6 +20,7 @@ from resdelay.errors import (
     ZeroArgument,
 )
 from resdelay.numerics import (
+    JOIN,
     Curve,
     bessel_j,
     complex_gamma,
@@ -754,15 +755,15 @@ class TestNewtonBatch:
         assert calls == sorted(calls, reverse=True) and len(calls) <= 51
 
     def test_until_stops_the_seeds_still_running(self):
-        # the rule sees the seeds that stopped in each round, in seed order:
-        # the zero slope in round 0, the first root in round 2.  Once it
-        # holds, the seeds still running end there as stopped, each with
-        # its last iterate and its |f| there
+        # the rule sees the round and the seeds that stopped in it, in seed
+        # order: the zero slope in round 0, none in round 1, the first root
+        # in round 2.  Once it holds, the seeds still running end there as
+        # stopped, each with its last iterate and its |f| there
         seen, calls = [], []
 
-        def until(roots, outcomes):
-            seen.append((roots.tolist(), outcomes.tolist()))
-            return len(seen) == 2
+        def until(i, roots, outcomes):
+            seen.append((i, roots.tolist(), outcomes.tolist()))
+            return i == 2
 
         def f(z):
             calls.append(z.size)
@@ -772,22 +773,26 @@ class TestNewtonBatch:
         roots, residuals, outcomes = newton_complex(f, seeds, 1e-12, 50, until=until)
         free = newton_complex(self.square, seeds, 1e-12, 50)
         assert calls == [5, 4, 4]
-        assert seen == [([0j], ["zero_slope"]), ([free[0][0]], ["converged"])]
+        assert seen == [(0, [0j], ["zero_slope"]), (1, [], []),
+                        (2, [free[0][0]], ["converged"])]
         assert list(outcomes) == ["converged", "stopped", "stopped", "stopped",
                                   "zero_slope"]
         assert roots[0] == free[0][0] and residuals[0] == free[1][0]
         for i in (1, 2, 3):
             assert residuals[i] == abs(roots[i] * roots[i] + 1) > 1e-12
 
-    def test_until_is_not_asked_without_a_stopped_seed(self):
+    def test_until_is_asked_after_every_round(self):
+        # the seed converges in round 24; the 24 rounds before it stop no
+        # seed, and the rule sees them with empty arrays
         asked = []
         newton_complex(self.square, np.array([1e3 + 1j]), 1e-12, 50,
-                       until=lambda r, o: asked.append(o.size) or False)
-        assert asked == [1]
+                       until=lambda i, r, o: asked.append((i, o.size)) or False)
+        assert asked == [(i, 0) for i in range(24)] + [(24, 1)]
 
     def test_late_seeds_take_the_steps_they_take_alone(self):
-        # a seed that joins in round s is evaluated with the seeds still
-        # running and takes the steps it takes alone, max_iter - s of them
+        # held seeds that the rule lets join after round 1 are evaluated
+        # from round 2 with the seeds still running, and take the steps
+        # they take alone, max_iter - 2 of them
         calls = []
 
         def f(z):
@@ -795,33 +800,43 @@ class TestNewtonBatch:
             return self.square(z)
 
         seeds = np.array([0.5 + 0.8j, 3 - 7j, 1e3 + 1j, -0.2 - 0.01j, 2 + 1j])
-        start = np.array([0, 2, 0, 2, 0])
-        roots, residuals, outcomes = newton_complex(f, seeds, 1e-12, 12, start=start)
+        held = np.array([False, True, False, True, False])
+        roots, residuals, outcomes = newton_complex(
+            f, seeds, 1e-12, 12, until=lambda i, r, o: i == 1 and JOIN, held=held
+        )
         assert calls[:3] == [3, 3, 5]
         assert len(calls) <= 13
         for i, seed in enumerate(seeds):
-            alone = newton_complex(self.square, seeds[i:i + 1], 1e-12, 12 - start[i])
+            steps = 10 if held[i] else 12
+            alone = newton_complex(self.square, seeds[i:i + 1], 1e-12, steps)
             assert (roots[i], residuals[i], outcomes[i]) == tuple(a[0] for a in alone)
         assert outcomes[2] == "no_convergence"
 
     def test_late_seeds_join_after_the_others_stopped(self):
-        # the round-0 seed converges in round 0; no round runs on no seed,
-        # and the late seed still joins in round 4
-        calls = []
+        # the running seed converges in round 0; the rule is still asked in
+        # rounds 1 to 3, which evaluate nothing, and the held seed joins in
+        # round 4 with 46 steps
+        calls, asked = [], []
 
         def f(z):
             calls.append(z.size)
             return self.square(z)
 
+        def until(i, roots, outcomes):
+            asked.append(i)
+            return i == 3 and JOIN
+
         seeds = np.array([1j, 0.5 + 0.8j])
-        roots, _, outcomes = newton_complex(f, seeds, 1e-12, 50, start=[0, 4])
+        roots, _, outcomes = newton_complex(f, seeds, 1e-12, 50, until=until,
+                                            held=[False, True])
         alone = newton_complex(self.square, seeds[1:], 1e-12, 46)
         assert calls[0] == 1 and set(calls[1:]) == {1}
+        assert asked[:4] == [0, 1, 2, 3]
         assert list(outcomes) == ["converged", "converged"]
         assert roots[1] == alone[0][0]
 
     def test_until_stops_the_seeds_still_to_join(self):
-        # the rule holds in round 0, before the late seeds join: they end
+        # the rule holds in round 0, before the held seeds join: they end
         # as stopped at the seed itself, never evaluated
         calls = []
 
@@ -831,12 +846,28 @@ class TestNewtonBatch:
 
         seeds = np.array([1j, 0.5 + 0.8j, -1 - 1j])
         roots, residuals, outcomes = newton_complex(
-            f, seeds, 1e-12, 50, until=lambda r, o: True, start=[0, 3, 3]
+            f, seeds, 1e-12, 50, until=lambda i, r, o: True,
+            held=[False, True, True]
         )
         assert calls == [1]
         assert list(outcomes) == ["converged", "stopped", "stopped"]
         assert np.array_equal(roots[1:], seeds[1:])
         assert np.isnan(residuals[1:]).all()
+
+    def test_held_seeds_the_rule_never_lets_join_are_stopped(self):
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return self.square(z)
+
+        seeds = np.array([1j, 0.5 + 0.8j])
+        roots, residuals, outcomes = newton_complex(
+            f, seeds, 1e-12, 5, until=lambda i, r, o: False, held=[False, True]
+        )
+        assert calls == [1]
+        assert list(outcomes) == ["converged", "stopped"]
+        assert roots[1] == seeds[1] and math.isnan(residuals[1])
 
     def test_empty_batch(self):
         roots, residuals, outcomes = newton_complex(

@@ -144,16 +144,18 @@ class TestFindPoles:
         # on the seeds still running, which is one spherical-Bessel pass
         # (_sph_jh: j_l(pa) and h_l(ka) together).  The count of the box
         # takes 4 passes on 362 samples.  The batch starts on the 300 coarse
-        # seeds; they find 15 of the 16 counted poles in 8 rounds, so the
-        # 900 other seeds join in round 8 (with the 129 coarse seeds still
-        # running), and the batch stops after 12 rounds, once the 16th is
-        # found (727 seeds stopped).  One polish
-        # step costs 2 passes on the 16 poles.  383 seeds end once they rise
-        # above Im E = 6, the box's bottom edge mirrored.  Starting on all
-        # 1200 seeds took 6 rounds (1200, 1200, 1118, 932, 855, 783: 6,088
-        # seed evaluations against 5,571), the full run 61, one scalar
-        # Newton run per seed about 28k scalar calls, a central-difference
-        # slope 183,814, and separate interior and exterior calls 122
+        # seeds; they find 14 of the 16 counted poles by round 5, and
+        # rounds 6 to 9 bring no new root, so the 900 other seeds join in
+        # round 10 (with the 97 coarse seeds still running).  The batch
+        # stops after 13 rounds, once the 16th is found (781 seeds
+        # stopped).  One polish step costs 2 passes on the 16 poles.  327
+        # seeds end once they rise above Im E = 6, the box's bottom edge
+        # mirrored.  A fixed join in round 8 took 12 rounds (300 ... 149,
+        # then 1029, 1012, 940, 795: 5,571 seed evaluations against 4,933),
+        # starting on all 1200 seeds 6 rounds (6,088), the full run 61, one
+        # scalar Newton run per seed about 28k scalar calls, a
+        # central-difference slope 183,814, and separate interior and
+        # exterior calls 122
         calls, rounds, samples = [], [], []
 
         def counted(fn):
@@ -178,24 +180,28 @@ class TestFindPoles:
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert len(samples) == 4 and sum(samples) == 362 and samples[0] == 260
-        assert rounds == [300, 300, 275, 220, 202, 184, 165, 149,
-                          1029, 1012, 940, 795, 16, 16]
-        assert len(calls) == 4 + 12 + 2
+        assert rounds == [300, 300, 275, 220, 202, 184, 165, 149, 129, 112,
+                          997, 983, 917, 16, 16]
+        assert sum(rounds[:-2]) == 4933
+        assert len(calls) == 4 + 13 + 2
         assert len(found) == 16
         for pole in found:
             d = pole.diagnostics
             assert pole.residual <= 1e-8
             assert d["winding_number"] == 16 and d["complete"] is True
-            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 727
-            assert d["seeds_above_box"] == 383
+            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 781
+            assert d["seeds_above_box"] == 327
+            assert d["search_end"] == "count"
+            assert d["rounds"] == 13 and d["joined_round"] == 10
 
     def test_failed_seeds_by_reason(self):
         # the CLI's sqwell region.  In the full run six seeds reach the
         # negative real axis, where the s-wave Newton steps stay real, and
         # bounce there until they run out of steps; the count of 10 stops
         # the batch first, and they end as stopped.  The 300 coarse seeds
-        # meet the count in 4 rounds, so 1164 seeds are stopped, 900 of
-        # them never started (1056 when the batch started on all 1200)
+        # meet the count in 4 rounds, before any round goes without a new
+        # root, so 1164 seeds are stopped, 900 of them held and never
+        # started (1056 when the batch started on all 1200)
         m = SquareWell(6.1477, 6.071, 0)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert len(found) == 10
@@ -207,6 +213,8 @@ class TestFindPoles:
                 "branch_point": 0,
             }
             assert d["winding_number"] == 10 and d["complete"] is True
+            assert d["search_end"] == "count"
+            assert d["rounds"] == 4 and d["joined_round"] is None
 
     def test_barrier_runs_every_seed_to_its_end(self):
         # under a barrier F vanishes like p at E = -V0 (here 3), which is
@@ -226,26 +234,30 @@ class TestFindPoles:
             assert sum(d["seeds_failed_by_reason"].values()) == d["seeds_failed"]
             assert d["winding_number"] == 4 and d["complete"] is True
             assert all(type(n) is int for n in d["seeds_failed_by_reason"].values())
+            assert d["search_end"] == "steps" and d["joined_round"] is None
 
     @pytest.mark.parametrize("l, branch_points", [(0, 1), (1, 2)])
     def test_branch_point_fails_its_seed_only(self, monkeypatch, l, branch_points):
         # seeds at E = 0 and E = -V0: the outgoing condition is undefined at
         # E = 0, and at E = -V0 too for l >= 1 (sph_bessel raises at p = 0);
-        # the two seeds fail and every other seed runs as before.  They
-        # replace the last two seeds that start in round 0, which run
-        # whether or not the rest of the grid joins
+        # the two seeds fail, and every other seed takes the steps it takes
+        # alone.  They replace the last two seeds that are not held, which
+        # run whether or not the rest of the grid joins.  Their failure in
+        # round 0 starts the stall count of the search (_Progress) earlier,
+        # so another seed can reach a pole first: the poles agree to 1e-12
+        # relative, where they were bit-identical under a fixed join round
         m = SquareWell(V0=5, a=10, l=l)
         region = SearchRegion((0, 20), (-3, 0), 40, 6)
 
         def at_branch_points(f, seeds, **kwargs):
             seeds = seeds.copy()
-            seeds[np.flatnonzero(kwargs["start"] == 0)[-2:]] = 0.0, -m.V0
+            seeds[np.flatnonzero(~kwargs["held"])[-2:]] = 0.0, -m.V0
             return newton_complex(f, seeds, **kwargs)
 
         plain = find_poles(m, region, tol=1e-8)
         monkeypatch.setattr(poles, "newton_complex", at_branch_points)
         hit = find_poles(m, region, tol=1e-8)
-        assert [p.energy for p in hit] == [p.energy for p in plain]
+        assert_same_poles(hit, plain)
         before = plain[0].diagnostics["seeds_failed_by_reason"]
         after = hit[0].diagnostics["seeds_failed_by_reason"]
         assert after["branch_point"] == before["branch_point"] + branch_points
@@ -317,13 +329,15 @@ class TestFindPoles:
         # where h1 was j + i n, it underflowed above the axis and 634 seeds
         # "converged" there at points that are no zero of F.  Now a seed
         # ends once it rises above Im E = 6, the box's bottom edge mirrored
-        # (597 seeds, not counted as failed).  The 36 seeds still converging
-        # above the axis reach zeros of F that are no poles: 35 within 0.05
-        # of E = -V0, where F vanishes like p^5, and the bound state on the
-        # negative real axis.  The count is never met here, so the 900
-        # fine seeds join in round 8 and have 52 steps left, not 60: 23
-        # seeds run out of steps (16, and 599 above the box, when every
-        # seed started in round 0)
+        # (584 seeds, not counted as failed).  The count is never met here,
+        # and the batch ends after 26 rounds, 16 after the last new root:
+        # no seed runs out of steps (23 when the held seeds joined in round
+        # 8 and every seed ran to its end).  The 21 seeds that converge
+        # above the axis reach zeros of F that are no poles, within 0.05 of
+        # E = -V0, where F vanishes like p^5.  Run to its end, every seed
+        # from round 0, the batch ends 599 seeds above the box, and 36
+        # converge above the axis: 35 near E = -V0 and the bound state on
+        # the negative real axis
         mpmath = pytest.importorskip("mpmath")
         runs = []
 
@@ -334,15 +348,17 @@ class TestFindPoles:
         monkeypatch.setattr(poles, "newton_complex", recorded)
         m = self.NARROW_L5
         found = find_poles(m, self.CLI_REGION, tol=1e-8)
-        assert len(found) == 13
+        full = full_run(monkeypatch, m, self.CLI_REGION)
+        assert len(found) == len(full) == 13
         d = found[0].diagnostics
-        assert d["seeds_above_box"] == 597
-        assert d["seeds_failed"] == d["seeds_failed_by_reason"]["no_convergence"] == 23
-        roots, _, outcomes = runs[0]
-        assert (roots[outcomes == poles.ABOVE_BOX].imag > 6.0).all()
-        above = roots[(outcomes == "converged") & (roots.imag > 0)]
-        at_threshold = np.abs(above + m.V0) < 0.05
-        assert above.size == 36 and np.count_nonzero(at_threshold) == 35
+        assert d["seeds_above_box"] == 584 and d["seeds_failed"] == 0
+        assert full[0].diagnostics["seeds_above_box"] == 599
+        for (roots, _, outcomes), n_above, n_near in ((runs[0], 21, 21),
+                                                      (runs[1], 36, 35)):
+            assert (roots[outcomes == poles.ABOVE_BOX].imag > 6.0).all()
+            above = roots[(outcomes == "converged") & (roots.imag > 0)]
+            at_threshold = np.abs(above + m.V0) < 0.05
+            assert above.size == n_above and np.count_nonzero(at_threshold) == n_near
         (bound,) = above[~at_threshold]
         root = mpmath_root(mpmath, m, bound)
         assert abs(root.imag) < 1e-30 and -m.V0 < root.real < 0
@@ -350,13 +366,14 @@ class TestFindPoles:
 
     def test_search_starts_on_a_quarter_of_the_seeds(self, monkeypatch):
         # where the count can stop the search, the batch starts on the
-        # seeds of every other row and column, and the rest join in round 8
-        # (the l = 1 search of test_bessel_call_budget); a barrier, whose
-        # count does not stop the search, starts on every seed
-        rounds, starts = [], []
+        # seeds of every other row and column and holds the rest, which
+        # join in round 10, after rounds 6 to 9 bring no new root (the
+        # l = 1 search of test_bessel_call_budget); a barrier, whose count
+        # does not stop the search, starts on every seed
+        rounds, held = [], []
 
         def recorded(f, seeds, **kwargs):
-            starts.append(kwargs["start"])
+            held.append(kwargs["held"])
             return newton_complex(f, seeds, **kwargs)
 
         def residual(model, E, **kwargs):
@@ -366,19 +383,21 @@ class TestFindPoles:
         newton_residual = poles._newton_residual
         monkeypatch.setattr(poles, "newton_complex", recorded)
         monkeypatch.setattr(poles, "_newton_residual", residual)
-        find_poles(SquareWell(5, 10, 1), self.CLI_REGION, tol=1e-8)
-        # the 900 other seeds join the 129 coarse seeds still running
-        assert rounds[0] == 300 and rounds[8] == 900 + 129
-        start = starts[0].reshape(120, 10)
-        assert (start[::2, ::2] == 0).all() and np.count_nonzero(start == 0) == 300
-        assert (start[start != 0] == 8).all()
+        found = find_poles(SquareWell(5, 10, 1), self.CLI_REGION, tol=1e-8)
+        # the 900 held seeds join the 97 coarse seeds still running
+        assert rounds[0] == 300 and rounds[10] == 900 + 97
+        assert found[0].diagnostics["joined_round"] == 10
+        waiting = held[0].reshape(120, 10)
+        assert not waiting[::2, ::2].any() and np.count_nonzero(~waiting) == 300
         rounds.clear()
-        find_poles(SquareWell(-3, 3, 0), self.CLI_REGION, tol=1e-8)
-        assert starts[1] is None and rounds[0] == 1200
+        barrier = find_poles(SquareWell(-3, 3, 0), self.CLI_REGION, tol=1e-8)
+        assert held[1] is None and rounds[0] == 1200
+        assert barrier[0].diagnostics["search_end"] == "steps"
+        assert barrier[0].diagnostics["rounds"] == 61
 
     @pytest.mark.parametrize("inst_id, outside, above_axis", [
         ("sqwell_highl/r0/i1", 2, 0),
-        ("sqwell_highl/r2/i4", 80, 36),
+        ("sqwell_highl/r2/i4", 48, 21),
     ])
     def test_every_seed_is_accounted_for(self, monkeypatch, inst_id, outside,
                                          above_axis):
@@ -386,7 +405,10 @@ class TestFindPoles:
         # converged inside it = every seed.  When every seed started in
         # round 0, 130 of r0/i1's seeds converged outside the region; now
         # the count stops it on the coarse seeds first.  r2/i4 never meets
-        # its count, and 36 of its seeds converge above the axis
+        # its count and ends when its roots stall, 21 of its seeds
+        # converged above the axis (80 outside the region and 36 above the
+        # axis when the held seeds joined in round 8 and every seed ran to
+        # its end)
         runs = []
 
         def recorded(*args, **kwargs):
@@ -663,6 +685,24 @@ def assert_same_poles(early, full, model=None):
         assert abs(a.energy - b.energy) <= 1e-12 * abs(b.energy) + slack
 
 
+def stall_models():
+    """Seeded wells and delta shells of the pools' parameter ranges, with l
+    up to 20, and two wells whose search loses a pole when the batch ends
+    after 8 rounds without a new root."""
+    rng = np.random.default_rng(27)
+    wells = [SquareWell(float(rng.uniform(2.0, 10.0)), float(rng.uniform(3.0, 10.0)),
+                        int(rng.integers(0, 21))) for _ in range(100)]
+    shells = [DeltaShell(float(rng.uniform(2.0, 20.0)), float(rng.uniform(0.5, 2.0)))
+              for _ in range(25)]
+    guards = [SquareWell(4.366754753187578, 5.634301692541548, 9),
+              SquareWell(5.842322784906136, 6.277924447909708, 3)]
+    return ([(m, SQWELL_REGION) for m in wells + guards]
+            + [(m, DELTASHELL_REGION) for m in shells])
+
+
+STALL_MODELS = stall_models()
+
+
 class TestWindingNumber:
     """The argument-principle count of the poles in the search box."""
 
@@ -689,14 +729,22 @@ class TestWindingNumber:
         # the two poles the seed grid misses (the strict xfails
         # test_narrow_l5_pole_is_found and
         # test_narrow_l10_resonance_is_counted): the count is one higher,
-        # the search reports itself incomplete and so runs every seed
+        # and the search reports itself incomplete.  The coarse seeds find
+        # their last root in round 5 (r2/i4) and 6 (r2/i9), the held seeds
+        # join 4 rounds later, and the batch ends after 16 more rounds
+        # without a new root, the seeds still running stopped.  Every seed
+        # ran to round 60 when the held seeds joined in a fixed round 8
+        rounds, joined, stopped = {"sqwell_highl/r2/i4": (26, 10, 116),
+                                   "sqwell_highl/r2/i9": (27, 11, 101)}[inst_id]
         m, region = instance_model(pool_instance(inst_id))
         found = find_poles(m, region, tol=1e-8)
         assert min(abs(p.energy - missed) for p in found) > 1e-6
         for p in found:
             d = p.diagnostics
             assert d["winding_number"] == len(found) + 1
-            assert d["complete"] is False and d["seeds_stopped"] == 0
+            assert d["complete"] is False and d["search_end"] == "stall"
+            assert d["rounds"] == rounds and d["joined_round"] == joined
+            assert d["seeds_stopped"] == stopped
 
     @pytest.mark.parametrize(
         "inst", model_instances(), ids=lambda inst: inst["id"]
@@ -727,6 +775,26 @@ class TestWindingNumber:
             early = find_poles(m, SQWELL_REGION, tol=1e-8)
             assert early and early[0].diagnostics["complete"] is True
             assert_same_poles(early, full_run(monkeypatch, m, SQWELL_REGION), m)
+
+    @pytest.mark.parametrize("model, region", [
+        pytest.param(model, region, id=str(model)) for model, region in STALL_MODELS
+    ])
+    def test_stall_end_keeps_the_full_runs_poles(self, monkeypatch, model, region):
+        # a search that ends when 16 rounds bring no new root, and whose
+        # held seeds join after 4, finds every pole of the run of every
+        # seed to its own end: on seeded wells and delta shells of the
+        # pools' ranges at l <= 20, and on two wells that each lose a pole
+        # when the batch ends after 8 rounds without one.  A pole is the
+        # same where the search itself would merge the two (_distinct):
+        # at l = 18 and 20 three wells have a deep pole whose two runs lie
+        # up to 7.1e-9 relative apart, beyond assert_same_poles' slack, as
+        # they did when the held seeds joined in a fixed round 8, because
+        # F is inexact below the axis at |ka| < l (ROADMAP item 5)
+        early = find_poles(model, region, tol=1e-8)
+        full = full_run(monkeypatch, model, region)
+        assert len(early) == len(full)
+        for a, b in zip(early, full):
+            assert abs(a.energy - b.energy) < 1e-6 * (1.0 + abs(b.energy))
 
     def test_uncertified_count_runs_in_full_without_warning(self):
         # with a = 1e300 no top edge keeps Im(ka) <= 7 above E = 0

@@ -12,8 +12,10 @@ Per pair and tree the script takes the median instance time of each
 pipeline, and of the instances that exit 0 in both trees: a median over the
 whole pool mixes pipelines, and instances that exit early pull it down.  It
 prints, for each group, the median of those per-pair medians in each tree,
-the old tree's quartiles, the relative change and the pairs in which the
-new tree was faster.
+the old tree's quartiles, the relative change, the pairs in which the
+new tree was faster, and each tree's slowest instance by its median time
+over the pairs: on a small pool the bench's tail is the time of its
+slowest instances.
 """
 from __future__ import annotations
 
@@ -50,13 +52,23 @@ def groups(old: dict, new: dict) -> dict[str, list[str]]:
     return out
 
 
+def slowest(side: list[dict], ids: list[str]) -> str:
+    """The instance of ``ids`` with the largest median time over the pairs,
+    as that time and the instance id without its workload."""
+    times = {key: statistics.median(run[key]["seconds"] for run in side) for key in ids}
+    key = max(times, key=times.get)
+    return f"{times[key]:.6f} {key.partition('/')[2]}"
+
+
 def summary(runs: tuple[list[dict], list[dict]]) -> list[str]:
     """One line per group of :func:`groups`: instances, the old and new
-    medians of the per-pair medians, the old quartiles, the change and the
-    pairs won by the new tree."""
+    medians of the per-pair medians, the old quartiles, the change, the
+    pairs won by the new tree, and the slowest instance in each tree
+    (:func:`slowest`)."""
     old_runs, new_runs = runs
     lines = [f"{'group':<16} {'n':>4} {'old s':>10} {'old quartiles':>23} "
-             f"{'new s':>10} {'change':>8} {'new won':>8}"]
+             f"{'new s':>10} {'change':>8} {'new won':>8}  {'old slowest':<18} "
+             f"{'new slowest':<18}"]
     for name, ids in groups(old_runs[0], new_runs[0]).items():
         if not ids:
             continue
@@ -68,7 +80,8 @@ def summary(runs: tuple[list[dict], list[dict]]) -> list[str]:
         mo, mn = statistics.median(old), statistics.median(new)
         won = sum(b < a for a, b in zip(old, new))
         lines.append(f"{name:<16} {len(ids):>4} {mo:>10.6f} {q1:>11.6f}-{q3:<11.6f} "
-                     f"{mn:>10.6f} {100 * (mn / mo - 1):>+7.1f}% {won:>4}/{len(old)}")
+                     f"{mn:>10.6f} {100 * (mn / mo - 1):>+7.1f}% {won:>4}/{len(old)}  "
+                     f"{slowest(old_runs, ids):<18} {slowest(new_runs, ids):<18}")
     return lines
 
 
