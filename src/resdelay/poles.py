@@ -85,11 +85,12 @@ _COARSE_STRIDE = 2
 #   join after 2, 3, 4, 6, 8 (end after 16): 2.59, 1.74, 1.72, 1.72, 1.73 ms
 #     median, 85.0, 67.8, 64.9, 64.6, 65.3 ms summed, no pole lost;
 #   end after 6, 8, 12, 16, 24, 32 (join after 4): 5.43, 5.51, 5.75, 6.56,
-#     7.69, 8.63 ms largest, poles lost on 17, 10, 2, 0, 0, 0 models
+#     7.69, 8.63 ms largest, poles lost on 17, 10, 2, 0, 0, 0 models.
+# The sweep counted from the first round in which any seed ended; counted
+# from the first root in the region, every pool search runs the same
+# rounds and joins in the same round
 _JOIN_AFTER = 4
 _END_AFTER = 16
-# Newton's steps per seed
-_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -305,21 +306,29 @@ class _Progress:
 
     With a ``count``, it keeps the distinct converged roots inside the
     region over the rounds so far, and the batch ends once they number the
-    count.  From the first round in which a seed ends (before it, Newton is
-    still on its way), it also counts the rounds in a row that bring no new
-    root: the held seeds join after :data:`_JOIN_AFTER` of them, and with
-    every seed in, the batch ends after :data:`_END_AFTER`.  Without a count
+    count.  From the first round that brings such a root, it counts the
+    rounds in a row that bring no new one: the held seeds join after
+    :data:`_JOIN_AFTER` of them, or sooner once the ``running`` seeds not
+    held that are still running are too few to meet the count, and with
+    every seed in, the batch ends after :data:`_END_AFTER`.  Seeds that
+    fail or leave the region do not move that schedule.  Without a count
     it only counts the rounds."""
 
-    def __init__(self, region: SearchRegion, count: int | None):
-        self.region, self.count = region, count
+    def __init__(self, region: SearchRegion, count: int | None, running: int):
+        self.region, self.count, self.running = region, count, running
         self.kept = np.empty(0, dtype=complex)
         self.quiet = None  # rounds in a row without a new root, once counted
-        self.rounds, self.joined_round, self.end = 0, None, "steps"
+        self.rounds, self.join_asked, self.end = 0, None, "steps"
+
+    @property
+    def joined_round(self):
+        # a join asked after the batch's last round has no round to join in
+        asked = self.join_asked
+        return asked if asked is not None and asked < self.rounds else None
 
     def __call__(self, i, roots, outcomes):
         self.rounds = i + 1
-        if self.count is None or self.quiet is None and not roots.size:
+        if self.count is None:
             return False
         z = roots[(outcomes == CONVERGED) & _inside(self.region, roots)]
         if z.size and self.kept.size:
@@ -327,13 +336,17 @@ class _Progress:
             size = np.hypot(z.real, z.imag)[:, None]
             z = z[~(np.hypot(d.real, d.imag) < 1e-6 * (1.0 + size)).any(axis=1)]
         self.kept = np.append(self.kept, z[_distinct(z)])
-        self.quiet = 0 if z.size else (self.quiet or 0) + 1
         if self.kept.size == self.count:
             self.end = "count"
             return True
-        if self.joined_round is None:
-            if self.quiet >= _JOIN_AFTER and i < _MAX_ITER:
-                self.joined_round, self.quiet = i + 1, 0
+        if z.size:
+            self.quiet = 0
+        elif self.quiet is not None:
+            self.quiet += 1
+        if self.join_asked is None:
+            self.running -= roots.size
+            if (self.quiet or 0) >= _JOIN_AFTER or self.running < self.count - self.kept.size:
+                self.join_asked, self.quiet = i + 1, 0
                 return JOIN
         elif self.quiet >= _END_AFTER:
             self.end = "stall"
@@ -367,11 +380,12 @@ def find_poles(
     batch ends once the distinct roots found number the count; the seeds
     still running, and those that never started, then end as ``stopped``.
     Such a batch starts on every other seed in each direction (300 of the
-    CLI's 1,200 ``sqwell`` seeds) and holds the rest.  Once a seed has
-    ended, it counts the rounds in a row that bring no new root: after 4
-    the held seeds join, with the rounds left up to the 60th, and with
-    every seed in, the batch ends after 16, short of the count
-    (:class:`_Progress`).  Each seed takes the steps it would take alone,
+    CLI's 1,200 ``sqwell`` seeds) and holds the rest.  From the first round
+    that brings a root in the region, it counts the rounds in a row that
+    bring no new one: after 4 the held seeds join, with the rounds left up
+    to the 60th (sooner once the seeds still running are too few to meet
+    the count), and with every seed in, the batch ends after 16, short of
+    the count (:class:`_Progress`).  Each seed takes the steps it would take alone,
     so only the seed that reaches a pole first can differ from a batch that
     starts on every seed.  Otherwise every seed runs from round 0 to its own
     end.
@@ -409,17 +423,17 @@ def find_poles(
 
     count = _winding_number(model, region)
     stops = count is not None and not _spurious_zero_inside(model, region)
-    progress = _Progress(region, count if stops else None)
-    # only F at l >= 1 carries h1_l(ka); on s-wave wells and delta shells
-    # the rule ended no search a round sooner
-    ceiling = -im_lo if isinstance(model, SquareWell) and model.l >= 1 else math.inf
-    held = None
+    held, coarse = None, seeds[::_COARSE_STRIDE, ::_COARSE_STRIDE]
     if stops:
         held = np.ones(seeds.shape, dtype=bool)
         held[::_COARSE_STRIDE, ::_COARSE_STRIDE] = False
+    progress = _Progress(region, count if stops else None, coarse.size)
+    # only F at l >= 1 carries h1_l(ka); on s-wave wells and delta shells
+    # the rule ended no search a round sooner
+    ceiling = -im_lo if isinstance(model, SquareWell) and model.l >= 1 else math.inf
     roots, residuals, outcomes = newton_complex(
         functools.partial(_newton_residual, model, ceiling=ceiling), seeds.ravel(),
-        tol=tol, max_iter=_MAX_ITER, until=progress, held=held,
+        tol=tol, max_iter=60, until=progress, held=held,
     )
     nan = outcomes == NON_FINITE
     is_above = nan & (roots.imag > ceiling)

@@ -10,7 +10,9 @@ import pytest
 from resdelay import poles, scattering
 from resdelay.counting import lorentzian_sum
 from resdelay.errors import ZeroArgument
-from resdelay.numerics import Curve, _sph_jh, newton_complex
+from resdelay.numerics import (
+    CONVERGED, JOIN, NON_FINITE, Curve, _sph_jh, newton_complex,
+)
 from resdelay.poles import (
     RESONANCE,
     SPURIOUS,
@@ -240,12 +242,10 @@ class TestFindPoles:
     def test_branch_point_fails_its_seed_only(self, monkeypatch, l, branch_points):
         # seeds at E = 0 and E = -V0: the outgoing condition is undefined at
         # E = 0, and at E = -V0 too for l >= 1 (sph_bessel raises at p = 0);
-        # the two seeds fail, and every other seed takes the steps it takes
-        # alone.  They replace the last two seeds that are not held, which
-        # run whether or not the rest of the grid joins.  Their failure in
-        # round 0 starts the stall count of the search (_Progress) earlier,
-        # so another seed can reach a pole first: the poles agree to 1e-12
-        # relative, where they were bit-identical under a fixed join round
+        # the two seeds fail and every other seed runs as before.  They
+        # replace the last two seeds that are not held, which run whether or
+        # not the rest of the grid joins; a failed seed does not move the
+        # round in which the rest joins (_Progress)
         m = SquareWell(V0=5, a=10, l=l)
         region = SearchRegion((0, 20), (-3, 0), 40, 6)
 
@@ -257,7 +257,7 @@ class TestFindPoles:
         plain = find_poles(m, region, tol=1e-8)
         monkeypatch.setattr(poles, "newton_complex", at_branch_points)
         hit = find_poles(m, region, tol=1e-8)
-        assert_same_poles(hit, plain)
+        assert [p.energy for p in hit] == [p.energy for p in plain]
         before = plain[0].diagnostics["seeds_failed_by_reason"]
         after = hit[0].diagnostics["seeds_failed_by_reason"]
         assert after["branch_point"] == before["branch_point"] + branch_points
@@ -470,6 +470,47 @@ class TestFindPoles:
             60,
         )
         assert abs(mirrored.imag) == pytest.approx(abs(root.imag), abs=1e-8)
+
+
+class TestProgress:
+    """The batch rule of a pole search, fed rounds by hand."""
+
+    REGION = SearchRegion((0, 20), (-3, 0), 40, 6)
+
+    @staticmethod
+    def ended(*pairs):
+        return (np.array([z for z, _ in pairs], dtype=complex),
+                np.array([o for _, o in pairs], dtype=object))
+
+    def test_failed_seeds_do_not_start_the_stall_count(self):
+        rule = poles._Progress(self.REGION, 2, running=100)
+        for i in range(20):
+            assert rule(i, *self.ended((1 - 1j, NON_FINITE), (30 - 1j, CONVERGED))) is False
+        assert rule.quiet is None and rule.joined_round is None
+
+    def test_held_seeds_join_after_4_rounds_without_a_new_root(self):
+        rule = poles._Progress(self.REGION, 2, running=100)
+        assert rule(0, *self.ended((1 - 1j, CONVERGED))) is False
+        assert [rule(i, *self.ended()) for i in (1, 2, 3, 4)] == [False] * 3 + [JOIN]
+        assert rule(5, *self.ended()) is False
+        assert rule.joined_round == 5
+
+    def test_held_seeds_join_once_too_few_seeds_run(self):
+        # one root of three found and one seed still running
+        rule = poles._Progress(self.REGION, 3, running=3)
+        assert rule(0, *self.ended((1 - 1j, CONVERGED))) is False
+        assert rule(1, *self.ended((2 - 1j, NON_FINITE))) == JOIN
+
+    def test_a_join_asked_in_the_last_round_is_no_join(self):
+        rule = poles._Progress(self.REGION, 2, running=1)
+        assert rule(60, *self.ended((1 - 1j, NON_FINITE))) == JOIN
+        assert rule.rounds == 61 and rule.joined_round is None
+
+    def test_stall_ends_the_batch_16_rounds_after_the_join(self):
+        rule = poles._Progress(self.REGION, 2, running=0)
+        assert rule(0, *self.ended()) == JOIN
+        assert [rule(i, *self.ended()) for i in range(1, 17)] == [False] * 15 + [True]
+        assert rule.end == "stall" and rule.rounds == 17 and rule.joined_round == 1
 
 
 class TestPoleType:
@@ -701,6 +742,15 @@ def stall_models():
 
 
 STALL_MODELS = stall_models()
+# three of them have a deep pole that the early and the full run reach up
+# to 7.1e-9 relative apart, beyond assert_same_poles' slack, as they did
+# when the held seeds joined in a fixed round 8: F is inexact below the
+# axis at |ka| < l (ROADMAP item 5)
+INEXACT_DEEP_POLES = [
+    SquareWell(3.54383381374328, 9.984840396325676, 20),
+    SquareWell(6.313476362622474, 6.853502911902093, 20),
+    SquareWell(6.644243231320797, 7.444679410343516, 18),
+]
 
 
 class TestWindingNumber:
@@ -784,14 +834,14 @@ class TestWindingNumber:
         # held seeds join after 4, finds every pole of the run of every
         # seed to its own end: on seeded wells and delta shells of the
         # pools' ranges at l <= 20, and on two wells that each lose a pole
-        # when the batch ends after 8 rounds without one.  A pole is the
-        # same where the search itself would merge the two (_distinct):
-        # at l = 18 and 20 three wells have a deep pole whose two runs lie
-        # up to 7.1e-9 relative apart, beyond assert_same_poles' slack, as
-        # they did when the held seeds joined in a fixed round 8, because
-        # F is inexact below the axis at |ka| < l (ROADMAP item 5)
+        # when the batch ends after 8 rounds without one
         early = find_poles(model, region, tol=1e-8)
         full = full_run(monkeypatch, model, region)
+        if model not in INEXACT_DEEP_POLES:
+            assert_same_poles(early, full, model)
+            return
+        # a pole is the same where the search itself would merge the two
+        # (_distinct)
         assert len(early) == len(full)
         for a, b in zip(early, full):
             assert abs(a.energy - b.energy) < 1e-6 * (1.0 + abs(b.energy))
