@@ -543,12 +543,13 @@ def newton_complex(
                 else:  # out of steps: every seed still running stops here
                     zero = bad = np.zeros(z.size, dtype=bool)
                     stop = np.ones(z.size, dtype=bool)
-                at = left[stop]
-                roots[at] = z[stop]
-                residuals[at] = np.where(np.isfinite(fz[stop]), r[stop], math.inf)
-                outcomes[left[conv]] = CONVERGED
-                outcomes[left[zero]] = ZERO_SLOPE
-                outcomes[left[bad]] = NON_FINITE
+                if stop.any():
+                    at = left[stop]
+                    roots[at] = z[stop]
+                    residuals[at] = np.where(np.isfinite(fz[stop]), r[stop], math.inf)
+                    outcomes[left[conv]] = CONVERGED
+                    outcomes[left[zero]] = ZERO_SLOPE
+                    outcomes[left[bad]] = NON_FINITE
             rule = None if until is None else until(i, roots[at], outcomes[at])
             if rule and rule != JOIN:
                 run, going = left[~stop], ~stop

@@ -326,26 +326,35 @@ class _Progress:
         asked = self.join_asked
         return asked if asked is not None and asked < self.rounds else None
 
-    def __call__(self, i, roots, outcomes):
-        self.rounds = i + 1
-        if self.count is None:
-            return False
+    def _keep(self, roots, outcomes) -> bool:
+        """Keep the new distinct converged roots inside the region; whether
+        there were any."""
         z = roots[(outcomes == CONVERGED) & _inside(self.region, roots)]
         if z.size and self.kept.size:
             d = z[:, None] - self.kept
             size = np.hypot(z.real, z.imag)[:, None]
             z = z[~(np.hypot(d.real, d.imag) < 1e-6 * (1.0 + size)).any(axis=1)]
+        if not z.size:
+            return False
         self.kept = np.append(self.kept, z[_distinct(z)])
+        return True
+
+    def __call__(self, i, roots, outcomes):
+        self.rounds = i + 1
+        if self.count is None:
+            return False
+        new = self._keep(roots, outcomes) if roots.size else False
         if self.kept.size == self.count:
             self.end = "count"
             return True
-        if z.size:
+        if new:
             self.quiet = 0
         elif self.quiet is not None:
             self.quiet += 1
         if self.join_asked is None:
             self.running -= roots.size
-            if (self.quiet or 0) >= _JOIN_AFTER or self.running < self.count - self.kept.size:
+            too_few = self.running < self.count - self.kept.size
+            if too_few or (self.quiet or 0) >= _JOIN_AFTER:
                 self.join_asked, self.quiet = i + 1, 0
                 return JOIN
         elif self.quiet >= _END_AFTER:
