@@ -2,13 +2,15 @@
 
 Each subcommand runs one analysis pipeline end to end and emits
 figure-ready CSV curves (``E,value``, LF endings) plus a machine-readable
-JSON report that validates against ``report_schema.json``.  Each distinct
-sample is formatted once, in the shortest digits that read back to the same
-float (``float.__repr__``), and the CSV row and the report write the same
-string; an energy array that repeats the first curve's grid takes the grid's
-digits.  Every file is one ``"".join`` of pre-formatted pieces: a CSV file of
-one interleaved list, the report of one recursive writer that lays it out as
-``json.dumps(report, indent=2, sort_keys=True)`` does.
+JSON report that validates against ``report_schema.json``.  Every sample a
+run writes is written in the shortest digits that read back to the same
+float, exactly as ``float.__repr__`` writes them, and the CSV row and the
+report write the same bytes.  One array kernel, :func:`_digit_rows`, gives
+the digits of all the run's sample arrays in one call, as a matrix of
+NUL-padded rows; each CSV file and each of the report's sample arrays is
+those rows laid side by side with their separators, the NUL bytes dropped.
+The rest of the report is written by one recursive writer that lays it out
+as ``json.dumps(report, indent=2, sort_keys=True)`` does.
 
 Exit codes: 0 success, 2 validation or file-system error, 3 numerical failure.
 """
@@ -46,47 +48,250 @@ ENV_OUT = "RESDELAY_OUT"
 _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
 
 
-def _format(samples: list[float]) -> list[str]:
-    """The digits of each sample: ``float.__repr__``, the JSON encoder's own
-    format for a finite float.  Every sample a run writes is formatted here."""
-    return list(map(float.__repr__, samples))
+# ---------------------------------------------------------------------------
+# sample digits: float.__repr__ of a whole array
+# ---------------------------------------------------------------------------
+#
+# |x| = m 2**e (frexp) is scaled by 10**S, S fixed by e, to v = |x| 10**S in
+# [1e16, 2e17): a double-double product, Dekker's two-product of |x| and
+# hi(10**S) plus |x| lo(10**S), gives v as an even integer P plus a small
+# fraction t.  In those units the rounding interval's half-width is g =
+# 2**(e-54) 10**S in [1.11, 11.1), so the shortest digits (Ryu: Adams, PLDI
+# 2018) are the multiple of 100 within g if there is one (one at most), else
+# the nearest multiple of 10 if it is within g, else the nearest integer.
+# That integer q, scaled by 10 to 18 digits, is written four digits at a
+# time through a table in which each digit is followed by a slot that may
+# hold the decimal point; a mask row per layout (repr's fixed form for each
+# decimal point, or its exponent form) and last nonzero digit clears the
+# leading and trailing zeros and the unused slots, and an exponent word
+# follows.  A row is repr's text with NUL bytes among and after its
+# characters, which the writers drop.  Elements whose decision lies within
+# _TIE of a tie or of the interval's end, and those the scaling does not
+# cover (0, powers of two, whose interval is lopsided, and |x| outside
+# [2**-93, 2**57)), take float.__repr__ itself.
+
+_E_LO, _E_HI = -92, 57  # frexp exponents of the kernel: 2**-93 <= |x| < 2**57
+_D_LO, _D_HI = -27, 18  # the decimal points of those |x|
+_TIE = 1e-6  # a decision this close to a tie or to the interval's end takes repr
+_WIDTH = 56  # bytes per row: sign word, 5 digit words, exponent word
+# Both block sizes keep the temporaries of a call near 100 KB, so that they
+# are reused from one block to the next rather than mapped afresh.
+_KERNEL_BLOCK = 1024  # elements per block of the kernel
+_BLOCK = 512  # rows per block of the NUL-stripped writer
 
 
-def _digit_table(curves: list[Curve]) -> dict[int, tuple[list[float], list[str]]]:
-    """The samples (one ``tolist()``) and the digits of every sample array,
-    by id of the array, each array formatted once.  An energy array takes the
-    digits of the samples it shares with the first curve's energies (one
-    ``np.searchsorted``: both are strictly increasing) and formats the rest,
-    such as the bisection midpoints of θ's refined grid."""
-    table, grid = {}, curves[0].energies if curves else None
-    for curve in curves:
-        for array in (curve.energies, curve.values):
-            if id(array) in table:
-                continue
-            samples = array.tolist()
-            if array is not curve.energies or array is grid or not len(grid):
-                table[id(array)] = samples, _format(samples)
-                continue
-            i = np.minimum(np.searchsorted(grid, array), len(grid) - 1)
-            # equal bits, not equal values: -0.0 == 0.0 has other digits
-            new = grid.view(np.int64)[i] != array.view(np.int64)
-            digits = np.array(table[id(grid)][1], dtype=object)[i]
-            digits[new] = _format(array[new].tolist())
-            table[id(array)] = samples, digits.tolist()
+def _scale_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indexed by frexp exponent e, from ``_E_LO - 1`` to ``_E_HI + 1`` (the
+    two ends stand for every exponent outside the kernel): the rows
+    hi(10**S), its Veltkamp halves, lo(10**S) and the half-gap g (NaN at
+    the ends).  Then, indexed by 2 (e - _E_LO + 1) + short, where short
+    marks a q of 17 digits: the layout's mask row for a last nonzero digit
+    j1 = 0, and the row of the exponent word."""
+    e = np.arange(_E_LO - 1, _E_HI + 2)
+    s = np.clip(16 - (e - 1) * 30103 // 100000, 0, 44)  # 30103e-5 for log10(2)
+    tens = [10 ** k for k in range(45)]  # 10**k - hi(10**k) fits 53 bits
+    hi = np.array([float(t) for t in tens])[s]
+    lo = np.array([float(t - int(float(t))) for t in tens])[s]
+    hh = hi * 134217729.0
+    hh -= hh - hi
+    gap = np.ldexp(hi, e - 54)
+    gap[[0, -1]] = np.nan
+    point = np.clip(18 - s[:, None] - [0, 1], _D_LO, _D_HI).ravel()
+    code = np.where((-4 < point) & (point <= 16), point + 4, 0)
+    return np.stack([hi, hh, hi - hh, lo, gap]), code * 18 - 2, point - _D_LO
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For 0000..9999: the four ASCII digits, each followed by a 0xFF slot,
+    as a little-endian word; and the place (1..4) of the last nonzero
+    digit, -64 for 0000."""
+    v = np.arange(10000)
+    chars = np.full((10000, 8), 0xFF, np.uint8)
+    last = np.full(10000, -64, np.int8)
+    for place, div in enumerate((1000, 100, 10, 1), start=1):
+        digit = v // div % 10
+        chars[:, 2 * place - 2] = digit + 48
+        last[digit != 0] = place
+    return chars.view("<u8").ravel(), last
+
+
+def _layout_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The mask of a row per layout code (0: exponent form, 1..20: fixed
+    form with decimal point D = code - 4) and last nonzero digit j1 in 2..19
+    of q, where frame digit j (q's first at 2, two padding zeros before 0)
+    sits at byte 8 + 2 j and its slot at 9 + 2 j; and the exponent word per
+    decimal point from ``_D_LO`` to ``_D_HI``."""
+    point = np.repeat(np.arange(-4, 17), 18)[:, None]
+    j1 = np.tile(np.arange(2, 20), 21)[:, None]
+    fixed = point > -4  # "0.00ddd", "d.ddd" or "ddd.0"; else "d.ddde-05" or "de-05"
+    lo = np.where(fixed, np.minimum(2, 1 + point), 2)
+    hi = np.where(fixed, np.maximum(j1, 2 + point), j1)
+    dot = np.where(fixed, 1 + point, 2)
+    j = np.arange(-2, 20)
+    mask = np.full((len(point), _WIDTH), 0xFF, np.uint8)
+    mask[:, 4:48:2] = np.where((lo <= j) & (j <= hi), 0xFF, 0)
+    mask[:, 5:48:2] = np.where((j == dot) & (j < hi), 46, 0)
+    words = b"".join(f"e{d - 1:+03d}".encode().ljust(8, b"\0") if not -4 < d <= 16
+                     else bytes(8) for d in range(_D_LO, _D_HI + 1))
+    return mask.view("<u8"), np.frombuffer(words, "<u8")
+
+
+(_SCALE, _LAYOUT_ROW, _EXPONENT_ROW), (_QUADS, _LAST), (_LAYOUT, _EXPONENT) = (
+    _scale_tables(), _quad_tables(), _layout_tables())
+_QUAD_PLACE = np.arange(-1, 19, 4, dtype=np.int8)[:, None]  # place p of quad k: digit 4 k - 1 + p
+# the sign words: no sign or "-", then frame digits -2 and -1, "0" and "0"
+_SIGN = np.array([0xFF30FF3000000000, 0xFF30FF300000002D], "<u8")
+
+
+def _repr_rows(rows: np.ndarray, x: np.ndarray, where: np.ndarray) -> None:
+    """Write ``float.__repr__`` of ``x[where]`` into those rows: the
+    kernel's fallback."""
+    for i in where.tolist():
+        text = float.__repr__(float(x[i])).encode()
+        rows[i] = 0
+        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _digit_rows(x: np.ndarray) -> np.ndarray:
+    """The text of ``float.__repr__(x_i)`` for every element, one row of
+    ``_WIDTH`` bytes each, with NUL bytes among and after the characters.
+    0, powers of two, |x| outside [2**-93, 2**57) and decisions within
+    ``_TIE`` of a tie take ``float.__repr__`` itself.  The kernel runs on
+    blocks of ``_KERNEL_BLOCK`` elements, which bounds its temporaries."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    rows = np.empty((len(x), _WIDTH // 8), "<u8")
+    fallback = [start + _digit_block(x[start:start + _KERNEL_BLOCK],
+                                     rows[start:start + _KERNEL_BLOCK])
+                for start in range(0, len(x), _KERNEL_BLOCK)]
+    rows = rows.view(np.uint8)
+    _repr_rows(rows, x, np.concatenate(fallback) if fallback else np.empty(0, np.intp))
+    return rows
+
+
+def _digit_block(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Write the rows of one block (words of ``rows``) and return the
+    indices that take the fallback."""
+    with np.errstate(all="ignore"):  # the fallback rows compute garbage
+        a = np.abs(x)
+        m, e = np.frexp(a)
+        e = e.astype(np.intp)
+        e -= _E_LO - 1
+        # v = a (hi + lo) = p + t, p = fl(a hi) (Dekker's two-product)
+        p, hh, hl, lo = _SCALE[:4].take(e, axis=1, mode="clip")
+        p *= a
+        ah = a * 134217729.0
+        ah -= ah - a
+        al = a - ah
+        t = ah * hh
+        t -= p
+        hh *= al
+        ah *= hl
+        t += ah
+        t += hh
+        hl *= al
+        t += hl
+        lo *= a
+        t += lo
+        del a, ah, al, hh, hl, lo
+        # w = v - H, H = P rounded down to a multiple of 100: w in (-64, 164)
+        big = p.astype(np.int64)
+        q = big // 100
+        q *= 100
+        big -= q
+        w = np.add(t, big, out=t)
+        del p, big
+        # the candidates: the nearest integer, multiple of 10 and multiple of
+        # 100, the coarsest taken that lies within the half-gap
+        off = np.rint(w)
+        d1 = np.abs(w - off)
+        c10 = np.rint(w * 0.1)
+        c10 *= 10
+        d10 = np.abs(w - c10)
+        c100 = np.rint(w * 0.01)
+        c100 *= 100
+        d100 = np.abs(np.subtract(w, c100, out=w), out=w)
+        gap = _SCALE[4].take(e, mode="clip")
+        off = np.where(d10 < gap, c10, off)
+        off = np.where(d100 < gap, c100, off)
+        # the distance of those choices from a tie or from the interval's end
+        margin = np.subtract(0.5, d1, out=d1)
+        np.minimum(margin, np.subtract(5.0, d10, out=c10), out=margin)
+        np.minimum(margin, np.abs(np.subtract(d10, gap, out=d10), out=d10), out=margin)
+        np.minimum(margin, np.abs(np.subtract(d100, gap, out=d100), out=d100), out=margin)
+        fallback = np.flatnonzero((m <= 0.5) | ~(margin >= _TIE))
+        del w, d1, d10, d100, c10, c100, gap, margin, m
+        q += off.astype(np.int64)
+        del off
+        # scale the 17-digit q to 18 digits and write them, 4 at a time
+        short = q < 10 ** 17
+        q = np.where(short, q * 10, q)
+        # 7 rows: once the digits are written, the layout's masks take them
+        quads = np.empty((7, len(q)), np.intp)
+        for k in (4, 3, 2, 1):
+            rest = q // 10000
+            np.subtract(q, rest * 10000, out=quads[k])
+            q = rest
+        quads[0] = q
+        del q, rest
+        for k in range(5):
+            rows[:, k + 1] = _QUADS.take(quads[k], mode="clip")
+        rows[:, 0] = _SIGN.take(x.view(np.int64) < 0)
+        # the exponent word, and the mask row of the layout and of q's last
+        # nonzero digit j1
+        last = _LAST.take(quads[:5], mode="clip")
+        last += _QUAD_PLACE
+        e *= 2
+        e += short
+        layout = _LAYOUT_ROW.take(e, mode="clip")
+        layout += last.max(axis=0)
+        rows[:, 6] = _EXPONENT.take(_EXPONENT_ROW.take(e, mode="clip"), mode="clip")
+        masks = quads.view("<u8").reshape(rows.shape)
+        rows &= _LAYOUT.take(layout, axis=0, out=masks, mode="clip")
+    return fallback
+
+
+def _joined(parts: list) -> bytes:
+    """Row after row, the rows of the matrices in ``parts`` side by side,
+    with the separators (``bytes``) that stand between them; NUL bytes
+    dropped.  Built in blocks of ``_BLOCK`` rows."""
+    widths = [len(part) if isinstance(part, bytes) else part.shape[1] for part in parts]
+    edges = np.cumsum([0] + widths).tolist()
+    n = next(len(part) for part in parts if not isinstance(part, bytes))
+    block = np.empty((min(n, _BLOCK), edges[-1]), np.uint8)
+    for part, lo, hi in zip(parts, edges, edges[1:]):
+        if isinstance(part, bytes):
+            block[:, lo:hi] = np.frombuffer(part, np.uint8)
+    out = []
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        for part, lo, hi in zip(parts, edges, edges[1:]):
+            if not isinstance(part, bytes):
+                block[:stop - start, lo:hi] = part[start:stop]
+        out.append(block[:stop - start].tobytes().translate(None, b"\0"))
+    return b"".join(out)
+
+
+def _digit_table(curves: list[Curve]) -> dict[int, tuple[list[float], np.ndarray]]:
+    """The samples (one ``tolist()``) and the digit rows of every sample
+    array, by id of the array: one :func:`_digit_rows` call on all of them."""
+    arrays = list({id(a): a for c in curves for a in (c.energies, c.values)}.values())
+    rows = _digit_rows(np.concatenate(arrays)) if arrays else None
+    table, start = {}, 0
+    for array in arrays:
+        table[id(array)] = array.tolist(), rows[start:start + len(array)]
+        start += len(array)
     return table
-
-
-class _Digits(list):
-    """A JSON array of numbers that are already written out as text."""
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _pieces(value, pad: str, out: list[str]) -> None:
+def _pieces(value, pad: str, out: list) -> None:
     """Append to ``out`` the text of ``json.dumps(value, indent=2,
     sort_keys=True)`` on a line that starts with ``pad`` (a newline and its
-    indentation).  Dict keys are strings; a :class:`_Digits` is copied."""
+    indentation).  Dict keys are strings.  An array of digit rows
+    (:func:`_digit_rows`), a JSON array of those numbers, is appended as
+    the pair ``(rows, pad)`` for :func:`_write_report` to write."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -96,12 +301,12 @@ def _pieces(value, pad: str, out: list[str]) -> None:
     elif isinstance(value, float):
         text = float.__repr__(value)
         out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, np.ndarray):
+        out.append((value, pad) if len(value) else "[]")
     elif not isinstance(value, (list, tuple, dict)):
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, _Digits):
-        out += ["[", pad + "  ", ("," + pad + "  ").join(value), pad + "]"]
     elif isinstance(value, dict):
         inner, sep = pad + "  ", "{"
         for key, item in sorted(value.items()):
@@ -118,17 +323,29 @@ def _pieces(value, pad: str, out: list[str]) -> None:
         out.append(pad + "]")
 
 
-def _report_json(report: dict, curves: list[Curve], table: dict) -> str:
-    """The report file: ``json.dumps(report, indent=2, sort_keys=True)`` and
-    a newline, where ``report["curves"]`` holds the entries of ``curves``, in
-    order, their samples written as the digits of ``table``."""
-    entries = [{**entry, "energies": _Digits(table[id(c.energies)][1]),
-                "values": _Digits(table[id(c.values)][1])}
+def _write_report(file, report: dict, curves: list[Curve], table: dict) -> None:
+    """Write to the binary ``file`` the text of ``json.dumps(report,
+    indent=2, sort_keys=True)`` and a newline, where ``report["curves"]``
+    holds the entries of ``curves``, in order, their samples written from
+    the digit rows of ``table``: each sample array as it is reached."""
+    entries = [{**entry, "energies": table[id(c.energies)][1],
+                "values": table[id(c.values)][1]}
                for c, entry in zip(curves, report["curves"], strict=True)]
-    out = []
-    _pieces({**report, "curves": entries}, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    pieces = []
+    _pieces({**report, "curves": entries}, "\n", pieces)
+    text = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            text.append(piece)
+            continue
+        rows, pad = piece
+        sep = ("," + pad + "  ").encode()
+        text += ["[", pad, "  "]
+        file.write("".join(text).encode())
+        file.write(memoryview(_joined([rows, sep]))[:-len(sep)])
+        text = [pad, "]"]
+    text.append("\n")
+    file.write("".join(text).encode())
 
 
 def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> dict:
@@ -139,17 +356,16 @@ def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> dict:
     table = _digit_table(plain)
     report["curves"] = []
     for stem, curve in curves:
-        energies, values = table[id(curve.energies)], table[id(curve.values)]
-        entry = {"label": curve.label, "energies": energies[0], "values": values[0]}
+        (energies, e_rows), (values, v_rows) = table[id(curve.energies)], table[id(curve.values)]
+        entry = {"label": curve.label, "energies": energies, "values": values}
         if args.format == "csv":
-            # one interleaved list of pieces: E_i, ",", V_i, "\n", ...
-            rows = ["E,value\n"] + ["", ",", "", "\n"] * len(curve)
-            rows[1::4], rows[3::4] = energies[1], values[1]
             entry["file"] = f"{stem}.csv"
-            (out / entry["file"]).write_bytes("".join(rows).encode())
+            with open(out / entry["file"], "wb") as file:
+                file.write(b"E,value\n")
+                file.write(_joined([e_rows, b",", v_rows, b"\n"]))
         report["curves"].append(entry)
-    (out / f"{report['provenance']['subcommand']}_report.json").write_bytes(
-        _report_json(report, plain, table).encode())
+    with open(out / f"{report['provenance']['subcommand']}_report.json", "wb") as file:
+        _write_report(file, report, plain, table)
     return report
 
 
@@ -258,9 +474,12 @@ def run_step(args) -> dict:
         raise ValueError(f"--grid {args.grid}: a curve needs at least 2 samples")
     _require_finite(args, "the energy range", "emin", "emax")
     step = ExpStep(V1=args.V1, V2=args.V2, a=args.a)
-    lo = max(args.emin, step.threshold + 2e-6)
-    if not args.emax > lo:
-        raise ValueError("emax must exceed the barrier top")
+    lo = step.threshold + 2e-6  # the curves start just above the barrier top
+    _require(args, "emax", lambda v: v > lo, "the energy range must end more than "
+             f"2e-06 above the barrier top V1 + V2 = {step.threshold}")
+    _require(args, "emax", lambda v: v > args.emin,
+             f"the energy range must end above --emin {args.emin}")
+    lo = max(args.emin, lo)
     # r and its delay on one grid shared by the reflectivity and delay curves
     grid = _sample_grid(lo, args.emax, max(args.grid, 2000))
     r, delay = _reflection(step, grid)
@@ -291,6 +510,8 @@ def run_step(args) -> dict:
 
 def run_data(args) -> dict:
     _require_finite(args, "the window bounds", "wlo", "whi")
+    _require(args, "whi", lambda v: None in (v, args.wlo) or v > args.wlo,
+             f"the window must end above --wlo {args.wlo}")
     _require(args, "smooth", lambda v: v >= 1 and v % 2 == 1,
              "the moving-average window must be an odd integer >= 1")
     if args.input is None:
@@ -301,6 +522,11 @@ def run_data(args) -> dict:
     curve = delay_from_table(table, smooth_window=args.smooth)
     w_lo = args.wlo if args.wlo is not None else float(table.W[0])
     w_hi = args.whi if args.whi is not None else float(table.W[-1])
+    rows = int(np.count_nonzero((table.W >= w_lo) & (table.W <= w_hi)))
+    if rows < 3:
+        raise ValueError(f"--wlo {w_lo} --whi {w_hi}: the window holds {rows} of the "
+                         f"table's rows, whose W runs from {table.W[0]} to "
+                         f"{table.W[-1]}; the peak search needs 3")
     res = extract_resonance(curve, w_lo, w_hi)
     report = _base_report(args)
     report["resonance"] = res.to_dict()

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front-end."""
 import argparse
 import dataclasses
+import io
 import json
 import math
 import warnings
@@ -37,6 +38,30 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         # emax below the barrier top is a config error
         assert run(["step", "--emax", "1.0"], tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # both read "emax must exceed the barrier top", although the
+            # first range ends below its own start, above the top 2.0
+            (["step", "--emin", "5", "--emax", "4"],
+             "--emax 4.0: the energy range must end above --emin 5.0"),
+            (["step", "--emax", "1.0"],
+             "--emax 1.0: the energy range must end more than 2e-06 above the "
+             "barrier top V1 + V2 = 2.0"),
+            # both read "window contains fewer than 3 samples", naming no
+            # option; the bundled table's W runs from 1110 to 1550 MeV
+            (["data", "--wlo", "1300", "--whi", "1200"],
+             "--whi 1200.0: the window must end above --wlo 1300.0"),
+            (["data", "--wlo", "2000", "--whi", "3000"],
+             "--wlo 2000.0 --whi 3000.0: the window holds 0 of the table's "
+             "rows, whose W runs from 1110.0 to 1550.0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_range_names_the_bound_that_fails(self, tmp_path, capsys, argv, message):
+        assert run(argv, tmp_path) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0", "1"])
     def test_step_grid_below_two_is_validation(self, tmp_path, grid):
@@ -459,8 +484,9 @@ class TestWriters:
                 entry["file"] = name
             entries.append(entry)
         report["curves"] = entries
-        got = cli._report_json(report, curves, cli._digit_table(curves))
-        assert got == scalar_oracle.report_json(report)
+        got = io.BytesIO()
+        cli._write_report(got, report, curves, cli._digit_table(curves))
+        assert got.getvalue().decode() == scalar_oracle.report_json(report)
 
     @given(curves=curve_sets())
     @settings(max_examples=100, deadline=None)
@@ -475,22 +501,27 @@ class TestWriters:
             assert (out / f"{stem}.csv").read_bytes() == text
 
     def test_each_sample_array_is_formatted_once(self, tmp_path, monkeypatch):
-        # default step writes six sample arrays.  The reflectivity and delay
-        # curves share the 2,000-point grid, and theta's refined grid is that
-        # grid plus its 2 bisection midpoints, which are all it formats: the
-        # grid, the midpoints and the reflectivity, delay and theta values
-        # make 8,004 floats, where formatting each array took 10,004
-        formatted = []
-        original = cli._format
+        # default step writes six sample arrays: the 2,000-point grid that
+        # the reflectivity and delay curves share, their values, and theta's
+        # refined grid (the grid plus 2 bisection midpoints) and values.
+        # One kernel call formats the five distinct arrays, 10,004 floats,
+        # and none of them takes float.__repr__
+        calls, fallback = [], []
+        digit_rows, repr_rows = cli._digit_rows, cli._repr_rows
 
-        def counted(samples):
-            formatted.append(len(samples))
-            return original(samples)
+        def counted(x):
+            calls.append(len(x))
+            return digit_rows(x)
 
-        monkeypatch.setattr(cli, "_format", counted)
+        def counted_fallback(rows, x, where):
+            fallback.append(len(where))
+            return repr_rows(rows, x, where)
+
+        monkeypatch.setattr(cli, "_digit_rows", counted)
+        monkeypatch.setattr(cli, "_repr_rows", counted_fallback)
         args = cli.build_parser().parse_args(["step", "--out", str(tmp_path)])
         report = args.func(args)
-        assert sorted(formatted) == [2, 2000, 2000, 2000, 2002]
+        assert calls == [10004] and fallback == [0]
         refl, theta, delay = report["curves"]
         assert len(theta["energies"]) == len(theta["values"]) == 2002
         # one tolist() per array, kept by the returned report
@@ -535,6 +566,78 @@ class TestWriters:
             curve = Curve(entry["energies"], entry["values"])
             text = scalar_oracle.curve_csv(curve).encode()
             assert (tmp_path / entry["file"]).read_bytes() == text
+
+
+def _repr_text(values) -> bytes:
+    """float.__repr__ of each value, one per line."""
+    return "".join(f"{v!r}\n" for v in values.tolist()).encode()
+
+
+def _kernel_text(values) -> bytes:
+    """The kernel's rows of the values, one per line."""
+    return cli._joined([cli._digit_rows(values), b"\n"])
+
+
+class TestDigitRows:
+    """The array kernel against float.__repr__, its oracle."""
+
+    def test_seeded_families_match_repr(self):
+        # a million seeded values in blocks of 100,000: uniform samples,
+        # log-uniform magnitudes of both signs (most of 1e-40..1e-28 and
+        # above 1.4e17 take the fallback), random bit patterns (NaN, inf and
+        # subnormals among them) and values rounded to 0-7 decimals, whose
+        # digits end in zeros
+        rng = np.random.default_rng(20260)
+        n = 100_000
+        families = {
+            "uniform 0..10": lambda: rng.uniform(0, 10, n),
+            "uniform 0..170": lambda: rng.uniform(0, 170, n),
+            "log-uniform": lambda: rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-40, 20, n),
+            "bit patterns": lambda: rng.integers(-2**63, 2**63, n, dtype=np.int64).view(float),
+            "rounded": lambda: np.array([round(v, k) for v, k in zip(
+                rng.uniform(-2000, 2000, n).tolist(), rng.integers(0, 8, n).tolist())]),
+        }
+        for name, draw in families.items():
+            for _ in range(2):
+                x = draw()
+                assert _kernel_text(x) == _repr_text(x), name
+        # and every decade from 1e-30 to 1e17, fixed and exponent forms
+        x = rng.uniform(0, 10, 1000) * 10.0 ** rng.integers(-30, 18, 1000)
+        assert _kernel_text(x) == _repr_text(x)
+
+    def test_edges_match_repr(self):
+        # powers of two (asymmetric rounding intervals, the fallback) and of
+        # ten, the ends of repr's fixed form (1e-4 and 1e16), the kernel's
+        # range, subnormals, signed zeros and non-finite values, each with
+        # its neighbours on both sides
+        edges = np.concatenate([
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            [float(f"1e{k}") for k in range(-323, 309)],
+            [1e-4, 1e16, 2.0**-93, 2.0**57, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, 0.0, math.inf, math.nan],
+            SPECIAL_FLOATS,
+        ])
+        with np.errstate(over="ignore"):
+            edges = np.concatenate([edges, np.nextafter(edges, math.inf),
+                                    np.nextafter(edges, -math.inf)])
+        x = np.concatenate([edges, -edges])
+        assert _kernel_text(x) == _repr_text(x)
+
+    def test_fallback_elements(self, monkeypatch):
+        # 0, powers of two, non-finite values and |x| outside the kernel's
+        # range take float.__repr__; ordinary values do not
+        fallback = []
+        repr_rows = cli._repr_rows
+
+        def counted(rows, x, where):
+            fallback.extend(x[where].tolist())
+            return repr_rows(rows, x, where)
+
+        monkeypatch.setattr(cli, "_repr_rows", counted)
+        special = [0.0, -0.0, 0.5, -4.0, math.inf, math.nan, 1e-30, 1e300]
+        x = np.array(special + [0.1, 2.5, -3.75e-5, 123456.789, 1e16])
+        assert _kernel_text(x) == _repr_text(x)
+        assert [repr(v) for v in fallback] == [repr(v) for v in special]
 
 
 class TestDeterminism:

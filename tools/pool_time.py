@@ -15,12 +15,15 @@ prints, for each group, the median of those per-pair medians in each tree,
 the old tree's quartiles, the relative change, the pairs in which the
 new tree was faster, and each tree's slowest instance by its median time
 over the pairs: on a small pool the bench's tail is the time of its
-slowest instances.
+slowest instances.  Last, it prints each tree's peak resident set: the
+child's ``ru_maxrss`` after its two passes, as the median over the pairs
+(the bench's ``peak_rss_mb`` is the same reading of the bench process).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import tempfile
@@ -31,13 +34,16 @@ from pool_bytes import run_pool, run_tree
 
 def collect(tree: Path, work: Path, workloads: list[str]) -> dict:
     """The pipeline, exit code and seconds of every instance, by id, from
-    the second of two passes of :func:`pool_bytes.run_pool`."""
+    the second of two passes of :func:`pool_bytes.run_pool`, and the peak
+    resident set in MB after both passes."""
     for _ in run_pool(tree, work, workloads):  # warm-up pass
         pass
-    return {
+    runs = {
         inst["id"]: {"pipeline": inst["argv"][0], "exit": rc, "seconds": seconds}
         for inst, rc, _, _, seconds in run_pool(tree, work, workloads)
     }
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"instances": runs, "peak_rss_mb": peak}
 
 
 def groups(old: dict, new: dict) -> dict[str, list[str]]:
@@ -101,15 +107,21 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     runs: tuple[list[dict], list[dict]] = ([], [])
+    peaks: tuple[list[float], list[float]] = ([], [])
     with tempfile.TemporaryDirectory() as work:
         for i in range(args.pairs):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 tree = args.trees[side]
-                runs[side].append(run_tree(tree, Path(work), [args.workload], __file__))
+                child = run_tree(tree, Path(work), [args.workload], __file__)
+                runs[side].append(child["instances"])
+                peaks[side].append(child["peak_rss_mb"])
     differ = sum(a[key]["exit"] != b[key]["exit"] for a, b in zip(*runs) for key in a)
     print(f"{args.workload}: {args.pairs} pairs, old tree first in odd pairs; "
           f"seconds are per-pair medians of instance times")
     print("\n".join(summary(runs)))
+    old, new = (statistics.median(side) for side in peaks)
+    print(f"peak RSS MB (median over pairs): old {old:.2f}, new {new:.2f}, "
+          f"change {new - old:+.2f}")
     if differ:
         print(f"exit codes differ in {differ} instance runs")
     return 0
