@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -74,9 +75,9 @@ _E_LO, _E_HI = -92, 57  # frexp exponents of the kernel: 2**-93 <= |x| < 2**57
 _D_LO, _D_HI = -27, 18  # the decimal points of those |x|
 _TIE = 1e-6  # a decision this close to a tie or to the interval's end takes repr
 _WIDTH = 56  # bytes per row: sign word, 5 digit words, exponent word
-# Both block sizes keep the temporaries of a call near 100 KB, so that they
-# are reused from one block to the next rather than mapped afresh.
-_KERNEL_BLOCK = 1024  # elements per block of the kernel
+# The blocks keep a call's temporaries to a few hundred KB, which are reused
+# from one block to the next rather than mapped and faulted in afresh.
+_KERNEL_BLOCK = 2048  # elements per block of the kernel
 _BLOCK = 512  # rows per block of the NUL-stripped writer
 
 
@@ -86,7 +87,7 @@ def _scale_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hi(10**S), its Veltkamp halves, lo(10**S) and the half-gap g (NaN at
     the ends).  Then, indexed by 2 (e - _E_LO + 1) + short, where short
     marks a q of 17 digits: the layout's mask row for a last nonzero digit
-    j1 = 0, and the row of the exponent word."""
+    j1 = 0, and the exponent word ("e-05", or none in the fixed form)."""
     e = np.arange(_E_LO - 1, _E_HI + 2)
     s = np.clip(16 - (e - 1) * 30103 // 100000, 0, 44)  # 30103e-5 for log10(2)
     tens = [10 ** k for k in range(45)]  # 10**k - hi(10**k) fits 53 bits
@@ -97,30 +98,35 @@ def _scale_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gap = np.ldexp(hi, e - 54)
     gap[[0, -1]] = np.nan
     point = np.clip(18 - s[:, None] - [0, 1], _D_LO, _D_HI).ravel()
-    code = np.where((-4 < point) & (point <= 16), point + 4, 0)
-    return np.stack([hi, hh, hi - hh, lo, gap]), code * 18 - 2, point - _D_LO
+    fixed = (-4 < point) & (point <= 16)
+    words = b"".join(bytes(8) if f else f"e{d - 1:+03d}".encode().ljust(8, b"\0")
+                     for d, f in zip(point.tolist(), fixed.tolist()))
+    return (np.stack([hi, hh, hi - hh, lo, gap]), np.where(fixed, point + 4, 0) * 18 - 2,
+            np.frombuffer(words, "<u8"))
 
 
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     """For 0000..9999: the four ASCII digits, each followed by a 0xFF slot,
-    as a little-endian word; and the place (1..4) of the last nonzero
-    digit, -64 for 0000."""
+    as a little-endian word; and, at 10000 k + v for quad k = 0..4 of q,
+    the frame digit 4 k - 1 + place of its last nonzero digit, -64 for
+    0000."""
     v = np.arange(10000)
     chars = np.full((10000, 8), 0xFF, np.uint8)
-    last = np.full(10000, -64, np.int8)
-    for place, div in enumerate((1000, 100, 10, 1), start=1):
+    place = np.zeros(10000, np.int8)
+    for p, div in enumerate((1000, 100, 10, 1), start=1):
         digit = v // div % 10
-        chars[:, 2 * place - 2] = digit + 48
-        last[digit != 0] = place
-    return chars.view("<u8").ravel(), last
+        chars[:, 2 * p - 2] = digit + 48
+        place[digit != 0] = p
+    last = np.where(place > 0, place + np.arange(-1, 19, 4)[:, None], -64)
+    return chars.view("<u8").ravel(), last.astype(np.int8).ravel()
 
 
-def _layout_tables() -> tuple[np.ndarray, np.ndarray]:
+def _layout_table() -> np.ndarray:
     """The mask of a row per layout code (0: exponent form, 1..20: fixed
     form with decimal point D = code - 4) and last nonzero digit j1 in 2..19
     of q, where frame digit j (q's first at 2, two padding zeros before 0)
-    sits at byte 8 + 2 j and its slot at 9 + 2 j; and the exponent word per
-    decimal point from ``_D_LO`` to ``_D_HI``."""
+    sits at byte 8 + 2 j and its slot at 9 + 2 j.  A mask byte is 0 (clear),
+    0xFF (keep) or "." (for a slot, which holds 0xFF)."""
     point = np.repeat(np.arange(-4, 17), 18)[:, None]
     j1 = np.tile(np.arange(2, 20), 21)[:, None]
     fixed = point > -4  # "0.00ddd", "d.ddd" or "ddd.0"; else "d.ddde-05" or "de-05"
@@ -131,14 +137,12 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray]:
     mask = np.full((len(point), _WIDTH), 0xFF, np.uint8)
     mask[:, 4:48:2] = np.where((lo <= j) & (j <= hi), 0xFF, 0)
     mask[:, 5:48:2] = np.where((j == dot) & (j < hi), 46, 0)
-    words = b"".join(f"e{d - 1:+03d}".encode().ljust(8, b"\0") if not -4 < d <= 16
-                     else bytes(8) for d in range(_D_LO, _D_HI + 1))
-    return mask.view("<u8"), np.frombuffer(words, "<u8")
+    return mask
 
 
-(_SCALE, _LAYOUT_ROW, _EXPONENT_ROW), (_QUADS, _LAST), (_LAYOUT, _EXPONENT) = (
-    _scale_tables(), _quad_tables(), _layout_tables())
-_QUAD_PLACE = np.arange(-1, 19, 4, dtype=np.int8)[:, None]  # place p of quad k: digit 4 k - 1 + p
+(_SCALE, _LAYOUT_ROW, _EXPONENT_WORD), (_QUADS, _LAST), _LAYOUT = (
+    _scale_tables(), _quad_tables(), _layout_table())
+_QUAD_ROW = np.arange(0, 50000, 10000)[:, None]  # quad k's rows in _LAST
 # the sign words: no sign or "-", then frame digits -2 and -1, "0" and "0"
 _SIGN = np.array([0xFF30FF3000000000, 0xFF30FF300000002D], "<u8")
 
@@ -174,10 +178,9 @@ def _digit_block(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):  # the fallback rows compute garbage
         a = np.abs(x)
         m, e = np.frexp(a)
-        e = e.astype(np.intp)
-        e -= _E_LO - 1
+        e = np.add(e, 1 - _E_LO, dtype=np.intp)
         # v = a (hi + lo) = p + t, p = fl(a hi) (Dekker's two-product)
-        p, hh, hl, lo = _SCALE[:4].take(e, axis=1, mode="clip")
+        p, hh, hl, lo, gap = _SCALE.take(e, axis=1, mode="clip")
         p *= a
         ah = a * 134217729.0
         ah -= ah - a
@@ -210,7 +213,6 @@ def _digit_block(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         c100 = np.rint(w * 0.01)
         c100 *= 100
         d100 = np.abs(np.subtract(w, c100, out=w), out=w)
-        gap = _SCALE[4].take(e, mode="clip")
         off = np.where(d10 < gap, c10, off)
         off = np.where(d100 < gap, c100, off)
         # the distance of those choices from a tie or from the interval's end
@@ -224,9 +226,8 @@ def _digit_block(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         del off
         # scale the 17-digit q to 18 digits and write them, 4 at a time
         short = q < 10 ** 17
-        q = np.where(short, q * 10, q)
-        # 7 rows: once the digits are written, the layout's masks take them
-        quads = np.empty((7, len(q)), np.intp)
+        np.multiply(q, 10, out=q, where=short)
+        quads = np.empty((5, len(q)), np.intp)
         for k in (4, 3, 2, 1):
             rest = q // 10000
             np.subtract(q, rest * 10000, out=quads[k])
@@ -238,15 +239,16 @@ def _digit_block(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         rows[:, 0] = _SIGN.take(x.view(np.int64) < 0)
         # the exponent word, and the mask row of the layout and of q's last
         # nonzero digit j1
-        last = _LAST.take(quads[:5], mode="clip")
-        last += _QUAD_PLACE
+        quads += _QUAD_ROW
+        last = _LAST.take(quads, mode="clip").max(axis=0)
+        del quads
         e *= 2
         e += short
+        rows[:, 6] = _EXPONENT_WORD.take(e, mode="clip")
         layout = _LAYOUT_ROW.take(e, mode="clip")
-        layout += last.max(axis=0)
-        rows[:, 6] = _EXPONENT.take(_EXPONENT_ROW.take(e, mode="clip"), mode="clip")
-        masks = quads.view("<u8").reshape(rows.shape)
-        rows &= _LAYOUT.take(layout, axis=0, out=masks, mode="clip")
+        layout += last
+        chars = rows.view(np.uint8)
+        np.minimum(chars, _LAYOUT.take(layout, axis=0, mode="clip"), out=chars)
     return fallback
 
 
@@ -255,7 +257,7 @@ def _joined(parts: list) -> bytes:
     with the separators (``bytes``) that stand between them; NUL bytes
     dropped.  Built in blocks of ``_BLOCK`` rows."""
     widths = [len(part) if isinstance(part, bytes) else part.shape[1] for part in parts]
-    edges = np.cumsum([0] + widths).tolist()
+    edges = list(accumulate(widths, initial=0))
     n = next(len(part) for part in parts if not isinstance(part, bytes))
     block = np.empty((min(n, _BLOCK), edges[-1]), np.uint8)
     for part, lo, hi in zip(parts, edges, edges[1:]):
@@ -333,19 +335,15 @@ def _write_report(file, report: dict, curves: list[Curve], table: dict) -> None:
                for c, entry in zip(curves, report["curves"], strict=True)]
     pieces = []
     _pieces({**report, "curves": entries}, "\n", pieces)
-    text = []
-    for piece in pieces:
-        if isinstance(piece, str):
-            text.append(piece)
-            continue
-        rows, pad = piece
+    pieces.append("\n")
+    start = 0
+    for i in [i for i, piece in enumerate(pieces) if type(piece) is tuple]:
+        rows, pad = pieces[i]
         sep = ("," + pad + "  ").encode()
-        text += ["[", pad, "  "]
-        file.write("".join(text).encode())
+        file.write("".join([*pieces[start:i], "[", pad, "  "]).encode())
         file.write(memoryview(_joined([rows, sep]))[:-len(sep)])
-        text = [pad, "]"]
-    text.append("\n")
-    file.write("".join(text).encode())
+        pieces[i], start = pad + "]", i
+    file.write("".join(pieces[start:]).encode())
 
 
 def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> dict:
