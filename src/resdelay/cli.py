@@ -43,7 +43,7 @@ from .phasedata import (
 )
 from .poles import RESONANCE, SearchRegion, classify_poles, find_poles
 from .reflect import ExpStep, _reflection, _theta
-from .scattering import DeltaShell, SquareWell, delay_curve
+from .scattering import E_MIN, DeltaShell, SquareWell, delay_curve
 
 ENV_OUT = "RESDELAY_OUT"
 _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
@@ -273,14 +273,14 @@ def _joined(parts: list) -> bytes:
     return b"".join(out)
 
 
-def _digit_table(curves: list[Curve]) -> dict[int, tuple[list[float], np.ndarray]]:
-    """The samples (one ``tolist()``) and the digit rows of every sample
-    array, by id of the array: one :func:`_digit_rows` call on all of them."""
+def _digit_table(curves: list[Curve]) -> dict[int, np.ndarray]:
+    """The digit rows of every sample array, by id of the array: one
+    :func:`_digit_rows` call on all of them."""
     arrays = list({id(a): a for c in curves for a in (c.energies, c.values)}.values())
     rows = _digit_rows(np.concatenate(arrays)) if arrays else None
     table, start = {}, 0
     for array in arrays:
-        table[id(array)] = array.tolist(), rows[start:start + len(array)]
+        table[id(array)] = rows[start:start + len(array)]
         start += len(array)
     return table
 
@@ -291,9 +291,9 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _pieces(value, pad: str, out: list) -> None:
     """Append to ``out`` the text of ``json.dumps(value, indent=2,
     sort_keys=True)`` on a line that starts with ``pad`` (a newline and its
-    indentation).  Dict keys are strings.  An array of digit rows
-    (:func:`_digit_rows`), a JSON array of those numbers, is appended as
-    the pair ``(rows, pad)`` for :func:`_write_report` to write."""
+    indentation).  Dict keys are strings.  A sample array, a JSON array of
+    its numbers, is appended as the pair ``(array, pad)`` for
+    :func:`_write_report` to write."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -325,45 +325,42 @@ def _pieces(value, pad: str, out: list) -> None:
         out.append(pad + "]")
 
 
-def _write_report(file, report: dict, curves: list[Curve], table: dict) -> None:
+def _write_report(file, report: dict, table: dict) -> None:
     """Write to the binary ``file`` the text of ``json.dumps(report,
-    indent=2, sort_keys=True)`` and a newline, where ``report["curves"]``
-    holds the entries of ``curves``, in order, their samples written from
-    the digit rows of ``table``: each sample array as it is reached."""
-    entries = [{**entry, "energies": table[id(c.energies)][1],
-                "values": table[id(c.values)][1]}
-               for c, entry in zip(curves, report["curves"], strict=True)]
+    indent=2, sort_keys=True)`` and a newline, where each sample array of
+    the report is written from its digit rows in ``table`` (by id of the
+    array) as it is reached."""
     pieces = []
-    _pieces({**report, "curves": entries}, "\n", pieces)
+    _pieces(report, "\n", pieces)
     pieces.append("\n")
     start = 0
     for i in [i for i, piece in enumerate(pieces) if type(piece) is tuple]:
-        rows, pad = pieces[i]
+        array, pad = pieces[i]
         sep = ("," + pad + "  ").encode()
         file.write("".join([*pieces[start:i], "[", pad, "  "]).encode())
-        file.write(memoryview(_joined([rows, sep]))[:-len(sep)])
+        file.write(memoryview(_joined([table[id(array)], sep]))[:-len(sep)])
         pieces[i], start = pad + "]", i
     file.write("".join(pieces[start:]).encode())
 
 
 def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> dict:
-    """Write the curves and the report; returns the report."""
+    """Write the curves and the report; returns the report, whose curve
+    entries hold the curves' own sample arrays."""
     out = Path(os.environ.get(ENV_OUT, ".") if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plain = [curve for _, curve in curves]
-    table = _digit_table(plain)
+    table = _digit_table([curve for _, curve in curves])
     report["curves"] = []
     for stem, curve in curves:
-        (energies, e_rows), (values, v_rows) = table[id(curve.energies)], table[id(curve.values)]
-        entry = {"label": curve.label, "energies": energies, "values": values}
+        entry = {"label": curve.label, "energies": curve.energies, "values": curve.values}
         if args.format == "csv":
             entry["file"] = f"{stem}.csv"
             with open(out / entry["file"], "wb") as file:
                 file.write(b"E,value\n")
-                file.write(_joined([e_rows, b",", v_rows, b"\n"]))
+                file.write(_joined([table[id(curve.energies)], b",",
+                                    table[id(curve.values)], b"\n"]))
         report["curves"].append(entry)
     with open(out / f"{report['provenance']['subcommand']}_report.json", "wb") as file:
-        _write_report(file, report, plain, table)
+        _write_report(file, report, table)
     return report
 
 
@@ -397,6 +394,9 @@ def _require_model_options(args, *bounds: str) -> None:
     _require(args, "emin", lambda v: v > 0, "the energy range must start above 0")
     _require(args, "emax", lambda v: v > args.emin,
              f"the energy range must end above --emin {args.emin}")
+    # the curves start at the threshold guard E_MIN, where --emin is lower
+    _require(args, "emax", lambda v: v > E_MIN,
+             f"the energy range must end above the threshold guard {E_MIN:g}")
     _require_finite(args, "the pole search's bounds", *bounds)
     _require(args, "pole_gmax", lambda v: v > 0,
              "the pole search's largest width must be positive")
@@ -517,6 +517,8 @@ def run_data(args) -> dict:
     else:
         text = Path(args.input).read_text("utf-8")
         table = parse_phase_table(text, source=str(args.input))
+    _require(args, "smooth", lambda v: v <= len(table),
+             f"the moving-average window must not exceed the table's {len(table)} rows")
     curve = delay_from_table(table, smooth_window=args.smooth)
     w_lo = args.wlo if args.wlo is not None else float(table.W[0])
     w_hi = args.whi if args.whi is not None else float(table.W[-1])

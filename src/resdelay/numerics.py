@@ -115,26 +115,18 @@ def _near_nonpositive_integer(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return (np.abs(z.imag) <= tol) & (n <= 0) & (np.abs(z.real - n) <= tol)
 
 
-def _lanczos(z: np.ndarray) -> np.ndarray:
-    """Lanczos sum for Re(z) >= 0.5, elementwise."""
-    w = z - 1.0
-    s = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        s += c / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * s
-
-
-def _digamma(z: np.ndarray) -> np.ndarray:
-    """psi(z) = Gamma'(z)/Gamma(z) for Re(z) >= 0.5, elementwise: the
-    log-derivative of the Lanczos form of :func:`_lanczos`."""
+def _lanczos(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(z) and psi(z) = Gamma'(z)/Gamma(z) for Re(z) >= 0.5,
+    elementwise, from one Lanczos sum: psi is the log-derivative of the
+    Lanczos form."""
     w = z - 1.0
     s, ds = _LANCZOS_C[0], 0.0
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
         s += c / (w + i)
         ds -= c / (w + i) ** 2
     t = w + _LANCZOS_G + 0.5
-    return np.log(t) + (w + 0.5) / t - 1.0 + ds / s
+    return (math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * s,
+            np.log(t) + (w + 0.5) / t - 1.0 + ds / s)
 
 
 def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
@@ -151,7 +143,7 @@ def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     if poles.any():
         raise PoleOfGamma(f"gamma pole at {flat[poles][0]}")
     refl = flat.real < 0.5
-    g = _lanczos(np.where(refl, 1.0 - flat, flat))
+    g, _ = _lanczos(np.where(refl, 1.0 - flat, flat))
     # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
     g[refl] = math.pi / (np.sin(math.pi * flat[refl]) * g[refl])
     return g.reshape(z.shape) if isinstance(z, np.ndarray) else g.item()
@@ -192,7 +184,8 @@ def bessel_j(nu: complex | np.ndarray, z: complex, order_derivative: bool = Fals
     With ``order_derivative=True`` it returns ``(J, dJ/dz, dJ/dnu,
     d2J/dz dnu)``, the order derivatives summed in the same loop from
     d(term_k)/dnu = term_k (ln(z/2) - psi(nu + k + 1)) (DLMF 10.15.1), with
-    psi as a running sum.  Their domain is Re(nu) > -1/2 and z != 0
+    psi as a running sum from psi(nu + 1), which one Lanczos loop gives
+    together with Gamma(nu + 1).  Their domain is Re(nu) > -1/2 and z != 0
     (``ValueError`` otherwise), which holds the purely imaginary orders of
     the exponential step.  J and dJ/dz are the same bits either way; the
     order derivatives stop by their own rule once J has stopped.
@@ -263,12 +256,16 @@ def _bessel_series(nu: np.ndarray, z: complex,
     # out along the imaginary order axis Gamma(nu + 1) underflows, and its
     # reciprocal or the first terms overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        term = np.exp(nu * log_half) * _reciprocal_gamma(nu + 1.0)
+        if order_derivative:
+            # Re(nu + 1) > 1/2: no pole of Gamma, and no reflection
+            gamma, psi = _lanczos(nu + 1.0)
+            term = np.exp(nu * log_half) * (1.0 / gamma)
+        else:
+            term = np.exp(nu * log_half) * _reciprocal_gamma(nu + 1.0)
         dterm = (nu / z) * term
         over = ~(np.abs(term) + np.abs(dterm) <= _BESSEL_MAX_FIRST_TERM)
         if order_derivative:
             # d ln(term_k)/dnu = ln(z/2) - psi(nu + k + 1), here at k = 0
-            psi = _digamma(nu + 1.0)
             dlog = log_half - psi
             nterm = term * dlog
             ndterm = term / z + dterm * dlog

@@ -16,7 +16,7 @@ import numpy as np
 
 import scalar_oracle
 
-from resdelay import cli, counting, poles, reflect, scattering
+from resdelay import cli, counting, numerics, poles, reflect, scattering
 from resdelay.cli import main
 from resdelay.counting import CountReport
 from resdelay.numerics import Curve
@@ -34,6 +34,10 @@ def run(args, out):
 class TestExitCodes:
     def test_success(self, tmp_path):
         assert run(["data"], tmp_path) == 0
+
+    def test_smoothing_window_may_span_the_table(self, tmp_path):
+        # the bundled table has 45 rows; a wider window is rejected
+        assert run(["data", "--smooth", "45"], tmp_path) == 0
 
     def test_validation_error(self, tmp_path):
         # emax below the barrier top is a config error
@@ -56,6 +60,19 @@ class TestExitCodes:
             (["data", "--wlo", "2000", "--whi", "3000"],
              "--wlo 2000.0 --whi 3000.0: the window holds 0 of the table's "
              "rows, whose W runs from 1110.0 to 1550.0"),
+            # both read "require e_hi > e_lo > 0, both finite": the curves
+            # start at the threshold guard 1e-6, past --emax
+            (["sqwell", "--emin", "1e-8", "--emax", "1e-7"],
+             "--emax 1e-07: the energy range must end above the threshold "
+             "guard 1e-06"),
+            (["deltashell", "--emin", "1e-9", "--emax", "5e-7"],
+             "--emax 5e-07: the energy range must end above the threshold "
+             "guard 1e-06"),
+            # exited 0 with a delay averaged over padded copies of the end
+            # rows of the bundled 45-row table
+            (["data", "--smooth", "999"],
+             "--smooth 999: the moving-average window must not exceed the "
+             "table's 45 rows"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else "",
     )
@@ -448,6 +465,14 @@ json_values = st.recursive(
 )
 
 
+def listed(report: dict) -> dict:
+    """The report with each curve's sample arrays as lists, as the oracle
+    encoder takes them."""
+    entries = [{**entry, "energies": entry["energies"].tolist(),
+                "values": entry["values"].tolist()} for entry in report["curves"]]
+    return {**report, "curves": entries}
+
+
 @st.composite
 def curve_sets(draw):
     """Two curves sharing one energy array and a third with its own (any
@@ -478,15 +503,15 @@ class TestWriters:
         report["count"] = {"n_R": -1.25, "evaluations": 1257}
         entries = []
         for curve, name in zip(curves, files):
-            entry = {"label": curve.label, "energies": curve.energies.tolist(),
-                     "values": curve.values.tolist()}
+            entry = {"label": curve.label, "energies": curve.energies,
+                     "values": curve.values}
             if name is not None:
                 entry["file"] = name
             entries.append(entry)
         report["curves"] = entries
         got = io.BytesIO()
-        cli._write_report(got, report, curves, cli._digit_table(curves))
-        assert got.getvalue().decode() == scalar_oracle.report_json(report)
+        cli._write_report(got, report, cli._digit_table(curves))
+        assert got.getvalue().decode() == scalar_oracle.report_json(listed(report))
 
     @given(curves=curve_sets())
     @settings(max_examples=100, deadline=None)
@@ -517,18 +542,26 @@ class TestWriters:
             fallback.append(len(where))
             return repr_rows(rows, x, where)
 
+        grids = []
+        sample_grid = cli._sample_grid
+
+        def kept_grid(*args):
+            grids.append(sample_grid(*args))
+            return grids[-1]
+
         monkeypatch.setattr(cli, "_digit_rows", counted)
         monkeypatch.setattr(cli, "_repr_rows", counted_fallback)
+        monkeypatch.setattr(cli, "_sample_grid", kept_grid)
         args = cli.build_parser().parse_args(["step", "--out", str(tmp_path)])
         report = args.func(args)
         assert calls == [10004] and fallback == [0]
         refl, theta, delay = report["curves"]
         assert len(theta["energies"]) == len(theta["values"]) == 2002
-        # one tolist() per array, kept by the returned report
-        assert refl["energies"] is delay["energies"]
+        # the returned report holds the curves' own arrays, not list copies
+        assert refl["energies"] is delay["energies"] is grids[0]
         written = json.loads((tmp_path / "step_report.json").read_text())
-        assert written["curves"] == report["curves"]
-        for entry in report["curves"]:
+        assert written["curves"] == listed(report)["curves"]
+        for entry in listed(report)["curves"]:
             lines = (tmp_path / entry["file"]).read_text().splitlines()
             rows = zip(entry["energies"], entry["values"], strict=True)
             assert lines == ["E,value"] + [f"{e!r},{v!r}" for e, v in rows]
@@ -551,12 +584,13 @@ class TestWriters:
         report = args.func(args)
         # the model reports carry poles: nested diagnostics, None, bools, ints
         assert bool(report["poles"]) == (argv[0] in ("sqwell", "deltashell"))
-        # the returned report still holds each curve's samples as lists
+        # the returned report holds each curve's samples as arrays
         for entry in report["curves"]:
-            assert type(entry["energies"]) is list and type(entry["values"]) is list
+            assert type(entry["energies"]) is np.ndarray
+            assert type(entry["values"]) is np.ndarray
             assert len(entry["energies"]) == len(entry["values"]) > 0
         written = (tmp_path / f"{argv[0]}_report.json").read_bytes()
-        assert written == scalar_oracle.report_json(report).encode()
+        assert written == scalar_oracle.report_json(listed(report)).encode()
         csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
         if fmt == "json":
             assert csvs == [] and all("file" not in e for e in report["curves"])
@@ -666,7 +700,7 @@ class TestEvaluationCounts:
         # delay and theta curves, on the 2 midpoints of theta's one
         # bisection pass, and on the dip window.  n_R is read off the theta
         # curve at no further call
-        calls = {"scalar": 0, "array": 0, "orders": 0}
+        calls = {"scalar": 0, "array": 0, "orders": 0, "lanczos": 0}
         original = reflect.bessel_j
 
         def counted(nu, z, **kwargs):
@@ -674,12 +708,20 @@ class TestEvaluationCounts:
             calls["orders"] += np.size(nu)
             return original(nu, z, **kwargs)
 
+        # each call runs one Lanczos loop for Gamma and psi of its orders
+        lanczos = numerics._lanczos
+
+        def counted_lanczos(z):
+            calls["lanczos"] += 1
+            return lanczos(z)
+
         monkeypatch.setattr(reflect, "bessel_j", counted)
+        monkeypatch.setattr(numerics, "_lanczos", counted_lanczos)
         assert run(["step"], tmp_path) == 0
         report = json.loads((tmp_path / "step_report.json").read_text())
         assert report["count"]["evaluations"] == 2002
         assert report["count"]["quadrature_tol"] == 0.0
-        assert calls == {"scalar": 0, "array": 3, "orders": 2066}
+        assert calls == {"scalar": 0, "array": 3, "orders": 2066, "lanczos": 3}
 
     def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
         # the reconstruction curve and its error report share one evaluation

@@ -340,7 +340,24 @@ class TestBesselJOrderDerivative:
     def test_digamma_is_the_log_derivative_of_gamma(self):
         z = np.array([0.5, 1.0, 1.0 - 0.01j, 1.0 - 14j, 3.7 + 2.0j, 20.0])
         ref = [complex(mpmath.digamma(x)) for x in z]
-        assert_rel_close(numerics._digamma(z), ref, rel=1e-13)
+        assert_rel_close(numerics._lanczos(z)[1], ref, rel=1e-13)
+
+    def test_one_lanczos_loop_per_call(self, monkeypatch):
+        # Gamma(nu + 1) and psi(nu + 1) come from one Lanczos loop, without
+        # complex_gamma's pole test and reflection (Re(nu + 1) > 1/2 here)
+        calls = {"lanczos": 0, "complex_gamma": 0}
+        lanczos, gamma = numerics._lanczos, numerics.complex_gamma
+
+        def counted(name, fn):
+            def wrapper(z):
+                calls[name] += 1
+                return fn(z)
+            return wrapper
+
+        monkeypatch.setattr(numerics, "_lanczos", counted("lanczos", lanczos))
+        monkeypatch.setattr(numerics, "complex_gamma", counted("complex_gamma", gamma))
+        bessel_j(STEP_ORDERS, 2.62, order_derivative=True)
+        assert calls == {"lanczos": 1, "complex_gamma": 0}
 
     @pytest.mark.parametrize("bad, z", [(-0.5, 2.0), (-1.3 + 0.4j, 2.0), (1.0, 0.0)])
     def test_domain(self, bad, z):
