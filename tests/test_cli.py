@@ -16,7 +16,7 @@ import numpy as np
 
 import scalar_oracle
 
-from resdelay import cli, counting, numerics, poles, reflect, scattering
+from resdelay import cli, counting, poles, reflect, scattering
 from resdelay.cli import main
 from resdelay.counting import CountReport
 from resdelay.numerics import Curve
@@ -700,7 +700,7 @@ class TestEvaluationCounts:
         # delay and theta curves, on the 2 midpoints of theta's one
         # bisection pass, and on the dip window.  n_R is read off the theta
         # curve at no further call
-        calls = {"scalar": 0, "array": 0, "orders": 0, "lanczos": 0}
+        calls = {"scalar": 0, "array": 0, "orders": 0}
         original = reflect.bessel_j
 
         def counted(nu, z, **kwargs):
@@ -708,20 +708,12 @@ class TestEvaluationCounts:
             calls["orders"] += np.size(nu)
             return original(nu, z, **kwargs)
 
-        # each call runs one Lanczos loop for Gamma and psi of its orders
-        lanczos = numerics._lanczos
-
-        def counted_lanczos(z):
-            calls["lanczos"] += 1
-            return lanczos(z)
-
         monkeypatch.setattr(reflect, "bessel_j", counted)
-        monkeypatch.setattr(numerics, "_lanczos", counted_lanczos)
         assert run(["step"], tmp_path) == 0
         report = json.loads((tmp_path / "step_report.json").read_text())
         assert report["count"]["evaluations"] == 2002
         assert report["count"]["quadrature_tol"] == 0.0
-        assert calls == {"scalar": 0, "array": 3, "orders": 2066, "lanczos": 3}
+        assert calls == {"scalar": 0, "array": 3, "orders": 2066}
 
     def test_one_lorentzian_sum_per_reconstructed_curve(self, tmp_path, monkeypatch):
         # the reconstruction curve and its error report share one evaluation
