@@ -33,7 +33,7 @@ from .counting import (
     count_from_phase,
     lorentzian_sum,
 )
-from .errors import ParseError, ResdelayError
+from .errors import NoPoleFound, ParseError, ResdelayError
 from .numerics import Curve, _parabolic_refine, _sample_grid, find_extrema
 from .phasedata import (
     delay_from_table,
@@ -416,7 +416,11 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
     # classification needs coverage out to the last pole of interest
     cls_curve = delay_curve(model, args.emin, region.re_range[1],
                             max(args.grid, min_cls_grid), label="classification")
-    poles = classify_poles(find_poles(model, region, tol=args.tol), cls_curve)
+    try:
+        found = find_poles(model, region, tol=args.tol)
+    except NoPoleFound as exc:
+        raise NoPoleFound(f"--tol {args.tol}: {exc}") from None
+    poles = classify_poles(found, cls_curve)
     resonances = [p for p in poles if p.classification == RESONANCE][:max_resonances]
 
     report = _base_report(args)
@@ -515,7 +519,8 @@ def run_data(args) -> dict:
     if args.input is None:
         table = load_bundled_p33()
     else:
-        text = Path(args.input).read_text("utf-8")
+        # "utf-8-sig" drops the byte-order mark of a table saved as CSV UTF-8
+        text = Path(args.input).read_text("utf-8-sig")
         table = parse_phase_table(text, source=str(args.input))
     _require(args, "smooth", lambda v: v <= len(table),
              f"the moving-average window must not exceed the table's {len(table)} rows")

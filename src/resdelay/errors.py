@@ -59,6 +59,11 @@ class CurveTooCoarse(ResdelayError):
     resolve the pole's width."""
 
 
+class NoPoleFound(ResdelayError):
+    """A pole search kept no pole, although the winding number certifies
+    poles in its box."""
+
+
 class ParseError(ResdelayError):
     """Malformed phase-shift table input."""
 

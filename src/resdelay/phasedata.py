@@ -2,9 +2,9 @@
 versus total c.m. energy, differentiate to a time-delay curve, and extract
 resonance mass, width and the counting integral.
 
-Input CSV format: UTF-8, '#' comment lines, header ``W_MeV,delta_deg`` with
-an optional third column ``err_deg``, decimal point '.', no thousands
-separators.
+Input CSV format: UTF-8 (the CLI's ``--input`` may start with a byte-order
+mark), '#' comment lines, header ``W_MeV,delta_deg`` with an optional third
+column ``err_deg``, decimal point '.', no thousands separators.
 """
 from __future__ import annotations
 
@@ -76,40 +76,41 @@ class ResonanceReport:
 
 
 def parse_phase_table(text: str, source: str = "") -> PhaseTable:
-    """Parse and validate a phase-shift CSV (see module docstring).
+    """Parse and validate a phase-shift CSV (see module docstring), given
+    as decoded text without a byte-order mark.
 
-    Each data line is split once and every field goes through one
-    ``float`` pass; a field count or a number that does not parse raises
-    :class:`ParseError` at the first such line in file order, and so does
-    then a field that is not finite (``nan``, ``inf``)."""
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
-        if line and line[0] != "#"
-    ]
+    The data lines go through one field-count check, one split of their
+    join and one ``float`` pass, with no object built per line; a field
+    count or a number that does not parse raises :class:`ParseError` at
+    the first such line in file order, and so does then a field that is
+    not finite (``nan``, ``inf``).  Line numbers are recovered only for
+    an error (:func:`_numbered`)."""
+    lines = _data_lines(text)
     if not lines:
         raise ParseError("missing header line")
-    lineno, line = lines[0]
-    header = [c.strip() for c in line.split(",")]
+    header = [c.strip() for c in lines[0].split(",")]
     if header[:2] != ["W_MeV", "delta_deg"] or (
         len(header) == 3 and header[2] != "err_deg"
     ) or len(header) > 3:
-        raise ParseError(f"bad header {line!r}", lineno)
+        raise ParseError(f"bad header {lines[0]!r}", _numbered(text)[0][0])
     ncol, rows = len(header), lines[1:]
-    fields = [line.split(",") for _, line in rows]
     try:
-        if set(map(len, fields)) - {ncol}:
+        if set(map(str.count, rows, itertools.repeat(","))) - {ncol - 1}:
             raise ValueError("a row has the wrong field count")
-        # float() ignores the whitespace around a field
+        # every row holds ncol fields, so one split of the join gives the
+        # fields of the rows' own splits; float() ignores the whitespace
+        # around a field
         values = np.fromiter(
-            map(float, itertools.chain.from_iterable(fields)), float, ncol * len(rows)
+            map(float, ",".join(rows).split(",")), np.float64, ncol * len(rows)
         )
     except ValueError:
-        raise _first_bad_row(rows, fields, ncol) from None
+        numbered = _numbered(text)[1:]
+        fields = [line.split(",") for _, line in numbered]
+        raise _first_bad_row(numbered, fields, ncol) from None
     # float() also reads nan and inf
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        lineno, line = rows[bad[0] // ncol]
+        lineno, line = _numbered(text)[1 + bad[0] // ncol]
         raise ParseError(f"non-finite field in {line!r}", lineno)
     if len(rows) < _MIN_ROWS:
         raise TooFewRows(f"need at least {_MIN_ROWS} rows, got {len(rows)}")
@@ -118,11 +119,26 @@ def parse_phase_table(text: str, source: str = "") -> PhaseTable:
     if bad.size:
         i = bad[0] + 1
         raise MonotonicityError(
-            f"W = {w[i]} does not increase past {w[i - 1]}", rows[i][0]
+            f"W = {w[i]} does not increase past {w[i - 1]}", _numbered(text)[1 + i][0]
         )
     return PhaseTable(
         W=w, delta_deg=delta, err_deg=err[0] if err else None, source=source
     )
+
+
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor a '#'
+    comment: the header, then the rows."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+
+
+def _numbered(text: str) -> list[tuple[int, str]]:
+    """:func:`_data_lines` with each line's 1-based number in ``text``."""
+    return [
+        (lineno, kept[0])
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if (kept := _data_lines(line))
+    ]
 
 
 def _first_bad_row(rows, fields, ncol) -> ParseError:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CurveTooCoarse, MaxDepthExceeded, ZeroArgument
+from .errors import CurveTooCoarse, MaxDepthExceeded, NoPoleFound, ZeroArgument
 from .numerics import (
     CONVERGED,
     JOIN,
@@ -403,6 +403,10 @@ def find_poles(
     E_lo, the bottom edge of the box mirrored above the real axis, where no
     pole lies: there the Newton steps on F wander without a root in reach.
 
+    Where the count is certified and positive but no seed converged to a
+    pole, :class:`NoPoleFound` is raised: an empty list would hide the miss
+    together with the diagnostics below.
+
     Failed seeds are dropped.  Each pole's diagnostics record their count
     under ``seeds_failed`` and, under ``seeds_failed_by_reason``, their
     count per reason of :data:`SEED_FAILURES`: ``no_convergence`` (out of
@@ -454,6 +458,9 @@ def find_poles(
     z, r = roots[inside], residuals[inside]
     keep = _distinct(z)
     z, r = z[keep], r[keep]
+    if count and not z.size:
+        raise NoPoleFound(f"no seed converged to any of the {count} poles that "
+                          "the winding number certifies in the search box")
     if z.size:
         z, r = _polish(model, z, r)
     stopped = int(np.count_nonzero(outcomes == STOPPED))

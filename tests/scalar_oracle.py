@@ -8,13 +8,19 @@ the array tests compare against where mpmath would be too slow for
 hundreds of energies.
 The sample-by-sample extremum scan is the reference for the package's
 array one, and the row-by-row CSV writer and the plain ``json.dumps`` report
-are the references for the CLI's writers.
+are the references for the CLI's writers.  The phase-table parser that
+splits each numbered line on its own is the reference for the bulk one.
 """
 import cmath
+import itertools
 import json
 import math
 
+import numpy as np
+
+from resdelay.errors import MonotonicityError, ParseError, TooFewRows
 from resdelay.numerics import Peak, _parabolic_refine
+from resdelay.phasedata import _MIN_ROWS, PhaseTable
 
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
@@ -147,3 +153,60 @@ def curve_csv(curve) -> str:
 def report_json(report: dict) -> str:
     """The text of a report file: the encoder over every curve sample."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def parse_phase_table(text: str, source: str = "") -> PhaseTable:
+    """The phase table of a CSV text, each data line kept with its number
+    and split on its own, every field through one ``float`` pass."""
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and line[0] != "#"
+    ]
+    if not lines:
+        raise ParseError("missing header line")
+    lineno, line = lines[0]
+    header = [c.strip() for c in line.split(",")]
+    if header[:2] != ["W_MeV", "delta_deg"] or (
+        len(header) == 3 and header[2] != "err_deg"
+    ) or len(header) > 3:
+        raise ParseError(f"bad header {line!r}", lineno)
+    ncol, rows = len(header), lines[1:]
+    fields = [line.split(",") for _, line in rows]
+    try:
+        if set(map(len, fields)) - {ncol}:
+            raise ValueError("a row has the wrong field count")
+        values = np.fromiter(
+            map(float, itertools.chain.from_iterable(fields)), float, ncol * len(rows)
+        )
+    except ValueError:
+        raise _first_bad_row(rows, fields, ncol) from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        lineno, line = rows[bad[0] // ncol]
+        raise ParseError(f"non-finite field in {line!r}", lineno)
+    if len(rows) < _MIN_ROWS:
+        raise TooFewRows(f"need at least {_MIN_ROWS} rows, got {len(rows)}")
+    w, delta, *err = values.reshape(-1, ncol).T.copy()
+    bad = np.flatnonzero(w[1:] <= w[:-1])
+    if bad.size:
+        i = bad[0] + 1
+        raise MonotonicityError(
+            f"W = {w[i]} does not increase past {w[i - 1]}", rows[i][0]
+        )
+    return PhaseTable(
+        W=w, delta_deg=delta, err_deg=err[0] if err else None, source=source
+    )
+
+
+def _first_bad_row(rows, fields, ncol) -> ParseError:
+    """The :class:`ParseError` of the first row, in file order, with the
+    wrong field count or a field that is not a number."""
+    for (lineno, line), parts in zip(rows, fields):
+        if len(parts) != ncol:
+            return ParseError(f"expected {ncol} fields, got {len(parts)}", lineno)
+        try:
+            list(map(float, parts))
+        except ValueError:
+            return ParseError(f"non-numeric field in {line!r}", lineno)
+    raise AssertionError("every row parses")

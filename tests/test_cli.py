@@ -247,6 +247,31 @@ class TestExitCodes:
             assert run(["sqwell", "--a", "1e300"], tmp_path) == 3
         assert caught == []
 
+    def test_certified_poles_none_found_is_numerical_failure(self, tmp_path, capsys):
+        # exited 0 with "poles": [], no pole to carry the search's
+        # diagnostics, although the winding number counts 17 poles
+        assert run(["sqwell", "--tol", "1e-300"], tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure (NoPoleFound): --tol 1e-300: ")
+        assert "17 poles" in err
+        assert not (tmp_path / "sqwell_report.json").exists()
+
+    def test_table_with_byte_order_mark(self, tmp_path):
+        # a table saved as "CSV UTF-8" exited 2 with "line 1: bad header
+        # '\ufeffW_MeV,delta_deg'"
+        text = resources.files("resdelay").joinpath("data/p33_pip_p.csv").read_text()
+        reports = {}
+        for name, encoding in [("plain", "utf-8"), ("bom", "utf-8-sig")]:
+            table = tmp_path / f"{name}.csv"
+            table.write_text(text, encoding=encoding)
+            assert run(["data", "--input", str(table)], tmp_path / name) == 0
+            reports[name] = json.loads((tmp_path / name / "data_report.json").read_text())
+        assert (tmp_path / "bom.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert ((tmp_path / "bom" / "fig4.csv").read_bytes()
+                == (tmp_path / "plain" / "fig4.csv").read_bytes())
+        for key in ("resonance", "count"):
+            assert reports["bom"][key] == reports["plain"][key]
+
     def test_parse_error_is_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("W_MeV,delta_deg\n1,1\n2,oops\n3,3\n4,4\n5,5\n")

@@ -1,9 +1,15 @@
 """Unit tests for phase-shift-table ingestion and resonance extraction."""
+import gc
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_oracle
+
+from resdelay import phasedata
 from resdelay.errors import MonotonicityError, NoPeak, ParseError, TooFewRows
 from resdelay.numerics import Curve
 from resdelay.phasedata import (
@@ -105,6 +111,153 @@ class TestParsePhaseTable:
         bad = GOOD.replace("1150,30.0", "1150,400.0")
         with pytest.raises(ParseError):
             parse_phase_table(bad)
+
+
+# digits that float() reads besides the ASCII ones
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_FULL_WIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+_BAD_FIELDS = ["abc", "", "nan", "inf", "-inf", "1e999", "12 # note", "1,5"]
+_BAD_HEADERS = ["W_MeV,delta", "energy,phase", "W_MeV,delta_deg,err",
+                "W_MeV,delta_deg,err_deg,note", "delta_deg,W_MeV", "W_MeV"]
+
+
+@st.composite
+def field_text(draw, value: float) -> str:
+    """``value`` as a CSV field, in one of the spellings float() reads,
+    with or without whitespace around it."""
+    text = draw(st.sampled_from([
+        repr(value),
+        f"{value:.3f}",
+        f"{value:.6e}",
+        f"{round(value):_}",
+        f"{value:.2f}".translate(_ARABIC_INDIC),
+        f"{value:.2f}".translate(_FULL_WIDTH),
+    ]))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def phase_table_texts(draw) -> str:
+    """CSV texts of phase tables: valid ones with comments, blank lines and
+    CRLF endings between their rows, and ones with a bad header, a row
+    with a missing or an extra field, a field that is no number or is not
+    finite, a repeated or falling W, or too few rows."""
+    ncol = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 12))
+    w = (1000.0 + np.cumsum(draw(st.lists(
+        st.floats(0.125, 40.0), min_size=n, max_size=n)))).tolist()
+    rows = []
+    for i in range(n):
+        values = [w[i], draw(st.floats(-370.0, 370.0)), draw(st.floats(0.0, 5.0))]
+        rows.append([draw(field_text(v)) for v in values[:ncol]])
+    defects = draw(st.lists(st.tuples(
+        st.integers(0, n - 1),
+        st.sampled_from(["missing", "extra", "field", "repeat", "fall"])),
+        max_size=2)) if n else []
+    # a row's values first, then its field count
+    for i, kind in sorted(defects, key=lambda d: d[1] in ("missing", "extra")):
+        if kind == "missing":
+            rows[i].pop()
+        elif kind == "extra":
+            rows[i].append(draw(field_text(1.0)))
+        elif kind == "field":
+            rows[i][draw(st.integers(0, ncol - 1))] = draw(st.sampled_from(_BAD_FIELDS))
+        elif i:
+            rows[i][0] = rows[i - 1][0] if kind == "repeat" else repr(w[i - 1] - 1.0)
+    header = ["W_MeV", "delta_deg", "err_deg"][:ncol]
+    if draw(st.integers(0, 9)) == 0:
+        header = [draw(st.sampled_from(_BAD_HEADERS))]
+    lines = [", ".join(header) if draw(st.booleans()) else ",".join(header)]
+    lines += [",".join(row) for row in rows]
+    between = st.sampled_from(["", "   ", "# comment", "  # indented, with commas",
+                               "\t#"])
+    text = []
+    for line in lines:
+        text += draw(st.lists(between, max_size=2))
+        text.append(draw(st.sampled_from(["", " ", "  "])) + line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(text) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(parse, text):
+    """A parser's table as the bytes of its arrays, or its error as the
+    type, message and line number."""
+    try:
+        t = parse(text, source="s")
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line_number
+    arrays = (t.W, t.delta_deg) + (() if t.err_deg is None else (t.err_deg,))
+    return [a.view(np.uint64).tobytes() for a in arrays], t.source
+
+
+class TestParseAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(phase_table_texts())
+    def test_same_table_or_error(self, text):
+        # the bulk parse and the per-line one of the oracle give the same
+        # floats bit for bit, or the same error at the same line
+        assert _outcome(parse_phase_table, text) == _outcome(
+            scalar_oracle.parse_phase_table, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n\n", GOOD, GOOD.replace("\n", "\r\n"),
+        GOOD.replace("1120,15.0", "  # 1120,15.0"),
+        GOOD.replace("1120,15.0", "1_120,\u0661\u0665.0"),
+        GOOD.replace("1120,15.0", "1120,15.0,"), GOOD.replace("1120,15.0", "1120"),
+        GOOD.replace("W_MeV,delta_deg", "W_MeV ,\tdelta_deg , err_deg"),
+    ], ids=repr)
+    def test_edge_texts(self, text):
+        assert _outcome(parse_phase_table, text) == _outcome(
+            scalar_oracle.parse_phase_table, text)
+
+
+def _large_table(rows: int) -> str:
+    w = 1000.0 + 0.1 * np.arange(rows)
+    return "W_MeV,delta_deg\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(w.tolist(), np.sin(w / 7.0).tolist()))
+
+
+class TestParseCounts:
+    TEXT = _large_table(5000)
+
+    @staticmethod
+    def collections(parse) -> int:
+        """The garbage collections that one ``parse`` of the table starts,
+        after a full collection."""
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            parse(TestParseCounts.TEXT)
+        finally:
+            gc.callbacks.remove(count)
+        return len(starts)
+
+    def test_no_garbage_collection(self):
+        # the per-line parse built a (line number, line) tuple and a field
+        # list per row: 10,000 containers, 14 generation-0 collections
+        assert self.collections(scalar_oracle.parse_phase_table) > 0
+        assert self.collections(parse_phase_table) == 0
+
+    def test_one_float_call_per_field(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(None)
+            return float(text)
+
+        monkeypatch.setattr(phasedata, "float", counted, raising=False)
+        table = parse_phase_table(self.TEXT)
+        assert len(table) == 5000
+        assert len(calls) == 10_000
 
 
 class TestBundledTable:

@@ -9,7 +9,7 @@ import pytest
 
 from resdelay import poles, scattering
 from resdelay.counting import lorentzian_sum
-from resdelay.errors import ZeroArgument
+from resdelay.errors import NoPoleFound, ZeroArgument
 from resdelay.numerics import (
     CONVERGED, JOIN, NON_FINITE, Curve, _sph_jh, newton_complex,
 )
@@ -394,6 +394,12 @@ class TestFindPoles:
         assert held[1] is None and rounds[0] == 1200
         assert barrier[0].diagnostics["search_end"] == "steps"
         assert barrier[0].diagnostics["rounds"] == 61
+
+    def test_certified_poles_none_found_raises(self):
+        # a tolerance below what |F| reaches in double precision: no seed
+        # converges, and the empty list hid the 17 counted poles
+        with pytest.raises(NoPoleFound, match="any of the 17 poles"):
+            find_poles(SquareWell(5, 10, 0), self.CLI_REGION, tol=1e-300)
 
     @pytest.mark.parametrize("inst_id, outside, above_axis", [
         ("sqwell_highl/r0/i1", 2, 0),

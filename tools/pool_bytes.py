@@ -43,19 +43,22 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def instances(workloads: list[str] | None) -> list[dict]:
-    """Every instance of the reference pools, in file order."""
+def instances(workloads: list[str] | None, pipeline: str | None = None) -> list[dict]:
+    """Every instance of the reference pools, in file order; with a
+    ``pipeline``, only the instances of that subcommand."""
     ref = json.loads((BENCH / "reference.json").read_text("utf-8"))["workloads"]
     return [
         inst
         for name, rounds in ref.items() if workloads is None or name in workloads
         for rnd in rounds
-        for inst in rnd
+        for inst in rnd if pipeline is None or inst["argv"][0] == pipeline
     ]
 
 
-def run_pool(tree: Path, work: Path, workloads: list[str] | None):
-    """Run every instance against ``tree`` in this process, in file order.
+def run_pool(tree: Path, work: Path, workloads: list[str] | None,
+             pipeline: str | None = None):
+    """Run every instance (of ``pipeline``, if given) against ``tree`` in
+    this process, in file order.
 
     Yields ``(instance, exit code, stderr text, output directory, seconds)``
     per instance, the seconds those of the ``main`` call alone.  The tables
@@ -72,7 +75,7 @@ def run_pool(tree: Path, work: Path, workloads: list[str] | None):
     tables, out = work / "tables", work / "out"
     shutil.rmtree(tables, ignore_errors=True)
     tables.mkdir()
-    for inst in instances(workloads):
+    for inst in instances(workloads, pipeline):
         argv = pool.materialize(inst, tables)
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
@@ -130,13 +133,15 @@ def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
 
 
 def run_tree(tree: Path, work: Path, workloads: list[str] | None,
-             script: str = __file__) -> dict:
+             script: str = __file__, pipeline: str | None = None) -> dict:
     """The ``--collect`` output of ``script`` (by default this one) for
     ``tree``, run in a child interpreter, so each tree has its own
-    imports."""
+    imports; a ``pipeline`` is passed on as ``--pipeline``."""
     cmd = [sys.executable, script, "--collect", str(tree), "--work", str(work)]
     for name in workloads or ():
         cmd += ["--workload", name]
+    if pipeline is not None:
+        cmd += ["--pipeline", pipeline]
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)

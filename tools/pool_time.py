@@ -8,6 +8,11 @@ times the second pass, each instance's ``main`` call alone::
 
     python tools/pool_time.py OLD_TREE NEW_TREE --workload sqwell_highl --pairs 10
 
+``--pipeline NAME`` times only the instances of the workload that run that
+subcommand, for example the 60 phase tables of ``closed_form``::
+
+    python tools/pool_time.py OLD_TREE NEW_TREE --workload closed_form --pipeline data
+
 Per pair and tree the script takes the median instance time of each
 pipeline, and of the instances that exit 0 in both trees: a median over the
 whole pool mixes pipelines, and instances that exit early pull it down.  It
@@ -29,18 +34,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-from pool_bytes import run_pool, run_tree
+from pool_bytes import instances, run_pool, run_tree
 
 
-def collect(tree: Path, work: Path, workloads: list[str]) -> dict:
-    """The pipeline, exit code and seconds of every instance, by id, from
-    the second of two passes of :func:`pool_bytes.run_pool`, and the peak
-    resident set in MB after both passes."""
-    for _ in run_pool(tree, work, workloads):  # warm-up pass
+def collect(tree: Path, work: Path, workloads: list[str],
+            pipeline: str | None = None) -> dict:
+    """The pipeline, exit code and seconds of every instance (of
+    ``pipeline``, if given), by id, from the second of two passes of
+    :func:`pool_bytes.run_pool`, and the peak resident set in MB after both
+    passes."""
+    for _ in run_pool(tree, work, workloads, pipeline):  # warm-up pass
         pass
     runs = {
         inst["id"]: {"pipeline": inst["argv"][0], "exit": rc, "seconds": seconds}
-        for inst, rc, _, _, seconds in run_pool(tree, work, workloads)
+        for inst, rc, _, _, seconds in run_pool(tree, work, workloads, pipeline)
     }
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"instances": runs, "peak_rss_mb": peak}
@@ -96,27 +103,34 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
     parser.add_argument("--workload", required=True, help="the bench workload")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (10)")
+    parser.add_argument("--pipeline", help="only the instances of this subcommand")
     parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect is not None:
-        print(json.dumps(collect(args.collect, args.work, [args.workload])))
+        print(json.dumps(collect(args.collect, args.work, [args.workload],
+                                 args.pipeline)))
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD_TREE NEW_TREE")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not instances([args.workload], args.pipeline):
+        parser.error(f"workload {args.workload!r} has no instance"
+                     + (f" of pipeline {args.pipeline!r}" if args.pipeline else ""))
     runs: tuple[list[dict], list[dict]] = ([], [])
     peaks: tuple[list[float], list[float]] = ([], [])
     with tempfile.TemporaryDirectory() as work:
         for i in range(args.pairs):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 tree = args.trees[side]
-                child = run_tree(tree, Path(work), [args.workload], __file__)
+                child = run_tree(tree, Path(work), [args.workload], __file__,
+                                 args.pipeline)
                 runs[side].append(child["instances"])
                 peaks[side].append(child["peak_rss_mb"])
     differ = sum(a[key]["exit"] != b[key]["exit"] for a, b in zip(*runs) for key in a)
-    print(f"{args.workload}: {args.pairs} pairs, old tree first in odd pairs; "
+    what = args.workload + (f" --pipeline {args.pipeline}" if args.pipeline else "")
+    print(f"{what}: {args.pairs} pairs, old tree first in odd pairs; "
           f"seconds are per-pair medians of instance times")
     print("\n".join(summary(runs)))
     old, new = (statistics.median(side) for side in peaks)
