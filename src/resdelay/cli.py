@@ -532,7 +532,9 @@ def run_data(args) -> dict:
         raise ValueError(f"--wlo {w_lo} --whi {w_hi}: the window holds {rows} of the "
                          f"table's rows, whose W runs from {table.W[0]} to "
                          f"{table.W[-1]}; the peak search needs 3")
-    res = extract_resonance(curve, w_lo, w_hi)
+    # smoothing serves the peak only: n_R counts the table's own phases
+    raw = curve if args.smooth == 1 else delay_from_table(table)
+    res = extract_resonance(curve, w_lo, w_hi, count_curve=raw)
     report = _base_report(args)
     report["resonance"] = res.to_dict()
     report["count"] = CountReport.from_n_R(res.n_R, (w_lo, w_hi), 0.0,

@@ -83,8 +83,8 @@ def parse_phase_table(text: str, source: str = "") -> PhaseTable:
     join and one ``float`` pass, with no object built per line; a field
     count or a number that does not parse raises :class:`ParseError` at
     the first such line in file order, and so does then a field that is
-    not finite (``nan``, ``inf``).  Line numbers are recovered only for
-    an error (:func:`_numbered`)."""
+    not finite (``nan``, ``inf``), and then a phase beyond 360 degrees.
+    Line numbers are recovered only for an error (:func:`_numbered`)."""
     lines = _data_lines(text)
     if not lines:
         raise ParseError("missing header line")
@@ -112,6 +112,10 @@ def parse_phase_table(text: str, source: str = "") -> PhaseTable:
     if bad.size:
         lineno, line = _numbered(text)[1 + bad[0] // ncol]
         raise ParseError(f"non-finite field in {line!r}", lineno)
+    bad = np.flatnonzero(np.abs(values[1::ncol]) > 360)
+    if bad.size:
+        lineno, line = _numbered(text)[1 + bad[0]]
+        raise ParseError(f"|delta| exceeds 360 degrees in {line!r}", lineno)
     if len(rows) < _MIN_ROWS:
         raise TooFewRows(f"need at least {_MIN_ROWS} rows, got {len(rows)}")
     w, delta, *err = values.reshape(-1, ncol).T.copy()
@@ -186,9 +190,15 @@ def delay_from_table(table: PhaseTable, smooth_window: int = 1) -> Curve:
     return Curve(table.W, d, label="time_delay_per_MeV")
 
 
-def extract_resonance(curve: Curve, W_lo: float, W_hi: float) -> ResonanceReport:
+def extract_resonance(curve: Curve, W_lo: float, W_hi: float,
+                      count_curve: Curve | None = None) -> ResonanceReport:
     """Resonance mass/width from the highest delay peak plus the counting
-    integral (trapezoidal on the data grid) over [W_lo, W_hi]."""
+    integral (trapezoidal on the data grid) over [W_lo, W_hi].
+
+    Where ``count_curve``, a delay on the same grid, is given, the integral
+    runs over it: a smoothed delay's peak is then read beside the count of
+    the table's own phases, which the moving average's padded ends would
+    shrink."""
     mask = (curve.energies >= W_lo) & (curve.energies <= W_hi)
     if int(np.sum(mask)) < 3:
         raise ValueError("window contains fewer than 3 samples")
@@ -197,7 +207,8 @@ def extract_resonance(curve: Curve, W_lo: float, W_hi: float) -> ResonanceReport
     if not maxima:
         raise NoPeak(f"no interior maximum in [{W_lo}, {W_hi}]")
     best = max(maxima, key=lambda p: p.height)
-    n_r = float(np.trapezoid(sub.values, sub.energies)) / math.pi
+    counted = curve if count_curve is None else count_curve
+    n_r = float(np.trapezoid(counted.values[mask], counted.energies[mask])) / math.pi
     return ResonanceReport(
         M=best.position,
         Gamma=gamma_from_peak(best.height),

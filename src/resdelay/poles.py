@@ -34,7 +34,7 @@ from .numerics import (
     find_extrema,
     newton_complex,
 )
-from .scattering import DeltaShell, ScatteringModel, SquareWell, _outgoing
+from .scattering import E_MIN, DeltaShell, ScatteringModel, SquareWell, _outgoing
 
 __all__ = [
     "Pole",
@@ -127,8 +127,8 @@ class Pole:
 
 @dataclass(frozen=True)
 class SearchRegion:
-    """Rectangle in the lower-half complex E plane, with finite bounds,
-    plus seed grid counts."""
+    """Rectangle in the lower-half complex E plane, with finite bounds that
+    end above E_MIN (:func:`_re_range`), plus seed grid counts."""
 
     re_range: tuple[float, float]
     im_range: tuple[float, float]
@@ -139,8 +139,8 @@ class SearchRegion:
         if not all(map(math.isfinite, (*self.re_range, *self.im_range))):
             raise ValueError("the search region's bounds must be finite")
         lo, hi = self.re_range
-        if not (hi > lo >= 0):
-            raise ValueError("require E_hi > E_lo >= 0")
+        if not (hi > max(lo, E_MIN) and lo >= 0):
+            raise ValueError(f"require E_hi > max(E_lo, {E_MIN:g}) and E_lo >= 0")
         ilo, ihi = self.im_range
         if not (ilo < ihi <= 0):
             raise ValueError("im_range must lie in the lower half plane")
@@ -202,26 +202,24 @@ def _regularised_phase(model: ScatteringModel, E: np.ndarray):
             dlog + 0.5 * ((l + 1) / E - l / q))
 
 
+def _re_range(region: SearchRegion) -> tuple[float, float]:
+    """The real range of the pole search, for its seeds, its counting box
+    and the roots it keeps: the region's, from the threshold guard E_MIN at
+    least, so that no sample lands on the branch point E = 0."""
+    lo, hi = region.re_range
+    return max(lo, E_MIN), hi
+
+
 def _top_edge(model: ScatteringModel, region: SearchRegion) -> float:
-    """Im E of the counting box's top edge: the largest g/(3 2^j - 1),
-    g = -Im E of the bottom edge, j = 0, 1, ..., at which Im(ka) <= 7 on the
-    top edge (0 when none is).  E = 0, where the left edge at Re E = 0
-    meets the real axis, then lies at the fraction 1/(3 2^j) of that edge
-    from its top, which no sample of the dyadic grids the count bisects
-    lands on."""
+    """Im E of the counting box's top edge: the largest at which Im(ka) <= 7
+    on it.  a Im sqrt(x + i eta) is largest at the top-left corner x = x0,
+    and equals 7 at eta = 2c sqrt(x0 + c^2), c = 7/a."""
     c = _MAX_IM_KA / model.a
-    # a Im sqrt(x + i eta) <= 7 at the top-left corner x = Re E, where it
-    # is largest on the edge
-    eta_max = 2.0 * c * math.sqrt(region.re_range[0] + c * c)
-    g, j = -region.im_range[0], 0
-    while g / (3 * 2**j - 1) > eta_max and j < 60:
-        j += 1
-    eta = g / (3 * 2**j - 1)
-    return eta if eta <= eta_max else 0.0
+    return 2.0 * c * math.sqrt(_re_range(region)[0] + c * c)
 
 
 def _winding_number(model: ScatteringModel, region: SearchRegion) -> int | None:
-    """The number of poles in the box Re E in ``re_range``, Im E in
+    """The number of poles in the box Re E in :func:`_re_range`, Im E in
     [Im E_lo, +eta] (:func:`_top_edge`): the winding number of G
     (:func:`_regularised_phase`) around the box's edge, counter-clockwise.
 
@@ -230,14 +228,11 @@ def _winding_number(model: ScatteringModel, region: SearchRegion) -> int | None:
     (an interval of length 0 between the slopes of its two edges).  arg G
     is unwrapped by :func:`~resdelay.numerics._unwrap`, period 2 pi, guided
     by its exact slope Im(G'/G dE/ds).  Returns None when the count is not
-    certified: a top edge that does not fit, a sample at E = 0 or at a
-    branch point, a sample that is not finite, an unwrap that raises
-    :class:`MaxDepthExceeded`, or a winding that is not an integer.  No
-    warning is raised either way."""
-    (x0, x1), (y0, _) = region.re_range, region.im_range
+    certified: a sample at the branch point E = -V0 or one that is not
+    finite, an unwrap that raises :class:`MaxDepthExceeded`, or a winding
+    that is not an integer.  No warning is raised either way."""
+    (x0, x1), (y0, _) = _re_range(region), region.im_range
     y1 = _top_edge(model, region)
-    if not y1 > 0:
-        return None
     # the start and the direction of each edge: bottom, right, top, left
     start_re, start_im = np.array([x0, x1, x1, x0]), np.array([y0, y0, y1, y1])
     w, h = x1 - x0, y1 - y0
@@ -248,8 +243,6 @@ def _winding_number(model: ScatteringModel, region: SearchRegion) -> int | None:
         t = s - edge
         E = ((start_re[edge] + t * step_re[edge])
              + 1j * (start_im[edge] + t * step_im[edge]))
-        if (E == 0).any():
-            raise ZeroArgument("a sample of the count lies on E = 0")
         phase, dlog = _regularised_phase(model, E)
         return phase, (dlog * (step_re[edge] + 1j * step_im[edge])).imag
 
@@ -271,16 +264,16 @@ def _winding_number(model: ScatteringModel, region: SearchRegion) -> int | None:
 
 def _spurious_zero_inside(model: ScatteringModel, region: SearchRegion) -> bool:
     """F has a zero in the counting box that is not a pole: E = -V0 of a
-    square well, where F vanishes with p, lies in the real range of the
-    box (a barrier's, or V0 = 0 with the box from Re E = 0)."""
-    lo, hi = region.re_range
+    barrier, where F vanishes with p, lies in the box's real range
+    (:func:`_re_range`)."""
+    lo, hi = _re_range(region)
     return isinstance(model, SquareWell) and lo <= -model.V0 <= hi
 
 
 def _inside(region: SearchRegion, z: np.ndarray) -> np.ndarray:
-    """Elementwise: z lies in the region's real range, and in
-    [Im E_lo, 0) below the axis."""
-    (re_lo, re_hi), (im_lo, _) = region.re_range, region.im_range
+    """Elementwise: z lies in the search's real range (:func:`_re_range`),
+    and in [Im E_lo, 0) below the axis."""
+    (re_lo, re_hi), (im_lo, _) = _re_range(region), region.im_range
     return (re_lo <= z.real) & (z.real <= re_hi) & (im_lo <= z.imag) & (z.imag < 0)
 
 
@@ -425,8 +418,8 @@ def find_poles(
     rounds it ran and ``joined_round`` the round the held seeds joined in
     (None where they never did or none were held).
     """
-    (re_lo, re_hi), (im_lo, im_hi) = region.re_range, region.im_range
-    seeds_re = np.linspace(max(re_lo, 1e-6), re_hi, region.n_re)
+    (re_lo, re_hi), (im_lo, im_hi) = _re_range(region), region.im_range
+    seeds_re = np.linspace(re_lo, re_hi, region.n_re)
     # quadratic spacing toward the real axis: narrow poles sit just below it
     ihi = min(im_hi, -1e-6)
     frac = np.linspace(1.0 / region.n_im, 1.0, region.n_im)

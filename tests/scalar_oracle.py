@@ -185,6 +185,10 @@ def parse_phase_table(text: str, source: str = "") -> PhaseTable:
     if bad.size:
         lineno, line = rows[bad[0] // ncol]
         raise ParseError(f"non-finite field in {line!r}", lineno)
+    bad = np.flatnonzero(np.abs(values[1::ncol]) > 360)
+    if bad.size:
+        lineno, line = rows[bad[0]]
+        raise ParseError(f"|delta| exceeds 360 degrees in {line!r}", lineno)
     if len(rows) < _MIN_ROWS:
         raise TooFewRows(f"need at least {_MIN_ROWS} rows, got {len(rows)}")
     w, delta, *err = values.reshape(-1, ncol).T.copy()

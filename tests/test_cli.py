@@ -20,6 +20,9 @@ from resdelay import cli, counting, poles, reflect, scattering
 from resdelay.cli import main
 from resdelay.counting import CountReport
 from resdelay.numerics import Curve
+from resdelay.phasedata import (
+    delay_from_table, extract_resonance, load_bundled_p33, synth_phase_table,
+)
 
 
 def load_schema():
@@ -225,6 +228,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error (ParseError): line 5: non-finite field in 'inf,15.0'\n"
 
+    def test_data_phase_beyond_360_names_its_line(self, tmp_path, capsys):
+        # exited 2 with "|delta| exceeds 360 degrees", no line number
+        table = tmp_path / "table.csv"
+        rows = [f"{1100 + 10 * i},{5.0 * i}" for i in range(8)]
+        rows[3] = "1130,-400.0"
+        table.write_text("W_MeV,delta_deg\n" + "\n".join(rows) + "\n")
+        assert run(["data", "--input", str(table)], tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == ("error (ParseError): line 5: |delta| exceeds 360 degrees "
+                       "in '1130,-400.0'\n")
+
     def test_output_path_that_is_a_file_names_the_path(self, tmp_path, capsys):
         # mkdir raised an uncaught FileExistsError (exit 1)
         taken = tmp_path / "taken"
@@ -408,6 +422,33 @@ class TestOutputs:
         count = report["count"]
         assert set(count) == {f.name for f in dataclasses.fields(CountReport)}
         assert count["N"] + count["Delta"] == pytest.approx(count["n_R"], abs=1e-12)
+
+    @pytest.mark.parametrize("synthetic", [False, True], ids=["bundled", "synthetic"])
+    def test_smoothing_keeps_n_R(self, tmp_path, synthetic):
+        # the moving average pads each end with the end value, which shrank
+        # the smoothed phase change: n_R read 0.649848 at --smooth 45 on the
+        # bundled table and 0.7058335 at --smooth 301 on the synthetic one.
+        # n_R counts the table's own phases; M and Gamma read the smoothed
+        # delay's peak, as before
+        if synthetic:
+            table = synth_phase_table(1232.0, 115.0, 0.001, 1100.0, 1400.0, 301)
+            path = tmp_path / "synthetic.csv"
+            path.write_text("W_MeV,delta_deg\n" + "".join(
+                f"{w!r},{d!r}\n" for w, d in zip(table.W.tolist(),
+                                                  table.delta_deg.tolist())))
+            argv, n_R = ["data", "--input", str(path)], 0.8597576616763176
+        else:
+            table, argv, n_R = load_bundled_p33(), ["data"], 0.8728333333333333
+        lo, hi = float(table.W[0]), float(table.W[-1])
+        for window in range(1, len(table) + 1, 2):
+            out = tmp_path / str(window)
+            assert run(argv + ["--smooth", str(window)], out) == 0
+            report = json.loads((out / "data_report.json").read_text())
+            assert report["resonance"]["n_R"] == pytest.approx(n_R, rel=0, abs=1e-12)
+            assert report["count"]["n_R"] == report["resonance"]["n_R"]
+            peak = extract_resonance(delay_from_table(table, window), lo, hi)
+            assert report["resonance"]["M_MeV"] == peak.M
+            assert report["resonance"]["Gamma_MeV"] == peak.Gamma
 
     def test_step_report(self, tmp_path):
         assert run(["step"], tmp_path) == 0

@@ -947,6 +947,12 @@ class TestIntegrate:
         exact = 2 * math.atan(100.0)
         assert q.value == pytest.approx(exact, abs=1e-6)
 
+    def test_empty_range_takes_no_sample(self):
+        f, calls = self.counted(np.exp)
+        q = integrate(f, 2.5, 2.5, 1e-10)
+        assert (q.value, q.error_bound, q.evaluations) == (0.0, 0.0, 0)
+        assert calls == []
+
     def test_reversal_antisymmetry(self):
         fwd = integrate(np.exp, 0.0, 2.0, 1e-10).value
         bwd = integrate(np.exp, 2.0, 0.0, 1e-10).value
@@ -1022,6 +1028,11 @@ class TestFindExtrema:
         assert peak.kind == "max"
         assert peak.position == pytest.approx(1.2, abs=1e-12)
         assert peak.height == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("y", [(2.0, 4.0, 8.0), (5.0, 5.0, 5.0)], ids=["line", "flat"])
+    def test_degenerate_triple_refines_to_the_middle_point(self, y):
+        # three points on a line (here of slope 2, or flat) have no vertex
+        assert numerics._parabolic_refine(0.0, 1.0, 3.0, *y) == (1.0, y[1])
 
     def test_monotone_curve_is_empty(self):
         e = np.linspace(0, 1, 50)

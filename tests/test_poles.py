@@ -2,6 +2,7 @@
 import cmath
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from resdelay import poles, scattering
 from resdelay.counting import lorentzian_sum
-from resdelay.errors import NoPoleFound, ZeroArgument
+from resdelay.errors import MaxDepthExceeded, NoPoleFound, ZeroArgument
 from resdelay.numerics import (
     CONVERGED, JOIN, NON_FINITE, Curve, _sph_jh, newton_complex,
 )
@@ -145,7 +146,7 @@ class TestFindPoles:
         # the seeds run as one batch: each round evaluates the residual once
         # on the seeds still running, which is one spherical-Bessel pass
         # (_sph_jh: j_l(pa) and h_l(ka) together).  The count of the box
-        # takes 4 passes on 362 samples.  The batch starts on the 300 coarse
+        # takes 4 passes on 361 samples.  The batch starts on the 300 coarse
         # seeds; they find 14 of the 16 counted poles by round 5, and
         # rounds 6 to 9 bring no new root, so the 900 other seeds join in
         # round 10 (with the 97 coarse seeds still running).  The batch
@@ -181,7 +182,7 @@ class TestFindPoles:
         monkeypatch.setattr(poles, "_regularised_phase", phase)
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
-        assert len(samples) == 4 and sum(samples) == 362 and samples[0] == 260
+        assert len(samples) == 4 and sum(samples) == 361 and samples[0] == 260
         assert rounds == [300, 300, 275, 220, 202, 184, 165, 149, 129, 112,
                           997, 983, 917, 16, 16]
         assert sum(rounds[:-2]) == 4933
@@ -535,6 +536,13 @@ class TestPoleType:
         with pytest.raises(ValueError):
             SearchRegion((0.0, 1.0), (0.5, 1.0))
 
+    @pytest.mark.parametrize("re_range", [(0.0, 1e-6), (0.0, 5e-7), (2e-7, 8e-7)])
+    def test_region_must_end_above_the_threshold_guard(self, re_range):
+        # the search starts at E_MIN = 1e-6: such a region has no box to
+        # count and no seed row to start from
+        with pytest.raises(ValueError, match="E_hi > max"):
+            SearchRegion(re_range, (-1.0, 0.0))
+
 
 class TestClassifyPole:
     def test_synthetic_lorentzian_is_resonance(self):
@@ -773,9 +781,12 @@ class TestWindingNumber:
 
     @pytest.mark.parametrize("model, region", COUNTED, ids=str)
     def test_top_edge_keeps_im_ka_at_most_7(self, model, region):
+        # Im(ka) is largest on the top edge at its left corner, where the
+        # box starts at the threshold guard, and there it reaches 7
         eta = poles._top_edge(model, region)
-        corner = complex(region.re_range[0], eta)
-        assert 0 < eta and cmath.sqrt(corner).imag * model.a <= 7.0 * (1 + 1e-15)
+        corner = complex(max(region.re_range[0], scattering.E_MIN), eta)
+        im_ka = cmath.sqrt(corner).imag * model.a
+        assert 0 < eta and 7.0 * (1 - 1e-15) <= im_ka <= 7.0 * (1 + 1e-15)
 
     @pytest.mark.parametrize("inst_id, missed", [
         ("sqwell_highl/r2/i4", 0.168245380 - 0.001476100j),
@@ -808,9 +819,13 @@ class TestWindingNumber:
     def test_early_stop_finds_the_full_runs_poles(self, monkeypatch, inst):
         # every sqwell and deltashell instance of the bench pools: the
         # coarse-to-fine search that the count stops finds the poles of
-        # the full run, and a complete search has no failed seed
+        # the full run, and a complete search has no failed seed.  The
+        # count is certified on each, and it is the number of poles found,
+        # one more where the seed grid misses a pole
         m, region = instance_model(inst)
         early = find_poles(m, region, tol=1e-8)
+        missed = inst["id"] in ("sqwell_highl/r2/i4", "sqwell_highl/r2/i9")
+        assert poles._winding_number(m, region) == len(early) + missed
         full = full_run(monkeypatch, m, region)
         assert_same_poles(early, full)
         assert all(p.diagnostics["winding_number"] is None for p in full)
@@ -852,11 +867,25 @@ class TestWindingNumber:
         for a, b in zip(early, full):
             assert abs(a.energy - b.energy) < 1e-6 * (1.0 + abs(b.energy))
 
-    def test_uncertified_count_runs_in_full_without_warning(self):
-        # with a = 1e300 no top edge keeps Im(ka) <= 7 above E = 0
+    def test_uncertified_count_runs_in_full_without_warning(self, monkeypatch):
+        # with a = 1e300 the box is 1.4e-302 high, and the unwrap of its
+        # phase runs out of depth
+        raised = []
+
+        def unwrap(*args):
+            try:
+                return numerics_unwrap(*args)
+            except Exception as exc:
+                raised.append(type(exc))
+                raise
+
+        numerics_unwrap = poles._unwrap
+        monkeypatch.setattr(poles, "_unwrap", unwrap)
         m = SquareWell(5, 1e300, 0)
-        assert poles._top_edge(m, SQWELL_REGION) == 0.0
-        assert poles._winding_number(m, SQWELL_REGION) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert poles._winding_number(m, SQWELL_REGION) is None
+        assert raised == [MaxDepthExceeded]
 
     @pytest.mark.xfail(strict=True, reason=(
         "F vanishes like p^8 at E = -V0 under this barrier, so Newton "
