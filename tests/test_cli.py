@@ -255,7 +255,8 @@ class TestExitCodes:
 
     def test_huge_range_overflows_to_inf(self, tmp_path):
         # a**2 of a Python float raised an uncaught OverflowError (exit 1);
-        # the pole count finds no top edge and is not certified, silently
+        # the pole count's unwrap runs out of depth on a box 1.4e-302 high,
+        # and the count is not certified, silently
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run(["sqwell", "--a", "1e300"], tmp_path) == 3
