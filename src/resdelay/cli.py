@@ -481,6 +481,8 @@ def run_step(args) -> dict:
              f"2e-06 above the barrier top V1 + V2 = {step.threshold}")
     _require(args, "emax", lambda v: v > args.emin,
              f"the energy range must end above --emin {args.emin}")
+    # a barrier top at or below 0 leaves --emin to start the range
+    _require(args, "emin", lambda v: max(v, lo) > 0, "the energy range must start above 0")
     lo = max(args.emin, lo)
     # r and its delay on one grid shared by the reflectivity and delay curves
     grid = _sample_grid(lo, args.emax, max(args.grid, 2000))

@@ -107,6 +107,7 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _near_nonpositive_integer(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -115,18 +116,33 @@ def _near_nonpositive_integer(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return (np.abs(z.imag) <= tol) & (n <= 0) & (np.abs(z.real - n) <= tol)
 
 
-def _lanczos(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma(z) and psi(z) = Gamma'(z)/Gamma(z) for Re(z) >= 0.5,
-    elementwise, from one Lanczos sum: psi is the log-derivative of the
-    Lanczos form."""
+def _lanczos(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Lanczos form of Gamma(z) for Re(z) >= 0.5, elementwise: w = z - 1,
+    t = w + g + 1/2, the sum s and its derivative ds/dz, with
+    Gamma(z) = sqrt(2 pi) t**(w + 1/2) exp(-t) s."""
     w = z - 1.0
     s, ds = _LANCZOS_C[0], 0.0
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        s += c / (w + i)
-        ds -= c / (w + i) ** 2
-    t = w + _LANCZOS_G + 0.5
-    return (math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * s,
-            np.log(t) + (w + 0.5) / t - 1.0 + ds / s)
+        inv = 1.0 / (w + i)
+        s += c * inv
+        ds -= c * inv * inv
+    return w, w + _LANCZOS_G + 0.5, s, ds
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """The principal log of a complex array, as log|x| + i arg x: numpy's
+    complex log is several times slower than the real log and arctan2."""
+    return np.log(np.abs(x)) + 1j * np.arctan2(x.imag, x.real)
+
+
+def _log_gamma(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Gamma(z) and psi(z) = Gamma'(z)/Gamma(z) for Re(z) >= 0.5,
+    elementwise, from one Lanczos sum: psi is the log-derivative of the
+    Lanczos form."""
+    w, t, s, ds = _lanczos(z)
+    log_t = _log(t)
+    return (_HALF_LOG_2PI + (w + 0.5) * log_t - t + _log(s),
+            log_t + (w + 0.5) / t - 1.0 + ds / s)
 
 
 def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
@@ -143,7 +159,8 @@ def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     if poles.any():
         raise PoleOfGamma(f"gamma pole at {flat[poles][0]}")
     refl = flat.real < 0.5
-    g, _ = _lanczos(np.where(refl, 1.0 - flat, flat))
+    w, t, s, _ = _lanczos(np.where(refl, 1.0 - flat, flat))
+    g = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * s
     # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
     g[refl] = math.pi / (np.sin(math.pi * flat[refl]) * g[refl])
     return g.reshape(z.shape) if isinstance(z, np.ndarray) else g.item()
@@ -185,7 +202,8 @@ def bessel_j(nu: complex | np.ndarray, z: complex, order_derivative: bool = Fals
     d2J/dz dnu)``, the order derivatives summed in the same loop from
     d(term_k)/dnu = term_k (ln(z/2) - psi(nu + k + 1)) (DLMF 10.15.1), with
     psi as a running sum from psi(nu + 1), which one Lanczos loop gives
-    together with Gamma(nu + 1).  Their domain is Re(nu) > -1/2 and z != 0
+    together with the first term's log Gamma(nu + 1) (in both modes, where
+    Re(nu + 1) >= 1/2).  Their domain is Re(nu) > -1/2 and z != 0
     (``ValueError`` otherwise), which holds the purely imaginary orders of
     the exponential step.  J and dJ/dz are the same bits either way; the
     order derivatives stop by their own rule once J has stopped.
@@ -240,10 +258,10 @@ def _bessel_series(nu: np.ndarray, z: complex,
                    order_derivative: bool = False) -> tuple[np.ndarray, ...]:
     """The series of :func:`bessel_j` on a 1-D array of orders at z != 0.
 
-    The orders still summing are kept packed: one that meets the stopping
-    rule has its sums checked and stored, and leaves the running arrays.
-    With ``order_derivative`` an order leaves once its order-derivative
-    sums meet the rule too, at or after J's step; J stays as stored.
+    Every order runs until the last one stops: one that meets the stopping
+    rule has its sums checked and stored, and its later terms are not read.
+    With ``order_derivative`` its order-derivative sums are stored once they
+    meet the rule too, at or after J's step; J stays as stored.
     """
     # at an order -n the series divides by k (nu + k) = 0 at k = n; there
     # J_{-n} = (-1)^n J_n, and the same for the derivative
@@ -251,86 +269,89 @@ def _bessel_series(nu: np.ndarray, z: complex,
     negative_int = (nu.imag == 0) & (n < 0) & (nu.real == n)
     sign, nu = np.where(negative_int, (-1.0) ** n, 1.0), np.where(negative_int, -nu, nu)
     half = z / 2.0
-    log_half = cmath.log(half)
-    # k = 0 term; reciprocal gamma absorbs potential poles harmlessly.  Far
-    # out along the imaginary order axis Gamma(nu + 1) underflows, and its
-    # reciprocal or the first terms overflow
+    log_half, inv_z = cmath.log(half), 1.0 / z
+    # k = 0 term (z/2)**nu / Gamma(nu + 1) = exp(nu ln(z/2) - ln Gamma(nu + 1))
+    # where Re(nu + 1) >= 1/2, which holds every order of the order
+    # derivative; below, the reciprocal gamma absorbs the poles harmlessly.
+    # Far out along the imaginary order axis Gamma(nu + 1) underflows, and
+    # the first terms overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if order_derivative:
-            # Re(nu + 1) > 1/2: no pole of Gamma, and no reflection
-            gamma, psi = _lanczos(nu + 1.0)
-            term = np.exp(nu * log_half) * (1.0 / gamma)
-        else:
-            term = np.exp(nu * log_half) * _reciprocal_gamma(nu + 1.0)
-        dterm = (nu / z) * term
+        low = nu.real < -0.5
+        log_gamma, psi = _log_gamma(np.where(low, 1.0, nu + 1.0))
+        term = np.exp(nu * log_half - log_gamma)
+        if low.any():
+            term[low] = np.exp(nu[low] * log_half) * _reciprocal_gamma(nu[low] + 1.0)
+        dterm = nu * inv_z * term
         over = ~(np.abs(term) + np.abs(dterm) <= _BESSEL_MAX_FIRST_TERM)
         if order_derivative:
             # d ln(term_k)/dnu = ln(z/2) - psi(nu + k + 1), here at k = 0
             dlog = log_half - psi
             nterm = term * dlog
-            ndterm = term / z + dterm * dlog
+            ndterm = term * inv_z + dterm * dlog
             over |= ~(np.abs(nterm) + np.abs(ndterm) <= _BESSEL_MAX_FIRST_TERM)
     if over.any():
         raise SeriesNonConvergence(
             f"J_nu series overflows at nu={nu[over][0]}, z={z}: its first term "
             f"exceeds {_BESSEL_MAX_FIRST_TERM:g}"
         )
-    total, dtotal = term, dterm
+    total, dtotal = term.copy(), dterm.copy()
     acc, dacc = np.abs(term), np.abs(dterm)
     J, dJ = np.empty_like(term), np.empty_like(term)
+    summing = np.ones(nu.size, dtype=bool)  # orders whose J still sums
+    # orders whose J is stored and whose order derivatives still sum
+    waiting = np.zeros(nu.size, dtype=bool)
+    left = nu.size  # orders with a sum still running
     if order_derivative:
-        ntotal, ndtotal = nterm, ndterm
+        ntotal, ndtotal = nterm.copy(), ndterm.copy()
         nacc, ndacc = np.abs(nterm), np.abs(ndterm)
         nJ, ndJ = np.empty_like(term), np.empty_like(term)
-        summing = np.ones(nu.size, dtype=bool)  # orders whose J still sums
     ratio_base = -half * half
-    left = np.arange(nu.size)  # positions of the orders still summing
     k = 0
-    while left.size:
+    while left:
         k += 1
         if k > _BESSEL_MAX_TERMS:
             raise SeriesNonConvergence(
-                f"J_nu series exceeded {_BESSEL_MAX_TERMS} terms at nu={nu[0]}, z={z}"
+                f"J_nu series exceeded {_BESSEL_MAX_TERMS} terms at "
+                f"nu={nu[summing | waiting][0]}, z={z}"
             )
-        term = term * ratio_base / (k * (nu + k))
-        dterm = ((nu + 2 * k) / z) * term
-        total = total + term
-        dtotal = dtotal + dterm
+        # one reciprocal per term, for the ratio of the terms and for psi
+        inv = 1.0 / (nu + k)
+        term = term * (ratio_base / k) * inv
+        dterm = (nu + 2 * k) * inv_z * term
+        total += term
+        dtotal += dterm
         size = np.abs(term)
-        acc = acc + size
-        dacc = dacc + np.abs(dterm)
-        done = size < 1e-16 * acc
-        if order_derivative:
-            psi = psi + 1.0 / (nu + k)
-            dlog = log_half - psi
-            nterm = term * dlog
-            ndterm = term / z + dterm * dlog
-            ntotal = ntotal + nterm
-            ndtotal = ndtotal + ndterm
-            nsize = np.abs(nterm)
-            nacc = nacc + nsize
-            ndacc = ndacc + np.abs(ndterm)
-            store, summing = done & summing, summing & ~done
-            done = ~summing & (nsize < 1e-16 * nacc)
-        else:
-            store = done
-        if store.any():
+        acc += size
+        dacc += np.abs(dterm)
+        store = summing & (size < 1e-16 * acc)
+        stored = np.count_nonzero(store)
+        if stored:
             _check_roundoff("J_nu", nu[store], z, acc[store], dacc[store],
                             total[store], dtotal[store])
-            J[left[store]], dJ[left[store]] = total[store], dtotal[store]
-        if done.any():
+            J[store], dJ[store] = total[store], dtotal[store]
+            summing ^= store
             if order_derivative:
+                waiting |= store
+            else:
+                left -= stored
+        if order_derivative:
+            psi += inv
+            dlog = log_half - psi
+            nterm = term * dlog
+            ndterm = term * inv_z + dterm * dlog
+            ntotal += nterm
+            ndtotal += ndterm
+            nsize = np.abs(nterm)
+            nacc += nsize
+            ndacc += np.abs(ndterm)
+            done = waiting & (nsize < 1e-16 * nacc)
+            finished = np.count_nonzero(done)
+            if finished:
                 _check_roundoff("dJ_nu/dnu", nu[done], z, nacc[done], ndacc[done],
                                 ntotal[done], ndtotal[done])
-                nJ[left[done]], ndJ[left[done]] = ntotal[done], ndtotal[done]
-            run = ~done
-            left, nu, term, total, dtotal, acc, dacc = (
-                x[run] for x in (left, nu, term, total, dtotal, acc, dacc)
-            )
-            if order_derivative:
-                psi, ntotal, ndtotal, nacc, ndacc, summing = (
-                    x[run] for x in (psi, ntotal, ndtotal, nacc, ndacc, summing)
-                )
+                nJ[done], ndJ[done] = ntotal[done], ndtotal[done]
+                waiting ^= done
+                left -= finished
     if order_derivative:
         return sign * J, sign * dJ, nJ, ndJ
     return sign * J, sign * dJ

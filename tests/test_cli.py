@@ -71,6 +71,12 @@ class TestExitCodes:
             (["deltashell", "--emin", "1e-9", "--emax", "5e-7"],
              "--emax 5e-07: the energy range must end above the threshold "
              "guard 1e-06"),
+            # both read "require e_hi > e_lo > 0, both finite": the barrier
+            # top V1 + V2 = -4 lifts neither --emin to 0
+            (["step", "--V1", "-5", "--V2", "1", "--emin", "-1"],
+             "--emin -1.0: the energy range must start above 0"),
+            (["step", "--V1", "-5", "--V2", "1", "--emin", "0"],
+             "--emin 0.0: the energy range must start above 0"),
             # exited 0 with a delay averaged over padded copies of the end
             # rows of the bundled 45-row table
             (["data", "--smooth", "999"],

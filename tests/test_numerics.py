@@ -2,6 +2,7 @@
 import cmath
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -287,6 +288,22 @@ class TestBesselJArray:
         with pytest.raises(exc):
             bessel_j(np.array([0.5, bad, 2.0 + 1j]), z)
 
+    @pytest.mark.parametrize(
+        "z, edge, order_derivative",
+        [(0.3, 437.64, False), (2.62, 439.02, False), (7.07, 439.64, False),
+         (0.3, 436.31, True), (2.62, 437.88, True), (7.07, 438.61, True)],
+    )
+    def test_overflow_edge_of_the_imaginary_order_axis(self, z, edge, order_derivative):
+        # from the order -i edge on, the first term's |J| + |dJ/dz| (or its
+        # order derivatives') passes 1e300; the edge is pinned to 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below = bessel_j(-1j * (edge - 0.05), z, order_derivative=order_derivative)
+            assert all(cmath.isfinite(x) for x in below)
+            for y in (edge + 0.05, edge + 1.0, 2.0 * edge):
+                with pytest.raises(SeriesNonConvergence):
+                    bessel_j(-1j * y, z, order_derivative=order_derivative)
+
     @pytest.mark.parametrize("z", [1.0, 2.62, 7.0 + 1.0j])
     def test_negative_integer_orders(self, z):
         # the series divides by zero at an order -n; J_{-n} = (-1)^n J_n
@@ -340,13 +357,23 @@ class TestBesselJOrderDerivative:
     def test_digamma_is_the_log_derivative_of_gamma(self):
         z = np.array([0.5, 1.0, 1.0 - 0.01j, 1.0 - 14j, 3.7 + 2.0j, 20.0])
         ref = [complex(mpmath.digamma(x)) for x in z]
-        assert_rel_close(numerics._lanczos(z)[1], ref, rel=1e-13)
+        assert_rel_close(numerics._log_gamma(z)[1], ref, rel=1e-13)
+
+    def test_log_gamma_against_mpmath(self):
+        # the digamma points and the step's order line 1 - iy, out to the
+        # overflow edge of the first term near y = 437
+        z = np.array([0.5, 1.0, 1.0 - 0.01j, 1.0 - 14j, 3.7 + 2.0j, 20.0,
+                      1.0 - 1j, 1.0 - 100j, 1.0 - 437j])
+        log_gamma, psi = numerics._log_gamma(z)
+        ref = np.array([complex(mpmath.loggamma(x)) for x in z])
+        assert np.all(np.abs(log_gamma - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        assert_rel_close(psi, [complex(mpmath.digamma(x)) for x in z], rel=1e-13)
 
     def test_one_lanczos_loop_per_call(self, monkeypatch):
-        # Gamma(nu + 1) and psi(nu + 1) come from one Lanczos loop, without
-        # complex_gamma's pole test and reflection (Re(nu + 1) > 1/2 here)
+        # log Gamma(nu + 1) and psi(nu + 1) come from one Lanczos loop,
+        # without complex_gamma's pole test and reflection (Re(nu + 1) > 1/2)
         calls = {"lanczos": 0, "complex_gamma": 0}
-        lanczos, gamma = numerics._lanczos, numerics.complex_gamma
+        lanczos, gamma = numerics._log_gamma, numerics.complex_gamma
 
         def counted(name, fn):
             def wrapper(z):
@@ -354,7 +381,7 @@ class TestBesselJOrderDerivative:
                 return fn(z)
             return wrapper
 
-        monkeypatch.setattr(numerics, "_lanczos", counted("lanczos", lanczos))
+        monkeypatch.setattr(numerics, "_log_gamma", counted("lanczos", lanczos))
         monkeypatch.setattr(numerics, "complex_gamma", counted("complex_gamma", gamma))
         bessel_j(STEP_ORDERS, 2.62, order_derivative=True)
         assert calls == {"lanczos": 1, "complex_gamma": 0}

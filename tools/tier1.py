@@ -6,9 +6,13 @@ this script::
     python tools/tier1.py [extra pytest arguments]
 
 and exits 1 unless every failure is one of the acceptance criteria 3-6,
-every expected failure (xfail) one of the known strict xfails below, and
-no test fails otherwise, errors or passes unexpectedly (XPASS).  It prints
-the pass count, and each test that breaks the gate.
+every expected failure (xfail) one of the known strict xfails below, no
+test fails otherwise, errors or passes unexpectedly (XPASS), and every
+``ACCEPTANCE`` line the acceptance suite prints is the one kept for its
+criterion in ``tools/acceptance.txt``.  It prints the pass count, each test
+that breaks the gate, and each acceptance line that changed beside the kept
+one.  With extra pytest arguments only the acceptance lines printed are
+compared; without them all eight must be printed.
 """
 from __future__ import annotations
 
@@ -41,6 +45,27 @@ KNOWN_XFAILS = {
 }
 # a line of pytest's short summary (-rfExX): the outcome and the test id
 SUMMARY = re.compile(r"^(FAILED|ERROR|XFAIL|XPASS) (.+?)(?: - .*)?$")
+# the line each acceptance criterion prints (captured output, shown by -rP
+# for a passing test and in the failure report of a failing one)
+ACCEPTANCE = re.compile(r"^ACCEPTANCE (\d+) ")
+ACCEPTANCE_FILE = ROOT / "tools" / "acceptance.txt"
+
+
+def acceptance_changes(stdout: str, complete: bool) -> list[str]:
+    """The acceptance lines in ``stdout`` that differ from the kept ones, as
+    pairs of lines ``was:``/``now:`` by criterion; with ``complete`` a kept
+    criterion that printed nothing differs too."""
+    def by_criterion(lines):
+        return {m[1]: line for line in lines if (m := ACCEPTANCE.match(line))}
+
+    kept = by_criterion(ACCEPTANCE_FILE.read_text("utf-8").splitlines())
+    now = by_criterion(stdout.splitlines())
+    changes = []
+    for n in sorted(set(now) | (set(kept) if complete else set()), key=int):
+        if now.get(n) != kept.get(n):
+            changes += [f"acceptance {n} was: {kept.get(n, '(none kept)')}",
+                        f"acceptance {n} now: {now.get(n, '(not printed)')}"]
+    return changes
 
 
 def main(argv: list[str]) -> int:
@@ -48,7 +73,7 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-rfExX", *argv],
+         "-rfExXP", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     found: dict[str, set[str]] = {"FAILED": set(), "ERROR": set(), "XFAIL": set(),
@@ -65,9 +90,13 @@ def main(argv: list[str]) -> int:
         # interrupted, an internal error, or no test run: no summary to judge
         print(proc.stdout[-2000:] + proc.stderr[-2000:])
         return 1
+    changed = acceptance_changes(proc.stdout, complete=not argv)
+    for line in changed:
+        print(line)
     print(f"{passed[-1]} passed, {len(found['FAILED'] & KNOWN_FAILURES)} known "
-          f"failures, {len(found['XFAIL'] & KNOWN_XFAILS)} known xfails")
-    return 1 if broken else 0
+          f"failures, {len(found['XFAIL'] & KNOWN_XFAILS)} known xfails, "
+          f"{len(changed) // 2} changed acceptance lines")
+    return 1 if broken or changed else 0
 
 
 if __name__ == "__main__":
