@@ -34,7 +34,9 @@ from .counting import (
     lorentzian_sum,
 )
 from .errors import NoPoleFound, ParseError, ResdelayError
-from .numerics import Curve, _parabolic_refine, _sample_grid, find_extrema
+from .numerics import (
+    _BESSEL_MAX_ABS_Z, Curve, _parabolic_refine, _sample_grid, find_extrema,
+)
 from .phasedata import (
     delay_from_table,
     extract_resonance,
@@ -380,6 +382,17 @@ def _require(args, name: str, ok, what: str) -> None:
         raise ValueError(f"--{name.replace('_', '-')} {value}: {what}")
 
 
+def _model(cls, args, *names: str):
+    """``cls`` built from the options ``names``; a value that it rejects is
+    reported with those options and their values."""
+    values = {name: getattr(args, name) for name in names}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        given = " ".join(f"--{name} {value}" for name, value in values.items())
+        raise ValueError(f"{given}: {exc}") from None
+
+
 def _require_finite(args, what: str, *names: str) -> None:
     """Reject a non-finite value of the options ``names`` that are set."""
     for name in names:
@@ -444,7 +457,7 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
 
 def run_sqwell(args) -> dict:
     _require_model_options(args, "pole_emax", "pole_gmax")
-    model = SquareWell(V0=args.V0, a=args.a, l=args.l)
+    model = _model(SquareWell, args, "V0", "a", "l")
     region = SearchRegion((0.0, max(args.pole_emax, args.emax)),
                           (-args.pole_gmax / 2.0, 0.0), n_re=120, n_im=10)
     report, curves, resonances = _model_pipeline(
@@ -463,7 +476,7 @@ def run_sqwell(args) -> dict:
 
 def run_deltashell(args) -> dict:
     _require_model_options(args, "pole_gmax")
-    model = DeltaShell(V0=args.V0, a=args.a)
+    model = _model(DeltaShell, args, "V0", "a")
     region = SearchRegion((0.0, args.emax), (-args.pole_gmax / 2.0, 0.0),
                           n_re=50, n_im=8)
     report, curves, _ = _model_pipeline(
@@ -475,7 +488,13 @@ def run_step(args) -> dict:
     if args.grid < 2:
         raise ValueError(f"--grid {args.grid}: a curve needs at least 2 samples")
     _require_finite(args, "the energy range", "emin", "emax")
-    step = ExpStep(V1=args.V1, V2=args.V2, a=args.a)
+    step = _model(ExpStep, args, "V1", "V2", "a")
+    # the matching's Bessel argument (reflect._matching), which the series
+    # reaches up to a bound
+    z = 2.0 * math.sqrt(step.V2) * step.a
+    if z > _BESSEL_MAX_ABS_Z:
+        raise ValueError(f"--a {args.a} --V2 {args.V2}: the Bessel argument 2a "
+                         f"sqrt(V2) = {z:.3g} exceeds the series' {_BESSEL_MAX_ABS_Z:g}")
     lo = step.threshold + 2e-6  # the curves start just above the barrier top
     _require(args, "emax", lambda v: v > lo, "the energy range must end more than "
              f"2e-06 above the barrier top V1 + V2 = {step.threshold}")

@@ -8,10 +8,11 @@ unwrapped with the help of its exact slope.  Where that count is certified
 and the condition has no zero in the box that is not a pole, the batch
 stops as soon as the distinct roots found number the count, and the search
 is then known to be complete.  Such a search is driven by its progress:
-Newton starts on a quarter of the seeds, the rest join once a few rounds
-bring no new root, and a batch that then stops finding roots ends short
-of the count, reported incomplete.  Every pole found is polished by one
-batched Newton step.
+Newton starts on the seeds of every other row and of the columns spaced
+about evenly in k = sqrt(E), the rest join once a few rounds bring no new
+root, and a batch that then stops finding roots ends short of the count,
+reported incomplete.  Every pole found is polished by one batched Newton
+step.
 """
 from __future__ import annotations
 
@@ -64,15 +65,21 @@ ABOVE_BOX = "above_box"
 _MAX_IM_KA = 7.0
 # start samples on each edge of the counting box, corners included
 _COUNT_START = 65
-# where the count can stop the search, Newton starts on the coarse grid of
-# every _COARSE_STRIDE-th seed in each direction and holds the other seeds
-# (_Progress).  Over the 150 model instances of the bench pools (CLI
-# regions, in-process, min of 3 on 2 cores) the median search took 2.51 ms
-# on sqwell_highl and 0.83 ms on closed_form with every seed from round 0;
-# with stride 2 and the held seeds joining in a fixed round 4, 6, 8, 10 or
-# 12 it took 2.36, 1.85, 1.73, 1.72 and 1.81 ms on sqwell_highl (0.60-0.65
-# ms on closed_form), and stride 3 with round 8 2.03 ms (0.54 ms)
+# where the count can stop the search, Newton starts on the coarse seeds
+# and holds the others (_Progress): on every _COARSE_STRIDE-th row in Im E,
+# the columns nearest to _COARSE_COLUMNS points spaced evenly in k =
+# sqrt(E), where the poles lie about evenly (41 of sqwell's 120 columns, 35
+# of deltashell's 50).  Over the 150 model instances of the bench pools
+# (CLI regions, in-process, min of 7 on 2 cores, interleaved), 30, 45, 60,
+# 80 and n_re/2 targets took 2.08, 2.09, 2.19, 2.26 and 2.19 ms median and
+# 76.2, 72.9, 75.5, 77.7 and 75.6 ms summed on sqwell_highl (0.74-0.84 ms
+# median on closed_form) in 276, 241, 237, 232 and 237 rounds (272 on
+# every other column), and the 600 models below 4,670, 4,156, 4,057, 4,019
+# and 4,061 rounds (4,860).  Earlier, every seed from round 0 took 2.51 ms
+# median on sqwell_highl, and every other row and column with a fixed join
+# in round 4, 6, 8, 10 or 12 2.36, 1.85, 1.73, 1.72 and 1.81 ms (min of 3)
 _COARSE_STRIDE = 2
+_COARSE_COLUMNS = 45
 # the held seeds join once the batch has gone _JOIN_AFTER rounds without a
 # new root in the region, and with every seed in, the batch ends after
 # _END_AFTER such rounds (_Progress).  Swept on the 150 model instances of
@@ -88,7 +95,8 @@ _COARSE_STRIDE = 2
 #     7.69, 8.63 ms largest, poles lost on 17, 10, 2, 0, 0, 0 models.
 # The sweep counted from the first round in which any seed ended; counted
 # from the first root in the region, every pool search runs the same
-# rounds and joins in the same round
+# rounds and joins in the same round, and one of the 600 models (well 384)
+# loses a pole, with the coarse seeds even in E or in k
 _JOIN_AFTER = 4
 _END_AFTER = 16
 
@@ -381,16 +389,17 @@ def find_poles(
     zero in the box that is not a pole (:func:`_spurious_zero_inside`), the
     batch ends once the distinct roots found number the count; the seeds
     still running, and those that never started, then end as ``stopped``.
-    Such a batch starts on every other seed in each direction (300 of the
-    CLI's 1,200 ``sqwell`` seeds) and holds the rest.  From the first round
-    that brings a root in the region, it counts the rounds in a row that
-    bring no new one: after 4 the held seeds join, with the rounds left up
-    to the 60th (sooner once the seeds still running are too few to meet
-    the count), and with every seed in, the batch ends after 16, short of
-    the count (:class:`_Progress`).  Each seed takes the steps it would take alone,
-    so only the seed that reaches a pole first can differ from a batch that
-    starts on every seed.  Otherwise every seed runs from round 0 to its own
-    end.
+    Such a batch starts on every other row, on the columns nearest to 45
+    points spaced evenly in k = sqrt(E) (205 of the CLI's 1,200 ``sqwell``
+    seeds, 140 of its 400 ``deltashell`` seeds), and holds the rest.  From
+    the first round that brings a root in the region, it counts the rounds
+    in a row that bring no new one: after 4 the held seeds join, with the
+    rounds left up to the 60th (sooner once the seeds still running are too
+    few to meet the count), and with every seed in, the batch ends after
+    16, short of the count (:class:`_Progress`).  Each seed takes the steps
+    it would take alone, so only the seed that reaches a pole first can
+    differ from a batch that starts on every seed.  Otherwise every seed
+    runs from round 0 to its own end.
 
     At l >= 1 a seed also ends once its iterate rises above Im E = -Im
     E_lo, the bottom edge of the box mirrored above the real axis, where no
@@ -429,17 +438,18 @@ def find_poles(
 
     count = _winding_number(model, region)
     stops = count is not None and not _spurious_zero_inside(model, region)
-    held, coarse = None, seeds[::_COARSE_STRIDE, ::_COARSE_STRIDE]
-    if stops:
-        held = np.ones(seeds.shape, dtype=bool)
-        held[::_COARSE_STRIDE, ::_COARSE_STRIDE] = False
-    progress = _Progress(region, count if stops else None, coarse.size)
+    # the coarse seeds: the columns nearest to points spaced evenly in k
+    k = np.linspace(math.sqrt(re_lo), math.sqrt(re_hi), _COARSE_COLUMNS)
+    cols = np.rint((k * k - re_lo) / (re_hi - re_lo) * (region.n_re - 1))
+    held = np.ones(seeds.shape, dtype=bool)
+    held[cols.astype(int), ::_COARSE_STRIDE] = False
+    progress = _Progress(region, count if stops else None, np.count_nonzero(~held))
     # only F at l >= 1 carries h1_l(ka); on s-wave wells and delta shells
     # the rule ended no search a round sooner
     ceiling = -im_lo if isinstance(model, SquareWell) and model.l >= 1 else math.inf
     roots, residuals, outcomes = newton_complex(
         functools.partial(_newton_residual, model, ceiling=ceiling), seeds.ravel(),
-        tol=tol, max_iter=60, until=progress, held=held,
+        tol=tol, max_iter=60, until=progress, held=held if stops else None,
     )
     nan = outcomes == NON_FINITE
     is_above = nan & (roots.imag > ceiling)

@@ -82,6 +82,19 @@ class TestExitCodes:
             (["data", "--smooth", "999"],
              "--smooth 999: the moving-average window must not exceed the "
              "table's 45 rows"),
+            # each read the model's own message, naming no option
+            (["sqwell", "--l", "31"],
+             "--V0 5.0 --a 10.0 --l 31: l must be in [0, 30]"),
+            (["sqwell", "--a", "-1"],
+             "--V0 5.0 --a -1.0 --l 0: range a must be positive"),
+            (["deltashell", "--V0", "-1"],
+             "--V0 -1.0 --a 1.0: shell strength V0 must be positive"),
+            (["step", "--V2", "0"],
+             "--V1 1.0 --V2 0.0 --a 1.31: V2 must be positive"),
+            # read bessel_j's "|z| = 52.9 outside the series regime (<= 50)"
+            (["step", "--V2", "700", "--a", "1", "--emax", "800"],
+             "--a 1.0 --V2 700.0: the Bessel argument 2a sqrt(V2) = 52.9 "
+             "exceeds the series' 50"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else "",
     )

@@ -133,17 +133,22 @@ def collect(tree: Path, work: Path, workloads: list[str] | None) -> dict:
 
 
 def run_tree(tree: Path, work: Path, workloads: list[str] | None,
-             script: str = __file__, pipeline: str | None = None) -> dict:
+             script: str = __file__, pipeline: str | None = None,
+             stage: str | None = None) -> dict:
     """The ``--collect`` output of ``script`` (by default this one) for
     ``tree``, run in a child interpreter, so each tree has its own
-    imports; a ``pipeline`` is passed on as ``--pipeline``."""
+    imports; a ``pipeline`` is passed on as ``--pipeline`` and a ``stage``
+    as ``--stage``.  A child that fails ends the script with its stderr."""
     cmd = [sys.executable, script, "--collect", str(tree), "--work", str(work)]
     for name in workloads or ():
         cmd += ["--workload", name]
-    if pipeline is not None:
-        cmd += ["--pipeline", pipeline]
+    for flag, value in (("--pipeline", pipeline), ("--stage", stage)):
+        if value is not None:
+            cmd += [flag, value]
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    if proc.returncode:
+        raise SystemExit(f"{tree}: {proc.stderr.strip()}")
     return json.loads(proc.stdout)
 
 

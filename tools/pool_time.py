@@ -13,16 +13,26 @@ subcommand, for example the 60 phase tables of ``closed_form``::
 
     python tools/pool_time.py OLD_TREE NEW_TREE --workload closed_form --pipeline data
 
+``--stage NAME`` times, in place of each instance's ``main`` call, only the
+calls it makes to the function ``resdelay.cli.NAME``, for example the pole
+search of every model instance, and keeps only the instances that call it
+in both trees::
+
+    python tools/pool_time.py OLD_TREE NEW_TREE --workload sqwell_highl --stage find_poles
+
 Per pair and tree the script takes the median instance time of each
 pipeline, and of the instances that exit 0 in both trees: a median over the
 whole pool mixes pipelines, and instances that exit early pull it down.  It
 prints, for each group, the median of those per-pair medians in each tree,
 the old tree's quartiles, the relative change, the pairs in which the
-new tree was faster, and each tree's slowest instance by its median time
-over the pairs: on a small pool the bench's tail is the time of its
-slowest instances.  Last, it prints each tree's peak resident set: the
-child's ``ru_maxrss`` after its two passes, as the median over the pairs
-(the bench's ``peak_rss_mb`` is the same reading of the bench process).
+new tree was faster, each tree's summed instance time (the median over the
+pairs of the per-pair sums: the bench's ``norm.solved_per_s`` divides by
+that sum, which the medians hide) and its change, and each tree's slowest
+instance by its median time over the pairs: on a small pool the bench's
+tail is the time of its slowest instances.  Last, it prints each tree's
+peak resident set: the child's ``ru_maxrss`` after its two passes, as the
+median over the pairs (the bench's ``peak_rss_mb`` is the same reading of
+the bench process).
 """
 from __future__ import annotations
 
@@ -32,35 +42,63 @@ import resource
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from pool_bytes import instances, run_pool, run_tree
 
 
+def timed_stage(name: str) -> list:
+    """Wrap ``resdelay.cli.NAME`` (imported already) so that each call adds
+    its seconds and 1 to the list ``[seconds, calls]`` returned."""
+    cli = sys.modules["resdelay.cli"]
+    fn = getattr(cli, name, None)
+    if not callable(fn):
+        raise SystemExit(f"resdelay.cli has no function {name!r}")
+    spent = [0.0, 0]
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - t0
+            spent[1] += 1
+
+    setattr(cli, name, timed)
+    return spent
+
+
 def collect(tree: Path, work: Path, workloads: list[str],
-            pipeline: str | None = None) -> dict:
+            pipeline: str | None = None, stage: str | None = None) -> dict:
     """The pipeline, exit code and seconds of every instance (of
     ``pipeline``, if given), by id, from the second of two passes of
     :func:`pool_bytes.run_pool`, and the peak resident set in MB after both
-    passes."""
+    passes.  With a ``stage``, the seconds are those of the instance's
+    calls to ``resdelay.cli.<stage>`` (:func:`timed_stage`), and ``calls``
+    counts them."""
     for _ in run_pool(tree, work, workloads, pipeline):  # warm-up pass
         pass
-    runs = {
-        inst["id"]: {"pipeline": inst["argv"][0], "exit": rc, "seconds": seconds}
-        for inst, rc, _, _, seconds in run_pool(tree, work, workloads, pipeline)
-    }
+    spent = timed_stage(stage) if stage is not None else None
+    runs = {}
+    for inst, rc, _, _, seconds in run_pool(tree, work, workloads, pipeline):
+        runs[inst["id"]] = {"pipeline": inst["argv"][0], "exit": rc, "seconds": seconds}
+        if spent is not None:
+            runs[inst["id"]].update(seconds=spent[0], calls=spent[1])
+            spent[:] = [0.0, 0]
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"instances": runs, "peak_rss_mb": peak}
 
 
 def groups(old: dict, new: dict) -> dict[str, list[str]]:
     """Instance ids per pipeline, and of the instances that exit 0 in both
-    trees."""
+    trees; with a stage, only the instances that call it in both trees."""
+    keys = [key for key in old if old[key].get("calls", 1) and new[key].get("calls", 1)]
     out: dict[str, list[str]] = {}
-    for key, rec in old.items():
-        out.setdefault(rec["pipeline"], []).append(key)
+    for key in keys:
+        out.setdefault(old[key]["pipeline"], []).append(key)
     out["exit 0 in both"] = [
-        key for key in old if old[key]["exit"] == 0 and new[key]["exit"] == 0
+        key for key in keys if old[key]["exit"] == 0 and new[key]["exit"] == 0
     ]
     return out
 
@@ -76,11 +114,13 @@ def slowest(side: list[dict], ids: list[str]) -> str:
 def summary(runs: tuple[list[dict], list[dict]]) -> list[str]:
     """One line per group of :func:`groups`: instances, the old and new
     medians of the per-pair medians, the old quartiles, the change, the
-    pairs won by the new tree, and the slowest instance in each tree
+    pairs won by the new tree, the old and new medians of the per-pair
+    summed times and their change, and the slowest instance in each tree
     (:func:`slowest`)."""
     old_runs, new_runs = runs
     lines = [f"{'group':<16} {'n':>4} {'old s':>10} {'old quartiles':>23} "
-             f"{'new s':>10} {'change':>8} {'new won':>8}  {'old slowest':<18} "
+             f"{'new s':>10} {'change':>8} {'new won':>8} {'old sum s':>10} "
+             f"{'new sum s':>10} {'change':>8}  {'old slowest':<18} "
              f"{'new slowest':<18}"]
     for name, ids in groups(old_runs[0], new_runs[0]).items():
         if not ids:
@@ -92,8 +132,11 @@ def summary(runs: tuple[list[dict], list[dict]]) -> list[str]:
         q1, q3 = (statistics.quantiles(old, n=4)[::2] if len(old) > 1 else old * 2)
         mo, mn = statistics.median(old), statistics.median(new)
         won = sum(b < a for a, b in zip(old, new))
+        so, sn = (statistics.median(sum(run[key]["seconds"] for key in ids)
+                                    for run in side) for side in runs)
         lines.append(f"{name:<16} {len(ids):>4} {mo:>10.6f} {q1:>11.6f}-{q3:<11.6f} "
-                     f"{mn:>10.6f} {100 * (mn / mo - 1):>+7.1f}% {won:>4}/{len(old)}  "
+                     f"{mn:>10.6f} {100 * (mn / mo - 1):>+7.1f}% {won:>4}/{len(old)} "
+                     f"{so:>10.4f} {sn:>10.4f} {100 * (sn / so - 1):>+7.1f}%  "
                      f"{slowest(old_runs, ids):<18} {slowest(new_runs, ids):<18}")
     return lines
 
@@ -104,12 +147,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="the bench workload")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (10)")
     parser.add_argument("--pipeline", help="only the instances of this subcommand")
+    parser.add_argument("--stage", metavar="NAME",
+                        help="time only the calls to resdelay.cli.NAME")
     parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect is not None:
         print(json.dumps(collect(args.collect, args.work, [args.workload],
-                                 args.pipeline)))
+                                 args.pipeline, args.stage)))
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD_TREE NEW_TREE")
@@ -125,13 +170,14 @@ def main(argv=None) -> int:
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 tree = args.trees[side]
                 child = run_tree(tree, Path(work), [args.workload], __file__,
-                                 args.pipeline)
+                                 args.pipeline, args.stage)
                 runs[side].append(child["instances"])
                 peaks[side].append(child["peak_rss_mb"])
     differ = sum(a[key]["exit"] != b[key]["exit"] for a, b in zip(*runs) for key in a)
     what = args.workload + (f" --pipeline {args.pipeline}" if args.pipeline else "")
+    timed = f" in resdelay.cli.{args.stage}" if args.stage else ""
     print(f"{what}: {args.pairs} pairs, old tree first in odd pairs; "
-          f"seconds are per-pair medians of instance times")
+          f"seconds are per-pair medians and sums of instance times{timed}")
     print("\n".join(summary(runs)))
     old, new = (statistics.median(side) for side in peaks)
     print(f"peak RSS MB (median over pairs): old {old:.2f}, new {new:.2f}, "
