@@ -10,7 +10,10 @@ the digits of all the run's sample arrays in one call, as a matrix of
 NUL-padded rows; each CSV file and each of the report's sample arrays is
 those rows laid side by side with their separators, the NUL bytes dropped.
 The rest of the report is written by one recursive writer that lays it out
-as ``json.dumps(report, indent=2, sort_keys=True)`` does.
+as ``json.dumps(report, indent=2, sort_keys=True)`` does, and each distinct
+pair of sample array and indentation is joined once.  A model run
+(``sqwell``, ``deltashell``) evaluates the delay of its display,
+classification and count grids in one real-axis pass.
 
 Exit codes: 0 success, 2 validation or file-system error, 3 numerical failure.
 """
@@ -20,6 +23,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,11 +33,12 @@ import numpy as np
 from . import __version__
 from .counting import (
     CountReport,
+    _phase_count,
+    _phase_start,
     _reconstruction_errors,
-    count_from_phase,
     lorentzian_sum,
 )
-from .errors import NoPoleFound, ParseError, ResdelayError
+from .errors import NoPoleFound, ParseError, ResdelayError, SeriesNonConvergence
 from .numerics import (
     _BESSEL_MAX_ABS_Z, Curve, _parabolic_refine, _sample_grid, find_extrema,
 )
@@ -45,7 +50,7 @@ from .phasedata import (
 )
 from .poles import RESONANCE, SearchRegion, classify_poles, find_poles
 from .reflect import ExpStep, _reflection, _theta
-from .scattering import E_MIN, DeltaShell, SquareWell, delay_curve
+from .scattering import E_MIN, DeltaShell, SquareWell, _phase_delay, delay_curve
 
 ENV_OUT = "RESDELAY_OUT"
 _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
@@ -331,16 +336,22 @@ def _write_report(file, report: dict, table: dict) -> None:
     """Write to the binary ``file`` the text of ``json.dumps(report,
     indent=2, sort_keys=True)`` and a newline, where each sample array of
     the report is written from its digit rows in ``table`` (by id of the
-    array) as it is reached."""
+    array) as it is reached.  Each pair of array and indentation is joined
+    once, and the same bytes are written wherever the report reaches that
+    pair again; the indentation is part of the key, since it sets the
+    separators."""
     pieces = []
     _pieces(report, "\n", pieces)
     pieces.append("\n")
-    start = 0
+    start, joined = 0, {}
     for i in [i for i, piece in enumerate(pieces) if type(piece) is tuple]:
         array, pad = pieces[i]
         sep = ("," + pad + "  ").encode()
+        key = id(array), pad
+        if key not in joined:
+            joined[key] = memoryview(_joined([table[id(array)], sep]))[:-len(sep)]
         file.write("".join([*pieces[start:i], "[", pad, "  "]).encode())
-        file.write(memoryview(_joined([table[id(array)], sep]))[:-len(sep)])
+        file.write(joined[key])
         pieces[i], start = pad + "]", i
     file.write("".join(pieces[start:]).encode())
 
@@ -382,15 +393,22 @@ def _require(args, name: str, ok, what: str) -> None:
         raise ValueError(f"--{name.replace('_', '-')} {value}: {what}")
 
 
+@contextmanager
+def _named(error: type, given: str):
+    """An ``error`` raised in the block is raised again as ``error`` with
+    the options ``given`` (for example ``--tol 1e-08``) before its text."""
+    try:
+        yield
+    except error as exc:
+        raise error(f"{given}: {exc}") from None
+
+
 def _model(cls, args, *names: str):
     """``cls`` built from the options ``names``; a value that it rejects is
     reported with those options and their values."""
     values = {name: getattr(args, name) for name in names}
-    try:
+    with _named(ValueError, " ".join(f"--{k} {v}" for k, v in values.items())):
         return cls(**values)
-    except ValueError as exc:
-        given = " ".join(f"--{name} {value}" for name, value in values.items())
-        raise ValueError(f"{given}: {exc}") from None
 
 
 def _require_finite(args, what: str, *names: str) -> None:
@@ -425,21 +443,26 @@ def _model_pipeline(args, model, region, *, min_cls_grid, stem, label,
     if args.grid < 3:
         raise ValueError(f"--grid {args.grid}: a curve needs at least 2 samples, "
                          "and the peak count at least 3")
-    display = delay_curve(model, args.emin, args.emax, args.grid, label=label)
-    # classification needs coverage out to the last pole of interest
-    cls_curve = delay_curve(model, args.emin, region.re_range[1],
-                            max(args.grid, min_cls_grid), label="classification")
-    try:
+    with _named(NoPoleFound, f"--tol {args.tol}"):
         found = find_poles(model, region, tol=args.tol)
-    except NoPoleFound as exc:
-        raise NoPoleFound(f"--tol {args.tol}: {exc}") from None
+    # one real-axis pass on the display grid, the classification grid (out
+    # to the last pole of interest) and the count's start grid, whose points
+    # at each pole found resolve its resonance in the unwrap
+    lo = max(args.emin, E_MIN)
+    grids = [_sample_grid(lo, args.emax, args.grid),
+             _sample_grid(lo, region.re_range[1], max(args.grid, min_cls_grid)),
+             _phase_start(args.emin, args.emax, found)]
+    ends = list(accumulate(map(len, grids)))
+    phi, delay = _phase_delay(model, np.concatenate(grids))
+    display = Curve(grids[0], delay[:ends[0]], label=label)
+    cls_curve = Curve(grids[1], delay[ends[0]:ends[1]], label="classification")
     poles = classify_poles(found, cls_curve)
     resonances = [p for p in poles if p.classification == RESONANCE][:max_resonances]
 
     report = _base_report(args)
     report["poles"] = [p.to_dict() for p in poles]
-    # the points at each pole found resolve its resonance in the unwrap
-    report["count"] = count_from_phase(model, args.emin, args.emax, poles).to_dict()
+    report["count"] = _phase_count(model, grids[2], phi[ends[1]:],
+                                   delay[ends[1]:]).to_dict()
     curves = [(stem, display)]
     if resonances:
         recon = Curve(display.energies, lorentzian_sum(resonances, display.energies),
@@ -492,8 +515,9 @@ def run_step(args) -> dict:
     # the matching's Bessel argument (reflect._matching), which the series
     # reaches up to a bound
     z = 2.0 * math.sqrt(step.V2) * step.a
+    given = f"--a {args.a} --V2 {args.V2}"
     if z > _BESSEL_MAX_ABS_Z:
-        raise ValueError(f"--a {args.a} --V2 {args.V2}: the Bessel argument 2a "
+        raise ValueError(f"{given}: the Bessel argument 2a "
                          f"sqrt(V2) = {z:.3g} exceeds the series' {_BESSEL_MAX_ABS_Z:g}")
     lo = step.threshold + 2e-6  # the curves start just above the barrier top
     _require(args, "emax", lambda v: v > lo, "the energy range must end more than "
@@ -505,11 +529,13 @@ def run_step(args) -> dict:
     lo = max(args.emin, lo)
     # r and its delay on one grid shared by the reflectivity and delay curves
     grid = _sample_grid(lo, args.emax, max(args.grid, 2000))
-    r, delay = _reflection(step, grid)
-    refl = Curve(grid, np.abs(r) ** 2, label="reflectivity")
-    dly = Curve(grid, delay, label="reflection_time_delay")
-    # n_R = (1/pi) * integral of d(theta)/dE, the phase change over pi
-    theta = _theta(step, grid, r, delay)
+    # a cancelled Bessel series is reported with the options that set z
+    with _named(SeriesNonConvergence, given):
+        r, delay = _reflection(step, grid)
+        refl = Curve(grid, np.abs(r) ** 2, label="reflectivity")
+        dly = Curve(grid, delay, label="reflection_time_delay")
+        # n_R = (1/pi) * integral of d(theta)/dE, the phase change over pi
+        theta = _theta(step, grid, r, delay)
     # dip in R(E): coarse minimum, then a fine parabolic pass on a window of
     # two coarse steps either side, for R and for the delay
     dips = [p for p in find_extrema(refl) if p.kind == "min"]
@@ -518,7 +544,8 @@ def run_step(args) -> dict:
         x0, dx = min(dips, key=lambda p: p.height).position, refl.grid_step
         window = np.linspace(max(x0 - 2 * dx, lo), min(x0 + 2 * dx, args.emax),
                              _REFINE_POINTS)
-        r, delay = _reflection(step, window)
+        with _named(SeriesNonConvergence, given):
+            r, delay = _reflection(step, window)
         report["dip"] = {}
         for key, vals in (("E", np.abs(r) ** 2), ("delay_extremum_E", delay)):
             i = min(max(int(np.argmin(vals)), 1), _REFINE_POINTS - 2)

@@ -130,15 +130,31 @@ def count_from_phase(
     on a phase or delay that is not finite, and on a grid still split after
     20 passes or at 65,536 samples.
     """
+    E = _phase_start(E_lo, E_hi, poles)
+    return _phase_count(model, E, *_phase_delay(model, E))
+
+
+def _phase_start(E_lo: float, E_hi: float, poles: Sequence[Pole]) -> np.ndarray:
+    """The start grid of :func:`count_from_phase`, from ``max(E_lo,
+    E_MIN)`` to ``E_hi``: its points uniform in k and the points of every
+    pole inside the range."""
     if not (0 <= E_lo < E_hi) or E_hi <= E_MIN:
         raise ValueError(f"require 0 <= E_lo < E_hi and E_hi > {E_MIN}")
     lo = max(E_lo, E_MIN)
     E = np.linspace(math.sqrt(lo), math.sqrt(E_hi), _PHASE_START) ** 2
     E[0], E[-1] = lo, E_hi
     near = np.array([p.position + s * p.gamma for p in poles for s in _POLE_OFFSETS])
-    E = np.union1d(E, near[(lo < near) & (near < E_hi)])
-    E, steps = _unwrap(partial(_phase_delay, model), E, *_phase_delay(model, E), math.pi)
-    return CountReport.from_n_R(math.fsum(steps) / math.pi, (lo, E_hi), 0.0, len(E))
+    return np.union1d(E, near[(lo < near) & (near < E_hi)])
+
+
+def _phase_count(model: ScatteringModel, E: np.ndarray, phi: np.ndarray,
+                 T: np.ndarray) -> CountReport:
+    """The count of :func:`count_from_phase` from the phase and delay of
+    ``model`` on its start grid ``E`` (:func:`_phase_start`): the unwrap,
+    and n_R over the grid's range."""
+    E, steps = _unwrap(partial(_phase_delay, model), E, phi, T, math.pi)
+    return CountReport.from_n_R(math.fsum(steps) / math.pi,
+                                (float(E[0]), float(E[-1])), 0.0, len(E))
 
 
 def gamma_from_peak(peak_height: float) -> float:

@@ -426,6 +426,15 @@ class TestExitCodes:
         assert run(args, tmp_path) == 3
         assert "(SeriesNonConvergence)" in capsys.readouterr().err
 
+    def test_step_cancelled_series_names_the_options(self, tmp_path, capsys):
+        # 2 sqrt(V2) a = 18.97, inside the series' bound: the J_nu series
+        # cancels, and the error named no option
+        args = ["step", "--V2", "90", "--a", "1", "--emax", "800"]
+        assert run(args, tmp_path) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure (SeriesNonConvergence): --a 1.0 --V2 90.0: J_nu series "
+            "cancels at nu=")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["quux"])
@@ -583,9 +592,12 @@ class TestWriters:
     @settings(max_examples=100, deadline=None)
     def test_report_matches_the_encoder(self, curves, files, config, extra):
         # strings from argv or config may hold quotes, newlines, brackets or
-        # the keys themselves: the curve text is placed by structure
+        # the keys themselves: the curve text is placed by structure.  The
+        # shared energy array also stands one level up, where its numbers
+        # take other separators than in the curve entries
         report = {k: v for k, v in extra.items() if k != "curves"}
-        report["provenance"] = {"subcommand": "step", "config": config}
+        report["provenance"] = {"subcommand": "step", "config": config,
+                                "grid": curves[0].energies}
         report["count"] = {"n_R": -1.25, "evaluations": 1257}
         entries = []
         for curve, name in zip(curves, files):
@@ -597,7 +609,10 @@ class TestWriters:
         report["curves"] = entries
         got = io.BytesIO()
         cli._write_report(got, report, cli._digit_table(curves))
-        assert got.getvalue().decode() == scalar_oracle.report_json(listed(report))
+        expected = listed(report)
+        expected["provenance"] = {**report["provenance"],
+                                  "grid": curves[0].energies.tolist()}
+        assert got.getvalue().decode() == scalar_oracle.report_json(expected)
 
     @given(curves=curve_sets())
     @settings(max_examples=100, deadline=None)
@@ -651,6 +666,61 @@ class TestWriters:
             lines = (tmp_path / entry["file"]).read_text().splitlines()
             rows = zip(entry["energies"], entry["values"], strict=True)
             assert lines == ["E,value"] + [f"{e!r},{v!r}" for e, v in rows]
+
+    @pytest.mark.parametrize(
+        "argv, joins",
+        [
+            # 3 CSV files, and 5 report arrays: the reflectivity and delay
+            # curves share their grid
+            (["step"], 8),
+            (["step", "--format", "json"], 5),
+            # theta needs no bisection here, so all three curves share it
+            (["step", "--V1", "0.5208", "--V2", "1.9192", "--a", "1.9742"], 7),
+            # the display grid serves the Lorentzian curve too
+            (["sqwell", "--l", "1"], 8),
+            (["deltashell"], 5),
+            (["data"], 3),
+        ],
+    )
+    def test_each_array_and_indentation_is_joined_once(self, tmp_path, monkeypatch,
+                                                        argv, joins):
+        calls = [0]
+        joined = cli._joined
+
+        def counted(parts):
+            calls[0] += 1
+            return joined(parts)
+
+        monkeypatch.setattr(cli, "_joined", counted)
+        assert run(argv, tmp_path) == 0
+        assert calls[0] == joins
+
+    @pytest.mark.parametrize(
+        "argv, points",
+        [
+            # display 600, classification 900 and count 309 (or 311) in one
+            # pass; the first-peak curve's 200 in another
+            (["sqwell", "--l", "1"], [1809, 200]),
+            (["sqwell"], [1811, 200]),
+            # display 600, classification 1,200 and count 294
+            (["deltashell"], [2094]),
+        ],
+    )
+    def test_one_real_axis_pass_per_model_run(self, tmp_path, monkeypatch, argv,
+                                               points):
+        # the pole search evaluates through poles' own reference; every
+        # real-axis evaluation of the delay goes through scattering's
+        passes = []
+        outgoing = scattering._outgoing
+
+        def counted(model, E, lower=False, series=False):
+            if series:
+                passes.append(np.size(E))
+            return outgoing(model, E, lower, series)
+
+        monkeypatch.setattr(scattering, "_outgoing", counted)
+        assert run(argv, tmp_path) == 0
+        assert passes == points
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(

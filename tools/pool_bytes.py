@@ -61,10 +61,10 @@ def run_pool(tree: Path, work: Path, workloads: list[str] | None,
     this process, in file order.
 
     Yields ``(instance, exit code, stderr text, output directory, seconds)``
-    per instance, the seconds those of the ``main`` call alone.  The tables
-    and outputs go under ``work``, at the same paths for every tree, since a
-    report records its ``--input`` path; the output directory is emptied
-    before the next instance."""
+    per instance, the seconds those of the ``main`` call alone
+    (:func:`run_once`).  The tables and outputs go under ``work``, at the
+    same paths for every tree, since a report records its ``--input`` path;
+    the output directory is emptied before the next instance."""
     sys.path[:0] = [str(tree / "src"), str(BENCH)]
     import pool
     import resdelay
@@ -77,20 +77,27 @@ def run_pool(tree: Path, work: Path, workloads: list[str] | None,
     tables.mkdir()
     for inst in instances(workloads, pipeline):
         argv = pool.materialize(inst, tables)
-        shutil.rmtree(out, ignore_errors=True)
-        out.mkdir()
-        gc.collect()
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            t0 = time.perf_counter()
-            try:
-                rc = main(argv + ["--out", str(out)])
-            except SystemExit as exc:
-                rc = exc.code
-            except Exception as exc:  # a crash is an output like any other
-                rc = f"raised {type(exc).__name__}: {exc}"
-            seconds = time.perf_counter() - t0
-        yield inst, rc, err.getvalue(), out, seconds
+        rc, err, seconds = run_once(main, argv, out)
+        yield inst, rc, err, out, seconds
+
+
+def run_once(main, argv: list[str], out: Path) -> tuple:
+    """One call ``main(argv + ["--out", out])`` on an emptied ``out``:
+    ``(exit code, stderr text, seconds of the call alone)``."""
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    gc.collect()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        try:
+            rc = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # a crash is an output like any other
+            rc = f"raised {type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - t0
+    return rc, err.getvalue(), seconds
 
 
 def number(field: str):

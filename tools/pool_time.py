@@ -20,6 +20,18 @@ in both trees::
 
     python tools/pool_time.py OLD_TREE NEW_TREE --workload sqwell_highl --stage find_poles
 
+``--ab RUNS`` times both trees in this interpreter instead, which the
+host's speed states, moving from one child interpreter to the next, do not
+reach: each tree's ``src/resdelay`` is copied and imported as the package
+``resdelay_old`` or ``resdelay_new``, and each instance runs ``RUNS``
+times in each tree, the trees taking turns and the old tree first on even
+instances.  An instance's time is its least of those runs.  For each group
+it prints each tree's summed and median instance time and their changes,
+the median of the per-instance ratios and the instances the new tree ran
+faster::
+
+    python tools/pool_time.py OLD_TREE NEW_TREE --workload expstep --ab 7
+
 Per pair and tree the script takes the median instance time of each
 pipeline, and of the instances that exit 0 in both trees: a median over the
 whole pool mixes pipelines, and instances that exit early pull it down.  It
@@ -37,21 +49,25 @@ the bench process).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import math
 import resource
+import shutil
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from pool_bytes import instances, run_pool, run_tree
+from pool_bytes import BENCH, instances, run_once, run_pool, run_tree
 
 
-def timed_stage(name: str) -> list:
-    """Wrap ``resdelay.cli.NAME`` (imported already) so that each call adds
-    its seconds and 1 to the list ``[seconds, calls]`` returned."""
-    cli = sys.modules["resdelay.cli"]
+def timed_stage(name: str, cli=None) -> list:
+    """Wrap ``NAME`` of the module ``cli`` (by default ``resdelay.cli``,
+    imported already) so that each call adds its seconds and 1 to the list
+    ``[seconds, calls]`` returned."""
+    cli = sys.modules["resdelay.cli"] if cli is None else cli
     fn = getattr(cli, name, None)
     if not callable(fn):
         raise SystemExit(f"resdelay.cli has no function {name!r}")
@@ -88,6 +104,77 @@ def collect(tree: Path, work: Path, workloads: list[str],
             spent[:] = [0.0, 0]
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"instances": runs, "peak_rss_mb": peak}
+
+
+def load_trees(trees: list[Path], home: Path) -> list:
+    """The ``cli`` modules of copies of each tree's ``src/resdelay``,
+    imported in this interpreter as the packages ``resdelay_old`` and
+    ``resdelay_new`` from ``home``."""
+    for tree, name in zip(trees, ("resdelay_old", "resdelay_new")):
+        shutil.copytree(tree / "src" / "resdelay", home / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, str(home))
+    return [importlib.import_module(f"{name}.cli") for name in ("resdelay_old", "resdelay_new")]
+
+
+def ab_collect(trees: list[Path], work: Path, workloads: list[str], runs: int,
+               pipeline: str | None = None, stage: str | None = None) -> tuple:
+    """Both trees in this interpreter (:func:`load_trees`): per instance
+    and tree, the pipeline, the exit code and the least seconds of
+    ``runs`` runs, the two trees taking turns within each round of runs and
+    the old tree first on even instances.  With a ``stage``, the seconds
+    are those of the calls to ``cli.<stage>`` (:func:`timed_stage`), and
+    ``calls`` counts them.  While a tree runs, ``sys.modules["resdelay"]``
+    is its package, which ``importlib.resources`` reads; the phase tables
+    are written by the old tree."""
+    clis = load_trees(trees, work / "trees")
+    sys.path.insert(0, str(BENCH))
+    import pool
+
+    tables, out = work / "tables", work / "out"
+    tables.mkdir()
+    packages = [sys.modules[cli.__package__] for cli in clis]
+    sys.modules["resdelay"] = packages[0]
+    sys.modules["resdelay.phasedata"] = sys.modules["resdelay_old.phasedata"]
+    todo = [(inst, pool.materialize(inst, tables)) for inst in instances(workloads, pipeline)]
+    del sys.modules["resdelay.phasedata"]
+    spent = [timed_stage(stage, cli) if stage is not None else None for cli in clis]
+    result: tuple[dict, dict] = ({}, {})
+    for i, (inst, argv) in enumerate(todo):
+        for _ in range(runs):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                sys.modules["resdelay"] = packages[side]
+                rc, _, seconds = run_once(clis[side].main, argv, out)
+                run = result[side].setdefault(inst["id"], {"seconds": math.inf})
+                if spent[side] is not None:
+                    seconds, run["calls"] = spent[side]
+                    spent[side][:] = [0.0, 0]
+                run.update(pipeline=inst["argv"][0], exit=rc,
+                           seconds=min(seconds, run["seconds"]))
+    del sys.modules["resdelay"]
+    return result
+
+
+def ab_summary(old: dict, new: dict) -> list[str]:
+    """One line per group of :func:`groups`: instances, each tree's summed
+    and median per-instance least time and their changes, the median of
+    the per-instance ratios new/old less 1, and the instances the new tree
+    ran faster."""
+    lines = [f"{'group':<16} {'n':>4} {'old sum s':>10} {'new sum s':>10} {'change':>8} "
+             f"{'old median':>11} {'new median':>11} {'change':>8} "
+             f"{'median ratio':>13} {'new won':>9}"]
+    for name, ids in groups(old, new).items():
+        if not ids:
+            continue
+        a, b = ([side[key]["seconds"] for key in ids] for side in (old, new))
+        so, sn, mo, mn = sum(a), sum(b), statistics.median(a), statistics.median(b)
+        ratio = statistics.median(y / x for x, y in zip(a, b))
+        won = sum(y < x for x, y in zip(a, b))
+        lines.append(f"{name:<16} {len(ids):>4} {so:>10.4f} {sn:>10.4f} "
+                     f"{100 * (sn / so - 1):>+7.1f}% {mo:>11.6f} {mn:>11.6f} "
+                     f"{100 * (mn / mo - 1):>+7.1f}% {100 * (ratio - 1):>+12.1f}% "
+                     f"{won:>4}/{len(ids):<4}")
+    return lines
 
 
 def groups(old: dict, new: dict) -> dict[str, list[str]]:
@@ -149,6 +236,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pipeline", help="only the instances of this subcommand")
     parser.add_argument("--stage", metavar="NAME",
                         help="time only the calls to resdelay.cli.NAME")
+    parser.add_argument("--ab", type=int, metavar="RUNS",
+                        help="time both trees in this interpreter, each instance's "
+                             "least of RUNS runs")
     parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -158,11 +248,24 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD_TREE NEW_TREE")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 1 or args.ab is not None and args.ab < 1:
+        parser.error("--pairs and --ab must be at least 1")
     if not instances([args.workload], args.pipeline):
         parser.error(f"workload {args.workload!r} has no instance"
                      + (f" of pipeline {args.pipeline!r}" if args.pipeline else ""))
+    what = args.workload + (f" --pipeline {args.pipeline}" if args.pipeline else "")
+    timed = f" in resdelay.cli.{args.stage}" if args.stage else ""
+    if args.ab is not None:
+        with tempfile.TemporaryDirectory() as work:
+            old, new = ab_collect(args.trees, Path(work), [args.workload], args.ab,
+                                  args.pipeline, args.stage)
+        print(f"{what}: both trees in one interpreter, old tree first on even "
+              f"instances; seconds are each instance's least of {args.ab} runs{timed}")
+        print("\n".join(ab_summary(old, new)))
+        differ = sum(old[key]["exit"] != new[key]["exit"] for key in old)
+        if differ:
+            print(f"exit codes differ in {differ} instances")
+        return 0
     runs: tuple[list[dict], list[dict]] = ([], [])
     peaks: tuple[list[float], list[float]] = ([], [])
     with tempfile.TemporaryDirectory() as work:
@@ -174,8 +277,6 @@ def main(argv=None) -> int:
                 runs[side].append(child["instances"])
                 peaks[side].append(child["peak_rss_mb"])
     differ = sum(a[key]["exit"] != b[key]["exit"] for a, b in zip(*runs) for key in a)
-    what = args.workload + (f" --pipeline {args.pipeline}" if args.pipeline else "")
-    timed = f" in resdelay.cli.{args.stage}" if args.stage else ""
     print(f"{what}: {args.pairs} pairs, old tree first in odd pairs; "
           f"seconds are per-pair medians and sums of instance times{timed}")
     print("\n".join(summary(runs)))
