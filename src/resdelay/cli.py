@@ -357,12 +357,12 @@ def _write_report(file, report: dict, table: dict) -> None:
 
 
 def _emit(report: dict, curves: list[tuple[str, Curve]], args) -> dict:
-    """Write the curves and the report; returns the report, whose curve
-    entries hold the curves' own sample arrays."""
+    """Write the curves and the report (of :func:`_base_report`, with no
+    curve entries yet); returns the report, whose curve entries hold the
+    curves' own sample arrays."""
     out = Path(os.environ.get(ENV_OUT, ".") if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = _digit_table([curve for _, curve in curves])
-    report["curves"] = []
     for stem, curve in curves:
         entry = {"label": curve.label, "energies": curve.energies, "values": curve.values}
         if args.format == "csv":

@@ -87,6 +87,15 @@ def lorentzian_sum(
     return total if total.ndim else float(total)
 
 
+def _counted_start(E_lo: float, E_hi: float) -> float:
+    """The start of a counted range [E_lo, E_hi], raised to the threshold
+    guard ``E_MIN`` (k = 0 is a branch point); ``ValueError`` unless
+    0 <= E_lo < E_hi and E_hi > E_MIN."""
+    if not (0 <= E_lo < E_hi) or E_hi <= E_MIN:
+        raise ValueError(f"require 0 <= E_lo < E_hi and E_hi > {E_MIN}")
+    return max(E_lo, E_MIN)
+
+
 def count_resonances(
     delay: Callable[[np.ndarray], np.ndarray],
     E_lo: float,
@@ -100,9 +109,7 @@ def count_resonances(
     The lower limit is raised to the threshold guard ``E_MIN`` (k = 0 is a
     branch point); the reported ``E_range`` is the range integrated.
     """
-    if not (0 <= E_lo < E_hi) or E_hi <= E_MIN:
-        raise ValueError(f"require 0 <= E_lo < E_hi and E_hi > {E_MIN}")
-    lo = max(E_lo, E_MIN)
+    lo = _counted_start(E_lo, E_hi)
     quad = integrate(delay, lo, E_hi, tol)
     return CountReport.from_n_R(quad.value / math.pi, (lo, E_hi), tol, quad.evaluations)
 
@@ -138,9 +145,7 @@ def _phase_start(E_lo: float, E_hi: float, poles: Sequence[Pole]) -> np.ndarray:
     """The start grid of :func:`count_from_phase`, from ``max(E_lo,
     E_MIN)`` to ``E_hi``: its points uniform in k and the points of every
     pole inside the range."""
-    if not (0 <= E_lo < E_hi) or E_hi <= E_MIN:
-        raise ValueError(f"require 0 <= E_lo < E_hi and E_hi > {E_MIN}")
-    lo = max(E_lo, E_MIN)
+    lo = _counted_start(E_lo, E_hi)
     E = np.linspace(math.sqrt(lo), math.sqrt(E_hi), _PHASE_START) ** 2
     E[0], E[-1] = lo, E_hi
     near = np.array([p.position + s * p.gamma for p in poles for s in _POLE_OFFSETS])

@@ -108,25 +108,13 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 
 def _near_nonpositive_integer(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Elementwise: z lies within ``tol`` of a pole 0, -1, -2, ... of Gamma."""
     n = np.round(z.real)
     return (np.abs(z.imag) <= tol) & (n <= 0) & (np.abs(z.real - n) <= tol)
-
-
-def _lanczos(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The Lanczos form of Gamma(z) for Re(z) >= 0.5, elementwise: w = z - 1,
-    t = w + g + 1/2, the sum s and its derivative ds/dz, with
-    Gamma(z) = sqrt(2 pi) t**(w + 1/2) exp(-t) s."""
-    w = z - 1.0
-    s, ds = _LANCZOS_C[0], 0.0
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        inv = 1.0 / (w + i)
-        s += c * inv
-        ds -= c * inv * inv
-    return w, w + _LANCZOS_G + 0.5, s, ds
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -136,19 +124,37 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def _log_gamma(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log Gamma(z) and psi(z) = Gamma'(z)/Gamma(z) for Re(z) >= 0.5,
-    elementwise, from one Lanczos sum: psi is the log-derivative of the
-    Lanczos form."""
-    w, t, s, ds = _lanczos(z)
+    """log Gamma(z) and psi(z) = Gamma'(z)/Gamma(z), elementwise, from one
+    Lanczos sum: for Re(z) >= 1/2 the log of the Lanczos form
+    sqrt(2 pi) t**(w + 1/2) exp(-t) s (w = z - 1, t = w + g + 1/2) and its
+    log-derivative.  For Re(z) < 1/2 log Gamma follows from the reflection
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z) (DLMF 5.5.3), with sin(pi z) as
+    (-1)^n sin(pi (z - n)), n = round(Re z), which keeps its digits next to
+    the poles; there it is defined only modulo 2 pi i (only its exp means
+    anything), and psi is NaN.  No pole test: a pole gives no finite value.
+    """
+    refl = z.real < 0.5
+    any_refl = refl.any()
+    w = np.where(refl, -z, z - 1.0) if any_refl else z - 1.0
+    s, ds = _LANCZOS_C[0], 0.0
+    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+        inv = 1.0 / (w + i)
+        s += c * inv
+        ds -= c * inv * inv
+    t = w + _LANCZOS_G + 0.5
     log_t = _log(t)
-    return (_HALF_LOG_2PI + (w + 0.5) * log_t - t + _log(s),
-            log_t + (w + 0.5) / t - 1.0 + ds / s)
+    log_gamma = _HALF_LOG_2PI + (w + 0.5) * log_t - t + _log(s)
+    psi = log_t + (w + 0.5) / t - 1.0 + ds / s
+    if any_refl:
+        n = np.round(z.real[refl])
+        sin = (-1.0) ** n * np.sin(math.pi * (z[refl] - n))
+        log_gamma[refl] = _LOG_PI - _log(sin) - log_gamma[refl]
+        psi[refl] = math.nan
+    return log_gamma, psi
 
 
 def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
-    """Gamma function for complex argument.
-
-    Uses the reflection formula for Re(z) < 0.5, Lanczos otherwise.
+    """Gamma function for complex argument: the exp of :func:`_log_gamma`.
     Raises :class:`PoleOfGamma` within 1e-12 of a non-positive integer.
     A numpy array ``z`` is evaluated elementwise and gives an array of its
     shape (it raises when any element is near a pole); a number gives a
@@ -158,20 +164,8 @@ def complex_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     poles = _near_nonpositive_integer(flat)
     if poles.any():
         raise PoleOfGamma(f"gamma pole at {flat[poles][0]}")
-    refl = flat.real < 0.5
-    w, t, s, _ = _lanczos(np.where(refl, 1.0 - flat, flat))
-    g = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * s
-    # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    g[refl] = math.pi / (np.sin(math.pi * flat[refl]) * g[refl])
+    g = np.exp(_log_gamma(flat)[0])
     return g.reshape(z.shape) if isinstance(z, np.ndarray) else g.item()
-
-
-def _reciprocal_gamma(z: np.ndarray) -> np.ndarray:
-    """1/Gamma(z), elementwise; zero at the poles of Gamma."""
-    finite = ~_near_nonpositive_integer(z)
-    out = np.zeros_like(z)
-    out[finite] = 1.0 / complex_gamma(z[finite])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +196,16 @@ def bessel_j(nu: complex | np.ndarray, z: complex, order_derivative: bool = Fals
     d2J/dz dnu)``, the order derivatives summed in the same loop from
     d(term_k)/dnu = term_k (ln(z/2) - psi(nu + k + 1)) (DLMF 10.15.1), with
     psi as a running sum from psi(nu + 1), which one Lanczos loop gives
-    together with the first term's log Gamma(nu + 1) (in both modes, where
-    Re(nu + 1) >= 1/2).  Their domain is Re(nu) > -1/2 and z != 0
-    (``ValueError`` otherwise), which holds the purely imaginary orders of
-    the exponential step.  J and dJ/dz are the same bits either way; the
-    order derivatives stop by their own rule once J has stopped.
+    together with log Gamma(nu + 1).  Their domain is Re(nu) > -1/2 and
+    z != 0 (``ValueError`` otherwise), which holds the purely imaginary
+    orders of the exponential step.  J and dJ/dz are the same bits either
+    way; the order derivatives stop by their own rule once J has stopped.
+
+    In both modes the first term (z/2)**nu / Gamma(nu + 1) is
+    exp(nu ln(z/2) - log Gamma(nu + 1)) at every order, with log Gamma from
+    :func:`_log_gamma`, through the reflection formula where
+    Re(nu + 1) < 1/2: an order next to a negative integer keeps its digits.
+    An order equal to a negative integer -n is taken as J_{-n} = (-1)^n J_n.
 
     Once |z| is large against |nu| the terms grow before they fall and
     cancel: :class:`SeriesNonConvergence` is raised when the round-off
@@ -270,17 +269,13 @@ def _bessel_series(nu: np.ndarray, z: complex,
     sign, nu = np.where(negative_int, (-1.0) ** n, 1.0), np.where(negative_int, -nu, nu)
     half = z / 2.0
     log_half, inv_z = cmath.log(half), 1.0 / z
-    # k = 0 term (z/2)**nu / Gamma(nu + 1) = exp(nu ln(z/2) - ln Gamma(nu + 1))
-    # where Re(nu + 1) >= 1/2, which holds every order of the order
-    # derivative; below, the reciprocal gamma absorbs the poles harmlessly.
-    # Far out along the imaginary order axis Gamma(nu + 1) underflows, and
-    # the first terms overflow
+    # k = 0 term (z/2)**nu / Gamma(nu + 1) = exp(nu ln(z/2) - ln Gamma(nu + 1)),
+    # at every order; psi(nu + 1) is read only by the order derivative,
+    # whose orders have Re(nu + 1) > 1/2.  Far out along the imaginary order
+    # axis Gamma(nu + 1) underflows, and the first terms overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        low = nu.real < -0.5
-        log_gamma, psi = _log_gamma(np.where(low, 1.0, nu + 1.0))
+        log_gamma, psi = _log_gamma(nu + 1.0)
         term = np.exp(nu * log_half - log_gamma)
-        if low.any():
-            term[low] = np.exp(nu[low] * log_half) * _reciprocal_gamma(nu[low] + 1.0)
         dterm = nu * inv_z * term
         over = ~(np.abs(term) + np.abs(dterm) <= _BESSEL_MAX_FIRST_TERM)
         if order_derivative:

@@ -193,7 +193,9 @@ def delay_from_table(table: PhaseTable, smooth_window: int = 1) -> Curve:
 def extract_resonance(curve: Curve, W_lo: float, W_hi: float,
                       count_curve: Curve | None = None) -> ResonanceReport:
     """Resonance mass/width from the highest delay peak plus the counting
-    integral (trapezoidal on the data grid) over [W_lo, W_hi].
+    integral (trapezoidal on the data grid) over [W_lo, W_hi].  Raises
+    :class:`NoPeak` when the window holds no interior maximum of positive
+    delay, the only kind that gives a width.
 
     Where ``count_curve``, a delay on the same grid, is given, the integral
     runs over it: a smoothed delay's peak is then read beside the count of
@@ -204,9 +206,11 @@ def extract_resonance(curve: Curve, W_lo: float, W_hi: float,
         raise ValueError("window contains fewer than 3 samples")
     sub = Curve(curve.energies[mask], curve.values[mask], label=curve.label)
     maxima = [p for p in find_extrema(sub) if p.kind == "max"]
-    if not maxima:
-        raise NoPeak(f"no interior maximum in [{W_lo}, {W_hi}]")
-    best = max(maxima, key=lambda p: p.height)
+    best = max(maxima, key=lambda p: p.height, default=None)
+    if best is None or best.height <= 0:
+        highest = "" if best is None else f"; the highest is {best.height:.3g} rad/MeV"
+        raise NoPeak(f"no interior maximum of positive delay in [{W_lo}, {W_hi}]"
+                     f"{highest}")
     counted = curve if count_curve is None else count_curve
     n_r = float(np.trapezoid(counted.values[mask], counted.energies[mask])) / math.pi
     return ResonanceReport(

@@ -258,6 +258,20 @@ class TestExitCodes:
         assert err == ("error (ParseError): line 5: |delta| exceeds 360 degrees "
                        "in '1130,-400.0'\n")
 
+    def test_data_without_a_positive_maximum_is_numerical_failure(self, tmp_path,
+                                                                  capsys):
+        # exited 2 with "peak height must be positive", naming no option or
+        # line: the falling background leaves every delay maximum below 0
+        table = synth_phase_table(1232.0, 115.0, -0.02, 1100.0, 1400.0, 301)
+        path = tmp_path / "falling.csv"
+        path.write_text("W_MeV,delta_deg\n" + "".join(
+            f"{w!r},{d!r}\n" for w, d in zip(table.W.tolist(), table.delta_deg.tolist())))
+        assert run(["data", "--input", str(path)], tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            "numerical failure (NoPeak): no interior maximum of positive delay in "
+            "[1100.0, 1400.0]; the highest is -0.00261 rad/MeV\n")
+        assert not (tmp_path / "out" / "data_report.json").exists()
+
     def test_output_path_that_is_a_file_names_the_path(self, tmp_path, capsys):
         # mkdir raised an uncaught FileExistsError (exit 1)
         taken = tmp_path / "taken"
@@ -620,8 +634,8 @@ class TestWriters:
         out = tmp_path_factory.getbasetemp() / "curves"
         args = argparse.Namespace(out=str(out), format="csv")
         stems = [f"curve{i}" for i in range(len(curves))]
-        cli._emit({"provenance": {"subcommand": "step"}}, list(zip(stems, curves)),
-                  args)
+        cli._emit({"provenance": {"subcommand": "step"}, "curves": []},
+                  list(zip(stems, curves)), args)
         for stem, curve in zip(stems, curves):
             text = scalar_oracle.curve_csv(curve).encode()
             assert (out / f"{stem}.csv").read_bytes() == text

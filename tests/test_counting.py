@@ -487,3 +487,17 @@ class TestReconstructionReport:
         assert len(poles) == 136
         rep = reconstruction_report(Curve(e, exact), poles)
         assert rep.max_rel_error > 0.05
+
+
+@pytest.mark.parametrize(
+    "curve, match",
+    [
+        (Curve(np.array([]), np.array([])), "nonempty"),
+        (Curve(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0, -3.0])),
+         "above the tail cutoff"),
+    ],
+    ids=["empty", "nothing-above-cutoff"],
+)
+def test_reconstruction_report_checks(curve, match):
+    with pytest.raises(ValueError, match=match):
+        reconstruction_report(curve, [res_pole(1.0, 0.1)])

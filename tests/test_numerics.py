@@ -225,6 +225,16 @@ class TestComplexGammaArray:
         assert_rel_close(got.ravel(), scalar_loop(mp_gamma, z.ravel()))
         assert complex_gamma(np.array(0.3 + 1j)).shape == ()
 
+    @pytest.mark.parametrize("lo, hi", [(142.5, 171.5), (-170.5, -141.5)])
+    def test_far_along_the_real_axis(self, lo, hi):
+        # |log Gamma| nears 709: the product form once overflowed to NaN
+        # here, on both sides of the reflection
+        z = np.linspace(lo, hi, 80) + np.array([0.0, 0.1j, -0.3j])[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = complex_gamma(z)
+        assert_rel_close(got.ravel(), scalar_loop(mp_gamma, z.ravel()))
+
     @pytest.mark.parametrize("pole", [0.0, -7.0, -3.0 + 1e-13j])
     def test_pole_parity(self, pole):
         with pytest.raises(PoleOfGamma):
@@ -271,8 +281,6 @@ class TestBesselJArray:
         [
             (-0.5, 0.0, BranchAmbiguity),
             (1.0, 60.0, ValueError),
-            # 1/Gamma(nu + 1) counts as zero, so the series never starts
-            (-1.0 + 1e-13, 1.0, SeriesNonConvergence),
             # the terms reach 1e7 and cancel to J ~ 0.1
             (-5.24j, 40.0, SeriesNonConvergence),
             # the step's order -2i sqrt(E - 2) a at a = 1.31: near E = 3e4
@@ -287,6 +295,18 @@ class TestBesselJArray:
             bessel_j(bad, z)
         with pytest.raises(exc):
             bessel_j(np.array([0.5, bad, 2.0 + 1j]), z)
+
+    @pytest.mark.parametrize(
+        "nu, z", [(-3.0 + 1e-13j, 1.5), (-2.0 + 1e-9, 1.5), (-1.0 + 1e-13, 1.0)]
+    )
+    def test_near_pole_orders_against_mpmath(self, nu, z):
+        # Gamma(nu + 1) is near a pole: the first term comes from the
+        # reflected log Gamma, whose sine keeps its digits there
+        ref_v = complex(mpmath.besselj(nu, z))
+        ref_d = complex(mpmath.besselj(nu, z, derivative=1))
+        for J, dJ in (bessel_j(nu, z), bessel_j(np.array([0.5, nu]), z)):
+            assert_rel_close(np.ravel(J)[-1:], [ref_v])
+            assert_rel_close(np.ravel(dJ)[-1:], [ref_d])
 
     @pytest.mark.parametrize(
         "z, edge, order_derivative",
@@ -371,7 +391,7 @@ class TestBesselJOrderDerivative:
 
     def test_one_lanczos_loop_per_call(self, monkeypatch):
         # log Gamma(nu + 1) and psi(nu + 1) come from one Lanczos loop,
-        # without complex_gamma's pole test and reflection (Re(nu + 1) > 1/2)
+        # without complex_gamma's pole test
         calls = {"lanczos": 0, "complex_gamma": 0}
         lanczos, gamma = numerics._log_gamma, numerics.complex_gamma
 
@@ -1112,3 +1132,30 @@ class TestFindExtrema:
         e = np.cumsum(spacing[: len(values)])
         curve = Curve(e, np.array(values, dtype=float))
         assert find_extrema(curve) == scalar_oracle.find_extrema(curve)
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        (lambda: numerics._sample_grid(2.0, 1.0, 10), ValueError, "e_hi > e_lo > 0"),
+        (lambda: numerics._sample_grid(1.0, math.inf, 10), ValueError, "both finite"),
+        (lambda: numerics._sample_grid(1.0, 2.0, 1), ValueError, "at least 2 samples"),
+        (lambda: sph_bessel(-1, 1.0), ValueError, r"\[0, 30\]"),
+        (lambda: sph_bessel(31, 1.0), ValueError, r"\[0, 30\]"),
+        (lambda: find_extrema(Curve(np.array([1.0, 2.0]), np.array([0.0, 1.0]))),
+         ValueError, "at least 3 samples"),
+    ],
+    ids=["grid-reversed", "grid-infinite", "grid-one-sample", "sph-l-negative",
+         "sph-l-31", "extrema-two-samples"],
+)
+def test_argument_checks(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_quadrature_result_converts_to_its_value():
+    assert float(numerics.QuadratureResult(1.25, 1e-9, 129)) == 1.25

@@ -374,3 +374,27 @@ class TestSynthPhaseTable:
             synth_phase_table(1232.0, -5.0, 0.0, 1100.0, 1400.0, 61)
         with pytest.raises(ValueError):
             synth_phase_table(1232.0, 120.0, 0.0, 1100.0, 1400.0, 3)
+
+
+_W = np.linspace(1100.0, 1400.0, 6)
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        (lambda: PhaseTable(_W[:4], np.zeros(4)), TooFewRows, "at least 5 rows"),
+        (lambda: PhaseTable(_W[::-1], np.zeros(6)), MonotonicityError, "increasing"),
+        (lambda: PhaseTable(_W, np.full(6, 361.0)), ParseError, "360 degrees"),
+        (lambda: phasedata.ResonanceReport(1500.0, 100.0, 0.9, (1100.0, 1400.0)),
+         ValueError, "outside the analysis window"),
+        (lambda: phasedata.ResonanceReport(1200.0, 0.0, 0.9, (1100.0, 1400.0)),
+         ValueError, "Gamma must be positive"),
+        (lambda: extract_resonance(Curve(_W, np.ones(6)), 1100.0, 1150.0),
+         ValueError, "fewer than 3 samples"),
+    ],
+    ids=["table-4-rows", "table-decreasing", "table-beyond-360", "report-M-outside",
+         "report-Gamma-zero", "window-2-samples"],
+)
+def test_direct_construction_checks(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -945,3 +945,18 @@ def pool_instance(inst_id):
     workloads = json.loads(REFERENCE.read_text(encoding="utf-8"))["workloads"]
     name = inst_id.split("/")[0]
     return next(i for rnd in workloads[name] for i in rnd if i["id"] == inst_id)
+
+
+@pytest.mark.parametrize(
+    "re_range, im_range, n_re, n_im, match",
+    [
+        ((0.0, math.inf), (-1.0, 0.0), 40, 10, "finite"),
+        ((0.0, 5.0), (math.nan, 0.0), 40, 10, "finite"),
+        ((0.0, 5.0), (-1.0, 0.0), 1, 10, ">= 2"),
+        ((0.0, 5.0), (-1.0, 0.0), 40, 1, ">= 2"),
+    ],
+    ids=["re-infinite", "im-nan", "n_re-1", "n_im-1"],
+)
+def test_search_region_checks(re_range, im_range, n_re, n_im, match):
+    with pytest.raises(ValueError, match=match):
+        SearchRegion(re_range, im_range, n_re, n_im)

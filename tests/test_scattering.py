@@ -572,3 +572,25 @@ class TestInflexionInvariant:
             lo, hi = max(i - 3, 0), min(i + 3, len(second))
             window = second[lo:hi]
             assert np.min(window) < 0 < np.max(window)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: DeltaShell(1.0, 0.0), "radius a must be positive"),
+        (lambda: DeltaShell(1.0, -2.0), "radius a must be positive"),
+        (lambda: phase_shift_bar(SquareWell(5.0, 1.0), 0.0), "E must be positive"),
+        (lambda: phase_shift_sweep(SquareWell(5.0, 1.0), np.array([-1.0, 1.0])),
+         "E must be positive"),
+        (lambda: time_delay_square_well_analytic(SquareWell(5.0, 1.0), 0.0),
+         "E must be positive"),
+        (lambda: time_delay_delta_shell_analytic(DeltaShell(5.0, 1.0),
+                                                 np.array([1.0, -1.0])),
+         "E must be positive"),
+    ],
+    ids=["shell-a-zero", "shell-a-negative", "phase-bar", "phase-sweep",
+         "well-analytic", "shell-analytic"],
+)
+def test_argument_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
