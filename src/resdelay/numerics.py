@@ -134,7 +134,7 @@ def _log_gamma(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     anything), and psi is NaN.  No pole test: a pole gives no finite value.
     """
     refl = z.real < 0.5
-    any_refl = refl.any()
+    any_refl = refl.any()  # never on the step's orders: skip the np.where
     w = np.where(refl, -z, z - 1.0) if any_refl else z - 1.0
     s, ds = _LANCZOS_C[0], 0.0
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
