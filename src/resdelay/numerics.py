@@ -130,8 +130,10 @@ def _log_gamma(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log-derivative.  For Re(z) < 1/2 log Gamma follows from the reflection
     Gamma(z) Gamma(1 - z) = pi / sin(pi z) (DLMF 5.5.3), with sin(pi z) as
     (-1)^n sin(pi (z - n)), n = round(Re z), which keeps its digits next to
-    the poles; there it is defined only modulo 2 pi i (only its exp means
-    anything), and psi is NaN.  No pole test: a pole gives no finite value.
+    the poles, and log sin(pi z) from its exponential where |Im z| > 20/pi,
+    so that far up the imaginary axis nothing overflows; there log Gamma
+    is defined only modulo 2 pi i (only its exp means anything), and psi
+    is NaN.  No pole test: a pole gives no finite value.
     """
     refl = z.real < 0.5
     any_refl = refl.any()  # never on the step's orders: skip the np.where
@@ -147,8 +149,16 @@ def _log_gamma(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     psi = log_t + (w + 0.5) / t - 1.0 + ds / s
     if any_refl:
         n = np.round(z.real[refl])
-        sin = (-1.0) ** n * np.sin(math.pi * (z[refl] - n))
-        log_gamma[refl] = _LOG_PI - _log(sin) - log_gamma[refl]
+        u = math.pi * (z[refl] - n)
+        # far from the real axis sin(u) overflows: there it is i s/2 exp(-i s
+        # u), s = sgn(Im u), short by exp(-2 |Im u|), below half an ulp
+        far = np.abs(u.imag) > 20.0
+        log_sin = np.empty_like(u)
+        log_sin[~far] = _log((-1.0) ** n[~far] * np.sin(u[~far]))
+        s = np.sign(u.imag[far])
+        log_sin[far] = (np.log(0.5 * s * 1j)
+                        + 1j * (math.pi * np.mod(n[far], 2.0) - s * u[far]))
+        log_gamma[refl] = _LOG_PI - log_sin - log_gamma[refl]
         psi[refl] = math.nan
     return log_gamma, psi
 
@@ -550,7 +560,9 @@ def newton_complex(
                 z_new = z - fz / df
                 if i < max_iter:
                     zero = ~conv & (df == 0)
-                    finite = np.isfinite(fz) & np.isfinite(df) & np.isfinite(z_new)
+                    # a non-finite f over a finite slope makes the step
+                    # non-finite, so f itself needs no test
+                    finite = np.isfinite(df) & np.isfinite(z_new)
                     bad = ~(conv | zero | finite)
                     stop = conv | zero | bad
                 else:  # out of steps: every seed still running stops here

@@ -58,7 +58,7 @@ UNCLASSIFIED = "Unclassified"
 BRANCH_POINT = "branch_point"
 SEED_FAILURES = (NO_CONVERGENCE, NON_FINITE, ZERO_SLOPE, BRANCH_POINT)
 # a seed that the search ends and that does not count as failed: at l >= 1
-# its iterate rose above the search box's bottom edge mirrored above the axis
+# its iterate rose above the search's ceiling (_CEILING_SHARE)
 ABOVE_BOX = "above_box"
 
 # the top edge of the counting box lies where Im(ka) is at most this on it
@@ -99,6 +99,27 @@ _COARSE_COLUMNS = 45
 # loses a pole, with the coarse seeds even in E or in k
 _JOIN_AFTER = 4
 _END_AFTER = 16
+# at l >= 1 a seed ends once its iterate rises above Im E = _CEILING_SHARE
+# times the box's depth -Im E_lo (0.5 in the CLI's sqwell region), where no
+# pole lies and the Newton steps on F wander.  Swept, CLI region, over the
+# 30 sqwell_highl pool wells and the 560 l >= 1 wells of 600 drawn from
+# default_rng(27) as stall_models draws (poles lost, and moved by more
+# than 1e-13 relative, against a run without the ceiling), the 28 l >= 1
+# barriers of 30 drawn from default_rng(5) (V0 = -U(0.2, 8), a = U(0.5,
+# 12), l in [0, 10]; roots dropped against share 1, none a zero of G) and
+# the two pool searches that end by the stall, r2/i4 and r2/i9 (Newton
+# evaluations; find_poles ms, in-process, range of 3 mins of 25, 2 cores):
+#   share  lost  moved  dropped  r2/i4 evals, ms    r2/i9 evals, ms
+#   1      0     0      0        9,092  7.0-8.1     9,468  6.2-7.3
+#   1/6    0     0      66       8,505  5.5-6.6     9,002  6.3-7.3
+#   1/12   0     0      81       8,424  5.7-6.4     8,924  6.2-7.3
+#   1/24   0     2      90       8,389  5.2-5.9     8,862  6.2-7.0
+#   0      44    42     102      8,311  5.4-5.8     8,713  6.1-6.8
+# At 1/12 the poles lie within 9.8e-14 relative of the run without it,
+# and of the barrier roots dropped, 75 lie within 0.05 of E = -V0, where F
+# vanishes like p^l, and Newton on G leaves the 6 others.  At 0 the pool's
+# r0/i9 loses a pole
+_CEILING_SHARE = 1 / 12
 
 
 @dataclass(frozen=True)
@@ -278,10 +299,16 @@ def _spurious_zero_inside(model: ScatteringModel, region: SearchRegion) -> bool:
     return isinstance(model, SquareWell) and lo <= -model.V0 <= hi
 
 
-def _inside(region: SearchRegion, z: np.ndarray) -> np.ndarray:
-    """Elementwise: z lies in the search's real range (:func:`_re_range`),
-    and in [Im E_lo, 0) below the axis."""
-    (re_lo, re_hi), (im_lo, _) = _re_range(region), region.im_range
+def _box(region: SearchRegion) -> tuple[float, float, float]:
+    """The box of the roots a search keeps (:func:`_inside`): its real
+    range (:func:`_re_range`) and its bottom edge Im E_lo."""
+    return (*_re_range(region), region.im_range[0])
+
+
+def _inside(box: tuple[float, float, float], z: np.ndarray) -> np.ndarray:
+    """Elementwise: z lies in the real range of ``box`` (:func:`_box`), and
+    in [Im E_lo, 0) below the axis."""
+    re_lo, re_hi, im_lo = box
     return (re_lo <= z.real) & (z.real <= re_hi) & (im_lo <= z.imag) & (z.imag < 0)
 
 
@@ -316,7 +343,7 @@ class _Progress:
     it only counts the rounds."""
 
     def __init__(self, region: SearchRegion, count: int | None, running: int):
-        self.region, self.count, self.running = region, count, running
+        self.box, self.count, self.running = _box(region), count, running
         self.kept = np.empty(0, dtype=complex)
         self.quiet = None  # rounds in a row without a new root, once counted
         self.rounds, self.join_asked, self.end = 0, None, "steps"
@@ -330,7 +357,10 @@ class _Progress:
     def _keep(self, roots, outcomes) -> bool:
         """Keep the new distinct converged roots inside the region; whether
         there were any."""
-        z = roots[(outcomes == CONVERGED) & _inside(self.region, roots)]
+        z = roots[outcomes == CONVERGED]
+        if not z.size:
+            return False
+        z = z[_inside(self.box, z)]
         if z.size and self.kept.size:
             d = z[:, None] - self.kept
             size = np.hypot(z.real, z.imag)[:, None]
@@ -402,8 +432,8 @@ def find_poles(
     runs from round 0 to its own end.
 
     At l >= 1 a seed also ends once its iterate rises above Im E = -Im
-    E_lo, the bottom edge of the box mirrored above the real axis, where no
-    pole lies: there the Newton steps on F wander without a root in reach.
+    E_lo / 12 (:data:`_CEILING_SHARE`), above the real axis, where no pole
+    lies: there the Newton steps on F wander without a root in reach.
 
     Where the count is certified and positive but no seed converged to a
     pole, :class:`NoPoleFound` is raised: an empty list would hide the miss
@@ -446,7 +476,9 @@ def find_poles(
     progress = _Progress(region, count if stops else None, np.count_nonzero(~held))
     # only F at l >= 1 carries h1_l(ka); on s-wave wells and delta shells
     # the rule ended no search a round sooner
-    ceiling = -im_lo if isinstance(model, SquareWell) and model.l >= 1 else math.inf
+    ceiling = math.inf
+    if isinstance(model, SquareWell) and model.l >= 1:
+        ceiling = -_CEILING_SHARE * im_lo
     roots, residuals, outcomes = newton_complex(
         functools.partial(_newton_residual, model, ceiling=ceiling), seeds.ravel(),
         tol=tol, max_iter=60, until=progress, held=held if stops else None,
@@ -457,7 +489,7 @@ def find_poles(
     outcomes[is_above] = ABOVE_BOX
     failed = {why: int(np.count_nonzero(outcomes == why)) for why in SEED_FAILURES}
     converged = outcomes == CONVERGED
-    inside = converged & _inside(region, roots)
+    inside = converged & _inside(_box(region), roots)
     z, r = roots[inside], residuals[inside]
     keep = _distinct(z)
     z, r = z[keep], r[keep]

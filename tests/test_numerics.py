@@ -235,6 +235,16 @@ class TestComplexGammaArray:
             got = complex_gamma(z)
         assert_rel_close(got.ravel(), scalar_loop(mp_gamma, z.ravel()))
 
+    @pytest.mark.parametrize("im", [200.0, 300.0, 400.0, -200.0, -300.0, -400.0])
+    def test_far_up_the_imaginary_axis(self, im):
+        # on the reflected side sin(pi z) overflows once |Im z| passes about
+        # 226, though |Gamma| is still about 1e-273 at |Im z| = 400
+        z = np.array([0.3, -0.7]) + 1j * im
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = complex_gamma(z)
+        assert_rel_close(got, scalar_loop(mp_gamma, z))
+
     @pytest.mark.parametrize("pole", [0.0, -7.0, -3.0 + 1e-13j])
     def test_pole_parity(self, pole):
         with pytest.raises(PoleOfGamma):

@@ -149,9 +149,12 @@ class TestFindPoles:
         # takes 4 passes on 361 samples.  The batch starts on the 205
         # coarse seeds, spaced about evenly in k, and stops after 7 rounds,
         # once the 16th counted pole is found, before the 995 held seeds
-        # join (1107 seeds stopped).  One polish step costs 2 passes on the
-        # 16 poles.  70 seeds end once they rise above Im E = 6, the box's
-        # bottom edge mirrored.  Started on every other column, even in E
+        # join (1092 seeds stopped).  One polish step costs 2 passes on the
+        # 16 poles.  85 seeds end once they rise above Im E = 0.5, a twelfth
+        # of the box's depth above the axis (70 above Im E = 6, the box's
+        # bottom edge mirrored, stopped 1107 seeds after 1,184 seed
+        # evaluations: 205, 205, 193, 166, 153, 140, 122).  Started on
+        # every other column, even in E
         # (300 seeds), the batch found 14 poles by round 5, the 900 other
         # seeds joined in round 10 and it stopped after 13 rounds (4,933
         # seed evaluations against 1,184, 19 passes); a fixed join in round
@@ -183,16 +186,16 @@ class TestFindPoles:
         m = SquareWell(V0=5, a=10, l=1)
         found = find_poles(m, SearchRegion((0, 50), (-6, 0), 120, 10), tol=1e-8)
         assert len(samples) == 4 and sum(samples) == 361 and samples[0] == 260
-        assert rounds == [205, 205, 193, 166, 153, 140, 122, 16, 16]
-        assert sum(rounds[:-2]) == 1184
+        assert rounds == [205, 205, 160, 145, 132, 123, 107, 16, 16]
+        assert sum(rounds[:-2]) == 1077
         assert len(calls) == 4 + 7 + 2
         assert len(found) == 16
         for pole in found:
             d = pole.diagnostics
             assert pole.residual <= 1e-8
             assert d["winding_number"] == 16 and d["complete"] is True
-            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 1107
-            assert d["seeds_above_box"] == 70
+            assert d["seeds_failed"] == 0 and d["seeds_stopped"] == 1092
+            assert d["seeds_above_box"] == 85
             assert d["search_end"] == "count"
             assert d["rounds"] == 7 and d["joined_round"] is None
 
@@ -344,16 +347,18 @@ class TestFindPoles:
     def test_seeds_above_the_box_end(self, monkeypatch):
         # where h1 was j + i n, it underflowed above the axis and 634 seeds
         # "converged" there at points that are no zero of F.  Now a seed
-        # ends once it rises above Im E = 6, the box's bottom edge mirrored
-        # (582 seeds, not counted as failed).  The count is never met here,
+        # ends once it rises above Im E = 0.5, a twelfth of the box's depth
+        # (618 seeds, not counted as failed).  The count is never met here,
         # and the batch ends after 27 rounds, 16 after the last new root:
         # no seed runs out of steps (23 when the held seeds joined in round
-        # 8 and every seed ran to its end).  The 24 seeds that converge
-        # above the axis reach zeros of F that are no poles, within 0.05 of
-        # E = -V0, where F vanishes like p^5.  Run to its end, every seed
-        # from round 0, the batch ends 599 seeds above the box, and 36
-        # converge above the axis: 35 near E = -V0 and the bound state on
-        # the negative real axis
+        # 8 and every seed ran to its end).  The one seed that converges
+        # above the axis reaches a zero of F that is no pole, within 0.05
+        # of E = -V0, where F vanishes like p^5.  Run to its end, every seed
+        # from round 0, the batch ends 633 seeds above the box, and 3
+        # converge above the axis: 2 near E = -V0 and the bound state on
+        # the negative real axis.  With the ceiling at Im E = 6, the box's
+        # bottom edge mirrored, 582 and 599 seeds ended above it, and 24
+        # and 36 converged above the axis, 24 and 35 of them near E = -V0
         mpmath = pytest.importorskip("mpmath")
         runs = []
 
@@ -367,11 +372,11 @@ class TestFindPoles:
         full = full_run(monkeypatch, m, self.CLI_REGION)
         assert len(found) == len(full) == 13
         d = found[0].diagnostics
-        assert d["seeds_above_box"] == 582 and d["seeds_failed"] == 0
-        assert full[0].diagnostics["seeds_above_box"] == 599
-        for (roots, _, outcomes), n_above, n_near in ((runs[0], 24, 24),
-                                                      (runs[1], 36, 35)):
-            assert (roots[outcomes == poles.ABOVE_BOX].imag > 6.0).all()
+        assert d["seeds_above_box"] == 618 and d["seeds_failed"] == 0
+        assert full[0].diagnostics["seeds_above_box"] == 633
+        for (roots, _, outcomes), n_above, n_near in ((runs[0], 1, 1),
+                                                      (runs[1], 3, 2)):
+            assert (roots[outcomes == poles.ABOVE_BOX].imag > 0.5).all()
             above = roots[(outcomes == "converged") & (roots.imag > 0)]
             at_threshold = np.abs(above + m.V0) < 0.05
             assert above.size == n_above and np.count_nonzero(at_threshold) == n_near
@@ -433,12 +438,13 @@ class TestFindPoles:
         # round 0, 130 of r0/i1's seeds converged outside the region; now
         # the count stops it on the coarse seeds first, 1 of them outside
         # (2 when the coarse seeds were every other column).  r2/i4 never
-        # meets its count and ends when its roots stall, 47 of its seeds
-        # converged outside the region and 24 above the axis (48 and 21 on
-        # every other column; 80 and 36 when the held seeds joined in a
-        # fixed round 8 and every seed ran to its end)
+        # meets its count and ends when its roots stall, 24 of its seeds
+        # converged outside the region and 1 above the axis, the others
+        # ending above Im E = 0.5 first (47 and 24 with the ceiling at Im E
+        # = 6; 48 and 21 on every other column; 80 and 36 when the held
+        # seeds joined in a fixed round 8 and every seed ran to its end)
         outside, above_axis = {"sqwell_highl/r0/i1": (1, 0),
-                               "sqwell_highl/r2/i4": (47, 24)}[inst_id]
+                               "sqwell_highl/r2/i4": (24, 1)}[inst_id]
         runs = []
 
         def recorded(*args, **kwargs):
@@ -451,7 +457,7 @@ class TestFindPoles:
         d = found[0].diagnostics
         roots, _, outcomes = runs[0]
         converged = outcomes == "converged"
-        inside = np.count_nonzero(converged & poles._inside(region, roots))
+        inside = np.count_nonzero(converged & poles._inside(poles._box(region), roots))
         assert d["seeds_converged_outside"] == outside
         assert np.count_nonzero(converged & (roots.imag > 0)) == above_axis
         assert (d["seeds_failed"] + d["seeds_stopped"] + d["seeds_above_box"]
@@ -825,7 +831,7 @@ class TestWindingNumber:
         ("sqwell_highl/r2/i4", 0.168245380 - 0.001476100j),
         ("sqwell_highl/r2/i9", 0.1431902223 - 1.887e-9j),
     ])
-    def test_count_shows_the_missed_pole(self, inst_id, missed):
+    def test_count_shows_the_missed_pole(self, monkeypatch, inst_id, missed):
         # the two poles the seed grid misses (the strict xfails
         # test_narrow_l5_pole_is_found and
         # test_narrow_l10_resonance_is_counted): the count is one higher,
@@ -835,11 +841,25 @@ class TestWindingNumber:
         # seeds still running stopped.  On every other column, even in E,
         # r2/i4 ran 26 rounds, joined in round 10 and stopped 116 seeds,
         # r2/i9 27, 11 and 101.  Every seed ran to round 60 when the held
-        # seeds joined in a fixed round 8
-        rounds, joined, stopped = {"sqwell_highl/r2/i4": (27, 11, 122),
-                                   "sqwell_highl/r2/i9": (27, 11, 98)}[inst_id]
+        # seeds joined in a fixed round 8.  Their Newton rounds evaluate F
+        # at 8,424 and 8,924 iterates; with the ceiling at Im E = 6 they
+        # stopped 122 and 98 seeds after 9,092 and 9,468
+        rounds, joined, stopped, evaluated = {
+            "sqwell_highl/r2/i4": (27, 11, 109, 8424),
+            "sqwell_highl/r2/i9": (27, 11, 91, 8924),
+        }[inst_id]
+        iterates = []
+
+        def residual(model, E, **kwargs):
+            if "ceiling" in kwargs:  # a Newton round, not the polish
+                iterates.append(E.size)
+            return newton_residual(model, E, **kwargs)
+
+        newton_residual = poles._newton_residual
+        monkeypatch.setattr(poles, "_newton_residual", residual)
         m, region = instance_model(pool_instance(inst_id))
         found = find_poles(m, region, tol=1e-8)
+        assert len(iterates) == rounds and sum(iterates) == evaluated
         assert min(abs(p.energy - missed) for p in found) > 1e-6
         for p in found:
             d = p.diagnostics
@@ -939,6 +959,40 @@ class TestWindingNumber:
 
     def test_barrier_l8_count(self):
         assert poles._winding_number(SquareWell(-1.702, 9.39, 8), SQWELL_REGION) == 18
+
+
+# the sqwell region of `--pole-gmax 1`, where the ceiling, a twelfth of the
+# box's depth, comes within Im E = 0.042 of the axis
+SHALLOW_REGION = SearchRegion((0.0, 50.0), (-0.5, 0.0), n_re=120, n_im=10)
+
+
+class TestCeiling:
+    """At l >= 1 a seed ends once it rises above Im E = -Im E_lo / 12."""
+
+    @pytest.mark.parametrize("model, region", [
+        pytest.param(*instance_model(inst), id=inst["id"]) for inst in model_instances()
+        if inst["id"].startswith("sqwell_highl")
+    ] + [
+        pytest.param(model, region, id=str(model)) for model, region in STALL_MODELS
+        if isinstance(model, SquareWell) and model.l >= 1
+    ] + [
+        pytest.param(model, SHALLOW_REGION, id=f"shallow-{model}") for model in (
+            SquareWell(5, 10, 1), SquareWell(2.5836, 6.9964, 5),
+            SquareWell(6.0544, 8.5966, 10), SquareWell(6.8142, 9.8693, 1),
+            SquareWell(3.3399, 9.1884, 3),
+        )
+    ])
+    def test_ceiling_costs_no_pole(self, monkeypatch, model, region):
+        # the search with the ceiling finds the poles of the search without
+        # it, each within 1e-13 relative (the seed that reaches a pole
+        # first may differ)
+        capped = find_poles(model, region, tol=1e-8)
+        monkeypatch.setattr(poles, "_CEILING_SHARE", math.inf)
+        free = find_poles(model, region, tol=1e-8)
+        assert capped and len(capped) == len(free)
+        for a, b in zip(capped, free):
+            assert abs(a.energy - b.energy) <= 1e-13 * abs(b.energy)
+        assert free[0].diagnostics["seeds_above_box"] == 0
 
 
 def pool_instance(inst_id):

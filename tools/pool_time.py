@@ -27,8 +27,8 @@ reach: each tree's ``src/resdelay`` is copied and imported as the package
 times in each tree, the trees taking turns and the old tree first on even
 instances.  An instance's time is its least of those runs.  For each group
 it prints each tree's summed and median instance time and their changes,
-the median of the per-instance ratios and the instances the new tree ran
-faster::
+the median of the per-instance ratios, the instances the new tree ran
+faster and each tree's slowest instance with its least time::
 
     python tools/pool_time.py OLD_TREE NEW_TREE --workload expstep --ab 7
 
@@ -158,11 +158,12 @@ def ab_collect(trees: list[Path], work: Path, workloads: list[str], runs: int,
 def ab_summary(old: dict, new: dict) -> list[str]:
     """One line per group of :func:`groups`: instances, each tree's summed
     and median per-instance least time and their changes, the median of
-    the per-instance ratios new/old less 1, and the instances the new tree
-    ran faster."""
+    the per-instance ratios new/old less 1, the instances the new tree ran
+    faster, and each tree's slowest instance (:func:`slowest`)."""
     lines = [f"{'group':<16} {'n':>4} {'old sum s':>10} {'new sum s':>10} {'change':>8} "
              f"{'old median':>11} {'new median':>11} {'change':>8} "
-             f"{'median ratio':>13} {'new won':>9}"]
+             f"{'median ratio':>13} {'new won':>9}  {'old slowest':<18} "
+             f"{'new slowest':<18}"]
     for name, ids in groups(old, new).items():
         if not ids:
             continue
@@ -173,7 +174,8 @@ def ab_summary(old: dict, new: dict) -> list[str]:
         lines.append(f"{name:<16} {len(ids):>4} {so:>10.4f} {sn:>10.4f} "
                      f"{100 * (sn / so - 1):>+7.1f}% {mo:>11.6f} {mn:>11.6f} "
                      f"{100 * (mn / mo - 1):>+7.1f}% {100 * (ratio - 1):>+12.1f}% "
-                     f"{won:>4}/{len(ids):<4}")
+                     f"{won:>4}/{len(ids):<4}  {slowest([old], ids):<18} "
+                     f"{slowest([new], ids):<18}")
     return lines
 
 
@@ -191,8 +193,9 @@ def groups(old: dict, new: dict) -> dict[str, list[str]]:
 
 
 def slowest(side: list[dict], ids: list[str]) -> str:
-    """The instance of ``ids`` with the largest median time over the pairs,
-    as that time and the instance id without its workload."""
+    """The instance of ``ids`` with the largest median time over the pairs
+    (over the one run of ``--ab``), as that time and the instance id
+    without its workload."""
     times = {key: statistics.median(run[key]["seconds"] for run in side) for key in ids}
     key = max(times, key=times.get)
     return f"{times[key]:.6f} {key.partition('/')[2]}"
