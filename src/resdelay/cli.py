@@ -67,34 +67,45 @@ _REFINE_POINTS = 64  # samples of the fine pass around the reflectivity dip
 # 2**(e-54) 10**S in [1.11, 11.1), so the shortest digits (Ryu: Adams, PLDI
 # 2018) are the multiple of 100 within g if there is one (one at most), else
 # the nearest multiple of 10 if it is within g, else the nearest integer.
-# That integer q, scaled by 10 to 18 digits, is written four digits at a
-# time through a table in which each digit is followed by a slot that may
-# hold the decimal point; a mask row per layout (repr's fixed form for each
-# decimal point, or its exponent form) and last nonzero digit clears the
-# leading and trailing zeros and the unused slots, and an exponent word
-# follows.  A row is repr's text with NUL bytes among and after its
-# characters, which the writers drop.  Elements whose decision lies within
-# _TIE of a tie or of the interval's end, and those the scaling does not
-# cover (0, powers of two, whose interval is lopsided, and |x| outside
-# [2**-93, 2**57)), take float.__repr__ itself.
+# That integer q, scaled by 10 to 18 digits, is written as repr's digits
+# with integer arithmetic: a 0 is put in at the decimal point (q + 9 P (q //
+# P), P = 10**(18 - D)), and the 19 digits are split, after as many places
+# as the sign and the "0.000" prefix take, into the 8-digit groups of three
+# little-endian words, which a table writes four digits at a time.  The
+# mask of the row's layout (repr's fixed form for each decimal point, or its
+# exponent form), last nonzero digit and sign then clears that 0, the
+# leading and trailing places, and the layout's text fills in the sign, the
+# prefix, the point and the exponent, straight after the last digit.  A row
+# is repr's text from its first byte, with NUL bytes only after it, which
+# the writers drop.  Elements whose decision lies within _TIE of a tie or of
+# the interval's end, and those the scaling does not cover (0, powers of
+# two, whose interval is lopsided, and |x| outside [2**-93, 2**57)), take
+# float.__repr__ itself.
 
 _E_LO, _E_HI = -92, 57  # frexp exponents of the kernel: 2**-93 <= |x| < 2**57
 _D_LO, _D_HI = -27, 18  # the decimal points of those |x|
 _TIE = 1e-6  # a decision this close to a tie or to the interval's end takes repr
-_WIDTH = 56  # bytes per row: sign word, 5 digit words, exponent word
-# The blocks keep a call's temporaries to a few hundred KB, which are reused
-# from one block to the next rather than mapped and faulted in afresh.
-_KERNEL_BLOCK = 2048  # elements per block of the kernel
+_WIDTH = 24  # bytes per row: the longest repr, "-1.7976931348623157e+308"
+# The blocks keep a call's temporaries to one or two MB, which are reused
+# from one block to the next rather than mapped and faulted in afresh; a last
+# block shorter than half a block joins the one before it.  Swept on these
+# rows (digit rows and a join of default step's 10,004 samples, in-process,
+# 10th percentile of 200 runs, two sweeps): 1,024 1.71-1.79 ms, 1,536
+# 1.51-1.58, 2,048 1.40-1.46, 3,072 1.30-1.35, 4,096 1.28-1.38, 8,192
+# 1.73-1.81; on the expstep pool against 2,048 (tools/pool_time.py --ab,
+# summed), 3,072 -3.9% and -1.1%, 4,096 -3.6% and -2.0%, and 4,096 on
+# closed_form -1.2% and on sqwell_highl +0.1%.
+_KERNEL_BLOCK = 4096  # elements per block of the kernel
 _BLOCK = 512  # rows per block of the NUL-stripped writer
 
 
-def _scale_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scale_tables() -> tuple[np.ndarray, np.ndarray]:
     """Indexed by frexp exponent e, from ``_E_LO - 1`` to ``_E_HI + 1`` (the
     two ends stand for every exponent outside the kernel): the rows
     hi(10**S), its Veltkamp halves, lo(10**S) and the half-gap g (NaN at
     the ends).  Then, indexed by 2 (e - _E_LO + 1) + short, where short
-    marks a q of 17 digits: the layout's mask row for a last nonzero digit
-    j1 = 0, and the exponent word ("e-05", or none in the fixed form)."""
+    marks a q of 17 digits: the first row of the decimal point's layouts in
+    the tables of :func:`_layout_tables`."""
     e = np.arange(_E_LO - 1, _E_HI + 2)
     s = np.clip(16 - (e - 1) * 30103 // 100000, 0, 44)  # 30103e-5 for log10(2)
     tens = [10 ** k for k in range(45)]  # 10**k - hi(10**k) fits 53 bits
@@ -105,53 +116,69 @@ def _scale_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gap = np.ldexp(hi, e - 54)
     gap[[0, -1]] = np.nan
     point = np.clip(18 - s[:, None] - [0, 1], _D_LO, _D_HI).ravel()
-    fixed = (-4 < point) & (point <= 16)
-    words = b"".join(bytes(8) if f else f"e{d - 1:+03d}".encode().ljust(8, b"\0")
-                     for d, f in zip(point.tolist(), fixed.tolist()))
-    return (np.stack([hi, hh, hi - hh, lo, gap]), np.where(fixed, point + 4, 0) * 18 - 2,
-            np.frombuffer(words, "<u8"))
+    return np.stack([hi, hh, hi - hh, lo, gap]), (point - _D_LO) * 48
 
 
-def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For 0000..9999: the four ASCII digits, each followed by a 0xFF slot,
-    as a little-endian word; and, at 10000 k + v for quad k = 0..4 of q,
-    the frame digit 4 k - 1 + place of its last nonzero digit, -64 for
-    0000."""
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """For 0000..9999: the four ASCII digits as the low and as the high half
+    of a little-endian word; and 2 j for the place j of the last nonzero
+    digit in that half (0..3 or 4..7), -64 for 0000."""
     v = np.arange(10000)
-    chars = np.full((10000, 8), 0xFF, np.uint8)
-    place = np.zeros(10000, np.int8)
-    for p, div in enumerate((1000, 100, 10, 1), start=1):
+    chars = np.empty((10000, 4), np.uint8)
+    place = np.full(10000, -32)
+    for p, div in enumerate((1000, 100, 10, 1)):
         digit = v // div % 10
-        chars[:, 2 * p - 2] = digit + 48
+        chars[:, p] = digit + 48
         place[digit != 0] = p
-    last = np.where(place > 0, place + np.arange(-1, 19, 4)[:, None], -64)
-    return chars.view("<u8").ravel(), last.astype(np.int8).ravel()
+    low = chars.view("<u4").ravel().astype(np.uint64)
+    return low, low << 32, (2 * place).astype(np.int8), (2 * place + 8).astype(np.int8)
 
 
-def _layout_table() -> np.ndarray:
-    """The mask of a row per layout code (0: exponent form, 1..20: fixed
-    form with decimal point D = code - 4) and last nonzero digit j1 in 2..19
-    of q, where frame digit j (q's first at 2, two padding zeros before 0)
-    sits at byte 8 + 2 j and its slot at 9 + 2 j.  A mask byte is 0 (clear),
-    0xFF (keep) or "." (for a slot, which holds 0xFF)."""
-    point = np.repeat(np.arange(-4, 17), 18)[:, None]
-    j1 = np.tile(np.arange(2, 20), 21)[:, None]
-    fixed = point > -4  # "0.00ddd", "d.ddd" or "ddd.0"; else "d.ddde-05" or "de-05"
-    lo = np.where(fixed, np.minimum(2, 1 + point), 2)
-    hi = np.where(fixed, np.maximum(j1, 2 + point), j1)
-    dot = np.where(fixed, 1 + point, 2)
-    j = np.arange(-2, 20)
-    mask = np.full((len(point), _WIDTH), 0xFF, np.uint8)
-    mask[:, 4:48:2] = np.where((lo <= j) & (j <= hi), 0xFF, 0)
-    mask[:, 5:48:2] = np.where((j == dot) & (j < hi), 46, 0)
-    return mask
+def _layout_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Indexed by 48 (D - _D_LO) + 2 j + neg, for the decimal point D (its
+    place after q's first digit in the fixed form), the place j of the
+    row's last nonzero digit and the sign bit: the powers of ten cut and
+    spread = 9 cut that put a 0 in q at the point, and mid and low that
+    split the 19 digits, after the places of the sign and the "0.000"
+    prefix, into the 16 digits of two words (// mid) and the 8 of the third
+    (% mid * low); and, one word per column, the mask and the text of the
+    row's three words."""
+    point = np.repeat(np.arange(_D_LO, _D_HI + 1), 48)
+    last, neg = np.divmod(np.tile(np.arange(48), _D_HI - _D_LO + 1), 2)
+    fixed = (-4 < point) & (point <= 16)  # "ddd.0", "d.ddd" or "0.00ddd"
+    small = fixed & (point <= 0)  # "0.00ddd"; else "d.ddde-05" or "de-05"
+    first = neg + np.where(small, 2 - point, 0)  # the place of q's first digit
+    # the digits before the point: none when small, where the 0 goes before q
+    # and the point sits in the prefix, and 1 in the exponent form
+    before = np.where(small, 0, np.where(fixed, point, 1))
+    dot = np.where(small, neg + 1, np.where(fixed | (last > first), first + before, -1))
+    end = np.where(fixed & ~small, np.maximum(last + 1, dot + 2), last + 1)
+    # ones[k]: 0xFF in the first k bytes; the text has room past the row for
+    # the exponent of a row whose last place lies before its first digit
+    # (which no element reaches).  The text starts as the prefix's zeros
+    ones = np.where(np.arange(_WIDTH + 5)[:, None] > np.arange(_WIDTH + 4), 0xFF, 0)
+    ones = ones.astype(np.uint8)
+    keep = ones[end, :_WIDTH] & ~ones[first, :_WIDTH]
+    text = ones[np.where(small, first, 0)] & ~ones[neg] & np.uint8(ord("0"))
+    row = np.flatnonzero(dot >= 0)
+    keep[row, dot[row]] = 0
+    text[row, dot[row]] = ord(".")
+    text[neg == 1, 0] = ord("-")
+    row = np.flatnonzero(~fixed)
+    chars = np.array([list(f"e{d - 1:+03d}".encode()) for d in range(_D_LO, _D_HI + 1)])
+    for k in range(4):
+        text[row, end[row] + k] = chars[point[row] - _D_LO, k]
+    masks = np.concatenate([keep, text[:, :_WIDTH]], axis=1)
+    tens = np.array([10 ** k for k in range(19)], np.uint64)
+    pad = first - small  # the places before the 19 digits
+    cut = tens[18 - before]
+    powers = [cut, 9 * cut * ~small, tens[3 + pad], tens[5 - pad]]
+    return np.stack(powers), masks.view("<u8").T.copy()
 
 
-(_SCALE, _LAYOUT_ROW, _EXPONENT_WORD), (_QUADS, _LAST), _LAYOUT = (
-    _scale_tables(), _quad_tables(), _layout_table())
-_QUAD_ROW = np.arange(0, 50000, 10000)[:, None]  # quad k's rows in _LAST
-# the sign words: no sign or "-", then frame digits -2 and -1, "0" and "0"
-_SIGN = np.array([0xFF30FF3000000000, 0xFF30FF300000002D], "<u8")
+(_SCALE, _POINT_ROW), (_DIGITS, _DIGITS_HIGH, _LAST_LOW, _LAST_HIGH), (_POWERS, _MASKS) = (
+    _scale_tables(), _digit_tables(), _layout_tables())
+_WORD_PLACE = np.array([[0], [16], [32]], np.int8)  # 2 j of each word's first byte
 
 
 def _repr_rows(rows: np.ndarray, x: np.ndarray, where: np.ndarray) -> None:
@@ -165,15 +192,18 @@ def _repr_rows(rows: np.ndarray, x: np.ndarray, where: np.ndarray) -> None:
 
 def _digit_rows(x: np.ndarray) -> np.ndarray:
     """The text of ``float.__repr__(x_i)`` for every element, one row of
-    ``_WIDTH`` bytes each, with NUL bytes among and after the characters.
-    0, powers of two, |x| outside [2**-93, 2**57) and decisions within
+    ``_WIDTH`` bytes each, from the row's first byte, with NUL bytes after
+    it.  0, powers of two, |x| outside [2**-93, 2**57) and decisions within
     ``_TIE`` of a tie take ``float.__repr__`` itself.  The kernel runs on
-    blocks of ``_KERNEL_BLOCK`` elements, which bounds its temporaries."""
+    blocks of ``_KERNEL_BLOCK`` elements, which bounds its temporaries; a
+    last block shorter than half of one joins the block before it."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     rows = np.empty((len(x), _WIDTH // 8), "<u8")
-    fallback = [start + _digit_block(x[start:start + _KERNEL_BLOCK],
-                                     rows[start:start + _KERNEL_BLOCK])
-                for start in range(0, len(x), _KERNEL_BLOCK)]
+    starts = list(range(0, len(x), _KERNEL_BLOCK))
+    if len(starts) > 1 and len(x) - starts[-1] < _KERNEL_BLOCK // 2:
+        del starts[-1]
+    fallback = [start + _digit_block(x[start:stop], rows[start:stop])
+                for start, stop in zip(starts, starts[1:] + [len(x)])]
     rows = rows.view(np.uint8)
     _repr_rows(rows, x, np.concatenate(fallback) if fallback else np.empty(0, np.intp))
     return rows
@@ -231,31 +261,45 @@ def _digit_block(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         del w, d1, d10, d100, c10, c100, gap, margin, m
         q += off.astype(np.int64)
         del off
-        # scale the 17-digit q to 18 digits and write them, 4 at a time
+        # scale the 17-digit q to 18 digits; the layout's powers of ten
         short = q < 10 ** 17
         np.multiply(q, 10, out=q, where=short)
-        quads = np.empty((5, len(q)), np.intp)
-        for k in (4, 3, 2, 1):
-            rest = q // 10000
-            np.subtract(q, rest * 10000, out=quads[k])
-            q = rest
-        quads[0] = q
-        del q, rest
-        for k in range(5):
-            rows[:, k + 1] = _QUADS.take(quads[k], mode="clip")
-        rows[:, 0] = _SIGN.take(x.view(np.int64) < 0)
-        # the exponent word, and the mask row of the layout and of q's last
-        # nonzero digit j1
-        quads += _QUAD_ROW
-        last = _LAST.take(quads, mode="clip").max(axis=0)
-        del quads
         e *= 2
         e += short
-        rows[:, 6] = _EXPONENT_WORD.take(e, mode="clip")
-        layout = _LAYOUT_ROW.take(e, mode="clip")
-        layout += last
-        chars = rows.view(np.uint8)
-        np.minimum(chars, _LAYOUT.take(layout, axis=0, mode="clip"), out=chars)
+        layout = _POINT_ROW.take(e, mode="clip")
+        layout -= x.view(np.int64) >> 63
+        cut, spread, mid, low = _POWERS.take(layout, axis=1, mode="clip")
+        # put the 0 in at the decimal point, split the digits into the
+        # 8-digit groups of the words and the groups into quads, and write
+        # the quads
+        q = q.view(np.uint64)  # 19 digits pass 2**63
+        t = q // cut
+        t *= spread
+        q += t
+        groups = np.empty((3, len(q)), np.uint64)
+        t = q // mid  # the first two groups
+        q -= t * mid
+        np.multiply(q, low, out=groups[2])
+        np.floor_divide(t, 10 ** 8, out=groups[0])
+        np.subtract(t, groups[0] * 10 ** 8, out=groups[1])
+        groups = groups.view(np.int64)
+        quads = np.empty((2, 3, len(q)), np.intp)
+        np.floor_divide(groups, 10000, out=quads[0])
+        np.subtract(groups, quads[0] * 10000, out=quads[1])
+        del q, t, cut, spread, mid, low, groups
+        words = _DIGITS.take(quads[0], mode="clip")
+        words |= _DIGITS_HIGH.take(quads[1], mode="clip")
+        # the place of the last nonzero digit completes the layout
+        last = _LAST_LOW.take(quads[0], mode="clip")
+        np.maximum(last, _LAST_HIGH.take(quads[1], mode="clip"), out=last)
+        last += _WORD_PLACE
+        np.maximum(last[0], last[1], out=last[0])
+        np.maximum(last[0], last[2], out=last[0])
+        layout += last[0]
+        del quads, last
+        masks = _MASKS.take(layout, axis=1, mode="clip")
+        words &= masks[:3]
+        np.bitwise_or(words, masks[3:], out=rows.T)
     return fallback
 
 

@@ -710,6 +710,39 @@ class TestWriters:
         assert calls[0] == joins
 
     @pytest.mark.parametrize(
+        "argv, handed, written",
+        [
+            # at 56-byte rows the joins read 1,344,492 and 304,800 bytes
+            (["step"], 640236, 486565),
+            (["sqwell", "--l", "1"], 144800, 112610),
+        ],
+    )
+    def test_joins_read_24_byte_rows(self, tmp_path, monkeypatch, argv, handed,
+                                     written):
+        # every digit row is 24 bytes, so the joins read 1.3 times the bytes
+        # they keep
+        widths, read, kept = set(), [0], [0]
+        digit_rows, joined = cli._digit_rows, cli._joined
+
+        def counted_rows(x):
+            rows = digit_rows(x)
+            widths.add(rows.shape[1])
+            return rows
+
+        def counted_join(parts):
+            n = next(len(part) for part in parts if not isinstance(part, bytes))
+            read[0] += n * sum(len(part) if isinstance(part, bytes) else part.shape[1]
+                               for part in parts)
+            out = joined(parts)
+            kept[0] += len(out)
+            return out
+
+        monkeypatch.setattr(cli, "_digit_rows", counted_rows)
+        monkeypatch.setattr(cli, "_joined", counted_join)
+        assert run(argv, tmp_path) == 0
+        assert widths == {24} and read[0] == handed and kept[0] == written
+
+    @pytest.mark.parametrize(
         "argv, points",
         [
             # display 600, classification 900 and count 309 (or 311) in one
@@ -826,6 +859,52 @@ class TestDigitRows:
                                     np.nextafter(edges, -math.inf)])
         x = np.concatenate([edges, -edges])
         assert _kernel_text(x) == _repr_text(x)
+
+    def test_longest_text_of_each_layout_ends_inside_its_row(self, monkeypatch):
+        # the longest text of each layout: a sign, "0.000" and 17 digits; a
+        # sign and 17 digits with the exponents -28 and +16; 16 integer
+        # digits and ".0"; and the fallback's 24 characters.  Each is repr's
+        # text from the row's first byte, with NUL bytes only after it
+        fallback = []
+        repr_rows = cli._repr_rows
+
+        def counted(rows, x, where):
+            fallback.extend(x[where].tolist())
+            return repr_rows(rows, x, where)
+
+        monkeypatch.setattr(cli, "_repr_rows", counted)
+        longest = {-0.00012345678901234567: 23, -1.2345678901234567e-28: 23,
+                   -1.2345678901234567e16: 23, -1234567890123456.0: 19,
+                   -1.7976931348623157e308: 24}
+        x = np.array(list(longest))
+        rows = cli._digit_rows(x)
+        assert rows.shape == (len(x), cli._WIDTH) and cli._WIDTH == 24
+        for value, row in zip(x.tolist(), rows):
+            text = repr(value).encode()
+            assert len(text) == longest[value]
+            assert row[:len(text)].tobytes() == text and not row[len(text):].any()
+        assert fallback == [-1.7976931348623157e308]
+
+    def test_short_last_block_joins_the_one_before(self, monkeypatch):
+        # a last block shorter than half of _KERNEL_BLOCK joins the one
+        # before it, so a run's ~2,200 samples take one block
+        k = cli._KERNEL_BLOCK
+        blocks = []
+        digit_block = cli._digit_block
+
+        def counted(x, rows):
+            blocks.append(len(x))
+            return digit_block(x, rows)
+
+        monkeypatch.setattr(cli, "_digit_block", counted)
+        rng = np.random.default_rng(7)
+        for n, expected in [(10, [10]), (2200, [2200]),
+                            (k + k // 2 - 1, [k + k // 2 - 1]),
+                            (k + k // 2, [k, k // 2]), (2 * k + 10, [k, k + 10])]:
+            blocks.clear()
+            x = rng.uniform(-100, 100, n)
+            assert _kernel_text(x) == _repr_text(x)
+            assert blocks == expected
 
     def test_fallback_elements(self, monkeypatch):
         # 0, powers of two, non-finite values and |x| outside the kernel's
